@@ -1,13 +1,14 @@
-"""Churn-injected fleet vs. the per-trial engine loop.
+"""Churn-injected fleet batch vs. the same trials seed by seed.
 
-ISSUE 9 threads the churn axis (leaves, sleeps, wakes, joins with
-self-repair) through every engine.  The fleet applies one `(trials, n)`
-mask batch per event round and shares the deterministic resolution pass
-across all live trials; the per-trial loop rebuilds the same masks once
-per trial.  This bench runs one identical churned workload — same
-universe graph, same schedule, same seeds — through both and asserts a
-conservative >= 2x floor for the fleet side (the measured margin is far
-larger; the floor absorbs noisy CI boxes).
+The churn axis (leaves, sleeps, wakes, joins with self-repair) runs
+through every engine.  The batched fleet applies one `(trials, n)` mask
+batch per event round and shares the deterministic resolution pass
+across all live trials; the seed-by-seed baseline — one one-seed
+``FleetSimulator`` run per trial — rebuilds the universe graph and the
+same masks once per trial.  This bench runs one identical churned
+workload — same universe graph, same schedule, same seeds — through
+both and asserts a conservative >= 2x floor for the fleet side (the
+measured margin is far larger; the floor absorbs noisy CI boxes).
 
 Both sides validate every trial against the surviving subgraph and must
 agree bit for bit — a slow-but-wrong kernel cannot pass.
@@ -27,7 +28,6 @@ from repro.beeping.faults import ChurnSchedule, FaultModel
 from repro.beeping.rng import derive_seed_block
 from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import FeedbackRule
-from repro.engine.simulator import VectorizedSimulator
 from repro.experiments.tables import format_table
 from repro.graphs.random_graphs import gnp_random_graph
 
@@ -68,12 +68,12 @@ def _run_fleet(graph, faults, seeds):
 
 
 def _run_per_trial(graph, faults, seeds):
-    simulator = VectorizedSimulator(graph)
+    simulator = FleetSimulator(graph)
     return [
-        simulator.run(
-            FeedbackRule(), int(seed), validate=True, faults=faults,
+        simulator.run_fleet(
+            FeedbackRule(), [int(seed)], validate=True, faults=faults,
             rng_mode="counter",
-        )
+        ).trial_run(0)
         for seed in seeds
     ]
 
@@ -103,12 +103,12 @@ def _timed(fn):
 
 def _report_and_record(measurement) -> None:
     report(
-        "CHURN SWEEP: fleet vs per-trial loop "
+        "CHURN SWEEP: fleet vs seed-by-seed "
         f"(n={N}, trials={TRIALS}, events={len(CHURN_EVENTS)})",
         format_table(
             ["runner", "ms"],
             [
-                ["per-trial loop", f"{measurement['loop_seconds'] * 1000:.1f}"],
+                ["seed-by-seed", f"{measurement['loop_seconds'] * 1000:.1f}"],
                 ["fleet (batched churn)",
                  f"{measurement['fleet_seconds'] * 1000:.1f}"],
                 ["speedup", f"{measurement['speedup']:.1f}x"],
@@ -144,13 +144,13 @@ def test_churn_fleet_speedup_floor():
     _report_and_record(measurement)
     assert measurement["speedup"] >= SPEEDUP_FLOOR, (
         f"churned fleet only {measurement['speedup']:.2f}x faster than the "
-        f"per-trial loop (floor {SPEEDUP_FLOOR}x)"
+        f"seed-by-seed loop (floor {SPEEDUP_FLOOR}x)"
     )
 
 
 def test_churn_workload_is_reproducible_and_valid():
-    """The timed workload is sane: the fleet agrees bit for bit with the
-    per-trial engine, every trial recovered, repair times recorded."""
+    """The timed workload is sane: the batch agrees bit for bit with the
+    seed-by-seed runs, every trial recovered, repair times recorded."""
     graph, faults, seeds = _workload()
     fleet = _run_fleet(graph, faults, seeds[:8])
     runs = _run_per_trial(graph, faults, seeds[:8])

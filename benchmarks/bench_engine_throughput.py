@@ -1,5 +1,6 @@
-"""Engine microbenchmarks: reference vs vectorised throughput, and the
-baseline algorithms' wall-clock on a common workload.
+"""Engine microbenchmarks: reference vs vectorised throughput (one trial
+and whole batches), and the baseline algorithms' wall-clock on a common
+workload.
 
 Not a paper artefact — this is the harness's own performance regression
 suite, and the justification for having two engines at all.
@@ -15,8 +16,8 @@ from repro.algorithms.feedback import FeedbackMIS
 from repro.algorithms.luby import LubyMIS
 from repro.algorithms.metivier import MetivierMIS
 from repro.beeping.rng import spawn_rng
+from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import FeedbackRule
-from repro.engine.simulator import VectorizedSimulator
 from repro.graphs.random_graphs import gnp_random_graph
 
 
@@ -37,20 +38,20 @@ def test_reference_engine_throughput(benchmark, workload):
 
 
 def test_vectorized_engine_throughput(benchmark, workload):
-    simulator = VectorizedSimulator(workload)
+    """One trial per iteration: the one-seed dense fleet run."""
+    simulator = FleetSimulator(workload, backend="dense")
     counter = iter(range(10_000))
 
     def run_once():
-        return simulator.run(FeedbackRule(), next(counter))
+        return simulator.run_fleet(FeedbackRule(), [next(counter)])
 
     run = benchmark(run_once)
-    assert run.rounds >= 1
+    assert int(run.rounds[0]) >= 1
 
 
 def test_fleet_engine_throughput(benchmark, workload):
     """Whole 32-trial batches per iteration — the fleet's unit of work."""
     from repro.beeping.rng import derive_seed_block
-    from repro.engine.fleet import FleetSimulator
 
     simulator = FleetSimulator(workload)
     counter = iter(range(10_000))

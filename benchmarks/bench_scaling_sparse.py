@@ -1,10 +1,10 @@
 """Beyond the paper: Theorem 2's O(log n) curve at 20x the paper's scale.
 
 The paper's Figure 3 stops at n = 1000 (its testbed was a dense G(n, 1/2)
-simulation).  The sparse CSR engine lets the reproduction push the same
-measurement to tens of thousands of nodes on constant-mean-degree networks
-— the regime real sensor deployments live in — and check that the log fit
-keeps holding.
+simulation).  The fleet's sparse CSR backend lets the reproduction push
+the same measurement to tens of thousands of nodes on constant-mean-degree
+networks — the regime real sensor deployments live in — and check that
+the log fit keeps holding.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.analysis.regression import fit_log2
 from repro.beeping.rng import derive_seed, derive_seed_block
 from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import FeedbackRule
-from repro.engine.sparse import SparseSimulator
 from repro.experiments.tables import format_table
 from repro.graphs.random_graphs import gnp_random_graph
 
@@ -36,9 +35,9 @@ def scaling(scale):
     """Mean rounds/beeps per size, measured with the fleet engine.
 
     Trials are spread over ``GRAPHS_PER_SIZE`` independent graphs per size
-    and each group runs as one lockstep sparse-backend fleet batch — the
-    per-trial CSR loop this replaced produced the same per-seed results
-    (the engines are bit-compatible) but paid the round loop per trial.
+    and each group runs as one lockstep sparse-backend fleet batch — a
+    seed-by-seed loop would produce the same per-seed results but pay
+    the round loop per trial.
     """
     if scale.name == "paper":
         sizes = (500, 1000, 2000, 5000, 10_000, 20_000)
@@ -72,14 +71,14 @@ def scaling(scale):
 
 def test_scaling_regenerate(benchmark):
     graph = _sparse_graph(2000, 77)
-    simulator = SparseSimulator(graph)
+    simulator = FleetSimulator(graph, backend="sparse")
     counter = iter(range(10_000))
 
     def run_once():
-        return simulator.run(FeedbackRule(), next(counter))
+        return simulator.run_fleet(FeedbackRule(), [next(counter)])
 
     run = benchmark(run_once)
-    assert run.rounds >= 1
+    assert int(run.rounds[0]) >= 1
 
 
 def test_scaling_log_fit_beyond_paper(benchmark, scaling, scale):

@@ -8,7 +8,8 @@ environment variable:
 - ``small`` (default): minutes-long runs suited to CI; reduced sizes and
   trial counts, same qualitative shape.
 - ``paper``: the paper's actual parameters (n up to 1000, 100-200 trials);
-  this is what EXPERIMENTS.md records.
+  the reduced-scale record of it is the ``repro paper`` pipeline
+  (docs/paper.md, pinned in tests/experiments/golden_paper/).
 
 Run with ``pytest benchmarks/ --benchmark-only``.
 """

@@ -100,8 +100,8 @@ def derive_seed_block(master_seed: int, *path: int, count: int, start: int = 0):
 
     This is the fleet engine's seed contract: entry ``t`` of the returned
     ``uint64`` array equals ``derive_seed(master_seed, *path, start + t)``
-    bit for bit, so a trial-parallel batch consumes exactly the seeds the
-    per-trial loop would, and the two are interchangeable under one master
+    bit for bit, so a trial-parallel batch consumes exactly the seeds a
+    seed-by-seed loop would, and the two are interchangeable under one master
     seed.  ``start`` lets a *shard* of a larger batch derive only its own
     trailing-index window: concatenating shard blocks over consecutive
     offsets reproduces the unsharded block exactly, which is what makes a

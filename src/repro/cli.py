@@ -1,4 +1,4 @@
-"""Command-line interface: ``repro-mis`` / ``python -m repro``.
+"""Command-line interface: ``python -m repro``.
 
 Subcommands
 -----------
@@ -107,7 +107,7 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-mis",
+        prog="python -m repro",
         description=(
             "Reproduction of 'Feedback from nature' (PODC 2013): "
             "beeping-model maximal independent set selection."
@@ -1087,7 +1087,7 @@ def _progress_sink(event: dict) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-mis`` and ``python -m repro``.
+    """Entry point for ``python -m repro``.
 
     With ``--telemetry``/``$REPRO_TELEMETRY_DIR`` set, the whole command
     runs inside :func:`repro.telemetry.record_run`, so every probe the

@@ -3,32 +3,23 @@
 The reference runtime in :mod:`repro.beeping` is per-node and fully
 instrumented — ideal for correctness, traces and the proof instrumentation,
 but too slow for the paper's Figure 3 sweep (graphs up to n = 1000 with 100
-trials per size).  This package provides three interchangeable fast
-engines, all implementing the same two-exchange round semantics:
-
-**Dense** (:class:`VectorizedSimulator`)
-    One trial at a time; the one-bit OR observation is an n x n
-    matrix-vector product.  Wins on small-to-medium graphs of any density
-    and is the most direct translation of the reference semantics — the
-    oracle the other engines are checked against.
-
-**Sparse** (:class:`SparseSimulator`)
-    One trial at a time over a CSR adjacency with ``add.reduceat``; a round
-    costs O(n + m).  Wins on large sparse topologies (grids, geometric and
-    sensor networks) where the dense engine's quadratic memory is waste —
-    it comfortably reaches n = 50,000 at mean degree 8.
+trials per size).  This package provides lockstep fast engines, all
+implementing the same two-exchange round semantics:
 
 **Fleet** (:class:`FleetSimulator`)
     All ``trials`` independent runs of one graph in lockstep as
-    ``(trials, n)`` tensors: one batched float32 GEMM (dense backend),
-    one CSR ``reduceat`` pass (sparse backend), or one packed ``uint64``
-    AND/OR pass (bitboard backend, :class:`BitboardKernel`) per round
-    serves the whole batch, and finished trials drop out through an
-    alive-mask (the bitboard backend compacts them away entirely).  Wins
-    whenever many trials of one graph are needed — i.e. every figure
-    benchmark; ``benchmarks/bench_fleet_speedup.py`` records the margin
-    over the per-trial loop and ``benchmarks/bench_bitboard_fleet.py``
-    the bitboard margin over the dense backend.
+    ``(trials, n)`` tensors: one batched float32 GEMM (``"dense"``
+    backend), one CSR ``reduceat`` pass (``"sparse"`` backend — a round
+    costs O(n + m), reaching n = 50,000 at mean degree 8), or one packed
+    ``uint64`` AND/OR pass (``"bitboard"`` backend,
+    :class:`BitboardKernel`) per round serves the whole batch, and
+    finished trials drop out through an alive-mask (the bitboard backend
+    compacts them away entirely).  One trial is the one-seed fleet:
+    ``run_fleet(rule, [seed]).trial_run(0)`` returns its
+    :class:`EngineRun`.  ``benchmarks/bench_fleet_speedup.py`` records
+    the batch's margin over a seed-by-seed loop and
+    ``benchmarks/bench_bitboard_fleet.py`` the bitboard margin over the
+    dense backend.
 
 **Armada** (:class:`ArmadaSimulator`)
     The fleet lifted one dimension: every same-``n`` graph group of one
@@ -74,12 +65,12 @@ PCG64; in ``"counter"`` every uniform is a stateless
 :func:`repro.beeping.rng.counter_uniforms` value, computed blockwise with
 no generator objects at all.  Because all engines consume randomness
 identically within a mode, **engine choice never changes results**:
-dense, sparse, fleet and armada agree bit for bit on round counts, MIS
-membership and beep counts under a shared seed and mode
-(``tests/engine/test_conformance.py`` enforces this), and the per-node
-reference engine agrees distributionally.  :func:`run_batch` picks the
-fleet engine automatically for trial-parallel rules and falls back to the
-per-trial loop (:func:`run_batch_loop`) for stateful ones.
+every fleet backend and the armada agree bit for bit on round counts,
+MIS membership and beep counts under a shared seed and mode, and a batch
+agrees with its seed-by-seed one-seed runs
+(``tests/engine/test_conformance.py`` enforces both); the per-node
+reference engine agrees distributionally.  :func:`run_batch` runs every
+batch on the fleet; the rule must be ``trial_parallel``.
 """
 
 from repro.engine.rules import (
@@ -88,8 +79,7 @@ from repro.engine.rules import (
     ProbabilityRule,
     SweepRule,
 )
-from repro.engine.simulator import EngineRun, VectorizedSimulator
-from repro.engine.sparse import SparseSimulator
+from repro.engine.simulator import EngineRun
 from repro.engine.bitboard import BitboardKernel
 from repro.engine.fleet import ArmadaSimulator, FleetRun, FleetSimulator
 from repro.engine.messages import (
@@ -114,11 +104,7 @@ from repro.engine.applications import (
     MatchingRule,
     RulingSetRule,
 )
-from repro.engine.batch import (
-    BatchResult,
-    run_batch,
-    run_batch_loop,
-)
+from repro.engine.batch import BatchResult, run_batch
 
 __all__ = [
     "APPLICATION_RULES",
@@ -148,9 +134,6 @@ __all__ = [
     "MetivierRule",
     "ProbabilityRule",
     "RulingSetRule",
-    "SparseSimulator",
     "SweepRule",
-    "VectorizedSimulator",
     "run_batch",
-    "run_batch_loop",
 ]

@@ -6,43 +6,30 @@ beep statistics as arrays.  Seeds are derived with the same splitmix
 discipline as the reference engine, so a batch is reproducible from its
 master seed alone.
 
-Two execution strategies produce bit-identical results:
-
-- ``engine="fleet"`` (the default through ``"auto"``): all trials advance
-  in lockstep as ``(trials, n)`` tensors on the
-  :class:`~repro.engine.fleet.FleetSimulator` — one batched matmul or CSR
-  ``reduceat`` pass per round for the whole batch.
-- ``engine="loop"``: the original per-trial reference path, one
-  :class:`~repro.engine.simulator.VectorizedSimulator` run per trial.  It
-  is kept both as the fallback for rules that are not trial-parallel
-  (stateful rules) and as the oracle the conformance suite checks the
-  fleet against.
-
-Trial ``t`` of either strategy is seeded with
-``derive_seed(master_seed, graph_index, trial)``, so the two agree bit for
-bit and results never depend on which strategy ran.  Both accept a
-``faults`` model (beep loss, spurious beeps, crashes — see
-:mod:`repro.beeping.faults`); the engines share one fault draw order, so
-the bit-equality holds for fault-injected batches too.  Both also accept
-an ``rng_mode`` (``"stream"``, the golden-trace-pinned default, or the
-stateless ``"counter"`` discipline — see :mod:`repro.beeping.rng`); the
-fleet/loop bit-equality holds within each mode.
+All trials advance in lockstep as ``(trials, n)`` tensors on the
+:class:`~repro.engine.fleet.FleetSimulator` — one batched matmul, CSR
+``reduceat`` or packed bitboard pass per round for the whole batch.
+Trial ``t`` is seeded with ``derive_seed(master_seed, graph_index,
+trial)``, so it equals the one-seed fleet run on that seed bit for bit.
+The driver accepts a ``faults`` model (beep loss, spurious beeps,
+crashes, churn — see :mod:`repro.beeping.faults`) and an ``rng_mode``
+(``"stream"``, the golden-trace-pinned default, or the stateless
+``"counter"`` discipline — see :mod:`repro.beeping.rng`).  The rule must
+be ``trial_parallel``; a stateful rule is rejected with ``ValueError``.
 
 Message-passing rules (:class:`~repro.engine.messages.MessageRule` — the
-Luby variants, Métivier, local-minimum-id) batch through the same two
-entry points: ``engine="fleet"`` runs one lockstep
-:class:`~repro.engine.messages.MessageFleetSimulator` batch and
-``engine="loop"`` the seed-by-seed oracle, bit-identical to each other.
-They are counter-only (``rng_mode="counter"`` required) and reject fault
-models — the per-node message baselines ignore faults, so a silently
-dropped model would misreport robustness results.
+Luby variants, Métivier, local-minimum-id) batch through the same entry
+point as one lockstep
+:class:`~repro.engine.messages.MessageFleetSimulator` batch.  They are
+counter-only (``rng_mode="counter"`` required) and reject fault models —
+the per-node message baselines ignore faults, so a silently dropped
+model would misreport robustness results.
 
 Application rules (:class:`~repro.engine.applications.ApplicationRule` —
 MIS-peeling colouring, matching, dominating and ruling sets) batch the
-same way: ``engine="fleet"`` runs one lockstep
+same way, as one lockstep
 :class:`~repro.engine.applications.ApplicationFleetSimulator` batch over
-complete reductions, ``engine="loop"`` the seed-by-seed oracle, and the
-two are bit-identical.  Like the message rules they are counter-only and
+complete reductions.  Like the message rules they are counter-only and
 fault-free; ``rounds`` counts beeping rounds summed over all MIS layers.
 """
 
@@ -54,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from repro.beeping.faults import FaultModel, NO_FAULTS
-from repro.beeping.rng import derive_seed, derive_seed_block
+from repro.beeping.rng import derive_seed_block
 from repro.engine.applications import (
     ApplicationFleetSimulator,
     ApplicationRule,
@@ -67,90 +54,7 @@ from repro.engine.messages import (
     check_message_run,
 )
 from repro.engine.rules import ProbabilityRule
-from repro.engine.simulator import VectorizedSimulator
 from repro.graphs.graph import Graph
-
-BATCH_ENGINES = ("auto", "fleet", "loop")
-
-
-def _run_message_batch(
-    graph: Graph,
-    rule: MessageRule,
-    trials: int,
-    master_seed: int,
-    graph_index: int,
-    validate: bool,
-    max_rounds: int,
-    per_trial: bool,
-) -> BatchResult:
-    """Both batch strategies for a message rule, sharing one simulator.
-
-    ``per_trial=False`` runs all trials as one lockstep batch;
-    ``per_trial=True`` loops seed by seed — the "loop" oracle the
-    conformance suite compares the batch against.  Counter draws are
-    pure per-seed functions, so the two agree bit for bit.  Message
-    algorithms do not beep; ``mean_beeps`` is all zeros.
-    """
-    seeds = derive_seed_block(master_seed, graph_index, count=trials)
-    simulator = MessageFleetSimulator(graph, max_rounds=max_rounds)
-    if per_trial:
-        rounds = np.zeros(trials, dtype=np.int64)
-        for trial in range(trials):
-            run = simulator.run_fleet(
-                rule, seeds[trial : trial + 1], validate=validate
-            )
-            rounds[trial] = run.rounds[0]
-    else:
-        rounds = simulator.run_fleet(rule, seeds, validate=validate).rounds
-    return BatchResult(
-        rule_name=rule.name,
-        num_vertices=graph.num_vertices,
-        trials=trials,
-        rounds=rounds,
-        mean_beeps=np.zeros(trials, dtype=np.float64),
-    )
-
-
-def _run_application_batch(
-    graph: Graph,
-    rule: ApplicationRule,
-    trials: int,
-    master_seed: int,
-    graph_index: int,
-    validate: bool,
-    max_rounds: int,
-    per_trial: bool,
-) -> BatchResult:
-    """Both batch strategies for an application rule, one simulator.
-
-    Mirrors :func:`_run_message_batch`: ``per_trial=False`` advances all
-    reductions in one lockstep batch, ``per_trial=True`` loops seed by
-    seed, and counter draws make the two bit-identical.  ``rounds`` sums
-    beeping rounds over every MIS layer of the reduction; ``mean_beeps``
-    counts beeps per *host* vertex (line-graph vertices for matching).
-    """
-    seeds = derive_seed_block(master_seed, graph_index, count=trials)
-    simulator = ApplicationFleetSimulator(graph, rule, max_rounds=max_rounds)
-    if per_trial:
-        rounds = np.zeros(trials, dtype=np.int64)
-        mean_beeps = np.zeros(trials, dtype=np.float64)
-        for trial in range(trials):
-            run = simulator.run_fleet(
-                seeds[trial : trial + 1], validate=validate
-            )
-            rounds[trial] = run.rounds[0]
-            mean_beeps[trial] = run.mean_beeps[0]
-    else:
-        run = simulator.run_fleet(seeds, validate=validate)
-        rounds = run.rounds
-        mean_beeps = run.mean_beeps
-    return BatchResult(
-        rule_name=rule.name,
-        num_vertices=graph.num_vertices,
-        trials=trials,
-        rounds=rounds,
-        mean_beeps=mean_beeps,
-    )
 
 
 @dataclass
@@ -188,60 +92,6 @@ class BatchResult:
         return float(self.mean_beeps.std(ddof=1))
 
 
-def run_batch_loop(
-    graph: Graph,
-    rule_factory: Callable[[], ProbabilityRule],
-    trials: int,
-    master_seed: int,
-    graph_index: int = 0,
-    validate: bool = False,
-    max_rounds: int = 100_000,
-    faults: FaultModel = NO_FAULTS,
-    rng_mode: str = "stream",
-) -> BatchResult:
-    """The per-trial reference path: one simulator run per trial.
-
-    ``rule_factory`` is called once per trial so stateful rules start
-    fresh.  This is the oracle :func:`run_batch`'s fleet path is
-    cross-validated against (mode for mode).
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    probe = rule_factory()
-    if isinstance(probe, MessageRule):
-        check_message_run(probe, faults, rng_mode)
-        return _run_message_batch(
-            graph, probe, trials, master_seed, graph_index,
-            validate, max_rounds, per_trial=True,
-        )
-    if isinstance(probe, ApplicationRule):
-        check_application_run(probe, faults, rng_mode)
-        return _run_application_batch(
-            graph, probe, trials, master_seed, graph_index,
-            validate, max_rounds, per_trial=True,
-        )
-    simulator = VectorizedSimulator(graph, max_rounds=max_rounds)
-    rounds = np.zeros(trials, dtype=np.int64)
-    mean_beeps = np.zeros(trials, dtype=np.float64)
-    rule_name = ""
-    for trial in range(trials):
-        rule = rule_factory()
-        rule_name = rule.name
-        seed = derive_seed(master_seed, graph_index, trial)
-        run = simulator.run(
-            rule, seed, validate=validate, faults=faults, rng_mode=rng_mode
-        )
-        rounds[trial] = run.rounds
-        mean_beeps[trial] = run.mean_beeps_per_node
-    return BatchResult(
-        rule_name=rule_name,
-        num_vertices=graph.num_vertices,
-        trials=trials,
-        rounds=rounds,
-        mean_beeps=mean_beeps,
-    )
-
-
 def run_batch(
     graph: Graph,
     rule_factory: Callable[[], ProbabilityRule],
@@ -250,74 +100,51 @@ def run_batch(
     graph_index: int = 0,
     validate: bool = False,
     max_rounds: int = 100_000,
-    engine: str = "auto",
     faults: FaultModel = NO_FAULTS,
     rng_mode: str = "stream",
     backend: str = "auto",
 ) -> BatchResult:
     """Run ``trials`` independent simulations of one rule on one graph.
 
-    ``graph_index`` namespaces the seed derivation when one experiment uses
-    several graphs under the same master seed.  ``engine`` picks the
-    execution strategy (``"auto"``, ``"fleet"`` or ``"loop"``; see module
-    docstring) without affecting results; neither does ``faults`` depend
-    on it — both strategies inject the same vectorised fault model.
-    ``backend`` selects the fleet path's neighbour-reduction kernel
-    (``"auto"``, ``"dense"``, ``"sparse"`` or ``"bitboard"``;
-    :class:`~repro.engine.fleet.FleetSimulator`) — pure execution
-    strategy again, bit-identical results.  ``rng_mode`` *does* affect
-    results (the two disciplines draw different uniforms) but never the
-    fleet/loop agreement, which holds per mode.
+    ``rule_factory`` is called once; the one instance drives every
+    trial, so the rule must be ``trial_parallel``.  ``graph_index``
+    namespaces the seed derivation when one experiment uses several
+    graphs under the same master seed.  ``backend`` selects the fleet's
+    neighbour-reduction kernel (``"auto"``, ``"dense"``, ``"sparse"`` or
+    ``"bitboard"``; :class:`~repro.engine.fleet.FleetSimulator`) — pure
+    execution strategy, bit-identical results.  ``rng_mode`` *does*
+    affect results: the two disciplines draw different uniforms.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if engine not in BATCH_ENGINES:
-        raise ValueError(f"engine must be one of {BATCH_ENGINES}, got {engine!r}")
-    rule = None
-    if engine == "auto":
-        # Read the flag off the factory when it is the rule class itself;
-        # only opaque factories (lambdas) cost one probe instance, which
-        # the fleet path then reuses.
-        parallel = getattr(rule_factory, "trial_parallel", None)
-        if parallel is None:
-            rule = rule_factory()
-            parallel = getattr(rule, "trial_parallel", False)
-        engine = "fleet" if parallel else "loop"
-    if engine == "loop":
-        return run_batch_loop(
-            graph,
-            rule_factory,
-            trials,
-            master_seed,
-            graph_index=graph_index,
-            validate=validate,
-            max_rounds=max_rounds,
-            faults=faults,
-            rng_mode=rng_mode,
-        )
-    if rule is None:
-        rule = rule_factory()
+    rule = rule_factory()
+    seeds = derive_seed_block(master_seed, graph_index, count=trials)
     if isinstance(rule, MessageRule):
         check_message_run(rule, faults, rng_mode)
-        return _run_message_batch(
-            graph, rule, trials, master_seed, graph_index,
-            validate, max_rounds, per_trial=False,
+        run = MessageFleetSimulator(graph, max_rounds=max_rounds).run_fleet(
+            rule, seeds, validate=validate
         )
-    if isinstance(rule, ApplicationRule):
+        # Message algorithms do not beep.
+        mean_beeps = np.zeros(trials, dtype=np.float64)
+    elif isinstance(rule, ApplicationRule):
         check_application_run(rule, faults, rng_mode)
-        return _run_application_batch(
-            graph, rule, trials, master_seed, graph_index,
-            validate, max_rounds, per_trial=False,
+        run = ApplicationFleetSimulator(
+            graph, rule, max_rounds=max_rounds
+        ).run_fleet(seeds, validate=validate)
+        # Beeps per *host* vertex (line-graph vertices for matching);
+        # rounds sum the beeping rounds over every MIS layer.
+        mean_beeps = run.mean_beeps
+    else:
+        run = FleetSimulator(
+            graph, max_rounds=max_rounds, backend=backend
+        ).run_fleet(
+            rule, seeds, validate=validate, faults=faults, rng_mode=rng_mode
         )
-    seeds = derive_seed_block(master_seed, graph_index, count=trials)
-    simulator = FleetSimulator(graph, max_rounds=max_rounds, backend=backend)
-    run = simulator.run_fleet(
-        rule, seeds, validate=validate, faults=faults, rng_mode=rng_mode
-    )
+        mean_beeps = run.mean_beeps
     return BatchResult(
-        rule_name=run.rule_name,
+        rule_name=rule.name,
         num_vertices=graph.num_vertices,
         trials=trials,
         rounds=run.rounds,
-        mean_beeps=run.mean_beeps,
+        mean_beeps=mean_beeps,
     )

@@ -285,7 +285,7 @@ def run_bitboard_fleet(
     - **Live-row compaction.**  Finished trials leave every tensor at
       the end of the round instead of riding along behind the alive
       mask; boolean-mask compaction preserves ascending trial order, so
-      stream generators are still drawn in the per-trial engines' exact
+      stream generators are still drawn in a seed-by-seed run's exact
       sequence and counter blocks are the matching row subsets.
     - **Counter frontier.**  Fault-free counter runs without beep
       recording hand the tail to an entry-level phase once the active

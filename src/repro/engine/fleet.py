@@ -1,11 +1,8 @@
 """Trial-parallel fleet engine: all trials of one batch in lockstep.
 
-The per-trial engines (:class:`~repro.engine.simulator.VectorizedSimulator`,
-:class:`~repro.engine.sparse.SparseSimulator`) vectorise over *vertices* but
-still pay one Python round-loop per trial, so a 100-trial figure point costs
-100 interpreted loops.  This engine vectorises over vertices *and* trials:
-the whole batch is a ``(trials, n)`` boolean tensor advanced one round at a
-time —
+This engine vectorises over vertices *and* trials, so a 100-trial figure
+point costs one interpreted round-loop, not 100: the whole batch is a
+``(trials, n)`` boolean tensor advanced one round at a time —
 
 - ``beep = active & (U < P)`` with one fresh uniform row per live trial;
 - ``heard``: one batched matmul against the adjacency (dense backend) or
@@ -26,9 +23,10 @@ a valid independent set, maximal over the surviving vertices.
 
 Bit-reproducibility contract
 ----------------------------
-Trial ``t`` of a fleet run seeded with
-``derive_seed_block(master_seed, graph_index, count=trials)`` consumes the
-exact uniforms of a per-trial run seeded with
+One trial is the one-seed fleet: ``run_fleet(rule, [seed]).trial_run(0)``
+is how every caller runs a single simulation.  Trial ``t`` of a fleet run
+seeded with ``derive_seed_block(master_seed, graph_index, count=trials)``
+consumes the exact uniforms of the one-seed run on
 ``derive_seed(master_seed, graph_index, t)`` *in the same* ``rng_mode``:
 
 - ``"stream"`` (the default): every live trial draws
@@ -41,11 +39,13 @@ exact uniforms of a per-trial run seeded with
   function of ``(trial seed, round, draw kind, node)``, no generator
   objects, no sequential state, no Python loop.
 
-Both backends compute the same ``heard`` booleans as the per-trial
-engines, so round counts, MIS membership, beep counts and crash sets
-agree *bit for bit* with the per-trial loop within each mode, with or
-without faults — the conformance suite in
-``tests/engine/test_conformance.py`` enforces this per mode.  The two
+Every backend computes the same ``heard`` booleans, and the alive-mask
+(or the bitboard backend's compaction) keeps finished trials from
+touching live ones, so round counts, MIS membership, beep counts and
+crash sets agree *bit for bit* between a batch and its seed-by-seed
+one-seed runs within each mode, with or without faults — the
+conformance suite in ``tests/engine/test_conformance.py`` enforces this
+per mode and backend.  The two
 modes draw different uniforms and therefore give different (equally
 valid) trajectories; golden traces pin the ``"stream"`` byte streams.
 
@@ -102,8 +102,7 @@ class FleetRun:
     """Per-trial outcomes of one fleet simulation.
 
     Row ``t`` of every array is trial ``t``; :meth:`trial_run` re-packages a
-    row as the :class:`~repro.engine.simulator.EngineRun` the per-trial
-    engines return.
+    row as a one-trial :class:`~repro.engine.simulator.EngineRun`.
     """
 
     rule_name: str
@@ -157,7 +156,7 @@ class FleetRun:
         return bool(self.recovered[trial])
 
     def trial_run(self, trial: int) -> EngineRun:
-        """One trial's outcome in the per-trial engines' result type."""
+        """One trial's outcome as an :class:`EngineRun`."""
         return EngineRun(
             rule_name=self.rule_name,
             num_vertices=self.num_vertices,
@@ -310,8 +309,7 @@ class FleetSimulator:
         trial; a fault-free model draws no extra randomness, so the run is
         bit-identical to one without the argument.  ``rng_mode`` selects
         the uniform discipline (module docstring); trial ``t`` always
-        equals the per-trial engines' run on ``seeds[t]`` in the same
-        mode.
+        equals the one-seed run on ``[seeds[t]]`` in the same mode.
         """
         check_rng_mode(rng_mode)
         if len(seeds) < 1:
@@ -319,7 +317,7 @@ class FleetSimulator:
         if not getattr(rule, "trial_parallel", False):
             raise ValueError(
                 f"rule {rule.name!r} is not trial-parallel; "
-                "use the per-trial loop instead"
+                "lockstep engines need an elementwise, stateless rule"
             )
         if self._backend == "bitboard":
             # The bitboard engine runs its own (live-row-compacted) loop;
@@ -412,8 +410,7 @@ class FleetSimulator:
         if has_churn:
             # Every trial shares the schedule, so none may retire before
             # the last event: quiescent trials keep executing (and, in
-            # stream mode, drawing) through the quiet gaps, exactly like
-            # the per-trial loop's ``rounds <= last_event`` condition.
+            # stream mode, drawing) through the quiet gaps.
             alive[:] = True
         round_index = 0
         # Telemetry is out of band: the flag is hoisted so disabled runs
@@ -425,8 +422,8 @@ class FleetSimulator:
             if round_index >= self._max_rounds:
                 if has_churn:
                     # Graceful degradation: flag the trials still mid-
-                    # repair instead of raising, like the per-trial
-                    # engines.
+                    # repair instead of raising — each is still a valid
+                    # (possibly non-maximal) independent set.
                     recovered = ~alive
                     rounds[alive] = round_index
                     break
@@ -440,10 +437,10 @@ class FleetSimulator:
                 churn.record_quiescence(round_index, ~active.any(axis=1))
             crash = crash_masks.get(round_index)
             if crash is not None:
-                # Fail-stop at the start of the round.  Finished trials
-                # have all-False active rows, so the crash never reaches
-                # them — exactly like the per-trial loop, which stops
-                # executing rounds at termination.
+                # Fail-stop at the start of the round: only still-active
+                # vertices crash (members and retirees already left).
+                # Finished trials have all-False active rows, so the
+                # crash never reaches them.
                 newly_crashed = active & crash
                 crashed |= newly_crashed
                 active &= ~newly_crashed
@@ -883,7 +880,7 @@ class ArmadaSimulator:
         if not getattr(rule, "trial_parallel", False):
             raise ValueError(
                 f"rule {rule.name!r} is not trial-parallel; "
-                "use the per-trial loop instead"
+                "lockstep engines need an elementwise, stateless rule"
             )
         churn_schedule = faults.churn_schedule
         if churn_schedule.is_empty():
@@ -969,8 +966,7 @@ class ArmadaSimulator:
         alive = active.any(axis=1)
         if has_churn:
             # No slot retires before the last event (shared schedule):
-            # quiescent slots keep executing through the quiet gaps like
-            # the per-trial loop's ``rounds <= last_event`` condition.
+            # quiescent slots keep executing through the quiet gaps.
             alive[:] = True
         frontier_limit = self._frontier_entries
         if frontier_limit is None:

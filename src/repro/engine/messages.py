@@ -278,7 +278,7 @@ def check_message_run(rule: "MessageRule", faults, rng_mode: str) -> None:
     """The shared entry-point guard: counter fabric only, no faults.
 
     Every driver that can receive a message rule (``run_batch``,
-    ``run_batch_loop``, ``run_fleet_trials``) funnels through this one
+    ``run_fleet_trials``) funnels through this one
     check so the restriction — and its error wording — cannot drift
     between entry points.
     """

@@ -38,9 +38,9 @@ class ProbabilityRule(ABC):
     ``trial_parallel = True``, promising its ``update`` is
     elementwise/broadcast-safe and keeps no per-run mutable state, so each
     matrix row evolves exactly as the corresponding vector would.  The
-    default is ``False`` — batch drivers then run the per-trial loop with
-    a fresh rule instance per trial, which is always safe — so a stateful
-    subclass cannot be routed to the fleet by accident.
+    default is ``False``, and the lockstep engines reject such a rule with
+    a ``ValueError`` — so a stateful subclass cannot share one instance
+    across trials by accident.
     """
 
     #: Whether one instance may drive many lockstep trials at once (opt-in).

@@ -1,9 +1,10 @@
 """Result records and their JSON/CSV serialisation.
 
 Every experiment driver returns a list of :class:`SeriesPoint` wrapped in an
-:class:`ExperimentResult`; EXPERIMENTS.md is generated from these records,
-and the benchmarks print them, so paper-vs-measured comparisons always go
-through one well-defined schema.
+:class:`ExperimentResult`; the ``repro paper`` CSVs (``docs/paper.md``,
+pinned in ``tests/experiments/golden_paper/``) are generated from these
+records, and the benchmarks print them, so paper-vs-measured comparisons
+always go through one well-defined schema.
 """
 
 from __future__ import annotations

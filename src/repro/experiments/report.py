@@ -1,9 +1,10 @@
 """One-shot reproduction report.
 
 ``build_report`` runs a reduced version of every experiment in the paper
-and renders a single text report — the programmatic counterpart of
-EXPERIMENTS.md, used by ``repro-mis report`` and handy for checking a
-changed algorithm against all claims at once.
+and renders a single text report — a reduced-scale counterpart of the
+``repro paper`` pipeline (``docs/paper.md``), used by ``python -m repro
+report`` and handy for checking a changed algorithm against all claims
+at once.
 
 Every orchestrated section threads ``jobs``/``cache_dir`` through to the
 sweep orchestrator, so ``repro report --cache-dir .cache`` reuses (and
@@ -189,8 +190,8 @@ def build_report(
     lines = [
         bar,
         "Reproduction report: 'Feedback from nature' (PODC 2013)",
-        f"(reduced scale: {trials} trials per point; see EXPERIMENTS.md "
-        "for the full-scale record)",
+        f"(reduced scale: {trials} trials per point; see docs/paper.md "
+        "and tests/experiments/golden_paper/ for the pinned record)",
         bar,
         "",
         "verdicts:",

@@ -227,7 +227,7 @@ def run_fleet_trials(
     is drawn on path ``(g, 0)`` and its trial seeds on the disjoint path
     ``(g, 1, trial)``, so graph topology and simulation randomness are
     independent, and outcomes are reproducible and identical to a
-    per-trial loop over the same seeds in the same ``rng_mode``.
+    seed-by-seed loop over the same seeds in the same ``rng_mode``.
     ``faults`` injects the vectorised fault model into every trial (a
     fault-free model changes nothing, including the random streams).
 
@@ -237,8 +237,8 @@ def run_fleet_trials(
     round-loop per call instead of one per graph.  ``"stream"`` keeps the
     PR-3 per-graph :class:`~repro.engine.fleet.FleetSimulator` path and
     its golden-trace-pinned byte streams.  Either way, group ``g`` /
-    trial ``t`` is bit-identical to the corresponding lone fleet (and
-    per-trial engine) run in that mode.
+    trial ``t`` is bit-identical to the corresponding lone one-seed fleet
+    run in that mode.
 
     ``backend`` picks the probability engines' neighbour-reduction
     kernel (``"auto"``, ``"dense"``, ``"sparse"`` or ``"bitboard"``) for

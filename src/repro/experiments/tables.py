@@ -1,7 +1,8 @@
 """ASCII table rendering for experiment reports.
 
 The benchmarks print their measured-vs-paper comparisons through this one
-formatter so EXPERIMENTS.md and terminal output look the same.
+formatter so reports (``docs/paper.md``) and terminal output look the
+same.
 """
 
 from __future__ import annotations

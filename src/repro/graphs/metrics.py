@@ -1,7 +1,7 @@
 """Structural graph metrics.
 
-Used by the experiment harness for workload characterisation (reported in
-EXPERIMENTS.md) and by tests as independent cross-checks on the
+Used by the experiment harness for workload characterisation (see
+docs/paper.md) and by tests as independent cross-checks on the
 generators (e.g. a torus must have girth-4 clustering 0, a clique
 clustering 1).
 """

@@ -3,10 +3,11 @@
 The conformance and property tests sweep "every engine x every graph
 family x every rule".  This conftest centralises that matrix:
 
-- :func:`engine_run` executes one seeded trial on any engine by id and
-  returns the common :class:`~repro.engine.simulator.EngineRun`;
-- ``engine_id`` parametrises a test over all five fast engines (the
-  fleet engine counts once per backend: dense, sparse, bitboard);
+- :func:`engine_run` executes one seeded trial — the one-seed fleet run —
+  on any fleet backend by id and returns its
+  :class:`~repro.engine.simulator.EngineRun`;
+- ``engine_id`` parametrises a test over the three fleet backends
+  (dense, sparse, bitboard);
 - ``conformance_graph`` parametrises over the graph families the engines
   must agree on (dense/sparse random, grid, geometric, star, isolated
   vertices).
@@ -28,15 +29,15 @@ from repro.engine.rules import (
     ProbabilityRule,
     SweepRule,
 )
-from repro.engine.simulator import EngineRun, VectorizedSimulator
-from repro.engine.sparse import SparseSimulator
+from repro.engine.simulator import EngineRun
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph, random_geometric_graph
 from repro.graphs.structured import empty_graph, grid_graph, star_graph
 
-ENGINE_IDS = (
-    "dense", "sparse", "fleet-dense", "fleet-sparse", "fleet-bitboard",
-)
+ENGINE_IDS = ("fleet-dense", "fleet-sparse", "fleet-bitboard")
+
+#: The conformance baseline every other backend is compared against.
+BASELINE_ENGINE = "fleet-dense"
 
 RULE_FACTORIES = {
     "feedback": FeedbackRule,
@@ -61,25 +62,15 @@ def engine_run(
     faults: FaultModel = NO_FAULTS,
     rng_mode: str = "stream",
 ) -> EngineRun:
-    """One seeded trial on the engine named by ``engine_id``."""
-    if engine_id == "dense":
-        return VectorizedSimulator(graph, max_rounds=max_rounds).run(
-            rule_factory(), seed, validate=validate, faults=faults,
-            rng_mode=rng_mode,
-        )
-    if engine_id == "sparse":
-        return SparseSimulator(graph, max_rounds=max_rounds).run(
-            rule_factory(), seed, validate=validate, faults=faults,
-            rng_mode=rng_mode,
-        )
-    if engine_id.startswith("fleet-"):
-        backend = engine_id.split("-", 1)[1]
-        simulator = FleetSimulator(graph, max_rounds=max_rounds, backend=backend)
-        return simulator.run_fleet(
-            rule_factory(), [seed], validate=validate, faults=faults,
-            rng_mode=rng_mode,
-        ).trial_run(0)
-    raise ValueError(f"unknown engine id {engine_id!r}")
+    """One seeded trial on the fleet backend named by ``engine_id``."""
+    if engine_id not in ENGINE_IDS:
+        raise ValueError(f"unknown engine id {engine_id!r}")
+    backend = engine_id.split("-", 1)[1]
+    simulator = FleetSimulator(graph, max_rounds=max_rounds, backend=backend)
+    return simulator.run_fleet(
+        rule_factory(), [seed], validate=validate, faults=faults,
+        rng_mode=rng_mode,
+    ).trial_run(0)
 
 
 CONFORMANCE_GRAPHS = {
@@ -94,7 +85,7 @@ CONFORMANCE_GRAPHS = {
 
 @pytest.fixture(params=ENGINE_IDS)
 def engine_id(request) -> str:
-    """Every fast engine, by id."""
+    """Every fleet backend, by id."""
     return request.param
 
 

@@ -229,27 +229,24 @@ class TestBitEquality:
 
 
 class TestBatchDispatch:
-    def test_strategies_agree(self, rule_name):
+    def test_batch_matches_seed_by_seed_fleet(self, rule_name):
         graph = gnp_random_graph(16, 0.3, Random(41))
-        results = {
-            engine: run_batch(
-                graph,
-                APPLICATION_RULES[rule_name],
-                trials=6,
-                master_seed=97,
-                engine=engine,
-                rng_mode="counter",
-                validate=True,
-            )
-            for engine in ("auto", "fleet", "loop")
-        }
-        for engine in ("fleet", "loop"):
-            assert np.array_equal(
-                results["auto"].rounds, results[engine].rounds
-            )
-            assert np.allclose(
-                results["auto"].mean_beeps, results[engine].mean_beeps
-            )
+        result = run_batch(
+            graph,
+            APPLICATION_RULES[rule_name],
+            trials=6,
+            master_seed=97,
+            rng_mode="counter",
+            validate=True,
+        )
+        simulator = ApplicationFleetSimulator(
+            graph, APPLICATION_RULES[rule_name]()
+        )
+        seeds = derive_seed_block(97, 0, count=6)
+        for trial in range(6):
+            lone = simulator.run_fleet(seeds[trial : trial + 1])
+            assert result.rounds[trial] == lone.rounds[0]
+            assert result.mean_beeps[trial] == lone.mean_beeps[0]
 
     def test_rejects_stream_mode(self, rule_name):
         graph = gnp_random_graph(10, 0.3, Random(42))

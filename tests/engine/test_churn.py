@@ -3,7 +3,7 @@
 The churn contract (``docs/robustness.md``): events land at round start
 before crashes, in the order leaves → sleeps → wakes → joins → one
 deterministic resolution pass that consumes no randomness.  Because the
-resolution pass draws nothing, all five vectorised engines stay
+resolution pass draws nothing, every fleet backend and the armada stay
 bit-identical under churn in both rng modes, and a fault-free run's
 bytes are untouched.  The output is a valid MIS of the final *alive*
 subgraph, with per-event-round repair times and a ``recovered`` flag
@@ -24,7 +24,7 @@ from repro.engine.rules import FeedbackRule
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.validation import MISValidationError, verify_mis
 
-from .conftest import ENGINE_IDS, engine_run
+from .conftest import BASELINE_ENGINE, ENGINE_IDS, engine_run
 
 CHURN_EVENTS = (
     ("leave", 2, 0),
@@ -69,8 +69,8 @@ def run_pair(engine_id, rng_mode, faults, seed=7701):
                          ids=["churn-only", "combined"])
 class TestChurnConformance:
     def test_engines_bit_identical(self, engine_id, rng_mode, faults):
-        """Every engine must reproduce the dense engine bit for bit."""
-        expected = run_pair("dense", rng_mode, faults)
+        """Every backend must reproduce the baseline bit for bit."""
+        expected = run_pair(BASELINE_ENGINE, rng_mode, faults)
         actual = run_pair(engine_id, rng_mode, faults)
         assert actual.rounds == expected.rounds
         assert actual.mis == expected.mis
@@ -98,14 +98,14 @@ class TestChurnConformance:
 
 class TestChurnSemantics:
     def test_departed_and_asleep_are_absent(self):
-        run = run_pair("dense", "counter", CHURN_FAULTS)
+        run = run_pair(BASELINE_ENGINE, "counter", CHURN_FAULTS)
         # leavers 0, 1 and 20; joiner 21 stays, vertex 5 woke again.
         assert {0, 1, 20} <= run.absent
         assert 21 not in run.absent
         assert 5 not in run.absent
 
     def test_absent_vertices_never_in_mis(self):
-        run = run_pair("dense", "counter", CHURN_FAULTS)
+        run = run_pair(BASELINE_ENGINE, "counter", CHURN_FAULTS)
         assert not (run.absent & run.mis)
 
     def test_clean_run_bytes_untouched(self):
@@ -113,27 +113,24 @@ class TestChurnSemantics:
         from repro.beeping.faults import NO_FAULTS
 
         for rng_mode in RNG_MODES:
-            run = run_pair("dense", rng_mode, NO_FAULTS)
+            run = run_pair(BASELINE_ENGINE, rng_mode, NO_FAULTS)
             assert run.absent == set()
             assert run.repair_rounds == ()
             assert run.recovered
 
-    def test_round_cap_degrades_gracefully(self):
+    def test_round_cap_degrades_gracefully(self, engine_id):
         """Hitting max_rounds mid-repair must not raise under churn:
         the run reports recovered=False instead."""
-        from repro.engine.simulator import VectorizedSimulator
-
-        simulator = VectorizedSimulator(churn_graph(), max_rounds=3)
-        run = simulator.run(
-            FeedbackRule(), 7701, validate=True, faults=CHURN_FAULTS,
-            rng_mode="counter",
+        run = engine_run(
+            engine_id, churn_graph(), FeedbackRule, 7701, validate=True,
+            max_rounds=3, faults=CHURN_FAULTS, rng_mode="counter",
         )
         assert not run.recovered
         assert -1 in run.repair_rounds
 
     def test_validation_catches_absent_member(self):
         universe = CHURN_FAULTS.churn_schedule.universe_graph(churn_graph())
-        run = run_pair("dense", "counter", CHURN_FAULTS)
+        run = run_pair(BASELINE_ENGINE, "counter", CHURN_FAULTS)
         absent = sorted(run.absent)[0]
         with pytest.raises(MISValidationError, match="absent"):
             verify_mis(
@@ -142,14 +139,28 @@ class TestChurnSemantics:
             )
 
 
+ARMADA_SCHEDULE = ChurnSchedule.from_events(
+    [("leave", 2, 0), ("sleep", 3, 1), ("wake", 5, 1)]
+)
+
+
 class TestArmadaChurn:
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultModel(churn_schedule=ARMADA_SCHEDULE),
+            FaultModel(
+                beep_loss_probability=0.2,
+                spurious_beep_probability=0.1,
+                crash_schedule=CrashSchedule.from_pairs([(1, 4), (3, 9)]),
+                churn_schedule=ARMADA_SCHEDULE,
+            ),
+        ],
+        ids=["churn-only", "combined"],
+    )
     @pytest.mark.parametrize("backend", ["dense", "sparse", "bitboard"])
-    def test_armada_matches_fleet(self, backend):
+    def test_armada_matches_fleet(self, backend, faults):
         graphs = [churn_graph(), gnp_random_graph(20, 0.4, Random(43))]
-        schedule = ChurnSchedule.from_events(
-            [("leave", 2, 0), ("sleep", 3, 1), ("wake", 5, 1)]
-        )
-        faults = FaultModel(churn_schedule=schedule)
         seed_rows = [[11, 12], [13]]
         armada = ArmadaSimulator(graphs, backend=backend).run_armada(
             FeedbackRule(), seed_rows, validate=True, faults=faults

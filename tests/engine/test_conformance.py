@@ -1,20 +1,22 @@
 """Cross-engine conformance: all fast engines are one engine, observably.
 
-On a shared per-trial seed *and rng mode*, the dense, sparse and fleet
-(dense, sparse and bitboard backends) engines must agree **bit for bit**
-— same round count,
-same MIS, same per-node beep counts — because they draw the identical
+On a shared per-trial seed *and rng mode*, the fleet's dense, sparse and
+bitboard backends must agree **bit for bit** — same round count, same
+MIS, same per-node beep counts — because they draw the identical
 uniforms and compute the identical ``heard`` booleans.  In ``"stream"``
 mode that hinges on a shared sequential draw order (beep uniforms, loss
 uniforms, spurious uniforms); in ``"counter"`` mode every uniform is a
-pure function of its counter, so the order is moot by construction.  The
-agreement extends to fault-injected runs and, in counter mode, to the
-block-diagonal armada batch.  The per-node reference engine consumes
-randomness differently, so it is held to MIS validity and distributional
-agreement instead.
+pure function of its counter, so the order is moot by construction.  A
+batched fleet run must also equal its seed-by-seed one-seed runs row for
+row — the lockstep schedule, the alive-mask and the bitboard backend's
+live-row compaction must never let trials touch each other.  The
+agreement extends to fault-injected and churned runs and, in counter
+mode, to the block-diagonal armada batch.  The per-node reference engine
+consumes randomness differently, so it is held to MIS validity and
+distributional agreement instead.
 
 These tests are the refactoring guard-rail for the engine package: any
-semantic drift in one engine (round ordering, probability updates, seed
+semantic drift in one backend (round ordering, probability updates, seed
 derivation, fault sampling, armada block stacking) breaks the agreement
 immediately.
 """
@@ -30,9 +32,15 @@ from hypothesis import strategies as st
 
 from repro.algorithms.afek_sweep import AfekSweepMIS
 from repro.algorithms.feedback import FeedbackMIS
-from repro.beeping.faults import CrashSchedule, FaultModel, NO_FAULTS
-from repro.beeping.rng import derive_seed
-from repro.engine.batch import run_batch, run_batch_loop
+from repro.beeping.faults import (
+    ChurnSchedule,
+    CrashSchedule,
+    FaultModel,
+    NO_FAULTS,
+)
+from repro.beeping.rng import RNG_MODES, derive_seed, derive_seed_block
+from repro.engine.batch import run_batch
+from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import FeedbackRule
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.validation import (
@@ -41,15 +49,20 @@ from repro.graphs.validation import (
     verify_mis,
 )
 
-from tests.engine.conftest import ENGINE_IDS, engine_run, make_rule
+from tests.engine.conftest import (
+    BASELINE_ENGINE,
+    ENGINE_IDS,
+    engine_run,
+    make_rule,
+)
 
 RULE_NAMES = ("feedback", "afek-sweep", "afek-global")
 MASTER_SEED = 0xC04F
 
 
 class TestBitEquality:
-    """Dense == sparse == fleet-dense == fleet-sparse == fleet-bitboard,
-    bit for bit, within each rng mode."""
+    """fleet-dense == fleet-sparse == fleet-bitboard, bit for bit, within
+    each rng mode."""
 
     @pytest.mark.parametrize("rule_name", RULE_NAMES)
     def test_all_engines_agree_exactly(
@@ -68,7 +81,7 @@ class TestBitEquality:
             )
             for engine_id in ENGINE_IDS
         }
-        baseline = runs["dense"]
+        baseline = runs[BASELINE_ENGINE]
         for engine_id, run in runs.items():
             assert run.rounds == baseline.rounds, engine_id
             assert run.mis == baseline.mis, engine_id
@@ -83,8 +96,8 @@ class TestBitEquality:
             pytest.skip("beep traces on edgeless graphs are degenerate")
         differing = 0
         for offset in range(5):
-            a = engine_run("dense", graph, FeedbackRule, 1000 + offset)
-            b = engine_run("dense", graph, FeedbackRule, 2000 + offset)
+            a = engine_run(BASELINE_ENGINE, graph, FeedbackRule, 1000 + offset)
+            b = engine_run(BASELINE_ENGINE, graph, FeedbackRule, 2000 + offset)
             if a.rounds != b.rounds or not np.array_equal(
                 a.beeps_by_node, b.beeps_by_node
             ):
@@ -100,11 +113,11 @@ class TestBitEquality:
         differing = 0
         for offset in range(5):
             stream = engine_run(
-                "dense", graph, FeedbackRule, 5000 + offset,
+                BASELINE_ENGINE, graph, FeedbackRule, 5000 + offset,
                 rng_mode="stream",
             )
             counter = engine_run(
-                "dense", graph, FeedbackRule, 5000 + offset,
+                BASELINE_ENGINE, graph, FeedbackRule, 5000 + offset,
                 rng_mode="counter",
             )
             if stream.rounds != counter.rounds or not np.array_equal(
@@ -116,11 +129,35 @@ class TestBitEquality:
     def test_rejects_unknown_rng_mode(self):
         graph = gnp_random_graph(10, 0.4, Random(3))
         with pytest.raises(ValueError, match="rng_mode"):
-            engine_run("dense", graph, FeedbackRule, 1, rng_mode="quantum")
+            engine_run(
+                BASELINE_ENGINE, graph, FeedbackRule, 1, rng_mode="quantum"
+            )
+
+
+def _seed_by_seed(graph, rule_factory, master_seed, trials, graph_index=0,
+                  **kwargs):
+    """One lone one-seed run per trial of a ``run_batch`` batch."""
+    return [
+        engine_run(
+            BASELINE_ENGINE,
+            graph,
+            rule_factory,
+            derive_seed(master_seed, graph_index, t),
+            **kwargs,
+        )
+        for t in range(trials)
+    ]
+
+
+def _assert_batch_matches(batch, lone_runs):
+    assert np.array_equal(batch.rounds, [run.rounds for run in lone_runs])
+    assert np.array_equal(
+        batch.mean_beeps, [run.mean_beeps_per_node for run in lone_runs]
+    )
 
 
 class TestBatchConformance:
-    """The fleet batch path reproduces the per-trial loop bit for bit."""
+    """``run_batch`` reproduces the seed-by-seed one-seed runs bit for bit."""
 
     TRIALS = 12
 
@@ -130,7 +167,7 @@ class TestBatchConformance:
         self, conformance_graph, rule_name, graph_index, rng_mode
     ):
         graph = conformance_graph
-        loop = run_batch_loop(
+        batch = run_batch(
             graph,
             lambda: make_rule(rule_name, graph),
             self.TRIALS,
@@ -138,27 +175,29 @@ class TestBatchConformance:
             graph_index=graph_index,
             rng_mode=rng_mode,
         )
-        fleet = run_batch(
-            graph,
-            lambda: make_rule(rule_name, graph),
-            self.TRIALS,
-            MASTER_SEED,
-            graph_index=graph_index,
-            engine="fleet",
-            rng_mode=rng_mode,
+        assert batch.rule_name == rule_name
+        _assert_batch_matches(
+            batch,
+            _seed_by_seed(
+                graph,
+                lambda: make_rule(rule_name, graph),
+                MASTER_SEED,
+                self.TRIALS,
+                graph_index=graph_index,
+                rng_mode=rng_mode,
+            ),
         )
-        assert fleet.rule_name == loop.rule_name
-        assert np.array_equal(fleet.rounds, loop.rounds)
-        assert np.array_equal(fleet.mean_beeps, loop.mean_beeps)
 
-    def test_auto_engine_matches_explicit_fleet(self, conformance_graph):
+    def test_run_batch_backends_agree(self, conformance_graph):
         graph = conformance_graph
         auto = run_batch(graph, FeedbackRule, self.TRIALS, MASTER_SEED)
-        fleet = run_batch(
-            graph, FeedbackRule, self.TRIALS, MASTER_SEED, engine="fleet"
-        )
-        assert np.array_equal(auto.rounds, fleet.rounds)
-        assert np.array_equal(auto.mean_beeps, fleet.mean_beeps)
+        for backend in ("dense", "sparse", "bitboard"):
+            other = run_batch(
+                graph, FeedbackRule, self.TRIALS, MASTER_SEED,
+                backend=backend,
+            )
+            assert np.array_equal(auto.rounds, other.rounds), backend
+            assert np.array_equal(auto.mean_beeps, other.mean_beeps), backend
 
 
 FAULT_MODELS = {
@@ -179,7 +218,7 @@ FAULT_MODELS = {
 
 
 class TestFaultConformance:
-    """Fault injection preserves the four-way bit-equality."""
+    """Fault injection preserves the cross-backend bit-equality."""
 
     @pytest.mark.parametrize(
         "fault_id", list(FAULT_MODELS), ids=list(FAULT_MODELS)
@@ -206,7 +245,7 @@ class TestFaultConformance:
             )
             for engine_id in ENGINE_IDS
         }
-        baseline = runs["dense"]
+        baseline = runs[BASELINE_ENGINE]
         for engine_id, run in runs.items():
             assert run.rounds == baseline.rounds, engine_id
             assert run.mis == baseline.mis, engine_id
@@ -232,9 +271,11 @@ class TestFaultConformance:
         graph = gnp_random_graph(30, 0.4, Random(8))
         differing = 0
         for offset in range(5):
-            clean = engine_run("dense", graph, FeedbackRule, 3000 + offset)
+            clean = engine_run(
+                BASELINE_ENGINE, graph, FeedbackRule, 3000 + offset
+            )
             noisy = engine_run(
-                "dense", graph, FeedbackRule, 3000 + offset,
+                BASELINE_ENGINE, graph, FeedbackRule, 3000 + offset,
                 faults=FaultModel(beep_loss_probability=0.5),
             )
             if clean.rounds != noisy.rounds or not np.array_equal(
@@ -257,7 +298,7 @@ class TestFaultConformance:
             )
             for engine_id in ENGINE_IDS
         }
-        baseline = runs["dense"]
+        baseline = runs[BASELINE_ENGINE]
         for engine_id, run in runs.items():
             assert run.rounds == baseline.rounds, engine_id
             assert run.mis == baseline.mis, engine_id
@@ -283,7 +324,7 @@ class TestFaultConformance:
             spurious_beep_probability=0.1,
             crash_schedule=CrashSchedule.from_pairs(((2, 1),)),
         )
-        loop = run_batch_loop(
+        batch = run_batch(
             graph,
             lambda: make_rule(rule_name, graph),
             12,
@@ -291,17 +332,83 @@ class TestFaultConformance:
             faults=faults,
             rng_mode=rng_mode,
         )
-        fleet = run_batch(
-            graph,
-            lambda: make_rule(rule_name, graph),
-            12,
-            MASTER_SEED,
-            engine="fleet",
-            faults=faults,
-            rng_mode=rng_mode,
+        _assert_batch_matches(
+            batch,
+            _seed_by_seed(
+                graph,
+                lambda: make_rule(rule_name, graph),
+                MASTER_SEED,
+                12,
+                faults=faults,
+                rng_mode=rng_mode,
+            ),
         )
-        assert np.array_equal(fleet.rounds, loop.rounds)
-        assert np.array_equal(fleet.mean_beeps, loop.mean_beeps)
+
+
+LOCKSTEP_FAULTS = ("fault-free", "loss+spurious", "crash", "churn")
+
+
+def _lockstep_faults(kind: str, n: int) -> FaultModel:
+    """A fault model of one ``kind`` sized for an ``n >= 3`` base graph."""
+    if kind == "fault-free":
+        return NO_FAULTS
+    if kind == "loss+spurious":
+        return FAULT_MODELS["loss+spurious"]
+    if kind == "crash":
+        return FaultModel(
+            crash_schedule=CrashSchedule.from_pairs(((1, 0), (2, n - 1)))
+        )
+    return FaultModel(
+        churn_schedule=ChurnSchedule.from_events(
+            (
+                ("leave", 1, 0),
+                ("sleep", 2, 1),
+                ("wake", 4, 1),
+                ("join", 3, n, (1, n - 1)),
+            )
+        )
+    )
+
+
+@pytest.mark.parametrize("fault_kind", LOCKSTEP_FAULTS)
+@pytest.mark.parametrize("mode", RNG_MODES)
+@pytest.mark.parametrize("backend", ("dense", "sparse", "bitboard"))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=3, max_value=24),
+    edge_probability=st.floats(min_value=0.0, max_value=1.0),
+    graph_seed=st.integers(min_value=0, max_value=2**31),
+    master_seed=st.integers(min_value=0, max_value=2**31),
+    trials=st.integers(min_value=2, max_value=6),
+)
+def test_batch_rows_equal_seed_by_seed_runs(
+    backend, mode, fault_kind, n, edge_probability, graph_seed, master_seed,
+    trials,
+):
+    """Row ``t`` of one batched ``run_fleet(seeds)`` is exactly the lone
+    ``run_fleet([seeds[t]])``: lockstep, the alive-mask and live-row
+    compaction never let one trial's end leak into another's."""
+    graph = gnp_random_graph(n, edge_probability, Random(graph_seed))
+    faults = _lockstep_faults(fault_kind, n)
+    seeds = [
+        int(seed) for seed in derive_seed_block(master_seed, 0, count=trials)
+    ]
+    simulator = FleetSimulator(graph, max_rounds=50_000, backend=backend)
+    batch = simulator.run_fleet(
+        FeedbackRule(), seeds, validate=True, faults=faults, rng_mode=mode
+    )
+    for t, seed in enumerate(seeds):
+        lone = simulator.run_fleet(
+            FeedbackRule(), [seed], faults=faults, rng_mode=mode
+        ).trial_run(0)
+        row = batch.trial_run(t)
+        assert row.rounds == lone.rounds, t
+        assert row.mis == lone.mis, t
+        assert np.array_equal(row.beeps_by_node, lone.beeps_by_node), t
+        assert row.crashed == lone.crashed, t
+        assert row.absent == lone.absent, t
+        assert row.repair_rounds == lone.repair_rounds, t
+        assert row.recovered == lone.recovered, t
 
 
 class TestArmadaConformance:

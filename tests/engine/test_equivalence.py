@@ -1,7 +1,7 @@
 """Cross-validation of the reference and vectorised engines.
 
 The two engines consume randomness differently (Python Random per node vs
-one numpy generator), so agreement is checked at two levels:
+one numpy generator per fleet trial), so agreement is checked at two levels:
 
 1. **Exact agreement on degenerate inputs** where randomness is irrelevant
    (empty graphs, forced outcomes).
@@ -17,8 +17,8 @@ import pytest
 from repro.algorithms.afek_sweep import AfekSweepMIS
 from repro.algorithms.feedback import FeedbackMIS
 from repro.engine.batch import run_batch
+from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import FeedbackRule, SweepRule
-from repro.engine.simulator import VectorizedSimulator
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import empty_graph, grid_graph
 
@@ -27,7 +27,9 @@ class TestExactAgreement:
     def test_isolated_vertices(self):
         graph = empty_graph(7)
         reference = FeedbackMIS().run(graph, Random(1))
-        vectorised = VectorizedSimulator(graph).run(FeedbackRule(), 1)
+        vectorised = FleetSimulator(graph).run_fleet(
+            FeedbackRule(), [1]
+        ).trial_run(0)
         # Both must finish with every vertex joining; round counts depend
         # only on per-vertex geometric(1/2) draws so compare sets exactly.
         assert reference.mis == vectorised.mis == set(range(7))
@@ -38,9 +40,9 @@ class TestExactAgreement:
         graph = disjoint_cliques([3, 3])
         for seed in range(5):
             reference = FeedbackMIS().run(graph, Random(seed))
-            vectorised = VectorizedSimulator(graph).run(
-                FeedbackRule(), seed, validate=True
-            )
+            vectorised = FleetSimulator(graph).run_fleet(
+                FeedbackRule(), [seed], validate=True
+            ).trial_run(0)
             assert len(reference.mis) == len(vectorised.mis) == 2
 
 
@@ -89,10 +91,11 @@ class TestDistributionalAgreement:
             len(FeedbackMIS().run(graph, Random(20_000 + t)).mis)
             for t in range(self.TRIALS)
         ]
-        simulator = VectorizedSimulator(graph)
+        run = FleetSimulator(graph).run_fleet(
+            FeedbackRule(), [30_000 + t for t in range(self.TRIALS)]
+        )
         vectorised_sizes = [
-            len(simulator.run(FeedbackRule(), 30_000 + t).mis)
-            for t in range(self.TRIALS)
+            len(run.mis_set(t)) for t in range(self.TRIALS)
         ]
         ref_mean = sum(reference_sizes) / self.TRIALS
         vec_mean = sum(vectorised_sizes) / self.TRIALS

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from repro.beeping.rng import derive_seed, derive_seed_block
-from repro.engine.batch import run_batch, run_batch_loop
+from repro.engine.batch import run_batch
 from repro.engine.fleet import DENSE_VERTEX_LIMIT, FleetSimulator
 from repro.engine.rules import FeedbackRule, ProbabilityRule
-from repro.engine.simulator import VectorizedSimulator
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import empty_graph, grid_graph
 from repro.graphs.validation import verify_mis
@@ -88,10 +87,12 @@ class TestRunFleet:
         """The alive-mask must freeze each trial at its own round count."""
         graph = gnp_random_graph(25, 0.3, Random(9))
         seeds = [derive_seed(31, 0, t) for t in range(8)]
-        fleet = FleetSimulator(graph).run_fleet(FeedbackRule(), seeds)
-        single = VectorizedSimulator(graph)
+        simulator = FleetSimulator(graph)
+        fleet = simulator.run_fleet(FeedbackRule(), seeds)
         for t, seed in enumerate(seeds):
-            reference = single.run(FeedbackRule(), seed)
+            reference = simulator.run_fleet(
+                FeedbackRule(), [seed]
+            ).trial_run(0)
             assert int(fleet.rounds[t]) == reference.rounds
             assert fleet.mis_set(t) == reference.mis
             assert np.array_equal(fleet.beeps_by_node[t], reference.beeps_by_node)
@@ -134,24 +135,9 @@ class TestRunFleet:
 
 
 class TestBatchDispatch:
-    def test_auto_falls_back_to_loop_for_stateful_rules(self):
-        graph = grid_graph(3, 3)
-        auto = run_batch(graph, _StatefulRule, 4, master_seed=5)
-        loop = run_batch_loop(graph, _StatefulRule, 4, master_seed=5)
-        assert np.array_equal(auto.rounds, loop.rounds)
-        assert np.array_equal(auto.mean_beeps, loop.mean_beeps)
-
-    def test_explicit_fleet_rejects_stateful_rule(self):
+    def test_rejects_stateful_rule(self):
         with pytest.raises(ValueError, match="trial-parallel"):
-            run_batch(
-                grid_graph(3, 3), _StatefulRule, 4, master_seed=5, engine="fleet"
-            )
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            run_batch(
-                grid_graph(3, 3), FeedbackRule, 4, master_seed=5, engine="gpu"
-            )
+            run_batch(grid_graph(3, 3), _StatefulRule, 4, master_seed=5)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):

@@ -94,19 +94,22 @@ def test_golden_trace_holds_for_bitboard_backend():
         assert observed == expected_rows, f"trial {trial} trace drifted"
 
 
-def test_golden_trace_holds_for_per_trial_engines():
-    """The same seeds through the per-trial batch loop give the same runs."""
+def test_golden_trace_holds_seed_by_seed():
+    """Each golden trial replayed alone, as a one-seed fleet run on every
+    backend, reproduces its batched row."""
     from repro.beeping.rng import derive_seed
-    from repro.engine.simulator import VectorizedSimulator
-    from repro.engine.sparse import SparseSimulator
 
-    graph, fleet = _golden_run()
-    for engine in (VectorizedSimulator(graph), SparseSimulator(graph)):
+    graph = gnp_random_graph(8, 0.4, Random(GRAPH_SEED))
+    for backend in ("dense", "sparse", "bitboard"):
+        simulator = FleetSimulator(graph, backend=backend)
         for t in range(2):
-            run = engine.run(FeedbackRule(), derive_seed(MASTER_SEED, 0, t))
-            assert run.rounds == GOLDEN_ROUNDS[t]
-            assert sorted(run.mis) == GOLDEN_MIS[t]
-            assert np.array_equal(run.beeps_by_node, GOLDEN_BEEPS[t])
+            run = simulator.run_fleet(
+                FeedbackRule(), [derive_seed(MASTER_SEED, 0, t)],
+                validate=True,
+            ).trial_run(0)
+            assert run.rounds == GOLDEN_ROUNDS[t], backend
+            assert sorted(run.mis) == GOLDEN_MIS[t], backend
+            assert np.array_equal(run.beeps_by_node, GOLDEN_BEEPS[t]), backend
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +177,21 @@ def test_golden_churn_trace():
             assert trial.recovered
 
 
-def test_golden_churn_trace_holds_for_per_trial_engines():
+def test_golden_churn_trace_holds_seed_by_seed():
+    """Each golden churn trial replayed alone on every backend: a lone
+    trial keeps running through the quiet gaps exactly as its row did."""
     from repro.beeping.faults import ChurnSchedule, FaultModel
     from repro.beeping.rng import derive_seed
-    from repro.engine.simulator import VectorizedSimulator
-    from repro.engine.sparse import SparseSimulator
 
     graph = gnp_random_graph(8, 0.4, Random(GRAPH_SEED))
     faults = FaultModel(churn_schedule=ChurnSchedule.from_events(CHURN_EVENTS))
-    for engine in (VectorizedSimulator(graph), SparseSimulator(graph)):
+    for backend in ("dense", "sparse", "bitboard"):
+        simulator = FleetSimulator(graph, backend=backend)
         for t in range(2):
-            run = engine.run(
-                FeedbackRule(), derive_seed(MASTER_SEED, 0, t),
+            run = simulator.run_fleet(
+                FeedbackRule(), [derive_seed(MASTER_SEED, 0, t)],
                 validate=True, faults=faults, rng_mode="stream",
-            )
+            ).trial_run(0)
             assert run.rounds == CHURN_ROUNDS[t]
             assert sorted(run.mis) == CHURN_MIS[t]
             assert np.array_equal(run.beeps_by_node, CHURN_BEEPS[t])

@@ -30,7 +30,7 @@ from repro.algorithms.luby import LubyMIS
 from repro.algorithms.metivier import MetivierMIS, _bits_to_separate
 from repro.beeping.faults import FaultModel
 from repro.beeping.rng import derive_seed_block
-from repro.engine.batch import run_batch, run_batch_loop
+from repro.engine.batch import run_batch
 from repro.engine.messages import (
     MESSAGE_RULES,
     MessageArmadaSimulator,
@@ -159,25 +159,25 @@ class TestBatchDispatch:
 
     TRIALS = 8
 
-    def test_auto_fleet_and_loop_agree(self, rule_name):
+    def test_batch_matches_seed_by_seed_fleet(self, rule_name):
         graph = gnp_random_graph(24, 0.3, Random(41))
-        results = {
-            engine: run_batch(
-                graph,
-                MESSAGE_RULES[rule_name],
-                self.TRIALS,
-                MASTER_SEED,
-                engine=engine,
-                rng_mode="counter",
+        result = run_batch(
+            graph,
+            MESSAGE_RULES[rule_name],
+            self.TRIALS,
+            MASTER_SEED,
+            rng_mode="counter",
+        )
+        assert result.rule_name == rule_name
+        simulator = MessageFleetSimulator(graph)
+        seeds = derive_seed_block(MASTER_SEED, 0, count=self.TRIALS)
+        for trial in range(self.TRIALS):
+            lone = simulator.run_fleet(
+                MESSAGE_RULES[rule_name](), seeds[trial : trial + 1]
             )
-            for engine in ("auto", "fleet", "loop")
-        }
-        baseline = results["auto"]
-        assert baseline.rule_name == rule_name
-        for result in results.values():
-            assert np.array_equal(result.rounds, baseline.rounds)
-            # Message algorithms do not beep.
-            assert np.all(result.mean_beeps == 0.0)
+            assert result.rounds[trial] == lone.rounds[0]
+        # Message algorithms do not beep.
+        assert np.all(result.mean_beeps == 0.0)
 
     def test_stream_mode_is_rejected(self):
         graph = gnp_random_graph(10, 0.4, Random(3))
@@ -187,7 +187,7 @@ class TestBatchDispatch:
                 rng_mode="stream",
             )
         with pytest.raises(ValueError, match="counter"):
-            run_batch_loop(
+            run_batch(
                 graph, MESSAGE_RULES["metivier"], 2, 1, rng_mode="stream"
             )
 

@@ -5,8 +5,8 @@ whole sweep is one deterministic matrix), these tests assert the single
 non-negotiable engine property: *whatever* the topology, every trial's
 output passes :func:`verify_mis`.  Families cover the regimes the engines
 specialise in — dense and sparse G(n, p) (including p = 0 and p = 1
-extremes), grids, and random geometric graphs — times all four fast
-engines times two rules.
+extremes), grids, and random geometric graphs — times every fleet
+backend times two rules, both one seed at a time and as a lockstep batch.
 """
 
 from __future__ import annotations
@@ -58,13 +58,15 @@ def test_engine_output_is_always_a_valid_mis(engine_id, family, rule_factory):
 
 
 @pytest.mark.parametrize("family", list(GRAPH_FAMILIES))
-def test_fleet_batch_every_trial_is_a_valid_mis(family):
+@pytest.mark.parametrize("rule_factory", (FeedbackRule, SweepRule))
+@pytest.mark.parametrize("backend", ("dense", "sparse", "bitboard"))
+def test_fleet_batch_every_trial_is_a_valid_mis(backend, rule_factory, family):
     """One lockstep batch per graph: all trials must verify, not just one."""
     make_graph = GRAPH_FAMILIES[family]
     for draw in range(0, DRAWS_PER_FAMILY, 3):
         graph = make_graph(draw)
-        simulator = FleetSimulator(graph)
+        simulator = FleetSimulator(graph, max_rounds=50_000, backend=backend)
         seeds = derive_seed_block(MASTER_SEED, 4, draw, count=6)
-        run = simulator.run_fleet(FeedbackRule(), seeds)
+        run = simulator.run_fleet(rule_factory(), seeds)
         for trial in range(run.trials):
             verify_mis(graph, run.mis_set(trial))

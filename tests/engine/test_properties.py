@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policy import FeedbackNode
+from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import FeedbackRule, SweepRule
-from repro.engine.simulator import VectorizedSimulator
 from repro.graphs.random_graphs import gnp_random_graph
 
 
@@ -53,8 +53,8 @@ def test_feedback_rule_probability_bounds(observations):
 @settings(max_examples=40, deadline=None)
 def test_vectorized_always_mis(n, p, graph_seed, run_seed):
     graph = gnp_random_graph(n, p, Random(graph_seed))
-    simulator = VectorizedSimulator(graph, max_rounds=50_000)
-    simulator.run(FeedbackRule(), run_seed, validate=True)
+    simulator = FleetSimulator(graph, max_rounds=50_000)
+    simulator.run_fleet(FeedbackRule(), [run_seed], validate=True)
 
 
 @given(
@@ -65,8 +65,8 @@ def test_vectorized_always_mis(n, p, graph_seed, run_seed):
 @settings(max_examples=25, deadline=None)
 def test_vectorized_sweep_always_mis(n, graph_seed, run_seed):
     graph = gnp_random_graph(n, 0.4, Random(graph_seed))
-    simulator = VectorizedSimulator(graph, max_rounds=50_000)
-    simulator.run(SweepRule(), run_seed, validate=True)
+    simulator = FleetSimulator(graph, max_rounds=50_000)
+    simulator.run_fleet(SweepRule(), [run_seed], validate=True)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -74,6 +74,5 @@ def test_vectorized_sweep_always_mis(n, graph_seed, run_seed):
 def test_beep_counts_consistent_with_rounds(seed):
     """No vertex can beep more times than there were rounds."""
     graph = gnp_random_graph(15, 0.4, Random(seed))
-    simulator = VectorizedSimulator(graph)
-    run = simulator.run(FeedbackRule(), seed)
+    run = FleetSimulator(graph).run_fleet(FeedbackRule(), [seed]).trial_run(0)
     assert (run.beeps_by_node <= run.rounds).all()

@@ -90,10 +90,10 @@ class TestRunFleetTrials:
     def test_matches_per_trial_engine_on_same_seeds(self, rng_mode):
         """Group g / trial t must equal a lone run on seed (g, 1, t) in
         the same rng mode — for counter mode this pins the armada batch
-        to the per-trial engines."""
+        to the one-seed fleet."""
         from repro.beeping.rng import RngStream, derive_seed
+        from repro.engine.fleet import FleetSimulator
         from repro.engine.rules import FeedbackRule
-        from repro.engine.simulator import VectorizedSimulator
 
         outcomes = self._run(
             trials=6, graphs=2, master_seed=31, rng_mode=rng_mode
@@ -102,13 +102,13 @@ class TestRunFleetTrials:
         flat = 0
         for g in range(2):
             graph = graph_factory(stream.child(g, 0))
-            simulator = VectorizedSimulator(graph)
+            simulator = FleetSimulator(graph)
             for t in range(3):
-                lone = simulator.run(
+                lone = simulator.run_fleet(
                     FeedbackRule(),
-                    derive_seed(31, g, 1, t),
+                    [derive_seed(31, g, 1, t)],
                     rng_mode=rng_mode,
-                )
+                ).trial_run(0)
                 assert outcomes[flat].rounds == lone.rounds
                 assert outcomes[flat].mis_size == len(lone.mis)
                 expected_bits = sum(
@@ -136,10 +136,10 @@ class TestRunFleetTrials:
     def test_counter_mode_handles_heterogeneous_graph_sizes(self):
         """A graph factory with size depending on the draw cannot be
         block-stacked; the per-graph counter fallback must still match
-        the per-trial engines."""
+        the one-seed fleet."""
         from repro.beeping.rng import RngStream, derive_seed
+        from repro.engine.fleet import FleetSimulator
         from repro.engine.rules import FeedbackRule
-        from repro.engine.simulator import VectorizedSimulator
         from repro.experiments.runner import run_fleet_trials
 
         def varying_factory(rng):
@@ -156,13 +156,13 @@ class TestRunFleetTrials:
         flat = 0
         for g in range(2):
             graph = varying_factory(RngStream(77).child(g, 0))
-            simulator = VectorizedSimulator(graph)
+            simulator = FleetSimulator(graph)
             for t in range(2):
-                lone = simulator.run(
+                lone = simulator.run_fleet(
                     FeedbackRule(),
-                    derive_seed(77, g, 1, t),
+                    [derive_seed(77, g, 1, t)],
                     rng_mode="counter",
-                )
+                ).trial_run(0)
                 assert outcomes[flat].rounds == lone.rounds
                 assert outcomes[flat].mis_size == len(lone.mis)
                 flat += 1

@@ -19,8 +19,6 @@ from repro.engine.applications import ApplicationFleetSimulator, ColoringRule
 from repro.engine.fleet import ArmadaSimulator, FleetSimulator
 from repro.engine.messages import LubyPermutationRule, MessageFleetSimulator
 from repro.engine.rules import FeedbackRule
-from repro.engine.simulator import VectorizedSimulator
-from repro.engine.sparse import SparseSimulator
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.telemetry.probes import capture
 from tests.engine.test_golden_trace import (
@@ -66,16 +64,16 @@ def _assert_fleet_runs_equal(plain, probed):
 class TestEnginesBitIdentical:
     def test_dense(self):
         graph = _graph()
-        run_once = lambda: VectorizedSimulator(graph).run(
-            FeedbackRule(), derive_seed(MASTER_SEED, 0), validate=True
-        )
+        run_once = lambda: FleetSimulator(graph, backend="dense").run_fleet(
+            FeedbackRule(), [derive_seed(MASTER_SEED, 0)], validate=True
+        ).trial_run(0)
         _assert_engine_runs_equal(*_paired(run_once))
 
     def test_sparse(self):
         graph = _graph()
-        run_once = lambda: SparseSimulator(graph).run(
-            FeedbackRule(), derive_seed(MASTER_SEED, 1), validate=True
-        )
+        run_once = lambda: FleetSimulator(graph, backend="sparse").run_fleet(
+            FeedbackRule(), [derive_seed(MASTER_SEED, 1)], validate=True
+        ).trial_run(0)
         _assert_engine_runs_equal(*_paired(run_once))
 
     def test_fleet(self):
