@@ -47,7 +47,7 @@ def _make_graph():
     return gnp_random_graph(N, EDGE_PROBABILITY, Random(MASTER_SEED))
 
 
-def _run_fleet(graph):
+def _fleet_batch(graph):
     seeds = derive_seed_block(MASTER_SEED, 0, count=TRIALS)
     simulator = ApplicationFleetSimulator(graph, ColoringRule())
     return simulator.run_fleet(seeds, validate=True)
@@ -65,7 +65,7 @@ def _measure(graph, repeats: int = 3):
     fleet_seconds = loop_seconds = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        fleet_run = _run_fleet(graph)
+        fleet_run = _fleet_batch(graph)
         fleet_seconds = min(fleet_seconds, time.perf_counter() - start)
         start = time.perf_counter()
         loop_results = _run_loop(graph)

@@ -1,19 +1,19 @@
 """Bitboard fleet backend vs. the float32 GEMM dense backend at n = 1000.
 
-The dense fleet backend pays one ``(trials, n) x (n, n)`` float32 GEMM
-per reduction — at n = 1000 that is a 4 MB adjacency operand and a
-megaflop per round even after most trials have finished.  The bitboard
+The dense backend pays one ``(trials, n) x (n, n)`` float32 GEMM per
+dense-phase round — at n = 1000 a 4 MB adjacency operand.  The bitboard
 backend (:mod:`repro.engine.bitboard`) packs flags and adjacency rows
-into ``uint64`` lanes (128 KB for the whole adjacency), computes the
-same reductions with AND + popcount, compacts finished trials away
-instead of masking them, and hands the late sparse rounds to an
-entry-level frontier.  This bench measures the swap on the ISSUE's
-headline workload — one fleet batch of ``G(1000, 1/2)`` with 100 trials
-in counter rng mode:
+into ``uint64`` lanes (128 KB for the whole adjacency) and computes the
+same reductions with AND + popcount.  Both backends run the one lockstep
+loop of :class:`~repro.engine.fleet.ArmadaSimulator` (the fleet is the
+one-graph armada), frontier tail included, so this bench isolates the
+reduction kernels on the headline workload — one fleet batch of
+``G(1000, 1/2)`` with 100 trials in counter rng mode:
 
 - ``test_bitboard_fleet_floor`` (default run, CI): the bitboard backend
-  must clear **2x** over the dense backend.  Measured margin on the
-  recording machine: ~3.9-4.0x (``BENCH_bitboard_fleet.json``,
+  must win or tie the dense backend — a **0.8x** floor, which leaves
+  room for timing noise around a tie.  Measured margin on the
+  recording machine: ~1.1-1.2x (``BENCH_bitboard_fleet.json``,
   ``docs/perf.md``).
 
 Simulator construction (adjacency packing vs. the float32 densification)
@@ -43,7 +43,7 @@ N = 1000
 TRIALS = 100
 EDGE_PROBABILITY = 0.5
 MASTER_SEED = 2207
-CELL_FLOOR = 2.0
+CELL_FLOOR = 0.8
 
 
 def _cell_graph():
@@ -126,7 +126,7 @@ def _report_and_record(measurement: dict) -> None:
 
 
 def test_bitboard_fleet_floor():
-    """The n=1000 headline cell must clear the 2x CI floor."""
+    """The n=1000 headline cell must clear the 0.8x CI floor."""
     measurement = _measure(repeats=3)
     if measurement["speedup"] < CELL_FLOOR:
         # One re-measure absorbs scheduler noise on shared CI boxes; a
@@ -136,8 +136,8 @@ def test_bitboard_fleet_floor():
             measurement = retry
     _report_and_record(measurement)
     assert measurement["speedup"] >= CELL_FLOOR, (
-        f"bitboard backend only {measurement['speedup']:.2f}x faster than "
-        f"the dense fleet backend on the n={N} cell (floor {CELL_FLOOR}x)"
+        f"bitboard backend at {measurement['speedup']:.2f}x the dense "
+        f"fleet backend's speed on the n={N} cell (floor {CELL_FLOOR}x)"
     )
 
 

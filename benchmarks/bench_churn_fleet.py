@@ -60,7 +60,7 @@ def _workload():
     return graph, faults, seeds
 
 
-def _run_fleet(graph, faults, seeds):
+def _fleet_batch(graph, faults, seeds):
     return FleetSimulator(graph).run_fleet(
         FeedbackRule(), seeds, validate=True, faults=faults,
         rng_mode="counter",
@@ -81,7 +81,7 @@ def _run_per_trial(graph, faults, seeds):
 def _measure(repeats: int = 3):
     graph, faults, seeds = _workload()
     fleet_seconds = min(
-        _timed(lambda: _run_fleet(graph, faults, seeds))[1]
+        _timed(lambda: _fleet_batch(graph, faults, seeds))[1]
         for _ in range(repeats)
     )
     loop_seconds = min(
@@ -152,7 +152,7 @@ def test_churn_workload_is_reproducible_and_valid():
     """The timed workload is sane: the batch agrees bit for bit with the
     seed-by-seed runs, every trial recovered, repair times recorded."""
     graph, faults, seeds = _workload()
-    fleet = _run_fleet(graph, faults, seeds[:8])
+    fleet = _fleet_batch(graph, faults, seeds[:8])
     runs = _run_per_trial(graph, faults, seeds[:8])
     for t, run in enumerate(runs):
         trial = fleet.trial_run(t)

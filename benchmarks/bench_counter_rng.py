@@ -1,38 +1,42 @@
-"""Counter-mode armada vs. the PR-3 stream fleet on a figure-shaped cell.
+"""Counter-mode armada vs. a frozen stream-mode fleet on a figure cell.
 
-After PR 3 the fleet engine was tensorised everywhere except two Python
-loops on the figure hot path: the per-trial ``Generator.random`` draw
-loop executed every round, and the per-graph round-loop in
-``run_fleet_trials``.  The counter RNG fabric deletes the first (each
-round's uniforms are one stateless block call, and the sparse frontier
-evaluates single entries), and the armada batch deletes the second (all
-same-n graph groups advance in one slot-row lockstep loop with a sparse
-frontier tail).  This bench measures both on the ISSUE's acceptance
-workload — a Figure 3-shaped cell: n = 200, trials = 100 spread over 5
-graphs of ``G(n, 1/2)``:
+``run_fleet_trials`` has two ways to run a cell: in ``"stream"`` rng
+mode one batch per graph, with a per-trial ``Generator.random`` draw loop
+every round; in ``"counter"`` mode one armada batch for the whole cell,
+whose uniforms are stateless block calls and whose tail runs on the
+sparse entry-level frontier.  The workload is a Figure 3-shaped cell:
+n = 200, trials = 100 spread over 5 graphs of ``G(n, 1/2)``.
 
-The measured quantity is everything ``run_fleet_trials`` pays per cell
-beyond drawing the graphs (which this PR does not touch and is identical
-on both sides): simulator construction plus the lockstep execution.
-Stream side: five per-graph :class:`FleetSimulator` batches — exactly
-the PR-3 path.  Counter side: one :class:`ArmadaSimulator` batch.
+The counter side is everything ``run_fleet_trials`` pays per cell beyond
+drawing the graphs (identical on both sides): one
+:class:`ArmadaSimulator`'s construction plus its lockstep execution.
 
-Two floors, following the ISSUE's acceptance shape:
+The stream side is a *yardstick*, not the engine: :func:`_stream_yardstick`
+below is a plain per-graph stream fleet written out in this file — a
+``Graph.adjacency_matrix`` float32 operand, one generator per trial, and
+a round loop that reduces live trials with one GEMM for the OR and one
+for the neighbour-joined mask.  That is how the stream fleet ran before
+it became the one-graph armada, and it is frozen here on purpose: the
+engine's stream path now shares the armada's loop and operand build, so
+timing against it would let a regression in the shared code slow both
+sides and pass.  Against fixed code the floors track the counter path
+alone.  The yardstick's rows equal the engine's stream-mode rows bit for
+bit (``test_stream_yardstick_matches_the_engine``), so it times the same
+trajectories.
+
+Two floors:
 
 - ``test_counter_armada_cell_floor`` (default run, CI): the named
   n = 200 cell must clear **2x**.
 - ``test_counter_armada_paper_scale_floor`` (``-m slow``): the same cell
   shape at the figure's larger sizes (n = 800; Figure 3 runs to
-  n = 1000), where the armada's margin keeps growing, must clear **3x**.
+  n = 1000) must clear **3x**; the yardstick's per-graph Python costs
+  (operand build, draw loop, round bodies) grow with n while the
+  frontier keeps the armada's tail entry-proportional.
 
-The speedup grows with n because the armada amortises more per round as
-the stream side's per-graph Python costs (adjacency build, draw loop,
-round bodies) scale up, while the sparse frontier keeps the armada's
-tail rounds entry-proportional.  Both sides run identical workloads;
-only the execution strategy differs.  (The two rng modes draw different
-uniforms, hence different — equally valid — trajectories; per-mode
-bit-reproducibility is the conformance suite's job, not this file's.)
-Measured numbers land in ``BENCH_counter_rng*.json`` and
+(The two rng modes draw different uniforms, hence different — equally
+valid — trajectories; per-mode bit-reproducibility is the conformance
+suite's job.)  Measured numbers land in ``BENCH_counter_rng*.json`` and
 ``docs/perf.md``.
 
 Run with ``pytest benchmarks/bench_counter_rng.py`` (add ``-m slow``
@@ -47,7 +51,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import report, write_bench_result
-from repro.beeping.rng import RngStream, derive_seed_block
+from repro.beeping.rng import RngStream, derive_seed_block, stream_generators
 from repro.engine.fleet import ArmadaSimulator, FleetSimulator
 from repro.engine.rules import FeedbackRule
 from repro.experiments.tables import format_table
@@ -78,6 +82,46 @@ def _seed_rows():
     ]
 
 
+def _stream_yardstick(graph, seeds):
+    """One graph's stream-mode feedback trials: ``(rounds, membership,
+    beeps)``, the same rows as ``FleetSimulator(graph).run_fleet(
+    FeedbackRule(), seeds, rng_mode="stream")``."""
+    n = graph.num_vertices
+    adjacency = graph.adjacency_matrix().astype(np.float32)
+    generators = stream_generators(seeds)
+    rule = FeedbackRule()
+    trials = len(seeds)
+    probabilities = np.broadcast_to(rule.initial(n), (trials, n)).copy()
+    uniforms = np.empty((trials, n))
+    active = np.ones((trials, n), dtype=bool)
+    membership = np.zeros((trials, n), dtype=bool)
+    beeps = np.zeros((trials, n), dtype=np.int64)
+    rounds = np.zeros(trials, dtype=np.int64)
+    alive = np.ones(trials, dtype=bool)
+    round_index = 0
+    while alive.any():
+        live = np.flatnonzero(alive)
+        for t in live:
+            uniforms[t] = generators[t].random(n)
+        beep = active & (uniforms < probabilities)
+        heard = np.zeros((trials, n), dtype=bool)
+        heard[live] = (beep[live].astype(np.float32) @ adjacency) > 0.0
+        probabilities = rule.update(probabilities, heard, active, round_index)
+        joined = beep & ~heard
+        membership |= joined
+        neighbor_joined = np.zeros((trials, n), dtype=bool)
+        neighbor_joined[live] = (
+            joined[live].astype(np.float32) @ adjacency
+        ) > 0.0
+        beeps += beep
+        active &= ~(joined | neighbor_joined)
+        still_alive = active.any(axis=1)
+        rounds[alive & ~still_alive] = round_index + 1
+        alive = still_alive
+        round_index += 1
+    return rounds, membership, beeps
+
+
 def _best_of(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -93,9 +137,7 @@ def _measure_cell(n: int, repeats: int) -> dict:
 
     def stream_cell():
         for graph, row in zip(graphs, seed_rows):
-            FleetSimulator(graph).run_fleet(
-                FeedbackRule(), row, rng_mode="stream"
-            )
+            _stream_yardstick(graph, row)
 
     def counter_cell():
         ArmadaSimulator(graphs).run_armada(FeedbackRule(), seed_rows)
@@ -116,13 +158,13 @@ def _measure_cell(n: int, repeats: int) -> dict:
 
 def _report_and_record(name: str, measurement: dict, floor: float) -> None:
     report(
-        "COUNTER RNG + ARMADA vs the PR-3 stream fleet path "
+        "COUNTER RNG + ARMADA vs the stream-fleet yardstick "
         f"(n={measurement['n']}, trials={TRIALS}, graphs={GRAPHS})",
         format_table(
             ["path", "ms"],
             [
                 [
-                    "stream: per-graph fleets (PR-3)",
+                    "stream: per-graph yardstick fleets",
                     f"{measurement['stream_seconds'] * 1000:.1f}",
                 ],
                 [
@@ -162,7 +204,7 @@ def test_counter_armada_cell_floor():
     _report_and_record("counter_rng", measurement, CELL_FLOOR)
     assert measurement["speedup"] >= CELL_FLOOR, (
         f"counter-mode armada only {measurement['speedup']:.2f}x faster "
-        f"than the stream fleet path on the n={N} figure3 cell "
+        f"than the stream yardstick on the n={N} figure3 cell "
         f"(floor {CELL_FLOOR}x)"
     )
 
@@ -174,7 +216,7 @@ def test_counter_armada_paper_scale_floor():
     _report_and_record("counter_rng_paper", measurement, PAPER_FLOOR)
     assert measurement["speedup"] >= PAPER_FLOOR, (
         f"counter-mode armada only {measurement['speedup']:.2f}x faster "
-        f"than the stream fleet path on the n={PAPER_N} figure3 cell "
+        f"than the stream yardstick on the n={PAPER_N} figure3 cell "
         f"(floor {PAPER_FLOOR}x)"
     )
 
@@ -188,8 +230,21 @@ def test_counter_cell_is_reproducible_and_complete():
     )
     assert [run.trials for run in runs] == [TRIALS // GRAPHS] * GRAPHS
     for graph, row, run in zip(graphs, seed_rows, runs):
+        # Beep recording keeps the reference full width (no frontier).
         lone = FleetSimulator(graph).run_fleet(
-            FeedbackRule(), row, rng_mode="counter"
+            FeedbackRule(), row, rng_mode="counter", record_beeps=True
         )
         assert np.array_equal(run.rounds, lone.rounds)
         assert np.array_equal(run.beeps_by_node, lone.beeps_by_node)
+
+
+def test_stream_yardstick_matches_the_engine():
+    """The yardstick times the engine's stream trajectories, row for row."""
+    for graph, row in zip(_cell_graphs(N), _seed_rows()):
+        rounds, membership, beeps = _stream_yardstick(graph, row)
+        run = FleetSimulator(graph).run_fleet(
+            FeedbackRule(), row, rng_mode="stream"
+        )
+        assert np.array_equal(rounds, run.rounds)
+        assert np.array_equal(membership, run.membership)
+        assert np.array_equal(beeps, run.beeps_by_node)

@@ -52,7 +52,7 @@ def _graph_factory(rng):
     return gnp_random_graph(N, EDGE_PROBABILITY, rng)
 
 
-def _run_fleet_grid():
+def _fleet_grid():
     return [
         run_fleet_trials(
             FeedbackRule,
@@ -85,7 +85,7 @@ def _timed(fn):
 
 
 def test_fault_fleet_speedup_floor():
-    fleet_rows, fleet_seconds = _timed(_run_fleet_grid)
+    fleet_rows, fleet_seconds = _timed(_fleet_grid)
     reference_rows, reference_seconds = _timed(_run_reference_grid)
 
     speedup = reference_seconds / max(fleet_seconds, 1e-9)

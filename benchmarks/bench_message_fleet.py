@@ -44,7 +44,7 @@ def _graph_factory(rng):
     return gnp_random_graph(N, EDGE_PROBABILITY, rng)
 
 
-def _run_fleet():
+def _fleet_batch():
     return run_fleet_trials(
         LubyPermutationRule,
         _graph_factory,
@@ -70,7 +70,7 @@ def _measure(repeats: int = 3):
     fleet_seconds = loop_seconds = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        fleet_rows = _run_fleet()
+        fleet_rows = _fleet_batch()
         fleet_seconds = min(fleet_seconds, time.perf_counter() - start)
         start = time.perf_counter()
         loop_rows = _run_loop()

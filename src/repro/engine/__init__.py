@@ -13,8 +13,9 @@ implementing the same two-exchange round semantics:
     costs O(n + m), reaching n = 50,000 at mean degree 8), or one packed
     ``uint64`` AND/OR pass (``"bitboard"`` backend,
     :class:`BitboardKernel`) per round serves the whole batch, and
-    finished trials drop out through an alive-mask (the bitboard backend
-    compacts them away entirely).  One trial is the one-seed fleet:
+    finished trials drop out through an alive-mask.  The fleet is the
+    one-graph armada below — one loop serves both — and one trial is the
+    one-seed fleet:
     ``run_fleet(rule, [seed]).trial_run(0)`` returns its
     :class:`EngineRun`.  ``benchmarks/bench_fleet_speedup.py`` records
     the batch's margin over a seed-by-seed loop and
@@ -24,8 +25,9 @@ implementing the same two-exchange round semantics:
 **Armada** (:class:`ArmadaSimulator`)
     The fleet lifted one dimension: every same-``n`` graph group of one
     experiment cell in a single ``(trials, graphs * n)`` block-diagonal
-    batch — one batched GEMM or block-diagonal CSR ``reduceat`` pass per
-    round for the *whole cell*.  Counter rng mode only;
+    batch — one batched GEMM, per-graph CSR ``reduceat`` or packed pass
+    per round for the *whole cell*, with an entry-level frontier tail in
+    fault-free counter runs.  ``run_armada`` is counter rng mode only;
     ``benchmarks/bench_counter_rng.py`` records the margin over the
     per-graph stream path.
 

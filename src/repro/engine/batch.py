@@ -7,8 +7,10 @@ discipline as the reference engine, so a batch is reproducible from its
 master seed alone.
 
 All trials advance in lockstep as ``(trials, n)`` tensors on the
-:class:`~repro.engine.fleet.FleetSimulator` — one batched matmul, CSR
-``reduceat`` or packed bitboard pass per round for the whole batch.
+:class:`~repro.engine.fleet.FleetSimulator` — the one-graph armada, so
+one batched matmul, CSR ``reduceat`` or packed bitboard pass per round
+serves the whole batch, and fault-free counter runs finish on the
+armada's entry-level frontier tail.
 Trial ``t`` is seeded with ``derive_seed(master_seed, graph_index,
 trial)``, so it equals the one-seed fleet run on that seed bit for bit.
 The driver accepts a ``faults`` model (beep loss, spurious beeps,

@@ -1,22 +1,30 @@
-"""Trial-parallel fleet engine: all trials of one batch in lockstep.
+"""Lockstep engines for the probability rules: the armada and its fleet.
 
-This engine vectorises over vertices *and* trials, so a 100-trial figure
-point costs one interpreted round-loop, not 100: the whole batch is a
-``(trials, n)`` boolean tensor advanced one round at a time —
+One round loop, :meth:`ArmadaSimulator._lockstep`, runs every
+probability rule.  It vectorises over vertices, trials *and* graphs: each
+``(graph, trial)`` pair is one *slot row* of a ``(slots, n)`` boolean
+tensor, and a round advances all of them at once —
 
-- ``beep = active & (U < P)`` with one fresh uniform row per live trial;
-- ``heard``: one batched matmul against the adjacency (dense backend) or
-  one ``add.reduceat`` pass over the CSR neighbour lists (sparse backend);
-- per-trial early exit through an alive-mask: finished trials drop out of
-  the random drawing and the matmul, and their round counts freeze.
+- ``beep = active & (U < P)`` with one fresh uniform row per live slot;
+- ``heard``: one batched float32 GEMM against the ``(graphs, n, n)``
+  adjacency stack (``"dense"`` backend), one CSR ``add.reduceat`` pass per
+  graph (``"sparse"``), or one packed ``uint64`` AND/OR pass per graph
+  (``"bitboard"``, :mod:`repro.engine.bitboard`) — a backend supplies the
+  two neighbour reductions (OR and counts) and nothing else;
+- per-slot early exit through an alive-mask: finished slots stop drawing
+  and their round counts freeze (stream runs also drop them from the
+  OR; counter runs hand their tail to the frontier instead).
+
+:class:`FleetSimulator` is the one-graph armada (all trials of one
+graph), and one trial is the one-seed fleet.
 
 Fault injection is vectorised the same way (:mod:`repro.beeping.faults`):
 beep loss and spurious beeps are per-node Bernoulli masks on the
-``(trials, n)`` tensors — loss collapses each listener's ``k`` independent
+``(slots, n)`` tensors — loss collapses each listener's ``k`` independent
 edge deliveries into one draw against ``1 - loss**k``, with ``k`` the
-beeping-neighbour counts both backends already compute — and a
+beeping-neighbour counts every backend computes — and a
 :class:`~repro.beeping.faults.CrashSchedule` is a per-round active-mask
-update shared by every live trial.  Faults perturb only the *first*
+update shared by every live slot.  Faults perturb only the *first*
 exchange (the ``heard`` fed to the probability rule); joins and
 retirements come from the true beep tensor, so every trial's output stays
 a valid independent set, maximal over the surviving vertices.
@@ -29,32 +37,25 @@ seeded with ``derive_seed_block(master_seed, graph_index, count=trials)``
 consumes the exact uniforms of the one-seed run on
 ``derive_seed(master_seed, graph_index, t)`` *in the same* ``rng_mode``:
 
-- ``"stream"`` (the default): every live trial draws
+- ``"stream"`` (the fleet's default): every live slot draws
   ``Generator.random(n)`` once per round from its own sequential
   generator — then once per enabled fault kind (loss uniforms, then
-  spurious uniforms).  One ``numpy`` generator object per trial; the
-  per-trial draw loop is interpreted Python.
-- ``"counter"``: each round's whole ``(trials, n)`` uniform block is one
-  stateless :func:`repro.beeping.rng.counter_uniforms` call — a pure
-  function of ``(trial seed, round, draw kind, node)``, no generator
-  objects, no sequential state, no Python loop.
+  spurious uniforms).  One ``numpy`` generator object per slot; the
+  per-slot draw loop is interpreted Python.
+- ``"counter"`` (the armada's only mode): each round's whole uniform
+  block is one stateless :func:`repro.beeping.rng.counter_uniforms` call —
+  a pure function of ``(trial seed, round, draw kind, node)``, no
+  generator objects, no sequential state, no Python loop.
 
-Every backend computes the same ``heard`` booleans, and the alive-mask
-(or the bitboard backend's compaction) keeps finished trials from
-touching live ones, so round counts, MIS membership, beep counts and
-crash sets agree *bit for bit* between a batch and its seed-by-seed
-one-seed runs within each mode, with or without faults — the
-conformance suite in ``tests/engine/test_conformance.py`` enforces this
-per mode and backend.  The two
-modes draw different uniforms and therefore give different (equally
-valid) trajectories; golden traces pin the ``"stream"`` byte streams.
-
-:class:`ArmadaSimulator` extends the lockstep one dimension further for
-the counter mode: all same-``n`` graph groups of one experiment cell run
-as a single block-diagonal batch — one batched dense GEMM (``(graphs, n,
-n)`` adjacency stack) or one block-diagonal CSR ``reduceat`` pass per
-round for the *whole cell* — removing the last per-graph interpreted
-round-loop from the figure hot path.
+Every backend computes the same ``heard`` booleans and the alive-mask
+keeps finished slots from touching live ones, so round counts, MIS
+membership, beep counts and crash sets agree *bit for bit* between a
+batch, its seed-by-seed one-seed runs, and any armada stacking of it
+within each mode, with or without faults — the conformance suite in
+``tests/engine/test_conformance.py`` enforces this per mode and backend.
+The two modes draw different uniforms and therefore give different
+(equally valid) trajectories; golden traces pin the ``"stream"`` byte
+streams.
 
 The lockstep schedule requires the probability rule to be elementwise
 (``ProbabilityRule.trial_parallel``); the three paper rules qualify.
@@ -78,7 +79,11 @@ from repro.beeping.rng import (
     seed_array,
     stream_generators,
 )
-from repro.engine.bitboard import BitboardKernel, run_bitboard_fleet
+from repro.engine.bitboard import (
+    BitboardKernel,
+    pack_neighbor_lists,
+    packed_or_test,
+)
 from repro.engine.rules import ProbabilityRule
 from repro.engine.simulator import (
     DEFAULT_MAX_ROUNDS,
@@ -177,7 +182,10 @@ class FleetRun:
 class FleetSimulator:
     """Runs one rule on one graph for a whole fleet of trials at once.
 
-    ``backend`` selects how the one-bit OR observation is computed:
+    The fleet is the one-graph :class:`ArmadaSimulator`: it adds the
+    ``"stream"`` rng mode default and the one-graph argument shape, and
+    runs the armada's loop.  ``backend`` selects how the neighbour
+    reductions are computed:
 
     - ``"dense"``: ``(trials, n) @ (n, n)`` float32 GEMM.  Exact (counts are
       small integers) and BLAS-fast; memory is the n x n adjacency.
@@ -185,9 +193,8 @@ class FleetSimulator:
       O(trials * (n + m)) per round; the large-sparse-graph path.
     - ``"bitboard"``: flags and adjacency rows packed into ``uint64``
       lanes; the OR is bitwise AND/OR over the packed rows and counts
-      come from ``popcount`` (:mod:`repro.engine.bitboard`).  Runs its
-      own live-row-compacted loop with a counter-mode frontier tail —
-      the fastest backend at figure sizes, opt-in.
+      come from ``popcount`` (:mod:`repro.engine.bitboard`).  Opt-in; it
+      wins or ties dense at figure sizes with a 32x smaller operand.
     - ``"auto"`` (default): dense up to :data:`DENSE_VERTEX_LIMIT` vertices,
       sparse beyond.
 
@@ -201,28 +208,8 @@ class FleetSimulator:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         backend: str = "auto",
     ) -> None:
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if backend not in ("auto", "dense", "sparse", "bitboard"):
-            raise ValueError(
-                "backend must be 'auto', 'dense', 'sparse' or 'bitboard', "
-                f"got {backend!r}"
-            )
         self._graph = graph
-        self._max_rounds = max_rounds
-        n = graph.num_vertices
-        if backend == "auto":
-            backend = "dense" if n <= DENSE_VERTEX_LIMIT else "sparse"
-        self._backend = backend
-        if backend == "dense":
-            self._adjacency = graph.adjacency_matrix().astype(np.float32)
-            # Reused float32 staging buffer for the GEMM operand; grown on
-            # demand, so no per-round astype allocation on the hot path.
-            self._flags32: Optional[np.ndarray] = None
-        elif backend == "bitboard":
-            self._kernel = BitboardKernel(graph)
-        else:
-            self._columns, self._starts, self._isolated = build_csr(graph)
+        self._armada = ArmadaSimulator([graph], max_rounds, backend)
 
     @property
     def graph(self) -> Graph:
@@ -232,65 +219,7 @@ class FleetSimulator:
     @property
     def backend(self) -> str:
         """The resolved backend: ``"dense"``, ``"sparse"`` or ``"bitboard"``."""
-        return self._backend
-
-    def _as_float32(self, flags: np.ndarray) -> np.ndarray:
-        """``flags`` cast into the cached float32 GEMM staging buffer."""
-        k, n = flags.shape
-        if self._flags32 is None or self._flags32.shape[0] < k:
-            self._flags32 = np.empty((k, n), dtype=np.float32)
-        staged = self._flags32[:k]
-        np.copyto(staged, flags)
-        return staged
-
-    def _neighbor_or(self, flags: np.ndarray) -> np.ndarray:
-        """Row-wise: whether any neighbour's flag is set, per vertex."""
-        if self._backend == "bitboard":
-            return self._kernel.neighbor_or(flags)
-        if self._backend == "dense":
-            k, n = flags.shape
-            if n == 0:
-                return np.zeros((k, 0), dtype=bool)
-            # Compare the float counts directly: the fault-free hot path
-            # skips _neighbor_counts's int64 conversion.
-            counts = self._as_float32(flags) @ self._adjacency
-            return counts > 0.0
-        return self._neighbor_counts(flags) > 0
-
-    def _scattered_neighbor_or(
-        self, flags: np.ndarray, live: np.ndarray
-    ) -> np.ndarray:
-        """Neighbour-OR computed only on live rows, zero elsewhere."""
-        if live.size == flags.shape[0]:
-            return self._neighbor_or(flags)
-        result = np.zeros(flags.shape, dtype=bool)
-        result[live] = self._neighbor_or(flags[live])
-        return result
-
-    def _neighbor_counts(self, flags: np.ndarray) -> np.ndarray:
-        """Row-wise beeping-neighbour counts (int64), per vertex."""
-        k, n = flags.shape
-        if n == 0:
-            return np.zeros((k, 0), dtype=np.int64)
-        if self._backend == "bitboard":
-            return self._kernel.neighbor_counts(flags)
-        if self._backend == "dense":
-            # float32 GEMM counts are exact small integers (degree < 2^24).
-            counts = self._as_float32(flags) @ self._adjacency
-            return counts.astype(np.int64)
-        return csr_row_counts(
-            flags, self._columns, self._starts, self._isolated
-        )
-
-    def _scattered_neighbor_counts(
-        self, flags: np.ndarray, live: np.ndarray
-    ) -> np.ndarray:
-        """Neighbour counts computed only on live rows, zero elsewhere."""
-        if live.size == flags.shape[0]:
-            return self._neighbor_counts(flags)
-        result = np.zeros(flags.shape, dtype=np.int64)
-        result[live] = self._neighbor_counts(flags[live])
-        return result
+        return self._armada.backend
 
     def run_fleet(
         self,
@@ -314,247 +243,9 @@ class FleetSimulator:
         check_rng_mode(rng_mode)
         if len(seeds) < 1:
             raise ValueError("need at least one seed")
-        if not getattr(rule, "trial_parallel", False):
-            raise ValueError(
-                f"rule {rule.name!r} is not trial-parallel; "
-                "lockstep engines need an elementwise, stateless rule"
-            )
-        if self._backend == "bitboard":
-            # The bitboard engine runs its own (live-row-compacted) loop;
-            # same draw order per mode, bit-identical results.  It
-            # handles any churn universe rebuild itself.
-            return run_bitboard_fleet(
-                self._kernel,
-                self._graph,
-                rule,
-                seeds,
-                validate=validate,
-                record_beeps=record_beeps,
-                faults=faults,
-                rng_mode=rng_mode,
-                max_rounds=self._max_rounds,
-            )
-        churn_schedule = faults.churn_schedule
-        if churn_schedule.is_empty():
-            engine = self
-        else:
-            # Rebuild on the universe graph (base + joiners) for this
-            # run — churn runs are niche, so per-run construction beats
-            # complicating the cached structures.
-            engine = FleetSimulator(
-                churn_schedule.universe_graph(self._graph),
-                max_rounds=self._max_rounds,
-                backend=self._backend,
-            )
-        return engine._run_fleet(
-            rule, seeds, validate, record_beeps, faults, rng_mode
-        )
-
-    def _run_fleet(
-        self,
-        rule: ProbabilityRule,
-        seeds: Sequence[int],
-        validate: bool,
-        record_beeps: bool,
-        faults: FaultModel,
-        rng_mode: str,
-    ) -> FleetRun:
-        """The lockstep loop; ``self._graph`` is already the universe."""
-        n = self._graph.num_vertices
-        trials = len(seeds)
-        loss = faults.beep_loss_probability
-        spurious = faults.spurious_beep_probability
-        noisy = loss > 0.0 or spurious > 0.0
-        churn_schedule = faults.churn_schedule
-        has_churn = not churn_schedule.is_empty()
-        crash_masks: Dict[int, np.ndarray] = faults.crash_schedule.round_masks(n)
-        crashed = (
-            np.zeros((trials, n), dtype=bool)
-            if crash_masks or has_churn
-            else None
-        )
-        counter = rng_mode == "counter"
-        if counter:
-            trial_seeds = seed_array(seeds)
-            generators = None
-        else:
-            generators = stream_generators(seeds)
-        churn = (
-            ChurnState(churn_schedule, n, shape=(trials, n))
-            if has_churn
-            else None
-        )
-        last_event = churn.last_event_round if has_churn else -1
-        active = (
-            churn.initial_active()
-            if has_churn
-            else np.ones((trials, n), dtype=bool)
-        )
-        initial_row = rule.initial(n) if has_churn else None
-        recovered = np.ones(trials, dtype=bool) if has_churn else None
-        membership = np.zeros((trials, n), dtype=bool)
-        probabilities = np.broadcast_to(
-            rule.initial(n), (trials, n)
-        ).astype(np.float64, copy=True)
-        beeps = np.zeros((trials, n), dtype=np.int64)
-        rounds = np.zeros(trials, dtype=np.int64)
-        uniforms = np.empty((trials, n), dtype=np.float64)
-        loss_uniforms = (
-            np.empty((trials, n), dtype=np.float64) if loss > 0.0 else None
-        )
-        spurious_uniforms = (
-            np.empty((trials, n), dtype=np.float64) if spurious > 0.0 else None
-        )
-        history = [] if record_beeps else None
-        alive = active.any(axis=1)
-        if has_churn:
-            # Every trial shares the schedule, so none may retire before
-            # the last event: quiescent trials keep executing (and, in
-            # stream mode, drawing) through the quiet gaps.
-            alive[:] = True
-        round_index = 0
-        # Telemetry is out of band: the flag is hoisted so disabled runs
-        # pay one boolean check per round, and the active-cell tally (the
-        # only probe-side computation) happens only when probes are on.
-        telemetry_on = probes.enabled()
-        active_cells = 0
-        while alive.any():
-            if round_index >= self._max_rounds:
-                if has_churn:
-                    # Graceful degradation: flag the trials still mid-
-                    # repair instead of raising — each is still a valid
-                    # (possibly non-maximal) independent set.
-                    recovered = ~alive
-                    rounds[alive] = round_index
-                    break
-                raise RuntimeError(
-                    f"fleet simulation exceeded {self._max_rounds} rounds"
-                )
-            if has_churn and churn.apply_events(
-                round_index, active, membership, crashed,
-                self._neighbor_or, probabilities, initial_row,
-            ):
-                churn.record_quiescence(round_index, ~active.any(axis=1))
-            crash = crash_masks.get(round_index)
-            if crash is not None:
-                # Fail-stop at the start of the round: only still-active
-                # vertices crash (members and retirees already left).
-                # Finished trials have all-False active rows, so the
-                # crash never reaches them.
-                newly_crashed = active & crash
-                crashed |= newly_crashed
-                active &= ~newly_crashed
-            if telemetry_on:
-                active_cells += int(np.count_nonzero(active))
-            live = np.flatnonzero(alive)
-            if counter:
-                # Counter mode: each enabled kind's whole block is one
-                # stateless vectorised call — no per-trial Python loop.
-                live_seeds = trial_seeds[live]
-                uniforms[live] = counter_uniforms(
-                    live_seeds, round_index, DRAW_BEEP, n
-                )
-                if loss > 0.0:
-                    loss_uniforms[live] = counter_uniforms(
-                        live_seeds, round_index, DRAW_LOSS, n
-                    )
-                if spurious > 0.0:
-                    spurious_uniforms[live] = counter_uniforms(
-                        live_seeds, round_index, DRAW_SPURIOUS, n
-                    )
-            else:
-                # One pass over the live trials draws all enabled uniform
-                # rows; generators are per-trial, so only the within-trial
-                # order (beep, then loss, then spurious) affects the
-                # streams.
-                for t in live:
-                    uniforms[t] = generators[t].random(n)
-                    if loss > 0.0:
-                        loss_uniforms[t] = generators[t].random(n)
-                    if spurious > 0.0:
-                        spurious_uniforms[t] = generators[t].random(n)
-            # Dead rows keep stale uniforms, but their active row is
-            # all-False so beep stays all-False there.
-            beep = active & (uniforms < probabilities)
-            if noisy:
-                counts = self._scattered_neighbor_counts(beep, live)
-                heard_true = counts > 0
-                # Stale fault uniforms on dead rows could flip their heard
-                # bits; mask them off (their probabilities are unused, but
-                # keep the tensors clean).
-                heard = faulty_observation(
-                    counts, loss, spurious, loss_uniforms, spurious_uniforms
-                ) & alive[:, None]
-            else:
-                heard_true = self._scattered_neighbor_or(beep, live)
-                heard = heard_true
-            probabilities = rule.update(probabilities, heard, active, round_index)
-            # Second exchange stays reliable: joins come from the true OR.
-            joined = beep & ~heard_true
-            membership |= joined
-            neighbor_joined = self._scattered_neighbor_or(joined, live)
-            beeps += beep
-            active &= ~(joined | neighbor_joined)
-            if record_beeps:
-                history.append(beep.copy())
-            still_alive = active.any(axis=1)
-            if has_churn:
-                churn.record_quiescence(
-                    round_index + 1, ~still_alive, applied_rounds=round_index
-                )
-                if round_index + 1 <= last_event:
-                    still_alive = np.ones(trials, dtype=bool)
-            rounds[alive & ~still_alive] = round_index + 1
-            alive = still_alive
-            round_index += 1
-        run = FleetRun(
-            rule_name=rule.name,
-            num_vertices=n,
-            trials=trials,
-            rounds=rounds,
-            membership=membership,
-            beeps_by_node=beeps,
-            beep_history=(
-                np.array(history, dtype=bool).reshape(len(history), trials, n)
-                if record_beeps
-                else None
-            ),
-            crashed=crashed if crash_masks else None,
-            absent=churn.absent_mask() if has_churn else None,
-            repair_rounds=churn.repair if has_churn else None,
-            recovered=recovered,
-        )
-        if telemetry_on:
-            probes.count("engine.fleet.runs")
-            probes.count("engine.fleet.rounds", round_index)
-            probes.count("engine.fleet.trials", trials)
-            probes.count(f"engine.backend.{self._backend}")
-            if has_churn:
-                probes.count(
-                    "engine.churn.events",
-                    trials * len(churn_schedule.events),
-                )
-                resolved = churn.repair[churn.repair >= 0]
-                if resolved.size:
-                    probes.gauge(
-                        "engine.repair.rounds", float(resolved.mean())
-                    )
-            if round_index and trials and n:
-                probes.gauge(
-                    "engine.fleet.active_fraction",
-                    active_cells / (round_index * trials * n),
-                )
-        if validate:
-            for trial in range(trials):
-                if not run.trial_recovered(trial):
-                    continue
-                verify_mis(
-                    self._graph,
-                    run.mis_set(trial),
-                    crashed=run.crashed_set(trial),
-                    absent=run.absent_set(trial),
-                )
-        return run
+        return self._armada._on_universe(faults)._lockstep(
+            rule, [seeds], validate, faults, rng_mode, record_beeps
+        )[0]
 
 
 class ArmadaSimulator:
@@ -565,13 +256,11 @@ class ArmadaSimulator:
     interpreted round-loop per graph.  The armada flattens every
     ``(graph, trial)`` pair into one *slot row* of a ``(slots, n)`` batch
     (rows grouped by graph) and advances the whole cell in a single loop.
-    It runs in ``"counter"`` rng mode only: its uniforms are pure
-    functions of ``(seed, round, kind, node)``, so no per-trial generator
-    state exists to thread through the batching, and every slot is
-    bit-identical to the per-graph counter-mode fleet run it replaces
-    (``"stream"`` mode would need one live generator per slot plus the
-    fleet's per-trial draw loop — exactly the interpreted work this class
-    exists to delete).
+    :meth:`run_armada` runs in ``"counter"`` rng mode only: its uniforms
+    are pure functions of ``(seed, round, kind, node)``, so every slot is
+    bit-identical to the per-graph counter-mode fleet run it replaces.
+    (The loop itself also serves the fleet's ``"stream"`` mode, with one
+    live generator per slot.)
 
     Execution has two phases, chosen per round by activity:
 
@@ -581,22 +270,24 @@ class ArmadaSimulator:
       per-graph CSR ``add.reduceat`` pass (``"sparse"`` backend), or a
       per-graph packed AND/OR over ``uint64`` bitboard rows
       (``"bitboard"`` backend) — exact in all cases.
-    - **Frontier phase** (fault-free runs, once the live fraction is
-      small): the state collapses to the list of still-active ``(slot,
-      vertex)`` entries.  Uniforms are evaluated only at those entries
+    - **Frontier phase** (counter mode without noise, churn or beep
+      recording, once the live fraction is small): the state collapses
+      to the list of still-active ``(slot, vertex)`` entries.  Uniforms
+      are evaluated only at those entries
       (:func:`repro.beeping.rng.counter_uniforms_at` — bit-equal to the
-      corresponding block entries), and ``heard`` comes from scattering
-      the beeping entries' neighbour lists through one block-diagonal
-      CSR over the ``graphs * n``-vertex union.  Per-round cost then
-      scales with the surviving frontier instead of ``slots * n``, which
-      is where most of a figure cell's rounds live.
+      corresponding block entries), and ``heard`` is a test against the
+      beeping entries' neighbours: a scatter of their lists through one
+      block-diagonal CSR over the ``graphs * n``-vertex union, or, on the
+      bitboard backend, the OR of their rows in the stacked packed
+      adjacency (:func:`repro.engine.bitboard.packed_or_test`).  Per-round
+      cost then scales with the surviving frontier instead of
+      ``slots * n``, which is where most of a figure cell's rounds live.
 
-    Beep-loss/spurious-noise runs stay in the dense phase throughout
-    (noise keeps the whole tensor relevant); crash schedules work in both
-    phases.  Either way the observable outputs — round counts, MIS
-    membership, beep counts, crash sets — are bit-identical to
-    ``FleetSimulator(graphs[g]).run_fleet(..., rng_mode="counter")``
-    slot for slot, which the conformance suite enforces.
+    Crash schedules work in both phases.  Either way the observable
+    outputs — round counts, MIS membership, beep counts, crash sets — are
+    bit-identical to ``FleetSimulator(graphs[g]).run_fleet(...,
+    rng_mode="counter")`` slot for slot, which the conformance suite
+    enforces against the full-width (``frontier_entries=0``) reference.
     """
 
     def __init__(
@@ -641,7 +332,7 @@ class ArmadaSimulator:
         # Block-diagonal CSR over the graphs * n-vertex union, with
         # *local* column ids: the segment of super-vertex g*n + v holds
         # graph g's neighbour list of v.  Shared by the scatter paths of
-        # both backends.  Per-graph starts are unclamped (build_csr), so
+        # every backend.  Per-graph starts are unclamped (build_csr), so
         # a trailing isolated run's start lands on the next graph's first
         # segment — harmless, because its degree is 0 and expansion
         # repeats it zero times.
@@ -680,10 +371,18 @@ class ArmadaSimulator:
             self._flags32: Optional[np.ndarray] = None
             self._counts32: Optional[np.ndarray] = None
         elif backend == "bitboard":
-            # One packed kernel per graph; the dense-phase reductions
-            # loop over the (few) graph groups, and the frontier phase
-            # uses the shared block-diagonal CSR scatter unchanged.
-            self._kernels = [BitboardKernel(graph) for graph in self._graphs]
+            # Every graph's packed rows stacked as (graphs * n, lanes),
+            # packed straight from the block-diagonal CSR: row g*n + v is
+            # graph g's vertex v, like the super-vertices.  The frontier
+            # test reads the stack; the dense-phase reductions loop over
+            # per-graph kernels viewing their blocks.
+            self._packed = pack_neighbor_lists(
+                self._super_degrees, self._local_columns, n
+            )
+            self._kernels = [
+                BitboardKernel(self._packed[g * n:(g + 1) * n])
+                for g in range(num_graphs)
+            ]
         else:
             self._per_csr = per_graph
 
@@ -698,39 +397,52 @@ class ArmadaSimulator:
         return self._backend
 
     def _expand(self, rows_sel: np.ndarray, cols_sel: np.ndarray,
-                slot_base: np.ndarray):
+                slot_base: np.ndarray) -> np.ndarray:
         """Neighbour entries of the selected ``(slot row, vertex)`` pairs.
 
-        Returns ``(rows, columns)`` such that entry ``i`` says "vertex
-        ``columns[i]`` of slot ``rows[i]`` has a selected neighbour" —
-        the vectorised expansion of the block-diagonal CSR segments, one
-        ``repeat``/``cumsum`` pass, no Python loop.
+        Returns flat ``row * n + column`` positions in the ``(slots, n)``
+        tensors, one per "vertex ``column`` of slot ``row`` has a
+        selected neighbour" — the vectorised expansion of the
+        block-diagonal CSR segments, one ``repeat``/``cumsum`` pass, no
+        Python loop.  (Flat positions index a raveled view several times
+        faster than ``(rows, columns)`` pairs.)
         """
-        if rows_sel.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
         supervertices = slot_base[rows_sel] + cols_sel
         degrees = self._super_degrees[supervertices]
         total = int(degrees.sum())
         if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        rows = np.repeat(rows_sel, degrees)
+            return np.empty(0, dtype=np.int64)
         ends = np.cumsum(degrees)
-        flat = (
+        segment = (
             np.repeat(self._super_starts[supervertices] - (ends - degrees),
                       degrees)
             + np.arange(total, dtype=np.int64)
         )
-        return rows, self._local_columns[flat]
+        return np.repeat(rows_sel * self._n, degrees) + self._local_columns[
+            segment
+        ]
 
-    def _scatter_or(self, rows_sel: np.ndarray, cols_sel: np.ndarray,
-                    slot_base: np.ndarray, shape) -> np.ndarray:
-        """Boolean neighbour-OR of the selected entries, scattered."""
-        result = np.zeros(shape, dtype=bool)
-        rows, cols = self._expand(rows_sel, cols_sel, slot_base)
-        if rows.size:
-            result[rows, cols] = True
+    def _entry_or(self, source_rows: np.ndarray, source_cols: np.ndarray,
+                  rows: np.ndarray, cols: np.ndarray, slot_base: np.ndarray,
+                  buffer: np.ndarray) -> np.ndarray:
+        """Whether each ``(rows, cols)`` entry neighbours a source entry
+        of its slot row (the frontier phase's OR test).
+
+        Bitboard folds the sources' stacked packed rows; the other
+        backends scatter the sources' neighbour lists into the all-False
+        flat ``slots * n`` ``buffer``, gather at the entries, then
+        un-scatter so the buffer stays all-False (cheaper than a clear).
+        """
+        if self._backend == "bitboard":
+            return packed_or_test(
+                self._packed, source_rows,
+                slot_base[source_rows] + source_cols,
+                rows, cols, slot_base.size,
+            )
+        hits = self._expand(source_rows, source_cols, slot_base)
+        buffer[hits] = True
+        result = buffer[rows * self._n + cols]
+        buffer[hits] = False
         return result
 
     def _stage_f32(self, flags: np.ndarray, sizes: Sequence[int]):
@@ -765,7 +477,7 @@ class ArmadaSimulator:
         sizes: Sequence[int],
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Fault-free neighbour-OR over all slot rows, both backends."""
+        """Fault-free neighbour-OR over all slot rows, every backend."""
         num_graphs, n = len(self._graphs), self._n
         rows = flags.shape[0]
         if n == 0:
@@ -877,38 +589,41 @@ class ArmadaSimulator:
                 f"need one seed row per graph, got {len(seed_rows)} rows "
                 f"for {len(self._graphs)} graphs"
             )
-        if not getattr(rule, "trial_parallel", False):
-            raise ValueError(
-                f"rule {rule.name!r} is not trial-parallel; "
-                "lockstep engines need an elementwise, stateless rule"
-            )
-        churn_schedule = faults.churn_schedule
-        if churn_schedule.is_empty():
-            engine = self
-        else:
-            # Rebuild on the universe graphs (base + joiners, one shared
-            # schedule so the stacked vertex counts stay equal) for this
-            # run; churn runs are niche, so per-run construction beats
-            # complicating the cached block-diagonal structures.
-            engine = ArmadaSimulator(
-                [
-                    churn_schedule.universe_graph(graph)
-                    for graph in self._graphs
-                ],
-                max_rounds=self._max_rounds,
-                backend=self._backend,
-                frontier_entries=self._frontier_entries,
-            )
-        return engine._run_armada(rule, seed_rows, validate, faults)
+        return self._on_universe(faults)._lockstep(
+            rule, seed_rows, validate, faults, "counter", False
+        )
 
-    def _run_armada(
+    def _on_universe(self, faults: FaultModel) -> "ArmadaSimulator":
+        """This armada, or under churn one on the universe graphs (base +
+        joiners, one shared schedule so the stacked vertex counts stay
+        equal).  Churn runs are niche, so per-run construction beats
+        complicating the cached block-diagonal structures."""
+        schedule = faults.churn_schedule
+        if schedule.is_empty():
+            return self
+        return ArmadaSimulator(
+            [schedule.universe_graph(graph) for graph in self._graphs],
+            max_rounds=self._max_rounds,
+            backend=self._backend,
+            frontier_entries=self._frontier_entries,
+        )
+
+    def _lockstep(
         self,
         rule: ProbabilityRule,
         seed_rows: Sequence[Sequence[int]],
         validate: bool,
         faults: FaultModel,
+        rng_mode: str,
+        record_beeps: bool,
     ) -> List[FleetRun]:
-        """The block-diagonal loop; graphs are already the universes."""
+        """The probability-rule round loop; graphs are already the
+        universes (:meth:`_on_universe`)."""
+        if not getattr(rule, "trial_parallel", False):
+            raise ValueError(
+                f"rule {rule.name!r} is not trial-parallel; "
+                "lockstep engines need an elementwise, stateless rule"
+            )
         groups = [seed_array(row) for row in seed_rows]
         sizes = [int(group.size) for group in groups]
         if min(sizes) < 1:
@@ -917,9 +632,14 @@ class ArmadaSimulator:
         num_graphs = len(self._graphs)
         total = sum(sizes)
         seeds = np.concatenate(groups)
-        slot_base = np.repeat(
-            np.arange(num_graphs, dtype=np.int64) * n, sizes
+        counter = rng_mode == "counter"
+        generators = (
+            None
+            if counter
+            else stream_generators([seed for row in seed_rows for seed in row])
         )
+        slot_graph = np.repeat(np.arange(num_graphs, dtype=np.int64), sizes)
+        slot_base = slot_graph * n
         loss = faults.beep_loss_probability
         spurious = faults.spurious_beep_probability
         noisy = loss > 0.0 or spurious > 0.0
@@ -950,24 +670,39 @@ class ArmadaSimulator:
         ).astype(np.float64, copy=True)
         beeps = np.zeros((total, n), dtype=np.int64)
         rounds = np.zeros(total, dtype=np.int64)
-        # The persistent uniform buffers only matter for the live-row
-        # scatter of noisy runs; fault-free rounds use the fresh block.
-        uniforms = np.empty((total, n), dtype=np.float64) if noisy else None
+        # Persistent uniform buffers, one per enabled draw kind in the
+        # per-round draw order, for the live-row draws of noisy and stream
+        # runs; fault-free counter rounds use the fresh block instead.
         loss_uniforms = (
             np.empty((total, n), dtype=np.float64) if loss > 0.0 else None
         )
         spurious_uniforms = (
             np.empty((total, n), dtype=np.float64) if spurious > 0.0 else None
         )
+        draws = []
+        if noisy or not counter:
+            draws.append((DRAW_BEEP, np.empty((total, n), dtype=np.float64)))
+        if loss > 0.0:
+            draws.append((DRAW_LOSS, loss_uniforms))
+        if spurious > 0.0:
+            draws.append((DRAW_SPURIOUS, spurious_uniforms))
         beep = np.empty((total, n), dtype=bool)
         joined = np.empty((total, n), dtype=bool)
         scratch = np.empty((total, n), dtype=bool)
         heard_buf = np.empty((total, n), dtype=bool)
+        history = [] if record_beeps else None
         alive = active.any(axis=1)
         if has_churn:
             # No slot retires before the last event (shared schedule):
-            # quiescent slots keep executing through the quiet gaps.
+            # quiescent slots keep executing (and, in stream mode,
+            # drawing) through the quiet gaps.
             alive[:] = True
+        # The frontier needs stateless point reads (counter mode); whole
+        # tensors stay relevant under noise or beep recording, and churn
+        # repairs need the full-width quiescence bookkeeping.
+        frontier_ok = (
+            counter and not noisy and not has_churn and not record_beeps
+        )
         frontier_limit = self._frontier_entries
         if frontier_limit is None:
             frontier_limit = max(256, (total * n) // 3)
@@ -982,19 +717,16 @@ class ArmadaSimulator:
             if round_index >= self._max_rounds:
                 if has_churn:
                     # Graceful degradation: flag the slots still mid-
-                    # repair instead of raising.
+                    # repair instead of raising — each is still a valid
+                    # (possibly non-maximal) independent set.
                     recovered = ~alive
                     rounds[alive] = round_index
                     capped = True
                     break
                 raise RuntimeError(
-                    f"armada simulation exceeded {self._max_rounds} rounds"
+                    f"lockstep simulation exceeded {self._max_rounds} rounds"
                 )
-            if (
-                not noisy
-                and not has_churn
-                and np.count_nonzero(active) <= frontier_limit
-            ):
+            if frontier_ok and np.count_nonzero(active) <= frontier_limit:
                 break  # hand the tail to the frontier
             if has_churn and churn.apply_events(
                 round_index, active, membership, crashed,
@@ -1004,30 +736,36 @@ class ArmadaSimulator:
                 churn.record_quiescence(round_index, ~active.any(axis=1))
             crash = crash_masks.get(round_index)
             if crash is not None:
+                # Fail-stop at the start of the round: only still-active
+                # vertices crash; finished slots have all-False rows.
                 newly_crashed = active & crash
                 crashed |= newly_crashed
                 active &= ~newly_crashed
             if telemetry_on:
                 active_cells += int(np.count_nonzero(active))
-            if not noisy:
+            if not draws:
                 # Counter draws are pure per-slot functions, so dead rows
                 # may read fresh uniforms (their active mask is False);
                 # skipping the live-row gather saves two copies per round.
                 uniforms = counter_uniforms(seeds, round_index, DRAW_BEEP, n)
             else:
+                # Dead rows keep stale uniforms, but their active row is
+                # all-False so beep stays all-False there.
                 live = np.flatnonzero(alive)
-                live_seeds = seeds[live]
-                uniforms[live] = counter_uniforms(
-                    live_seeds, round_index, DRAW_BEEP, n
-                )
-                if loss > 0.0:
-                    loss_uniforms[live] = counter_uniforms(
-                        live_seeds, round_index, DRAW_LOSS, n
-                    )
-                if spurious > 0.0:
-                    spurious_uniforms[live] = counter_uniforms(
-                        live_seeds, round_index, DRAW_SPURIOUS, n
-                    )
+                if counter:
+                    live_seeds = seeds[live]
+                    for kind, buffer in draws:
+                        buffer[live] = counter_uniforms(
+                            live_seeds, round_index, kind, n
+                        )
+                else:
+                    # Ascending slot order, beep then loss then spurious
+                    # within a slot: each generator emits exactly its
+                    # one-seed run's stream.
+                    for t in live:
+                        for _, buffer in draws:
+                            buffer[t] = generators[t].random(n)
+                uniforms = draws[0][1]
             # Elementwise steps run through preallocated buffers (out=):
             # at dense-phase sizes the hidden page-touch cost of fresh
             # temporaries rivals the arithmetic itself.
@@ -1036,13 +774,23 @@ class ArmadaSimulator:
             if noisy:
                 counts = self._group_counts(beep, alive, sizes)
                 heard_true = counts > 0
-                # Finished slots on still-allocated rows keep stale fault
-                # uniforms; mask their heard bits like the fleet does.
+                # Finished slots keep stale fault uniforms; mask their
+                # heard bits off to keep the tensors clean.
                 heard = faulty_observation(
                     counts, loss, spurious, loss_uniforms, spurious_uniforms
                 ) & alive[:, None]
-            else:
+            elif counter or live.size == total:
                 heard_true = self._dense_or(beep, sizes, out=heard_buf)
+                heard = heard_true
+            else:
+                # Stream runs have no frontier tail: reduce only the
+                # live slot rows, so finished trials stop costing a GEMM.
+                heard_true = heard_buf
+                heard_true[:] = False
+                heard_true[live] = self._dense_or(
+                    beep[live],
+                    np.bincount(slot_graph[live], minlength=num_graphs),
+                )
                 heard = heard_true
             probabilities = rule.update(
                 probabilities, heard, active, round_index
@@ -1051,12 +799,14 @@ class ArmadaSimulator:
             np.logical_not(heard_true, out=scratch)
             np.logical_and(beep, scratch, out=joined)
             membership |= joined
-            joined_rows, joined_cols = np.nonzero(joined)
+            joined_rows, joined_cols = np.divmod(np.flatnonzero(joined), n)
             scratch[:] = False
-            rows, cols = self._expand(joined_rows, joined_cols, slot_base)
-            if rows.size:
-                scratch[rows, cols] = True
+            scratch.reshape(-1)[
+                self._expand(joined_rows, joined_cols, slot_base)
+            ] = True
             beeps += beep
+            if record_beeps:
+                history.append(beep.copy())
             joined |= scratch  # joined-or-neighbour: exactly the retirees
             np.logical_not(joined, out=scratch)
             active &= scratch
@@ -1073,7 +823,7 @@ class ArmadaSimulator:
         # ---------------- frontier phase ----------------
         dense_rounds = round_index
         if alive.any() and not capped:
-            entry_rows, entry_cols = np.nonzero(active)
+            entry_rows, entry_cols = np.divmod(np.flatnonzero(active), n)
             entry_p = probabilities[entry_rows, entry_cols]
             if telemetry_on:
                 probes.count("engine.armada.frontier_transitions")
@@ -1083,7 +833,10 @@ class ArmadaSimulator:
                 probes.gauge(
                     "engine.armada.frontier_entries", float(entry_rows.size)
                 )
-            heard_buffer = np.zeros((total, n), dtype=bool)
+            heard_buffer = np.zeros(total * n, dtype=bool)
+            # Raveled views: flat fancy indexing beats (row, col) pairs.
+            flat_beeps = beeps.reshape(-1)
+            flat_membership = membership.reshape(-1)
             true_entries = np.ones(0, dtype=bool)
             # Padded slot-row index for the staged-GEMM heard fallback:
             # slot row r of graph g maps to row g * width + (r - offset_g)
@@ -1118,7 +871,8 @@ class ArmadaSimulator:
             while entry_rows.size:
                 if round_index >= self._max_rounds:
                     raise RuntimeError(
-                        f"armada simulation exceeded {self._max_rounds} rounds"
+                        f"lockstep simulation exceeded {self._max_rounds} "
+                        "rounds"
                     )
                 crash = crash_masks.get(round_index)
                 if crash is not None:
@@ -1151,7 +905,7 @@ class ArmadaSimulator:
                 entry_beep = entry_uniforms < entry_p
                 beep_rows = entry_rows[entry_beep]
                 beep_cols = entry_cols[entry_beep]
-                beeps[beep_rows, beep_cols] += 1
+                flat_beeps[beep_rows * n + beep_cols] += 1
                 if (
                     self._backend == "dense"
                     and beep_rows.size * max(self._mean_degree, 1.0)
@@ -1162,7 +916,9 @@ class ArmadaSimulator:
                     # expanding their neighbour lists.
                     staged = self._flags32[: num_graphs * width]
                     staged[:] = 0.0
-                    staged[padded_row[beep_rows], beep_cols] = 1.0
+                    staged.reshape(-1)[
+                        padded_row[beep_rows] * n + beep_cols
+                    ] = 1.0
                     if (
                         self._counts32 is None
                         or self._counts32.shape[0] < num_graphs * width
@@ -1177,19 +933,16 @@ class ArmadaSimulator:
                         out=counts.reshape(num_graphs, width, n),
                     )
                     entry_heard = (
-                        counts[padded_row[entry_rows], entry_cols] > 0.0
+                        counts.reshape(-1)[
+                            padded_row[entry_rows] * n + entry_cols
+                        ]
+                        > 0.0
                     )
                 else:
-                    # Sparse beeps: scatter the beeping entries' neighbour
-                    # lists, gather back at the active entries, then
-                    # un-scatter so the buffer stays all-False (cheaper
-                    # than a full clear for large n).
-                    rows, cols = self._expand(beep_rows, beep_cols, slot_base)
-                    if rows.size:
-                        heard_buffer[rows, cols] = True
-                    entry_heard = heard_buffer[entry_rows, entry_cols]
-                    if rows.size:
-                        heard_buffer[rows, cols] = False
+                    entry_heard = self._entry_or(
+                        beep_rows, beep_cols, entry_rows, entry_cols,
+                        slot_base, heard_buffer,
+                    )
                 if true_entries.size < entry_rows.size:
                     true_entries = np.ones(entry_rows.size, dtype=bool)
                 entry_p = rule.update(
@@ -1201,13 +954,11 @@ class ArmadaSimulator:
                 entry_joined = entry_beep & ~entry_heard
                 joined_rows = entry_rows[entry_joined]
                 joined_cols = entry_cols[entry_joined]
-                membership[joined_rows, joined_cols] = True
-                rows, cols = self._expand(joined_rows, joined_cols, slot_base)
-                if rows.size:
-                    heard_buffer[rows, cols] = True
-                retired = entry_joined | heard_buffer[entry_rows, entry_cols]
-                if rows.size:
-                    heard_buffer[rows, cols] = False
+                flat_membership[joined_rows * n + joined_cols] = True
+                retired = entry_joined | self._entry_or(
+                    joined_rows, joined_cols, entry_rows, entry_cols,
+                    slot_base, heard_buffer,
+                )
                 keep = ~retired
                 entry_rows = entry_rows[keep]
                 entry_cols = entry_cols[keep]
@@ -1244,6 +995,10 @@ class ArmadaSimulator:
                     active_cells / (round_index * total * n),
                 )
         absent = churn.absent_mask() if has_churn else None
+        if record_beeps:
+            history = np.array(history, dtype=bool).reshape(
+                len(history), total, n
+            )
         runs: List[FleetRun] = []
         offset = 0
         for g, size in enumerate(sizes):
@@ -1255,6 +1010,9 @@ class ArmadaSimulator:
                 rounds=rounds[block].copy(),
                 membership=membership[block].copy(),
                 beeps_by_node=beeps[block].copy(),
+                beep_history=(
+                    history[:, block] if record_beeps else None
+                ),
                 crashed=(
                     crashed[block].copy() if crash_masks else None
                 ),

@@ -8,9 +8,9 @@ algebra:
 - ``heard``: the neighbour-OR of ``beep``;
 - ``joined = beep & ~heard``; neighbours of joiners retire.
 
-The round loops live in :mod:`repro.engine.fleet` (one trial is the
-one-seed fleet run) and :mod:`repro.engine.bitboard`; this module holds
-what they share: the one-trial result type :class:`EngineRun`, the noisy
+The probability-rule round loop lives in :mod:`repro.engine.fleet` (the
+armada's lockstep loop; the fleet is the one-graph armada and one trial
+the one-seed fleet run); this module holds what the engines share: the one-trial result type :class:`EngineRun`, the noisy
 observation :func:`faulty_observation`, the churn bookkeeping
 :class:`ChurnState`, and the ``rng_mode`` check.
 
@@ -62,10 +62,9 @@ def faulty_observation(
 ) -> np.ndarray:
     """The noisy ``heard`` booleans from beeping-neighbour counts.
 
-    Elementwise over any shape: the fleet and armada engines pass
-    ``(trials, n)`` matrices, and the bitboard engine
-    (:mod:`repro.engine.bitboard`) its popcount-derived counts on the
-    compacted live rows.  A listener with ``k`` beeping neighbours
+    Elementwise over any shape: the lockstep loop passes ``(slots, n)``
+    matrices, whichever backend produced the counts (GEMM, CSR or
+    popcount).  A listener with ``k`` beeping neighbours
     hears iff its loss uniform falls below ``1 - loss**k`` (at least one
     of ``k`` independent deliveries survives), then spurious uniforms
     add phantom beeps.  Every engine funnels through this one function

@@ -8,8 +8,9 @@ Two runners share the :class:`TrialOutcome` record:
   are grouped per graph, and in the default ``"counter"`` rng mode every
   same-size group runs inside **one** block-diagonal
   :class:`~repro.engine.fleet.ArmadaSimulator` batch (in ``"stream"``
-  mode, one lockstep :class:`~repro.engine.fleet.FleetSimulator` batch
-  per graph).
+  mode, or when the graphs' vertex counts differ, one
+  :class:`~repro.engine.fleet.FleetSimulator` batch per graph — the
+  one-graph armada, so both paths run the same lockstep loop).
 
 Both accept a :class:`~repro.beeping.faults.FaultModel` — robustness
 sweeps run on the fleet engine too (vectorised beep loss, spurious beeps
@@ -234,11 +235,11 @@ def run_fleet_trials(
     ``rng_mode`` defaults to ``"counter"`` — the sweep/figure hot path —
     where all same-``n`` groups execute as **one** block-diagonal
     :class:`~repro.engine.fleet.ArmadaSimulator` batch: a single lockstep
-    round-loop per call instead of one per graph.  ``"stream"`` keeps the
-    PR-3 per-graph :class:`~repro.engine.fleet.FleetSimulator` path and
-    its golden-trace-pinned byte streams.  Either way, group ``g`` /
-    trial ``t`` is bit-identical to the corresponding lone one-seed fleet
-    run in that mode.
+    round-loop per call instead of one per graph.  ``"stream"`` runs one
+    :class:`~repro.engine.fleet.FleetSimulator` (the one-graph armada)
+    per graph and keeps the golden-trace-pinned byte streams.  Either
+    way, group ``g`` / trial ``t`` is bit-identical to the corresponding
+    lone one-seed fleet run in that mode.
 
     ``backend`` picks the probability engines' neighbour-reduction
     kernel (``"auto"``, ``"dense"``, ``"sparse"`` or ``"bitboard"``) for

@@ -12,10 +12,13 @@ dense and sparse engines; this file attacks the primitives directly:
   the GEMM OR on random adjacencies — including graphs with isolated and
   trailing unconnected vertices, the shapes that broke the PR-2 CSR
   ``reduceat`` segmentation;
-- ``entry_or_test`` (the frontier-phase primitive) agrees with the
-  brute-force definition on random entry lists;
-- the runner ticks the backend's telemetry counters and transitions to
-  the entry-level frontier on small counter-mode fleets.
+- ``packed_or_test`` (the armada frontier's test on stacked per-graph
+  packed adjacencies, packed in one ``pack_neighbor_lists`` call as the
+  armada does) agrees with the brute-force definition on random entry
+  lists over 1-3 graphs with ragged slot rows;
+- a small counter-mode fleet ticks the backend counter and transitions
+  to the entry-level frontier once; stream and beep-recording runs never
+  do.
 """
 
 from __future__ import annotations
@@ -34,10 +37,13 @@ from repro.engine.bitboard import (
     lane_count,
     pack_adjacency,
     pack_bits,
+    pack_neighbor_lists,
+    packed_or_test,
     popcount,
     unpack_bits,
 )
 from repro.engine.fleet import FleetSimulator
+from repro.engine.sparse import build_csr
 from repro.engine.rules import FeedbackRule
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
@@ -116,7 +122,7 @@ class TestPackUnpack:
 
     def test_bit_layout_is_little_endian(self):
         """Flag ``v`` is bit ``v % 64`` of lane ``v // 64`` — the layout
-        pack_adjacency and entry_or_test address directly."""
+        pack_adjacency and packed_or_test address directly."""
         flags = np.zeros((1, 130), dtype=bool)
         flags[0, [0, 7, 64, 129]] = True
         packed = pack_bits(flags)
@@ -141,7 +147,7 @@ class TestKernelsMatchGemm:
         self, n, p, isolated, graph_seed, flag_seed, density
     ):
         graph = graph_with_tail(n, p, isolated, graph_seed)
-        kernel = BitboardKernel(graph)
+        kernel = BitboardKernel(pack_adjacency(graph))
         flags = random_flags(5, graph.num_vertices, flag_seed, density)
         assert np.array_equal(
             kernel.neighbor_counts(flags), gemm_counts(graph, flags)
@@ -162,7 +168,7 @@ class TestKernelsMatchGemm:
         self, n, p, isolated, graph_seed, flag_seed, density
     ):
         graph = graph_with_tail(n, p, isolated, graph_seed)
-        kernel = BitboardKernel(graph)
+        kernel = BitboardKernel(pack_adjacency(graph))
         flags = random_flags(5, graph.num_vertices, flag_seed, density)
         assert np.array_equal(
             kernel.neighbor_or(flags), gemm_counts(graph, flags) > 0
@@ -171,7 +177,7 @@ class TestKernelsMatchGemm:
     def test_gather_and_broadcast_paths_agree(self):
         """Both neighbor_or code paths on the same input, explicitly."""
         graph = gnp_random_graph(90, 0.2, Random(11))
-        kernel = BitboardKernel(graph)
+        kernel = BitboardKernel(pack_adjacency(graph))
         flags = random_flags(6, 90, 12, 0.5)
         assert np.array_equal(
             kernel.neighbor_or(flags), kernel._broadcast_or(flags)
@@ -190,7 +196,7 @@ class TestKernelsMatchGemm:
     def test_isolated_and_trailing_vertices(self, graph):
         """The PR-2 regression shapes: rows with no neighbours must stay
         all-zero instead of inheriting the previous segment's fold."""
-        kernel = BitboardKernel(graph)
+        kernel = BitboardKernel(pack_adjacency(graph))
         n = graph.num_vertices
         everyone = np.ones((2, n), dtype=bool)
         assert np.array_equal(
@@ -206,10 +212,10 @@ class TestKernelsMatchGemm:
         )
 
     def test_empty_shapes(self):
-        kernel = BitboardKernel(empty_graph(0))
+        kernel = BitboardKernel(pack_adjacency(empty_graph(0)))
         assert kernel.neighbor_or(np.zeros((4, 0), bool)).shape == (4, 0)
         assert kernel.neighbor_counts(np.zeros((4, 0), bool)).shape == (4, 0)
-        kernel = BitboardKernel(star_graph(3))
+        kernel = BitboardKernel(pack_adjacency(star_graph(3)))
         assert kernel.neighbor_or(np.zeros((0, 4), bool)).shape == (0, 4)
 
     def test_packed_adjacency_matches_matrix(self):
@@ -221,8 +227,8 @@ class TestKernelsMatchGemm:
         )
 
 
-class TestEntryOrTest:
-    """The frontier primitive vs. its brute-force definition."""
+class TestPackedOrTest:
+    """The armada frontier's stacked packed test vs. brute force."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -230,27 +236,44 @@ class TestEntryOrTest:
         p=st.floats(min_value=0.0, max_value=0.6),
         graph_seed=st.integers(min_value=0, max_value=2**31),
         entry_seed=st.integers(min_value=0, max_value=2**31),
-        rows=st.integers(min_value=1, max_value=6),
+        # Ragged seed rows: one slot-row count per stacked graph.
+        sizes=st.lists(
+            st.integers(min_value=1, max_value=4), min_size=1, max_size=3
+        ),
         source_density=st.floats(min_value=0.0, max_value=0.4),
         query_density=st.floats(min_value=0.0, max_value=0.6),
     )
     def test_matches_brute_force(
-        self, n, p, graph_seed, entry_seed, rows,
+        self, n, p, graph_seed, entry_seed, sizes,
         source_density, query_density,
     ):
-        graph = gnp_random_graph(n, p, Random(graph_seed))
-        kernel = BitboardKernel(graph)
-        source = random_flags(rows, n, entry_seed, source_density)
-        query = random_flags(rows, n, entry_seed + 1, query_density)
+        graphs = [
+            gnp_random_graph(n, p, Random(graph_seed + g))
+            for g in range(len(sizes))
+        ]
+        # Packed the way the armada packs its block-diagonal union: one
+        # pack_neighbor_lists call over the concatenated CSR lists.
+        csrs = [build_csr(g) for g in graphs]
+        degrees = [np.diff(np.append(s, c.size)) for c, s, _ in csrs]
+        stacked = pack_neighbor_lists(
+            np.concatenate(degrees),
+            np.concatenate([c for c, _, _ in csrs]),
+            n,
+        )
+        slot_graph = np.repeat(np.arange(len(sizes)), sizes)
+        slots = slot_graph.size
+        source = random_flags(slots, n, entry_seed, source_density)
+        query = random_flags(slots, n, entry_seed + 1, query_density)
         source_rows, source_cols = np.nonzero(source)
         query_rows, query_cols = np.nonzero(query)
-        got = kernel.entry_or_test(
-            source_rows, source_cols, query_rows, query_cols, rows
+        got = packed_or_test(
+            stacked, source_rows, slot_graph[source_rows] * n + source_cols,
+            query_rows, query_cols, slots,
         )
-        adjacency = graph.adjacency_matrix().astype(bool)
+        adjacency = [g.adjacency_matrix().astype(bool) for g in graphs]
         expected = np.array(
             [
-                bool(np.any(source[r] & adjacency[c]))
+                bool(np.any(source[r] & adjacency[slot_graph[r]][c]))
                 for r, c in zip(query_rows, query_cols)
             ],
             dtype=bool,
@@ -258,39 +281,45 @@ class TestEntryOrTest:
         assert np.array_equal(got, expected)
 
     def test_empty_entry_lists(self):
-        kernel = BitboardKernel(star_graph(4))
+        packed = pack_adjacency(star_graph(4))
         empty = np.array([], dtype=np.int64)
         some = np.array([0], dtype=np.int64)
-        assert kernel.entry_or_test(empty, empty, some, some, 2).tolist() == [
-            False
-        ]
-        assert kernel.entry_or_test(some, some, empty, empty, 2).size == 0
+        hits = packed_or_test(packed, empty, empty, some, some, 2)
+        assert hits.tolist() == [False]
+        assert packed_or_test(packed, some, some, empty, empty, 2).size == 0
 
 
-class TestRunnerTelemetry:
-    """The bitboard runner's probes: backend counter + frontier gauges."""
+class TestFrontierTelemetry:
+    """Which runs hand their tail to the armada's entry-level frontier."""
 
-    def test_backend_counter_and_frontier_transition(self):
+    def _run(self, **kwargs):
         graph = gnp_random_graph(30, 0.3, Random(9))
         simulator = FleetSimulator(graph, backend="bitboard")
         seeds = derive_seed_block(404, 0, 1, count=4)
         with capture() as collector:
-            simulator.run_fleet(FeedbackRule(), seeds, rng_mode="counter")
+            simulator.run_fleet(FeedbackRule(), seeds, **kwargs)
         assert collector.counters["engine.backend.bitboard"] == 1
-        assert collector.counters["engine.fleet.runs"] == 1
-        assert collector.counters["engine.fleet.trials"] == 4
+        assert collector.counters["engine.armada.runs"] == 1
+        assert collector.counters["engine.armada.trials"] == 4
+        return collector
+
+    def test_counter_fleet_transitions_once(self):
+        collector = self._run(rng_mode="counter")
         # 4 trials x 30 vertices fits the frontier budget immediately, so
         # the run must hand over to the entry-level tail exactly once.
-        assert collector.counters["engine.bitboard.frontier_transitions"] == 1
-        assert collector.gauges["engine.bitboard.frontier_entries"] > 0
+        assert collector.counters["engine.armada.frontier_transitions"] == 1
+        assert collector.gauges["engine.armada.frontier_entries"] > 0
 
-    def test_stream_mode_stays_full_width(self):
-        """Stream mode draws full-width uniform rows, so the frontier
-        tail (which draws per entry) must never engage."""
-        graph = gnp_random_graph(30, 0.3, Random(9))
-        simulator = FleetSimulator(graph, backend="bitboard")
-        seeds = derive_seed_block(404, 0, 1, count=4)
-        with capture() as collector:
-            simulator.run_fleet(FeedbackRule(), seeds, rng_mode="stream")
-        assert collector.counters["engine.backend.bitboard"] == 1
-        assert "engine.bitboard.frontier_transitions" not in collector.counters
+    @pytest.mark.parametrize(
+        "kwargs",
+        (
+            {"rng_mode": "stream"},
+            {"rng_mode": "counter", "record_beeps": True},
+        ),
+        ids=("stream", "record-beeps"),
+    )
+    def test_full_width_runs_never_transition(self, kwargs):
+        """Stream generators must keep emitting full rows, and beep
+        frames need the whole tensor: neither may reach the frontier."""
+        collector = self._run(**kwargs)
+        assert "engine.armada.frontier_transitions" not in collector.counters

@@ -168,7 +168,7 @@ class TestArmadaChurn:
         for graph, seeds, run in zip(graphs, seed_rows, armada):
             fleet = FleetSimulator(graph, backend=backend).run_fleet(
                 FeedbackRule(), seeds, validate=True, faults=faults,
-                rng_mode="counter",
+                rng_mode="counter", record_beeps=True,
             )
             for t in range(len(seeds)):
                 a, f = run.trial_run(t), fleet.trial_run(t)

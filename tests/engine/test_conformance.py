@@ -8,8 +8,8 @@ mode that hinges on a shared sequential draw order (beep uniforms, loss
 uniforms, spurious uniforms); in ``"counter"`` mode every uniform is a
 pure function of its counter, so the order is moot by construction.  A
 batched fleet run must also equal its seed-by-seed one-seed runs row for
-row — the lockstep schedule, the alive-mask and the bitboard backend's
-live-row compaction must never let trials touch each other.  The
+row — the lockstep schedule, the alive-mask and the counter-mode
+frontier tail must never let trials touch each other.  The
 agreement extends to fault-injected and churned runs and, in counter
 mode, to the block-diagonal armada batch.  The per-node reference engine
 consumes randomness differently, so it is held to MIS validity and
@@ -386,8 +386,8 @@ def test_batch_rows_equal_seed_by_seed_runs(
     trials,
 ):
     """Row ``t`` of one batched ``run_fleet(seeds)`` is exactly the lone
-    ``run_fleet([seeds[t]])``: lockstep, the alive-mask and live-row
-    compaction never let one trial's end leak into another's."""
+    ``run_fleet([seeds[t]])``: lockstep, the alive-mask and the frontier
+    tail never let one trial's end leak into another's."""
     graph = gnp_random_graph(n, edge_probability, Random(graph_seed))
     faults = _lockstep_faults(fault_kind, n)
     seeds = [
@@ -411,9 +411,47 @@ def test_batch_rows_equal_seed_by_seed_runs(
         assert row.recovered == lone.recovered, t
 
 
+@pytest.mark.parametrize("fault_kind", ("fault-free", "crash"))
+@pytest.mark.parametrize("backend", ("dense", "sparse", "bitboard"))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    # Up to 8 x 60 = 480 entries: past the 256-entry frontier floor, so
+    # some runs hand over mid-run and small ones start in the frontier.
+    n=st.integers(min_value=3, max_value=60),
+    edge_probability=st.floats(min_value=0.0, max_value=1.0),
+    graph_seed=st.integers(min_value=0, max_value=2**31),
+    master_seed=st.integers(min_value=0, max_value=2**31),
+    trials=st.integers(min_value=1, max_value=8),
+)
+def test_frontier_tail_equals_full_width_rounds(
+    backend, fault_kind, n, edge_probability, graph_seed, master_seed, trials,
+):
+    """A counter-mode fleet's frontier tail is invisible: the same run
+    with ``record_beeps=True`` (which keeps every round full width)
+    agrees row for row."""
+    graph = gnp_random_graph(n, edge_probability, Random(graph_seed))
+    faults = _lockstep_faults(fault_kind, n)
+    seeds = derive_seed_block(master_seed, 0, count=trials)
+    simulator = FleetSimulator(graph, backend=backend)
+    runs = [
+        simulator.run_fleet(
+            FeedbackRule(), seeds, validate=True, faults=faults,
+            rng_mode="counter", record_beeps=record,
+        )
+        for record in (False, True)
+    ]
+    tail, full = runs
+    assert np.array_equal(tail.rounds, full.rounds)
+    assert np.array_equal(tail.membership, full.membership)
+    assert np.array_equal(tail.beeps_by_node, full.beeps_by_node)
+    for t in range(trials):
+        assert tail.crashed_set(t) == full.crashed_set(t), t
+
+
 class TestArmadaConformance:
-    """The block-diagonal armada batch is bit-identical to the per-graph
-    counter-mode fleet runs it replaces."""
+    """The block-diagonal armada batch (frontier tail included) is
+    bit-identical to the per-graph full-width counter-mode fleet runs it
+    replaces."""
 
     @pytest.mark.parametrize("rule_name", ("feedback", "afek-sweep"))
     @pytest.mark.parametrize("backend", ("dense", "sparse", "bitboard"))
@@ -441,9 +479,10 @@ class TestArmadaConformance:
             faults=faults,
         )
         for graph, row, run in zip(graphs, seed_rows, runs):
+            # Beep recording keeps the reference full width: no frontier.
             lone = FleetSimulator(graph, backend=backend).run_fleet(
                 make_rule(rule_name, graph), row, validate=True,
-                faults=faults, rng_mode="counter",
+                faults=faults, rng_mode="counter", record_beeps=True,
             )
             assert np.array_equal(run.rounds, lone.rounds)
             assert np.array_equal(run.membership, lone.membership)

@@ -217,7 +217,9 @@ class TestArmadaSimulator:
             assert run.membership.shape == (run.trials, 15)
 
     def test_single_graph_armada_equals_fleet(self):
-        """The degenerate one-graph armada is just a counter-mode fleet."""
+        """The degenerate one-graph armada (frontier tail) equals a
+        full-width counter-mode fleet run (beep recording keeps every
+        round full width)."""
         from repro.engine.fleet import ArmadaSimulator
 
         graph = self._graphs(count=1)[0]
@@ -226,7 +228,7 @@ class TestArmadaSimulator:
             FeedbackRule(), [seeds]
         )[0]
         fleet_run = FleetSimulator(graph).run_fleet(
-            FeedbackRule(), seeds, rng_mode="counter"
+            FeedbackRule(), seeds, rng_mode="counter", record_beeps=True
         )
         assert np.array_equal(armada_run.rounds, fleet_run.rounds)
         assert np.array_equal(armada_run.membership, fleet_run.membership)

@@ -67,7 +67,7 @@ def reference_oracle(cell):
 class TestBitIdenticalToSequential:
     """ISSUE acceptance: orchestrator(jobs>=2) == run_trials/run_fleet_trials."""
 
-    def test_fleet_cell_matches_run_fleet_trials(self, tmp_path):
+    def test_fleet_cell_matches_runner(self, tmp_path):
         spec = SweepSpec((FLEET_CELL,), shard_trials=4)  # 3 shards
         result = run_sweep(spec, store=ResultStore(tmp_path), jobs=2)
         assert result.rows(FLEET_CELL) == fleet_oracle(FLEET_CELL)
@@ -126,7 +126,7 @@ class TestBitIdenticalToSequential:
         if rng_mode == "stream":
             assert result.rows(cell) != fleet_oracle(FLEET_CELL)
 
-    def test_faulted_fleet_cell_matches_run_fleet_trials(self, tmp_path):
+    def test_faulted_fleet_cell_matches_runner(self, tmp_path):
         """ISSUE 3 acceptance: fault-injected fleet cells shard exactly."""
         cell = CellSpec(
             algorithm="feedback",

@@ -58,7 +58,7 @@ class TestRunsTable:
 
     def test_runs_without_sweeps_have_no_hit_rate(self, tmp_path):
         with record_run(tmp_path, "color"):
-            probes.count("engine.fleet.runs")
+            probes.count("engine.armada.runs")
         (run,) = load_runs(tmp_path)
         assert run.cache_hit_rate is None
         assert "-" in runs_table([run])

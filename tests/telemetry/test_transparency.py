@@ -129,7 +129,7 @@ class TestGoldenTraceWithProbesEnabled:
         assert run.rounds.tolist() == GOLDEN_ROUNDS
         assert [sorted(run.mis_set(t)) for t in range(2)] == GOLDEN_MIS
         assert run.beeps_by_node.tolist() == GOLDEN_BEEPS
-        assert collector.counters["engine.fleet.runs"] == 1.0
+        assert collector.counters["engine.armada.runs"] == 1.0
 
 
 class TestSweepBitIdentical:
