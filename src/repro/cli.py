@@ -44,6 +44,7 @@ from repro.telemetry import Collector, capture, record_run
 
 from repro.algorithms.registry import available_algorithms, make_algorithm
 from repro.beeping.rng import derive_seed, spawn_rng
+from repro.engine.sparse import BACKENDS
 from repro.experiments.figures import figure3_series, figure5_series
 from repro.experiments.lower_bound import theorem1_experiment
 from repro.experiments.records import results_to_csv
@@ -181,9 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fleet engine: independent graphs per cell",
     )
     sweep.add_argument(
-        "--backend", choices=("auto", "dense", "sparse", "bitboard"),
-        default="auto",
-        help="fleet neighbour-reduction kernel; pure execution strategy, "
+        "--backend", choices=BACKENDS, default="auto",
+        help="engine neighbour-reduction kernel; pure execution strategy, "
         "rows are bit-identical across backends",
     )
     sweep.add_argument(

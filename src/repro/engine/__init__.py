@@ -9,24 +9,21 @@ implementing the same two-exchange round semantics:
 **Fleet** (:class:`FleetSimulator`)
     All ``trials`` independent runs of one graph in lockstep as
     ``(trials, n)`` tensors: one batched float32 GEMM (``"dense"``
-    backend), one CSR ``reduceat`` pass (``"sparse"`` backend — a round
-    costs O(n + m), reaching n = 50,000 at mean degree 8), or one packed
-    ``uint64`` AND/OR pass (``"bitboard"`` backend,
-    :class:`BitboardKernel`) per round serves the whole batch, and
-    finished trials drop out through an alive-mask.  The fleet is the
+    backend) or one CSR ``reduceat`` pass (``"sparse"`` backend — a round
+    costs O(n + m), reaching n = 50,000 at mean degree 8) per round
+    serves the whole batch, and finished trials drop out through an
+    alive-mask.  The fleet is the
     one-graph armada below — one loop serves both — and one trial is the
     one-seed fleet:
     ``run_fleet(rule, [seed]).trial_run(0)`` returns its
     :class:`EngineRun`.  ``benchmarks/bench_fleet_speedup.py`` records
-    the batch's margin over a seed-by-seed loop and
-    ``benchmarks/bench_bitboard_fleet.py`` the bitboard margin over the
-    dense backend.
+    the batch's margin over a seed-by-seed loop.
 
 **Armada** (:class:`ArmadaSimulator`)
     The fleet lifted one dimension: every same-``n`` graph group of one
     experiment cell in a single ``(trials, graphs * n)`` block-diagonal
-    batch — one batched GEMM, per-graph CSR ``reduceat`` or packed pass
-    per round for the *whole cell*, with an entry-level frontier tail in
+    batch — one batched GEMM or per-graph CSR ``reduceat`` pass per
+    round for the *whole cell*, with an entry-level frontier tail in
     fault-free counter runs.  ``run_armada`` is counter rng mode only;
     ``benchmarks/bench_counter_rng.py`` records the margin over the
     per-graph stream path.
@@ -37,7 +34,8 @@ implementing the same two-exchange round semantics:
     two variants, Métivier et al., local-minimum-id): a
     :class:`MessageRule` expresses each round as a masked
     neighbour-minimum priority contest, run on the dense full-adjacency
-    sweep or the CSR ``minimum.reduceat`` pass, counter rng mode only.
+    sweep or the CSR ``minimum.reduceat`` pass, counter rng mode only;
+    the fleet is the one-graph armada.
     ``benchmarks/bench_message_fleet.py`` records the margin over the
     per-node loop; see :mod:`repro.engine.messages` and
     ``docs/algorithms.md``.
@@ -48,9 +46,9 @@ implementing the same two-exchange round semantics:
     on the array-built line graph, independent dominating sets and
     (α, α−1)-ruling sets on vectorised graph powers — as
     :class:`ApplicationRule` reductions on the same lockstep fabric,
-    counter rng mode only.  They are conformance-locked bit for bit
-    against the per-node reductions in :mod:`repro.applications` through
-    the :class:`EngineMIS` adapter;
+    counter rng mode only, the fleet again the one-graph armada.  They
+    are conformance-locked bit for bit against the per-node reductions
+    in :mod:`repro.applications` through the :class:`EngineMIS` adapter;
     ``benchmarks/bench_application_fleet.py`` records the margin over the
     per-node peeling loop; see :mod:`repro.engine.applications`.
 
@@ -82,7 +80,6 @@ from repro.engine.rules import (
     SweepRule,
 )
 from repro.engine.simulator import EngineRun
-from repro.engine.bitboard import BitboardKernel
 from repro.engine.fleet import ArmadaSimulator, FleetRun, FleetSimulator
 from repro.engine.messages import (
     LocalMinimumRule,
@@ -116,7 +113,6 @@ __all__ = [
     "ApplicationRule",
     "ArmadaSimulator",
     "BatchResult",
-    "BitboardKernel",
     "ColoringRule",
     "DominatingSetRule",
     "EngineMIS",

@@ -76,10 +76,10 @@ from repro.beeping.rng import (
 )
 from repro.beeping.events import Trace
 from repro.engine.fleet import FleetSimulator
-from repro.engine.messages import _MessageKernel, _resolve_backend
+from repro.engine.messages import _MessageKernel
 from repro.engine.rules import FeedbackRule
 from repro.engine.simulator import DEFAULT_MAX_ROUNDS
-from repro.engine.sparse import build_csr
+from repro.engine.sparse import build_csr, csr_to_dense, resolve_backend
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis
 from repro.telemetry import probes
@@ -150,7 +150,8 @@ def graph_power_matrix(graph: Graph, k: int) -> Graph:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = graph.num_vertices
-    adjacency = graph.adjacency_matrix()
+    columns, starts, _ = build_csr(graph)
+    adjacency = csr_to_dense(columns, starts, np.zeros((n, n), dtype=bool))
     reach = adjacency.copy()
     step = adjacency.astype(np.float32)
     for _ in range(k - 1):
@@ -397,7 +398,7 @@ def _run_application_lockstep(
     """The shared outer (layer) and inner (round) loops over the batch.
 
     ``blocks`` assigns contiguous row ranges to per-host-graph kernels
-    (one block for a fleet run, one per graph for an armada batch).
+    (one block per armada graph).
     Every layer reruns the counter-mode feedback-MIS round loop of
     :class:`~repro.engine.fleet.FleetSimulator` with two twists that keep
     it bit-compatible with the per-node reduction over induced
@@ -511,12 +512,13 @@ def _run_application_lockstep(
 class ApplicationFleetSimulator:
     """All trials of one application rule on one graph, in lockstep.
 
-    The application sibling of
-    :class:`~repro.engine.fleet.FleetSimulator`: builds the rule's host
-    graph once, then ``run_fleet`` advances a ``(trials, n_host)`` batch
-    of complete reductions.  Counter rng mode only; trial ``t`` is a pure
-    function of ``seeds[t]``, so any sub-batch equals the matching rows
-    of the full batch bit for bit.
+    The one-graph :class:`ApplicationArmadaSimulator` (the application
+    sibling of :class:`~repro.engine.fleet.FleetSimulator`): builds the
+    rule's host graph once, then ``run_fleet`` advances a
+    ``(trials, n_host)`` batch of complete reductions through the
+    armada's loop.  Counter rng mode only; trial ``t`` is a pure function
+    of ``seeds[t]``, so any sub-batch equals the matching rows of the
+    full batch bit for bit.
     """
 
     def __init__(
@@ -526,68 +528,37 @@ class ApplicationFleetSimulator:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         backend: str = "auto",
     ) -> None:
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if not isinstance(rule, ApplicationRule):
-            raise TypeError(
-                f"need an ApplicationRule, got {type(rule).__name__!r}"
-            )
-        self._graph = graph
-        self._rule = rule
-        self._host = rule.host(graph)
-        self._max_rounds = max_rounds
-        self._backend = _resolve_backend(
-            backend, 1, self._host.num_vertices
+        self._armada = ApplicationArmadaSimulator(
+            [graph], rule, max_rounds, backend
         )
-        self._kernel = _MessageKernel(self._host, self._backend)
 
     @property
     def graph(self) -> Graph:
         """The input graph the application is computed for."""
-        return self._graph
+        return self._armada.graphs[0]
 
     @property
     def host(self) -> Graph:
         """The host graph the inner MIS layers beep on."""
-        return self._host
+        return self._armada.hosts[0]
 
     @property
     def rule(self) -> ApplicationRule:
         """The application rule."""
-        return self._rule
+        return self._armada.rule
 
     @property
     def backend(self) -> str:
         """The resolved backend, ``"dense"`` or ``"sparse"``."""
-        return self._backend
+        return self._armada.backend
 
     def run_fleet(
         self, seeds: Sequence[int], validate: bool = False
     ) -> ApplicationFleetRun:
         """Run one complete reduction per seed, all in lockstep."""
-        seed_row = seed_array(seeds)
-        if seed_row.size < 1:
+        if len(seeds) < 1:
             raise ValueError("need at least one seed")
-        rounds, layers, colors, beeps = _run_application_lockstep(
-            self._rule,
-            seed_row,
-            [(self._kernel, slice(0, int(seed_row.size)))],
-            self._host.num_vertices,
-            self._max_rounds,
-        )
-        run = ApplicationFleetRun(
-            rule_name=self._rule.name,
-            num_vertices=self._host.num_vertices,
-            trials=int(seed_row.size),
-            rounds=rounds,
-            layers=layers,
-            colors=colors,
-            beeps_by_node=beeps,
-        )
-        if validate:
-            for trial in range(run.trials):
-                self._rule.verify(self._graph, self._host, run, trial)
-        return run
+        return self._armada.run_armada([seeds], validate)[0]
 
 
 class ApplicationArmadaSimulator:
@@ -632,7 +603,7 @@ class ApplicationArmadaSimulator:
                 )
         self._n = n
         self._max_rounds = max_rounds
-        self._backend = _resolve_backend(backend, len(graphs), n)
+        self._backend = resolve_backend(backend, len(graphs), n)
         self._kernels = [
             _MessageKernel(host, self._backend) for host in self._hosts
         ]
@@ -646,6 +617,11 @@ class ApplicationArmadaSimulator:
     def hosts(self) -> Sequence[Graph]:
         """The per-graph host graphs, in slot order."""
         return tuple(self._hosts)
+
+    @property
+    def rule(self) -> ApplicationRule:
+        """The application rule."""
+        return self._rule
 
     @property
     def backend(self) -> str:

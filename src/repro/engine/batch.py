@@ -8,8 +8,8 @@ master seed alone.
 
 All trials advance in lockstep as ``(trials, n)`` tensors on the
 :class:`~repro.engine.fleet.FleetSimulator` — the one-graph armada, so
-one batched matmul, CSR ``reduceat`` or packed bitboard pass per round
-serves the whole batch, and fault-free counter runs finish on the
+one batched matmul or CSR ``reduceat`` pass per round serves the whole
+batch, and fault-free counter runs finish on the
 armada's entry-level frontier tail.
 Trial ``t`` is seeded with ``derive_seed(master_seed, graph_index,
 trial)``, so it equals the one-seed fleet run on that seed bit for bit.
@@ -111,9 +111,9 @@ def run_batch(
     ``rule_factory`` is called once; the one instance drives every
     trial, so the rule must be ``trial_parallel``.  ``graph_index``
     namespaces the seed derivation when one experiment uses several
-    graphs under the same master seed.  ``backend`` selects the fleet's
-    neighbour-reduction kernel (``"auto"``, ``"dense"``, ``"sparse"`` or
-    ``"bitboard"``; :class:`~repro.engine.fleet.FleetSimulator`) — pure
+    graphs under the same master seed.  ``backend`` selects every
+    engine's neighbour-reduction kernel (``"auto"``, ``"dense"`` or
+    ``"sparse"``; :func:`~repro.engine.sparse.resolve_backend`) — pure
     execution strategy, bit-identical results.  ``rng_mode`` *does*
     affect results: the two disciplines draw different uniforms.
     """
@@ -123,15 +123,15 @@ def run_batch(
     seeds = derive_seed_block(master_seed, graph_index, count=trials)
     if isinstance(rule, MessageRule):
         check_message_run(rule, faults, rng_mode)
-        run = MessageFleetSimulator(graph, max_rounds=max_rounds).run_fleet(
-            rule, seeds, validate=validate
-        )
+        run = MessageFleetSimulator(
+            graph, max_rounds=max_rounds, backend=backend
+        ).run_fleet(rule, seeds, validate=validate)
         # Message algorithms do not beep.
         mean_beeps = np.zeros(trials, dtype=np.float64)
     elif isinstance(rule, ApplicationRule):
         check_application_run(rule, faults, rng_mode)
         run = ApplicationFleetSimulator(
-            graph, rule, max_rounds=max_rounds
+            graph, rule, max_rounds=max_rounds, backend=backend
         ).run_fleet(seeds, validate=validate)
         # Beeps per *host* vertex (line-graph vertices for matching);
         # rounds sum the beeping rounds over every MIS layer.

@@ -7,10 +7,9 @@ tensor, and a round advances all of them at once —
 
 - ``beep = active & (U < P)`` with one fresh uniform row per live slot;
 - ``heard``: one batched float32 GEMM against the ``(graphs, n, n)``
-  adjacency stack (``"dense"`` backend), one CSR ``add.reduceat`` pass per
-  graph (``"sparse"``), or one packed ``uint64`` AND/OR pass per graph
-  (``"bitboard"``, :mod:`repro.engine.bitboard`) — a backend supplies the
-  two neighbour reductions (OR and counts) and nothing else;
+  adjacency stack (``"dense"`` backend) or one CSR ``add.reduceat`` pass
+  per graph (``"sparse"``) — a backend supplies the two neighbour
+  reductions (OR and counts) and nothing else;
 - per-slot early exit through an alive-mask: finished slots stop drawing
   and their round counts freeze (stream runs also drop them from the
   OR; counter runs hand their tail to the frontier instead).
@@ -79,11 +78,6 @@ from repro.beeping.rng import (
     seed_array,
     stream_generators,
 )
-from repro.engine.bitboard import (
-    BitboardKernel,
-    pack_neighbor_lists,
-    packed_or_test,
-)
 from repro.engine.rules import ProbabilityRule
 from repro.engine.simulator import (
     DEFAULT_MAX_ROUNDS,
@@ -92,14 +86,15 @@ from repro.engine.simulator import (
     check_rng_mode,
     faulty_observation,
 )
-from repro.engine.sparse import build_csr, csr_row_counts
+from repro.engine.sparse import (
+    build_csr,
+    csr_row_counts,
+    csr_to_dense,
+    resolve_backend,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis
 from repro.telemetry import probes
-
-#: Largest vertex count for which the ``auto`` backend picks the dense
-#: (float32 GEMM) path; a 4096^2 float32 adjacency is 64 MB.
-DENSE_VERTEX_LIMIT = 4096
 
 
 @dataclass
@@ -191,12 +186,9 @@ class FleetSimulator:
       small integers) and BLAS-fast; memory is the n x n adjacency.
     - ``"sparse"``: gather + ``add.reduceat`` over CSR neighbour lists,
       O(trials * (n + m)) per round; the large-sparse-graph path.
-    - ``"bitboard"``: flags and adjacency rows packed into ``uint64``
-      lanes; the OR is bitwise AND/OR over the packed rows and counts
-      come from ``popcount`` (:mod:`repro.engine.bitboard`).  Opt-in; it
-      wins or ties dense at figure sizes with a 32x smaller operand.
-    - ``"auto"`` (default): dense up to :data:`DENSE_VERTEX_LIMIT` vertices,
-      sparse beyond.
+    - ``"auto"`` (default): dense up to
+      :data:`~repro.engine.sparse.DENSE_VERTEX_LIMIT` vertices, sparse
+      beyond (:func:`~repro.engine.sparse.resolve_backend`).
 
     All backends produce identical booleans, so backend choice never
     changes results — only speed and memory.
@@ -218,7 +210,7 @@ class FleetSimulator:
 
     @property
     def backend(self) -> str:
-        """The resolved backend: ``"dense"``, ``"sparse"`` or ``"bitboard"``."""
+        """The resolved backend, ``"dense"`` or ``"sparse"``."""
         return self._armada.backend
 
     def run_fleet(
@@ -266,10 +258,9 @@ class ArmadaSimulator:
 
     - **Dense phase** (early rounds, most vertices active): the
       one-bit OR observation is one *batched* float32 GEMM against the
-      ``(graphs, n, n)`` adjacency stack (``"dense"`` backend), a
-      per-graph CSR ``add.reduceat`` pass (``"sparse"`` backend), or a
-      per-graph packed AND/OR over ``uint64`` bitboard rows
-      (``"bitboard"`` backend) — exact in all cases.
+      ``(graphs, n, n)`` adjacency stack (``"dense"`` backend) or a
+      per-graph CSR ``add.reduceat`` pass (``"sparse"`` backend) — exact
+      in both cases.
     - **Frontier phase** (counter mode without noise, churn or beep
       recording, once the live fraction is small): the state collapses
       to the list of still-active ``(slot, vertex)`` entries.  Uniforms
@@ -277,9 +268,7 @@ class ArmadaSimulator:
       (:func:`repro.beeping.rng.counter_uniforms_at` — bit-equal to the
       corresponding block entries), and ``heard`` is a test against the
       beeping entries' neighbours: a scatter of their lists through one
-      block-diagonal CSR over the ``graphs * n``-vertex union, or, on the
-      bitboard backend, the OR of their rows in the stacked packed
-      adjacency (:func:`repro.engine.bitboard.packed_or_test`).  Per-round
+      block-diagonal CSR over the ``graphs * n``-vertex union.  Per-round
       cost then scales with the surviving frontier instead of
       ``slots * n``, which is where most of a figure cell's rounds live.
 
@@ -301,11 +290,6 @@ class ArmadaSimulator:
             raise ValueError("need at least one graph")
         if max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if backend not in ("auto", "dense", "sparse", "bitboard"):
-            raise ValueError(
-                "backend must be 'auto', 'dense', 'sparse' or 'bitboard', "
-                f"got {backend!r}"
-            )
         if frontier_entries is not None and frontier_entries < 0:
             raise ValueError(
                 f"frontier_entries must be >= 0, got {frontier_entries}"
@@ -322,17 +306,11 @@ class ArmadaSimulator:
         self._max_rounds = max_rounds
         self._frontier_entries = frontier_entries
         num_graphs = len(self._graphs)
-        if backend == "auto":
-            backend = (
-                "dense"
-                if num_graphs * n * n <= DENSE_VERTEX_LIMIT ** 2
-                else "sparse"
-            )
-        self._backend = backend
+        self._backend = resolve_backend(backend, num_graphs, n)
         # Block-diagonal CSR over the graphs * n-vertex union, with
         # *local* column ids: the segment of super-vertex g*n + v holds
         # graph g's neighbour list of v.  Shared by the scatter paths of
-        # every backend.  Per-graph starts are unclamped (build_csr), so
+        # both backends.  Per-graph starts are unclamped (build_csr), so
         # a trailing isolated run's start lands on the next graph's first
         # segment — harmless, because its degree is 0 and expansion
         # repeats it zero times.
@@ -357,32 +335,14 @@ class ArmadaSimulator:
         self._mean_degree = (
             float(self._super_degrees.mean()) if self._super_degrees.size else 0.0
         )
-        if backend == "dense":
-            # Build the float32 stack straight from the CSR segments (one
-            # vectorised scatter per graph) instead of paying the Python
-            # edge loop of Graph.adjacency_matrix per graph.
+        if self._backend == "dense":
             self._adjacency = np.zeros(
                 (num_graphs, n, n), dtype=np.float32
             )
             for g, (columns, starts, _) in enumerate(per_graph):
-                degrees = np.diff(np.append(starts, columns.size))
-                rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-                self._adjacency[g].reshape(-1)[rows * n + columns] = 1.0
+                csr_to_dense(columns, starts, self._adjacency[g])
             self._flags32: Optional[np.ndarray] = None
             self._counts32: Optional[np.ndarray] = None
-        elif backend == "bitboard":
-            # Every graph's packed rows stacked as (graphs * n, lanes),
-            # packed straight from the block-diagonal CSR: row g*n + v is
-            # graph g's vertex v, like the super-vertices.  The frontier
-            # test reads the stack; the dense-phase reductions loop over
-            # per-graph kernels viewing their blocks.
-            self._packed = pack_neighbor_lists(
-                self._super_degrees, self._local_columns, n
-            )
-            self._kernels = [
-                BitboardKernel(self._packed[g * n:(g + 1) * n])
-                for g in range(num_graphs)
-            ]
         else:
             self._per_csr = per_graph
 
@@ -393,7 +353,7 @@ class ArmadaSimulator:
 
     @property
     def backend(self) -> str:
-        """The resolved backend: ``"dense"``, ``"sparse"`` or ``"bitboard"``."""
+        """The resolved backend, ``"dense"`` or ``"sparse"``."""
         return self._backend
 
     def _expand(self, rows_sel: np.ndarray, cols_sel: np.ndarray,
@@ -428,17 +388,10 @@ class ArmadaSimulator:
         """Whether each ``(rows, cols)`` entry neighbours a source entry
         of its slot row (the frontier phase's OR test).
 
-        Bitboard folds the sources' stacked packed rows; the other
-        backends scatter the sources' neighbour lists into the all-False
-        flat ``slots * n`` ``buffer``, gather at the entries, then
-        un-scatter so the buffer stays all-False (cheaper than a clear).
+        Scatters the sources' neighbour lists into the all-False flat
+        ``slots * n`` ``buffer``, gathers at the entries, then
+        un-scatters so the buffer stays all-False (cheaper than a clear).
         """
-        if self._backend == "bitboard":
-            return packed_or_test(
-                self._packed, source_rows,
-                slot_base[source_rows] + source_cols,
-                rows, cols, slot_base.size,
-            )
         hits = self._expand(source_rows, source_cols, slot_base)
         buffer[hits] = True
         result = buffer[rows * self._n + cols]
@@ -477,21 +430,11 @@ class ArmadaSimulator:
         sizes: Sequence[int],
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Fault-free neighbour-OR over all slot rows, every backend."""
+        """Fault-free neighbour-OR over all slot rows, both backends."""
         num_graphs, n = len(self._graphs), self._n
         rows = flags.shape[0]
         if n == 0:
             return np.zeros((rows, 0), dtype=bool)
-        if self._backend == "bitboard":
-            if out is None:
-                out = np.empty((rows, n), dtype=bool)
-            offset = 0
-            for g, size in enumerate(sizes):
-                out[offset:offset + size] = self._kernels[g].neighbor_or(
-                    flags[offset:offset + size]
-                )
-                offset += size
-            return out
         if self._backend == "dense":
             staged, equal = self._stage_f32(flags, sizes)
             width = max(sizes)
@@ -558,8 +501,6 @@ class ArmadaSimulator:
                 staged = self._flags32[: sub.shape[0]]
                 np.copyto(staged, sub)
                 block_counts = (staged @ self._adjacency[g]).astype(np.int64)
-            elif self._backend == "bitboard":
-                block_counts = self._kernels[g].neighbor_counts(sub)
             else:
                 columns, starts, isolated = self._per_csr[g]
                 block_counts = csr_row_counts(sub, columns, starts, isolated)

@@ -84,9 +84,13 @@ from repro.beeping.rng import (
     counter_values,
     seed_array,
 )
-from repro.engine.fleet import DENSE_VERTEX_LIMIT
 from repro.engine.simulator import DEFAULT_MAX_ROUNDS
-from repro.engine.sparse import build_csr, csr_row_counts
+from repro.engine.sparse import (
+    build_csr,
+    csr_row_counts,
+    csr_to_dense,
+    resolve_backend,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis
 from repro.telemetry import probes
@@ -339,7 +343,10 @@ class _MessageKernel:
         self._backend = backend
         self._columns, self._starts, self._isolated = build_csr(graph)
         if backend == "dense":
-            self._adjacency_bool = graph.adjacency_matrix().astype(bool)
+            self._adjacency_bool = csr_to_dense(
+                self._columns, self._starts,
+                np.zeros((self._n, self._n), dtype=bool),
+            )
             self._adjacency_f32 = self._adjacency_bool.astype(np.float32)
         self._edge_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -438,9 +445,9 @@ def _run_message_lockstep(
     """The shared round loop over ``(rows, n)`` lockstep tensors.
 
     ``blocks`` assigns contiguous row ranges to per-graph kernels (one
-    block for a fleet run, one per graph for an armada batch); the
-    reductions are block-diagonal by construction, so every row evolves
-    exactly as it would in a lone single-graph batch.  Returns
+    block per armada graph); the reductions are block-diagonal by
+    construction, so every row evolves exactly as it would in a lone
+    single-graph batch.  Returns
     ``(rounds, membership, messages, bits)``.
     """
     if not isinstance(rule, MessageRule):
@@ -515,30 +522,15 @@ def _run_message_lockstep(
     return rounds, membership, messages, bits
 
 
-def _resolve_backend(backend: str, num_graphs: int, n: int) -> str:
-    """The ``auto`` policy shared with the beeping fleet/armada."""
-    if backend not in ("auto", "dense", "sparse"):
-        raise ValueError(
-            f"backend must be 'auto', 'dense' or 'sparse', got {backend!r}"
-        )
-    if backend != "auto":
-        return backend
-    return (
-        "dense" if num_graphs * n * n <= DENSE_VERTEX_LIMIT ** 2 else "sparse"
-    )
-
-
 class MessageFleetSimulator:
     """All trials of one message-passing rule on one graph, in lockstep.
 
-    The message-passing sibling of
-    :class:`~repro.engine.fleet.FleetSimulator`: ``run_fleet`` advances a
-    ``(trials, n)`` batch one round at a time, with one neighbour-count,
-    one masked-min and one neighbour-OR reduction per round for the whole
-    batch.  Counter rng mode only (module docstring); trial ``t`` is a
-    pure function of ``seeds[t]``, so any sub-batch — including a
-    one-trial "loop" over the same seeds — reproduces the matching rows
-    bit for bit.
+    The one-graph :class:`MessageArmadaSimulator` (the message-passing
+    sibling of :class:`~repro.engine.fleet.FleetSimulator`): ``run_fleet``
+    advances a ``(trials, n)`` batch through the armada's loop.  Counter
+    rng mode only (module docstring); trial ``t`` is a pure function of
+    ``seeds[t]``, so any sub-batch — including a one-trial "loop" over
+    the same seeds — reproduces the matching rows bit for bit.
     """
 
     def __init__(
@@ -547,12 +539,8 @@ class MessageFleetSimulator:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         backend: str = "auto",
     ) -> None:
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
         self._graph = graph
-        self._max_rounds = max_rounds
-        self._backend = _resolve_backend(backend, 1, graph.num_vertices)
-        self._kernel = _MessageKernel(graph, self._backend)
+        self._armada = MessageArmadaSimulator([graph], max_rounds, backend)
 
     @property
     def graph(self) -> Graph:
@@ -562,7 +550,7 @@ class MessageFleetSimulator:
     @property
     def backend(self) -> str:
         """The resolved backend, ``"dense"`` or ``"sparse"``."""
-        return self._backend
+        return self._armada.backend
 
     def run_fleet(
         self,
@@ -571,29 +559,9 @@ class MessageFleetSimulator:
         validate: bool = False,
     ) -> MessageFleetRun:
         """Simulate one independent trial per seed, all in lockstep."""
-        seed_row = seed_array(seeds)
-        if seed_row.size < 1:
+        if len(seeds) < 1:
             raise ValueError("need at least one seed")
-        rounds, membership, messages, bits = _run_message_lockstep(
-            rule,
-            seed_row,
-            [(self._kernel, slice(0, int(seed_row.size)))],
-            self._graph.num_vertices,
-            self._max_rounds,
-        )
-        run = MessageFleetRun(
-            rule_name=rule.name,
-            num_vertices=self._graph.num_vertices,
-            trials=int(seed_row.size),
-            rounds=rounds,
-            membership=membership,
-            messages=messages,
-            bits=bits,
-        )
-        if validate:
-            for trial in range(run.trials):
-                verify_mis(self._graph, run.mis_set(trial))
-        return run
+        return self._armada.run_armada(rule, [seeds], validate)[0]
 
 
 class MessageArmadaSimulator:
@@ -628,7 +596,7 @@ class MessageArmadaSimulator:
         self._graphs = list(graphs)
         self._n = n
         self._max_rounds = max_rounds
-        self._backend = _resolve_backend(backend, len(graphs), n)
+        self._backend = resolve_backend(backend, len(graphs), n)
         self._kernels = [
             _MessageKernel(graph, self._backend) for graph in self._graphs
         ]

@@ -63,9 +63,8 @@ def faulty_observation(
     """The noisy ``heard`` booleans from beeping-neighbour counts.
 
     Elementwise over any shape: the lockstep loop passes ``(slots, n)``
-    matrices, whichever backend produced the counts (GEMM, CSR or
-    popcount).  A listener with ``k`` beeping neighbours
-    hears iff its loss uniform falls below ``1 - loss**k`` (at least one
+    matrices, whichever backend produced the counts (GEMM or CSR).  A
+    listener with ``k`` beeping neighbours hears iff its loss uniform falls below ``1 - loss**k`` (at least one
     of ``k`` independent deliveries survives), then spurious uniforms
     add phantom beeps.  Every engine funnels through this one function
     so the collapsed-probability arithmetic — and therefore the

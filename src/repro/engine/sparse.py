@@ -1,14 +1,17 @@
-"""CSR neighbour lists for large, sparse graphs.
+"""Neighbour operands and the one backend policy of every lockstep engine.
 
 A dense n×n adjacency is perfect for the paper's ``G(n, 1/2)`` workloads
 and quadratic waste for sparse topologies (grids, geometric/sensor
-networks, scale-free graphs).  The ``"sparse"`` backends of the fleet,
-armada, message and application engines keep the adjacency in
+networks, scale-free graphs).  The ``"sparse"`` backends of the armada,
+message and application engines keep the adjacency in
 compressed-sparse-row form instead and compute neighbour counts with
 ``numpy.add.reduceat`` over the neighbour lists, so a round costs
 O(n + m) with small constants.  This module builds that CSR
-(:func:`build_csr`) and owns the one reduction over it
-(:func:`csr_row_counts`).
+(:func:`build_csr`), owns the one reduction over it
+(:func:`csr_row_counts`), scatters it into the ``"dense"`` backends'
+n×n operand (:func:`csr_to_dense`), and decides between the two
+(:data:`BACKENDS`, :func:`resolve_backend`) for every engine and every
+caller that validates a backend name.
 
 With mean degree ~8 this comfortably simulates n = 50,000 node networks —
 letting the scaling benchmark extend Theorem 2's O(log n) curve well past
@@ -22,6 +25,29 @@ from typing import Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
+
+#: Backend names every engine, sweep cell and CLI accepts.  All backends
+#: compute identical booleans, so the choice never changes results.
+BACKENDS = ("auto", "dense", "sparse")
+
+#: Largest vertex count for which ``auto`` picks the dense backend on one
+#: graph; a 4096^2 float32 adjacency is 64 MB.
+DENSE_VERTEX_LIMIT = 4096
+
+
+def resolve_backend(backend: str, num_graphs: int, n: int) -> str:
+    """``"dense"`` or ``"sparse"`` for a stack of ``num_graphs`` graphs.
+
+    ``auto`` picks dense while the whole ``(graphs, n, n)`` operand stays
+    within one :data:`DENSE_VERTEX_LIMIT`-vertex adjacency, sparse beyond.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    if backend != "auto":
+        return backend
+    return (
+        "dense" if num_graphs * n * n <= DENSE_VERTEX_LIMIT ** 2 else "sparse"
+    )
 
 
 def build_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,3 +107,18 @@ def csr_row_counts(
     # Empty segments (isolated vertices) yield garbage sums; zero them.
     counts[:, isolated] = 0
     return counts.astype(np.int64)
+
+
+def csr_to_dense(
+    columns: np.ndarray, starts: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Scatter one :func:`build_csr` CSR into the zeroed ``(n, n)`` ``out``.
+
+    One vectorised ``rows * n + columns`` scatter (any ``out`` dtype), in
+    place of the per-edge Python loop of ``Graph.adjacency_matrix``.
+    """
+    n = out.shape[0]
+    degrees = np.diff(np.append(starts, columns.size))
+    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    out.reshape(-1)[rows * n + columns] = 1
+    return out

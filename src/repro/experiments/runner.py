@@ -241,11 +241,10 @@ def run_fleet_trials(
     way, group ``g`` / trial ``t`` is bit-identical to the corresponding
     lone one-seed fleet run in that mode.
 
-    ``backend`` picks the probability engines' neighbour-reduction
-    kernel (``"auto"``, ``"dense"``, ``"sparse"`` or ``"bitboard"``) for
+    ``backend`` picks the neighbour-reduction kernel (``"auto"``,
+    ``"dense"`` or ``"sparse"``) of whichever engine runs the rule, on
     both the armada and the per-graph fleet path — pure execution
-    strategy, bit-identical rows either way.  The message/application
-    engines resolve their own backends and ignore it.
+    strategy, bit-identical rows either way.
 
     ``trial_range=(lo, hi)`` executes only the global trials ``lo .. hi-1``.
     The graph grouping is always computed from the *full* ``(trials,
@@ -335,7 +334,9 @@ def run_fleet_trials(
         # The message-passing fabric is counter-only (checked above), so
         # same-n windows always take the one-batch armada path.
         if same_n and drawn:
-            armada = MessageArmadaSimulator(drawn, max_rounds=max_rounds)
+            armada = MessageArmadaSimulator(
+                drawn, max_rounds=max_rounds, backend=backend
+            )
             runs = armada.run_armada(
                 rule,
                 [group_seeds(*group) for group in selected],
@@ -345,7 +346,9 @@ def run_fleet_trials(
                 _emit_message_outcomes(outcomes, run, group_lo)
             return outcomes
         for (graph_index, group_lo, group_hi), graph in zip(selected, drawn):
-            run = MessageFleetSimulator(graph, max_rounds=max_rounds).run_fleet(
+            run = MessageFleetSimulator(
+                graph, max_rounds=max_rounds, backend=backend
+            ).run_fleet(
                 rule,
                 group_seeds(graph_index, group_lo, group_hi),
                 validate=validate,
@@ -359,7 +362,7 @@ def run_fleet_trials(
         same_host = len({rule.host_size(graph) for graph in drawn}) == 1
         if same_host and drawn:
             armada = ApplicationArmadaSimulator(
-                drawn, rule, max_rounds=max_rounds
+                drawn, rule, max_rounds=max_rounds, backend=backend
             )
             runs = armada.run_armada(
                 [group_seeds(*group) for group in selected],
@@ -374,7 +377,7 @@ def run_fleet_trials(
             return outcomes
         for (graph_index, group_lo, group_hi), graph in zip(selected, drawn):
             simulator = ApplicationFleetSimulator(
-                graph, rule, max_rounds=max_rounds
+                graph, rule, max_rounds=max_rounds, backend=backend
             )
             run = simulator.run_fleet(
                 group_seeds(graph_index, group_lo, group_hi),

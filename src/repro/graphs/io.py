@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Iterable, Optional, Set, TextIO, Union
+from typing import Iterable, Optional, Set, TextIO, Tuple, Union
 
 from repro.graphs.graph import Graph
 
@@ -43,31 +43,64 @@ def read_edge_list(source: Union[PathLike, TextIO]) -> Graph:
 
 
 def _read_edge_list_stream(stream: TextIO) -> Graph:
-    header: Optional[str] = None
+    """Parse an ``n m`` header line, then one ``u v`` line per edge.
+
+    Blank lines and ``#`` comments are skipped.  Every rejection is a
+    ``ValueError`` naming the offending line's 1-based number and text —
+    a miscounted edge total names the header line.
+    """
+    header: Optional[Tuple[int, str]] = None
     edges = []
-    for raw_line in stream:
+    for number, raw_line in enumerate(stream, start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
         if header is None:
-            header = line
+            header = (number, line)
+            num_vertices, num_edges = _int_pair(number, line, "header", "n m")
+            if num_vertices < 0 or num_edges < 0:
+                raise _line_error(number, line, "header counts must be >= 0")
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = _int_pair(number, line, "edge", "u v")
+        if u == v:
+            raise _line_error(number, line, f"self-loop at vertex {u}")
+        for w in (u, v):
+            if not 0 <= w < num_vertices:
+                raise _line_error(
+                    number, line,
+                    f"vertex {w} out of range for {num_vertices} vertices",
+                )
+        edges.append((u, v))
     if header is None:
         raise ValueError("edge list is empty: missing 'n m' header line")
-    header_parts = header.split()
-    if len(header_parts) != 2:
-        raise ValueError(f"malformed header line: {header!r}")
-    num_vertices, num_edges = int(header_parts[0]), int(header_parts[1])
     graph = Graph(num_vertices, edges)
     if graph.num_edges != num_edges:
-        raise ValueError(
-            f"header declares {num_edges} edges but {graph.num_edges} were read"
+        raise _line_error(
+            *header,
+            f"header declares {num_edges} edges but {graph.num_edges} "
+            "were read",
         )
     return graph
+
+
+def _line_error(number: int, line: str, problem: str) -> ValueError:
+    """A parse error naming its 1-based line number and the line's text."""
+    return ValueError(f"line {number} ({line!r}): {problem}")
+
+
+def _int_pair(
+    number: int, line: str, kind: str, shape: str
+) -> Tuple[int, int]:
+    """The two integers of a header or edge line."""
+    parts = line.split()
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise _line_error(
+        number, line, f"malformed {kind} line, expected two integers {shape!r}"
+    )
 
 
 def edge_list_string(graph: Graph) -> str:

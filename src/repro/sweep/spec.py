@@ -27,7 +27,7 @@ What goes into the hash
 
 Deliberately **not** in the hash: job count, shard width of *other*
 shards, store paths, timestamps, ``validate`` (it can only raise, never
-alter a row), ``backend`` (dense, sparse and bitboard kernels compute
+alter a row), ``backend`` (dense and sparse kernels compute
 identical rows — the conformance suite enforces it, so a warm cache is
 shared across backends) — anything that cannot change the rows.
 """
@@ -46,6 +46,7 @@ from repro.beeping.rng import RNG_MODES
 from repro.engine.applications import APPLICATION_RULES, ApplicationRule
 from repro.engine.messages import MESSAGE_RULES, MessageRule
 from repro.engine.rules import FeedbackRule, ProbabilityRule, SweepRule
+from repro.engine.sparse import BACKENDS
 from repro.graphs.cliques import theorem1_family
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
@@ -70,11 +71,6 @@ ENGINES = ("fleet", "reference")
 #: fingerprint fields (``side``, ``copies``) only appear under the new
 #: family value, so no pre-existing key changed.
 FAMILIES = ("gnp", "grid", "theorem1")
-
-#: Fleet neighbour-reduction kernels a cell may request
-#: (:class:`~repro.engine.fleet.FleetSimulator` backends).  The
-#: reference engine ignores the field.
-BACKENDS = ("auto", "dense", "sparse", "bitboard")
 
 #: Rules the fleet engines can run by name: the trial-parallel beeping
 #: probability rules, the message-passing kernels, and the MIS
@@ -207,10 +203,11 @@ class CellSpec:
     churn: Tuple[Tuple[Any, ...], ...] = ()
     validate: bool = True
     max_rounds: int = 100_000
-    #: Fleet neighbour-reduction kernel (``auto``/``dense``/``sparse``/
-    #: ``bitboard``).  Pure execution strategy: all backends compute
-    #: bit-identical rows, so — like ``validate`` — it is excluded from
-    #: the execution fingerprint and a warm cache serves every backend.
+    #: Engine neighbour-reduction kernel (one of :data:`BACKENDS`; the
+    #: reference engine ignores it).  Pure execution strategy: all
+    #: backends compute bit-identical rows, so — like ``validate`` — it is
+    #: excluded from the execution fingerprint and a warm cache serves
+    #: every backend.
     backend: str = "auto"
 
     def __post_init__(self) -> None:

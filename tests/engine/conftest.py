@@ -6,8 +6,8 @@ family x every rule".  This conftest centralises that matrix:
 - :func:`engine_run` executes one seeded trial — the one-seed fleet run —
   on any fleet backend by id and returns its
   :class:`~repro.engine.simulator.EngineRun`;
-- ``engine_id`` parametrises a test over the three fleet backends
-  (dense, sparse, bitboard);
+- ``engine_id`` parametrises a test over the two fleet backends
+  (dense, sparse);
 - ``conformance_graph`` parametrises over the graph families the engines
   must agree on (dense/sparse random, grid, geometric, star, isolated
   vertices).
@@ -34,7 +34,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph, random_geometric_graph
 from repro.graphs.structured import empty_graph, grid_graph, star_graph
 
-ENGINE_IDS = ("fleet-dense", "fleet-sparse", "fleet-bitboard")
+ENGINE_IDS = ("fleet-dense", "fleet-sparse")
 
 #: The conformance baseline every other backend is compared against.
 BASELINE_ENGINE = "fleet-dense"

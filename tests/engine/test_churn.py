@@ -158,7 +158,7 @@ class TestArmadaChurn:
         ],
         ids=["churn-only", "combined"],
     )
-    @pytest.mark.parametrize("backend", ["dense", "sparse", "bitboard"])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_armada_matches_fleet(self, backend, faults):
         graphs = [churn_graph(), gnp_random_graph(20, 0.4, Random(43))]
         seed_rows = [[11, 12], [13]]

@@ -1,7 +1,7 @@
 """Cross-engine conformance: all fast engines are one engine, observably.
 
-On a shared per-trial seed *and rng mode*, the fleet's dense, sparse and
-bitboard backends must agree **bit for bit** — same round count, same
+On a shared per-trial seed *and rng mode*, the fleet's dense and sparse
+backends must agree **bit for bit** — same round count, same
 MIS, same per-node beep counts — because they draw the identical
 uniforms and compute the identical ``heard`` booleans.  In ``"stream"``
 mode that hinges on a shared sequential draw order (beep uniforms, loss
@@ -61,8 +61,7 @@ MASTER_SEED = 0xC04F
 
 
 class TestBitEquality:
-    """fleet-dense == fleet-sparse == fleet-bitboard, bit for bit, within
-    each rng mode."""
+    """fleet-dense == fleet-sparse, bit for bit, within each rng mode."""
 
     @pytest.mark.parametrize("rule_name", RULE_NAMES)
     def test_all_engines_agree_exactly(
@@ -191,7 +190,7 @@ class TestBatchConformance:
     def test_run_batch_backends_agree(self, conformance_graph):
         graph = conformance_graph
         auto = run_batch(graph, FeedbackRule, self.TRIALS, MASTER_SEED)
-        for backend in ("dense", "sparse", "bitboard"):
+        for backend in ("dense", "sparse"):
             other = run_batch(
                 graph, FeedbackRule, self.TRIALS, MASTER_SEED,
                 backend=backend,
@@ -372,7 +371,7 @@ def _lockstep_faults(kind: str, n: int) -> FaultModel:
 
 @pytest.mark.parametrize("fault_kind", LOCKSTEP_FAULTS)
 @pytest.mark.parametrize("mode", RNG_MODES)
-@pytest.mark.parametrize("backend", ("dense", "sparse", "bitboard"))
+@pytest.mark.parametrize("backend", ("dense", "sparse"))
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(
     n=st.integers(min_value=3, max_value=24),
@@ -412,7 +411,7 @@ def test_batch_rows_equal_seed_by_seed_runs(
 
 
 @pytest.mark.parametrize("fault_kind", ("fault-free", "crash"))
-@pytest.mark.parametrize("backend", ("dense", "sparse", "bitboard"))
+@pytest.mark.parametrize("backend", ("dense", "sparse"))
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(
     # Up to 8 x 60 = 480 entries: past the 256-entry frontier floor, so
@@ -454,7 +453,7 @@ class TestArmadaConformance:
     replaces."""
 
     @pytest.mark.parametrize("rule_name", ("feedback", "afek-sweep"))
-    @pytest.mark.parametrize("backend", ("dense", "sparse", "bitboard"))
+    @pytest.mark.parametrize("backend", ("dense", "sparse"))
     @pytest.mark.parametrize(
         "fault_id", (None, "crashes", "loss+spurious", "all-three"),
         ids=("fault-free", "crashes", "loss+spurious", "all-three"),
@@ -508,14 +507,13 @@ class TestArmadaConformance:
         dense = ArmadaSimulator(graphs, backend="dense").run_armada(
             FeedbackRule(), seed_rows, validate=True
         )
-        for backend in ("sparse", "bitboard"):
-            other = ArmadaSimulator(graphs, backend=backend).run_armada(
-                FeedbackRule(), seed_rows, validate=True
-            )
-            for d, o in zip(dense, other):
-                assert np.array_equal(d.rounds, o.rounds), backend
-                assert np.array_equal(d.membership, o.membership), backend
-                assert np.array_equal(d.beeps_by_node, o.beeps_by_node), backend
+        sparse = ArmadaSimulator(graphs, backend="sparse").run_armada(
+            FeedbackRule(), seed_rows, validate=True
+        )
+        for d, s in zip(dense, sparse):
+            assert np.array_equal(d.rounds, s.rounds)
+            assert np.array_equal(d.membership, s.membership)
+            assert np.array_equal(d.beeps_by_node, s.beeps_by_node)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

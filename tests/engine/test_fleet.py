@@ -9,7 +9,8 @@ import pytest
 
 from repro.beeping.rng import derive_seed, derive_seed_block
 from repro.engine.batch import run_batch
-from repro.engine.fleet import DENSE_VERTEX_LIMIT, FleetSimulator
+from repro.engine.fleet import FleetSimulator
+from repro.engine.sparse import DENSE_VERTEX_LIMIT
 from repro.engine.rules import FeedbackRule, ProbabilityRule
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import empty_graph, grid_graph

@@ -18,6 +18,7 @@ from __future__ import annotations
 from random import Random
 
 import numpy as np
+import pytest
 
 from repro.beeping.rng import derive_seed_block
 from repro.engine.fleet import FleetSimulator
@@ -44,47 +45,28 @@ GOLDEN_TRACE = {
 }
 
 
-def _golden_run():
+def _golden_run(backend="auto"):
     graph = gnp_random_graph(8, 0.4, Random(GRAPH_SEED))
     assert sorted(graph.edges()) == GOLDEN_EDGES, (
         "the golden graph itself changed — gnp_random_graph drift?"
     )
     seeds = derive_seed_block(MASTER_SEED, 0, count=2)
-    return graph, FleetSimulator(graph).run_fleet(
+    return graph, FleetSimulator(graph, backend=backend).run_fleet(
         FeedbackRule(), seeds, validate=True, record_beeps=True
     )
 
 
-def test_golden_summary_statistics():
-    _graph, run = _golden_run()
+@pytest.mark.parametrize("backend", ("dense", "sparse"))
+def test_golden_summary_statistics(backend):
+    _graph, run = _golden_run(backend)
     assert run.rounds.tolist() == GOLDEN_ROUNDS
     assert [sorted(run.mis_set(t)) for t in range(2)] == GOLDEN_MIS
     assert run.beeps_by_node.tolist() == GOLDEN_BEEPS
 
 
-def test_golden_round_by_round_trace():
-    _graph, run = _golden_run()
-    history = run.beep_history
-    for trial, expected_rows in GOLDEN_TRACE.items():
-        observed = [
-            "".join("1" if beeped else "0" for beeped in history[r, trial])
-            for r in range(int(run.rounds[trial]))
-        ]
-        assert observed == expected_rows, f"trial {trial} trace drifted"
-
-
-def test_golden_trace_holds_for_bitboard_backend():
-    """Replaying the pre-bitboard golden literals on the bitboard backend:
-    packing the state into uint64 lanes must not shift a single byte of
-    the recorded stream-mode trace."""
-    graph = gnp_random_graph(8, 0.4, Random(GRAPH_SEED))
-    seeds = derive_seed_block(MASTER_SEED, 0, count=2)
-    run = FleetSimulator(graph, backend="bitboard").run_fleet(
-        FeedbackRule(), seeds, validate=True, record_beeps=True
-    )
-    assert run.rounds.tolist() == GOLDEN_ROUNDS
-    assert [sorted(run.mis_set(t)) for t in range(2)] == GOLDEN_MIS
-    assert run.beeps_by_node.tolist() == GOLDEN_BEEPS
+@pytest.mark.parametrize("backend", ("dense", "sparse"))
+def test_golden_round_by_round_trace(backend):
+    _graph, run = _golden_run(backend)
     history = run.beep_history
     for trial, expected_rows in GOLDEN_TRACE.items():
         observed = [
@@ -100,7 +82,7 @@ def test_golden_trace_holds_seed_by_seed():
     from repro.beeping.rng import derive_seed
 
     graph = gnp_random_graph(8, 0.4, Random(GRAPH_SEED))
-    for backend in ("dense", "sparse", "bitboard"):
+    for backend in ("dense", "sparse"):
         simulator = FleetSimulator(graph, backend=backend)
         for t in range(2):
             run = simulator.run_fleet(
@@ -156,7 +138,7 @@ def _golden_churn_run(backend="dense"):
 def test_golden_churn_trace():
     """The checked-in churn run: exact rounds, MIS, beeps, repair times
     and round-by-round trace on every fleet backend."""
-    for backend in ("dense", "sparse", "bitboard"):
+    for backend in ("dense", "sparse"):
         run = _golden_churn_run(backend)
         assert run.rounds.tolist() == CHURN_ROUNDS, backend
         assert [sorted(run.mis_set(t)) for t in range(2)] == CHURN_MIS
@@ -185,7 +167,7 @@ def test_golden_churn_trace_holds_seed_by_seed():
 
     graph = gnp_random_graph(8, 0.4, Random(GRAPH_SEED))
     faults = FaultModel(churn_schedule=ChurnSchedule.from_events(CHURN_EVENTS))
-    for backend in ("dense", "sparse", "bitboard"):
+    for backend in ("dense", "sparse"):
         simulator = FleetSimulator(graph, backend=backend)
         for t in range(2):
             run = simulator.run_fleet(

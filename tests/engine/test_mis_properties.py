@@ -59,7 +59,7 @@ def test_engine_output_is_always_a_valid_mis(engine_id, family, rule_factory):
 
 @pytest.mark.parametrize("family", list(GRAPH_FAMILIES))
 @pytest.mark.parametrize("rule_factory", (FeedbackRule, SweepRule))
-@pytest.mark.parametrize("backend", ("dense", "sparse", "bitboard"))
+@pytest.mark.parametrize("backend", ("dense", "sparse"))
 def test_fleet_batch_every_trial_is_a_valid_mis(backend, rule_factory, family):
     """One lockstep batch per graph: all trials must verify, not just one."""
     make_graph = GRAPH_FAMILIES[family]

@@ -62,7 +62,7 @@ class TestBasics:
                 engine_run(engine_id, complete_graph(3), SweepRule, seed,
                            max_rounds=1)
 
-    @pytest.mark.parametrize("backend", ("dense", "sparse", "bitboard"))
+    @pytest.mark.parametrize("backend", ("dense", "sparse"))
     def test_max_rounds_validation(self, backend):
         with pytest.raises(ValueError, match="max_rounds"):
             FleetSimulator(empty_graph(1), max_rounds=0, backend=backend)

@@ -51,6 +51,22 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="declares"):
             read_edge_list(io.StringIO("3 2\n0 1\n"))
 
+    @pytest.mark.parametrize(
+        "text, number, line",
+        (
+            ("3 1\n0 x\n", 2, "0 x"),
+            ("3 1\n0 1.5\n", 2, "0 1.5"),
+            ("# header next\nthree 1\n0 1\n", 2, "three 1"),
+            ("3 1\n\n0 7\n", 3, "0 7"),
+            ("3 1\n2 2\n", 2, "2 2"),
+            ("3 2\n0 1\n", 1, "3 2"),
+        ),
+    )
+    def test_errors_name_line_number_and_text(self, text, number, line):
+        with pytest.raises(ValueError) as raised:
+            read_edge_list(io.StringIO(text))
+        assert f"line {number} ({line!r})" in str(raised.value)
+
     def test_format(self):
         assert edge_list_string(path_graph(3)) == "3 2\n0 1\n1 2\n"
 

@@ -18,6 +18,7 @@ from repro.graphs.random_graphs import gnp_random_graph
 from repro.sweep.orchestrator import execute_shard, run_sweep
 from repro.sweep.spec import CellSpec, ShardSpec, SweepSpec
 from repro.sweep.store import ResultStore
+from repro.telemetry import probes
 
 FLEET_CELL = CellSpec(
     algorithm="feedback",
@@ -228,39 +229,64 @@ class TestBackendTransparency:
     """The backend field is pure execution strategy: identical rows,
     shared cache entries (it is excluded from the shard hash)."""
 
-    BITBOARD_CELL = CellSpec(**{**FLEET_CELL.to_dict(), "backend": "bitboard"})
+    DENSE_CELL = CellSpec(**{**FLEET_CELL.to_dict(), "backend": "dense"})
+    SPARSE_CELL = CellSpec(**{**FLEET_CELL.to_dict(), "backend": "sparse"})
 
-    def test_fresh_bitboard_sweep_matches_dense_rows(self):
-        dense = run_sweep(SweepSpec((FLEET_CELL,), shard_trials=4))
-        bitboard = run_sweep(SweepSpec((self.BITBOARD_CELL,), shard_trials=4))
-        assert bitboard.report.shards_executed == bitboard.report.shards_total
-        assert bitboard.rows(self.BITBOARD_CELL) == dense.rows(FLEET_CELL)
-        assert bitboard.rows(self.BITBOARD_CELL) == fleet_oracle(FLEET_CELL)
+    def test_fresh_sparse_sweep_matches_dense_rows(self):
+        dense = run_sweep(SweepSpec((self.DENSE_CELL,), shard_trials=4))
+        sparse = run_sweep(SweepSpec((self.SPARSE_CELL,), shard_trials=4))
+        assert sparse.report.shards_executed == sparse.report.shards_total
+        assert sparse.rows(self.SPARSE_CELL) == dense.rows(self.DENSE_CELL)
+        assert sparse.rows(self.SPARSE_CELL) == fleet_oracle(FLEET_CELL)
 
-    def test_warm_dense_cache_serves_bitboard_rerun(self, tmp_path):
-        """Rerunning a dense-cached sweep on the bitboard backend is a
-        100% cache hit with byte-identical rows — the spec-key stability
-        half of the golden-replay satellite."""
+    @pytest.mark.parametrize(
+        "algorithm", ("luby-permutation", "metivier", "mis-coloring",
+                      "mis-matching")
+    )
+    def test_message_and_application_cells_honour_the_backend(
+        self, algorithm
+    ):
+        """Message and application cells run on the backend they name
+        (the engine-side probe says so) and give identical rows on
+        both."""
+        rows = {}
+        for backend in ("dense", "sparse"):
+            cell = CellSpec(
+                **{
+                    **FLEET_CELL.to_dict(),
+                    "algorithm": algorithm,
+                    "backend": backend,
+                }
+            )
+            with probes.capture() as collector:
+                result = run_sweep(SweepSpec((cell,), shard_trials=4))
+            assert collector.counters.get(f"engine.backend.{backend}"), (
+                backend
+            )
+            rows[backend] = result.rows(cell)
+        assert rows["dense"] == rows["sparse"]
+
+    @pytest.mark.parametrize(
+        "cold_backend, warm_backend",
+        (("dense", "sparse"), ("sparse", "dense")),
+    )
+    def test_warm_cache_serves_every_backend(
+        self, tmp_path, cold_backend, warm_backend
+    ):
+        """Rerunning a sweep cached by one backend on the other is a 100%
+        cache hit with byte-identical rows, in both directions."""
+        cells = {"dense": self.DENSE_CELL, "sparse": self.SPARSE_CELL}
         store = ResultStore(tmp_path)
-        cold = run_sweep(SweepSpec((FLEET_CELL,), shard_trials=4), store=store)
+        cold = run_sweep(
+            SweepSpec((cells[cold_backend],), shard_trials=4), store=store
+        )
         assert cold.report.shards_executed == cold.report.shards_total
         warm = run_sweep(
-            SweepSpec((self.BITBOARD_CELL,), shard_trials=4), store=store
+            SweepSpec((cells[warm_backend],), shard_trials=4), store=store
         )
         assert warm.report.shards_executed == 0
         assert warm.report.shards_cached == warm.report.shards_total
-        assert warm.rows(self.BITBOARD_CELL) == cold.rows(FLEET_CELL)
-
-    def test_warm_bitboard_cache_serves_dense_rerun(self, tmp_path):
-        """And the converse: rows computed by the bitboard kernels are
-        valid cache entries for every other backend."""
-        store = ResultStore(tmp_path)
-        cold = run_sweep(
-            SweepSpec((self.BITBOARD_CELL,), shard_trials=4), store=store
-        )
-        warm = run_sweep(SweepSpec((FLEET_CELL,), shard_trials=4), store=store)
-        assert warm.report.shards_executed == 0
-        assert warm.rows(FLEET_CELL) == cold.rows(self.BITBOARD_CELL)
+        assert warm.rows(cells[warm_backend]) == cold.rows(cells[cold_backend])
 
 
 class TestValidation:

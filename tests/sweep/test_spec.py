@@ -49,6 +49,12 @@ class TestCellValidation:
         with pytest.raises(ValueError, match="backend"):
             fleet_cell(backend="simd")
 
+    def test_rejects_deleted_bitboard_backend_naming_the_allowed_ones(self):
+        with pytest.raises(ValueError) as raised:
+            fleet_cell(backend="bitboard")
+        for backend in ("auto", "dense", "sparse"):
+            assert repr(backend) in str(raised.value)
+
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
             fleet_cell(family="torus")
@@ -144,7 +150,7 @@ class TestCellValidation:
         for cell in (
             fleet_cell(),
             fleet_cell(rng_mode="stream"),
-            fleet_cell(backend="bitboard"),
+            fleet_cell(backend="sparse"),
             reference_cell(beep_loss=0.1, crashes=((2, 5),)),
             fleet_cell(family="grid", rows=5, cols=5),
             fleet_cell(family="theorem1", side=6, copies=3),
@@ -213,7 +219,7 @@ class TestShardHash:
         all backends compute bit-identical rows (the conformance suite
         enforces it), so a warm cache must serve every backend."""
         base = ShardSpec(fleet_cell(), 0, 32).content_hash()
-        for backend in ("dense", "sparse", "bitboard"):
+        for backend in ("dense", "sparse"):
             assert ShardSpec(fleet_cell(backend=backend), 0, 32).content_hash() == base
 
     def test_window_in_hash(self):

@@ -87,7 +87,7 @@ def test_algorithm_gallery_covers_every_registry_algorithm():
     header = next(
         line for line in matrix[1].splitlines() if line.startswith("| algorithm")
     )
-    for column in ("reference", "dense", "sparse", "fleet", "armada", "bitboard"):
+    for column in ("reference", "dense", "sparse", "fleet", "armada"):
         assert f"| {column} |" in header, (
             f"engine-coverage matrix lost its '{column}' column"
         )
