@@ -3,14 +3,16 @@
 Subcommands
 -----------
 - ``run``      — run one algorithm on one generated graph and report.
-- ``figure3``  — regenerate the Figure 3 series (rounds vs n) and plot it.
-- ``figure5``  — regenerate the Figure 5 series (beeps per node vs n).
+- ``figure3``, ``figure5``, ``theorem1``, ``sizes`` — print one paper
+  registry artefact (Figure 3 rounds vs n, Figure 5 beeps per node, the
+  Theorem 1 clique family, MIS sizes vs the optimum) as a table + plot,
+  or with ``--csv`` exactly the bytes ``paper --only NAME`` writes.
+  Ad-hoc scales go through ``sweep``.
 - ``sweep``    — sharded, cached experiment grids (algorithms × sizes).
 - ``compare``  — the paper's beeping-vs-message-passing comparison
   (rounds + bit complexity) across algorithms × workloads × sizes.
 - ``robustness`` — fault grid (beep loss × spurious beeps, optional
   crashes) through the cached orchestrator, on the fleet engine.
-- ``theorem1`` — the lower-bound experiment on the clique family.
 - ``bio``      — run the Notch–Delta lattice model and report the pattern.
 - ``paper``    — the one-command paper pipeline: regenerate every
   registered experiment through the cached orchestrator, write CSVs +
@@ -20,10 +22,10 @@ Subcommands
   and (``--rundb``) the paper pipeline's run database.
 - ``list``     — list the registered algorithms.
 
-``figure3``, ``figure5``, ``sizes``, ``sweep``, ``robustness``,
-``report`` and ``paper`` accept ``--jobs`` (shard execution over worker
-processes) and ``--cache-dir`` (serve already-stored shards from the
-content-addressed result store); neither affects results.
+The four registry aliases, ``sweep``, ``compare``, ``robustness`` and
+``paper`` accept ``--jobs`` (shard execution over worker processes) and
+``--cache-dir`` (serve already-stored shards from the content-addressed
+result store); neither affects results.
 
 Every subcommand additionally accepts ``--telemetry DIR`` (write a JSONL
 run ledger, default ``$REPRO_TELEMETRY_DIR``), ``--verbose`` (per-shard
@@ -45,8 +47,15 @@ from repro.telemetry import Collector, capture, record_run
 from repro.algorithms.registry import available_algorithms, make_algorithm
 from repro.beeping.rng import derive_seed, spawn_rng
 from repro.engine.sparse import BACKENDS
-from repro.experiments.figures import figure3_series, figure5_series
-from repro.experiments.lower_bound import theorem1_experiment
+from repro.experiments.paper import (
+    GOLDEN_AUTO,
+    PaperSettings,
+    experiment_names,
+    run_experiment,
+    run_paper,
+    select_experiments,
+    write_golden,
+)
 from repro.experiments.records import results_to_csv
 from repro.experiments.tables import format_experiment
 from repro.graphs.random_graphs import gnp_random_graph
@@ -71,6 +80,10 @@ CLI_ALGO_STREAMS = {
     "animate": (6,),
     "bio": (7,),
 }
+
+#: Subcommands that print one paper registry artefact: each is
+#: ``repro paper --only NAME`` rendered to stdout.
+PAPER_ALIASES = ("figure3", "figure5", "theorem1", "sizes")
 
 
 def _add_sweep_execution_arguments(parser: argparse.ArgumentParser) -> None:
@@ -126,38 +139,22 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--trials", type=int, default=1)
 
-    fig3 = sub.add_parser("figure3", help="rounds vs n (Figure 3)")
-    fig3.add_argument("--trials", type=int, default=20)
-    fig3.add_argument("--max-n", type=int, default=500)
-    fig3.add_argument("--seed", type=int, default=1303)
-    fig3.add_argument("--csv", action="store_true", help="emit CSV only")
-    _add_sweep_execution_arguments(fig3)
-
-    fig5 = sub.add_parser("figure5", help="beeps per node vs n (Figure 5)")
-    fig5.add_argument("--trials", type=int, default=50)
-    fig5.add_argument("--max-n", type=int, default=200)
-    fig5.add_argument("--seed", type=int, default=1305)
-    fig5.add_argument("--csv", action="store_true", help="emit CSV only")
-    _add_sweep_execution_arguments(fig5)
-
-    thm1 = sub.add_parser("theorem1", help="lower-bound clique family")
-    thm1.add_argument("--max-side", type=int, default=10)
-    thm1.add_argument("--trials", type=int, default=20)
-    thm1.add_argument("--seed", type=int, default=1101)
-    _add_sweep_execution_arguments(thm1)
+    for entry in select_experiments(PAPER_ALIASES):
+        alias = sub.add_parser(
+            entry.name, help=f"{entry.title} (paper --only {entry.name})"
+        )
+        alias.add_argument(
+            "--trials", type=int, default=3,
+            help="trials per point (default: 3, the committed golden scale)",
+        )
+        alias.add_argument("--csv", action="store_true", help="emit CSV only")
+        _add_sweep_execution_arguments(alias)
 
     bio = sub.add_parser("bio", help="Notch-Delta lattice simulation")
     bio.add_argument("--rows", type=int, default=8)
     bio.add_argument("--cols", type=int, default=8)
     bio.add_argument("--seed", type=int, default=7)
     bio.add_argument("--t-end", type=float, default=80.0)
-
-    sizes = sub.add_parser("sizes", help="MIS-size comparison vs the optimum")
-    sizes.add_argument("--nodes", type=int, default=30)
-    sizes.add_argument("--edge-probability", type=float, default=0.3)
-    sizes.add_argument("--trials", type=int, default=15)
-    sizes.add_argument("--seed", type=int, default=1701)
-    _add_sweep_execution_arguments(sizes)
 
     sweep = sub.add_parser(
         "sweep", help="sharded, cached sweep of algorithms x sizes"
@@ -314,13 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     wakeup.add_argument("--max-delay", type=int, default=10)
     wakeup.add_argument("--seed", type=int, default=0)
 
-    report_cmd = sub.add_parser(
-        "report", help="run every reduced experiment and print a report"
-    )
-    report_cmd.add_argument("--trials", type=int, default=10)
-    report_cmd.add_argument("--seed", type=int, default=2303)
-    _add_sweep_execution_arguments(report_cmd)
-
     paper = sub.add_parser(
         "paper",
         help=(
@@ -440,47 +430,24 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sizes_up_to(max_n: int, count: int = 8, minimum: int = 20) -> List[int]:
-    if max_n < minimum:
-        raise SystemExit(f"--max-n must be >= {minimum}")
-    step = max(1, (max_n - minimum) // max(count - 1, 1))
-    sizes = list(range(minimum, max_n + 1, step))
-    if sizes[-1] != max_n:
-        sizes.append(max_n)
-    return sizes
-
-
-def _command_figure3(args: argparse.Namespace) -> int:
-    result = figure3_series(
-        sizes=_sizes_up_to(args.max_n),
-        trials=args.trials,
-        master_seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
+def _command_paper_alias(args: argparse.Namespace) -> int:
+    """``figure3``/``figure5``/``theorem1``/``sizes``: one registry entry."""
+    (entry,) = select_experiments([args.command])
+    artefact = run_experiment(
+        entry,
+        PaperSettings(
+            trials=args.trials, jobs=args.jobs, cache_dir=args.cache_dir
+        ),
     )
     if args.csv:
-        print(results_to_csv(result), end="")
+        print(artefact.csv, end="")
         return 0
-    print(format_experiment(result))
+    result = artefact.result
+    print(format_experiment(result, extra_columns=entry.extra_columns))
     print()
-    print(plot_experiment(result, y_label="rounds"))
-    return 0
-
-
-def _command_figure5(args: argparse.Namespace) -> int:
-    result = figure5_series(
-        sizes=_sizes_up_to(args.max_n, minimum=10),
-        trials=args.trials,
-        master_seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
+    print(
+        plot_experiment(result, y_label=entry.y_label, x_label=entry.x_label)
     )
-    if args.csv:
-        print(results_to_csv(result), end="")
-        return 0
-    print(format_experiment(result))
-    print()
-    print(plot_experiment(result, y_label="beeps/node"))
     return 0
 
 
@@ -630,43 +597,6 @@ def _parse_churn_events(entries: List[str]) -> tuple:
         raise SystemExit(f"--churn: {exc}") from None
 
 
-def _robustness_churn_csv(result) -> str:
-    """Robustness CSV with the churn repair columns appended."""
-    import csv as _csv
-    import io as _io
-
-    buffer = _io.StringIO()
-    writer = _csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["series", "x", "mean", "std", "trials", "repair", "recovered"]
-    )
-    for point in result.points:
-        writer.writerow(
-            [
-                point.series, point.x, point.mean, point.std, point.trials,
-                point.extra.get("repair", 0.0),
-                point.extra.get("recovered", 1.0),
-            ]
-        )
-    return buffer.getvalue()
-
-
-def _robustness_churn_table(result) -> str:
-    """The per-cell self-repair summary table of a churned grid."""
-    from repro.experiments.tables import format_table
-
-    rows = [
-        [
-            p.series,
-            f"{p.x:g}",
-            f"{p.extra.get('repair', 0.0):.2f}",
-            f"{p.extra.get('recovered', 1.0):.2f}",
-        ]
-        for p in result.points
-    ]
-    return format_table(["series", "x", "repair", "recovered"], rows)
-
-
 def _command_robustness(args: argparse.Namespace) -> int:
     from repro.experiments.robustness import robustness_grid
 
@@ -691,21 +621,17 @@ def _command_robustness(args: argparse.Namespace) -> int:
     )
     cache = args.cache_dir if args.cache_dir else "none"
     summary = f"# {report.summary()} cache={cache}"
+    extra_columns = ("repair", "recovered") if churn else ()
     if args.csv:
         # Keep stdout pure CSV (byte-stable, parseable); report on stderr.
-        csv_text = (
-            _robustness_churn_csv(result) if churn else results_to_csv(result)
-        )
-        print(csv_text, end="")
+        print(results_to_csv(result, extra_columns=extra_columns), end="")
         if not args.quiet:
             print(summary, file=sys.stderr)
     else:
-        print(format_experiment(result))
+        print(format_experiment(result, extra_columns=extra_columns))
         if churn:
-            print()
             print("self-repair (mean rounds to re-quiescence, "
-                  "recovered fraction):")
-            print(_robustness_churn_table(result))
+                  "recovered fraction): columns repair, recovered")
         print()
         print(
             plot_experiment(
@@ -714,18 +640,6 @@ def _command_robustness(args: argparse.Namespace) -> int:
         )
         if not args.quiet:
             print(summary)
-    return 0
-
-
-def _command_theorem1(args: argparse.Namespace) -> int:
-    sides = list(range(3, args.max_side + 1, max(1, (args.max_side - 3) // 4)))
-    result = theorem1_experiment(
-        sides=sides, trials=args.trials, master_seed=args.seed,
-        jobs=args.jobs, cache_dir=args.cache_dir,
-    )
-    print(format_experiment(result))
-    print()
-    print(plot_experiment(result, y_label="rounds"))
     return 0
 
 
@@ -749,35 +663,6 @@ def _command_bio(args: argparse.Namespace) -> int:
     )
     print(f"pattern is an MIS of the contact graph: {report.is_mis}")
     print(render_grid_mis(args.rows, args.cols, sops))
-    return 0
-
-
-def _command_sizes(args: argparse.Namespace) -> int:
-    from repro.experiments.sizes import mis_size_experiment
-    from repro.experiments.tables import format_table
-
-    result = mis_size_experiment(
-        n=args.nodes,
-        edge_probability=args.edge_probability,
-        trials=args.trials,
-        master_seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-    )
-    rows = [
-        [
-            p.series,
-            f"{p.mean:.2f}",
-            f"{p.std:.2f}",
-            f"{p.extra.get('optimum_ratio', float('nan')):.3f}",
-        ]
-        for p in result.points
-    ]
-    print(
-        format_table(
-            ["algorithm", "mean |MIS|", "std", "fraction of optimum"], rows
-        )
-    )
     return 0
 
 
@@ -906,28 +791,7 @@ def _command_wakeup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import build_report
-
-    print(
-        build_report(
-            trials=args.trials,
-            master_seed=args.seed,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-        )
-    )
-    return 0
-
-
 def _command_paper(args: argparse.Namespace) -> int:
-    from repro.experiments.paper import (
-        GOLDEN_AUTO,
-        experiment_names,
-        run_paper,
-        write_golden,
-    )
-
     if args.list:
         for name in experiment_names():
             print(name)
@@ -1031,18 +895,14 @@ def _command_list(_args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "run": _command_run,
-    "figure3": _command_figure3,
-    "figure5": _command_figure5,
+    **{name: _command_paper_alias for name in PAPER_ALIASES},
     "sweep": _command_sweep,
     "compare": _command_compare,
     "robustness": _command_robustness,
-    "theorem1": _command_theorem1,
     "bio": _command_bio,
-    "sizes": _command_sizes,
     "color": _command_color,
     "match": _command_match,
     "wakeup": _command_wakeup,
-    "report": _command_report,
     "paper": _command_paper,
     "animate": _command_animate,
     "stats": _command_stats,

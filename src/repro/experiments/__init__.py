@@ -25,7 +25,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.bio_ablation import inhibition_strength_ablation
 from repro.experiments.distributions import RoundDistribution, round_distributions
-from repro.experiments.report import build_report
 from repro.experiments.lower_bound import theorem1_experiment
 from repro.experiments.sizes import mis_size_experiment
 from repro.experiments.workloads import available_workloads, make_workload
@@ -42,7 +41,6 @@ __all__ = [
     "SeriesPoint",
     "TrialOutcome",
     "available_workloads",
-    "build_report",
     "round_distributions",
     "inhibition_strength_ablation",
     "make_workload",

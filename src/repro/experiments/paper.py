@@ -96,8 +96,9 @@ GOLDEN_AUTO = "auto"
 #: either registering it or consciously exempting it.
 EXEMPT_MODULES: Dict[str, str] = {
     "ablations": (
-        "report-only parameter ablations; the registry's robustness "
-        "entry covers the paper's fault-grid claim"
+        "engine-parameter ablations driven by the ablation benchmarks "
+        "and tests; the registry's robustness entry covers the paper's "
+        "fault-grid claim"
     ),
     "distributions": (
         "interactive round-latency percentile study; no fixed paper "
@@ -106,10 +107,6 @@ EXEMPT_MODULES: Dict[str, str] = {
     "html_report": "renderer consumed by the pipeline, not an experiment",
     "paper": "the pipeline itself",
     "records": "serialisation schema",
-    "report": (
-        "text report wrapper; its sections re-run registry experiments "
-        "(figures, lower_bound) plus an ablation at report scales"
-    ),
     "runner": "trial execution engine",
     "tables": "ASCII rendering helper",
     "workloads": "graph family registry",
@@ -124,8 +121,16 @@ class PaperSettings:
     jobs: int = 1
     cache_dir: Optional[PathLike] = None
 
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
-Runner = Callable[[PaperSettings], Tuple[ExperimentResult, str]]
+
+#: A runner's output: the result the report plots and the CSV it emits.
+RunnerResult = Tuple[ExperimentResult, str]
+
+#: A registry runner takes the pipeline settings and the entry's seed.
+Runner = Callable[[PaperSettings, int], RunnerResult]
 
 
 @dataclass(frozen=True)
@@ -223,11 +228,11 @@ class PaperPipeline:
 # ---------------------------------------------------------------------------
 
 
-def _run_figure3(s: PaperSettings) -> Tuple[ExperimentResult, str]:
+def _run_figure3(s: PaperSettings, seed: int) -> RunnerResult:
     result = figure3_series(
         sizes=(50, 100, 200),
         trials=s.trials,
-        master_seed=1303,
+        master_seed=seed,
         graphs_per_size=2,
         jobs=s.jobs,
         cache_dir=s.cache_dir,
@@ -235,11 +240,11 @@ def _run_figure3(s: PaperSettings) -> Tuple[ExperimentResult, str]:
     return result, results_to_csv(result)
 
 
-def _run_figure5(s: PaperSettings) -> Tuple[ExperimentResult, str]:
+def _run_figure5(s: PaperSettings, seed: int) -> RunnerResult:
     result = figure5_series(
         sizes=(10, 50, 100),
         trials=s.trials,
-        master_seed=1305,
+        master_seed=seed,
         graphs_per_size=2,
         jobs=s.jobs,
         cache_dir=s.cache_dir,
@@ -247,58 +252,58 @@ def _run_figure5(s: PaperSettings) -> Tuple[ExperimentResult, str]:
     return result, results_to_csv(result)
 
 
-def _run_grid(s: PaperSettings) -> Tuple[ExperimentResult, str]:
+def _run_grid(s: PaperSettings, seed: int) -> RunnerResult:
     result = grid_beeps_series(
         side_lengths=(5, 8),
         trials=s.trials,
-        master_seed=1306,
+        master_seed=seed,
         jobs=s.jobs,
         cache_dir=s.cache_dir,
     )
     return result, results_to_csv(result)
 
 
-def _run_theorem1(s: PaperSettings) -> Tuple[ExperimentResult, str]:
+def _run_theorem1(s: PaperSettings, seed: int) -> RunnerResult:
     result = theorem1_experiment(
         sides=(3, 5, 7),
         trials=s.trials,
-        master_seed=1101,
+        master_seed=seed,
         jobs=s.jobs,
         cache_dir=s.cache_dir,
     )
     return result, results_to_csv(result)
 
 
-def _run_sizes(s: PaperSettings) -> Tuple[ExperimentResult, str]:
+def _run_sizes(s: PaperSettings, seed: int) -> RunnerResult:
     result = mis_size_experiment(
         n=30,
         edge_probability=0.3,
         trials=s.trials,
-        master_seed=1701,
+        master_seed=seed,
         jobs=s.jobs,
         cache_dir=s.cache_dir,
     )
     return result, results_to_csv(result, extra_columns=("optimum_ratio",))
 
 
-def _run_robustness(s: PaperSettings) -> Tuple[ExperimentResult, str]:
+def _run_robustness(s: PaperSettings, seed: int) -> RunnerResult:
     result, _report = robustness_grid(
         n=40,
         loss_probabilities=(0.0, 0.1),
         spurious_probabilities=(0.0, 0.1),
         trials=s.trials,
-        master_seed=1603,
+        master_seed=seed,
         jobs=s.jobs,
         cache_dir=s.cache_dir,
     )
     return result, results_to_csv(result)
 
 
-def _run_compare(s: PaperSettings) -> Tuple[ExperimentResult, str]:
+def _run_compare(s: PaperSettings, seed: int) -> RunnerResult:
     comparison = comparison_experiment(
         sizes=(30, 60),
         trials=s.trials,
-        master_seed=2013,
+        master_seed=seed,
         jobs=s.jobs,
         cache_dir=s.cache_dir,
     )
@@ -314,14 +319,14 @@ _BIO_SCALE: Dict[str, Any] = {
 }
 
 
-def _run_bio(s: PaperSettings) -> Tuple[ExperimentResult, str]:
+def _run_bio(s: PaperSettings, seed: int) -> RunnerResult:
     result = inhibition_strength_ablation(
         strengths=_BIO_SCALE["strengths"],
         rows=_BIO_SCALE["rows"],
         cols=_BIO_SCALE["cols"],
         t_end=_BIO_SCALE["t_end"],
         trials=s.trials,
-        master_seed=1910,
+        master_seed=seed,
     )
     return result, results_to_csv(
         result, extra_columns=("mean_sops", "mis_fraction")
@@ -706,14 +711,20 @@ def _resolve_golden_dir(
     return Path(golden_dir)
 
 
-def _run_one(
+def run_experiment(
     entry: PaperExperiment, settings: PaperSettings
 ) -> ExperimentArtefact:
-    """Regenerate one experiment, observing its shard stream."""
+    """Regenerate one registry experiment, observing its shard stream.
+
+    The one path every registry artefact takes: :func:`run_paper` calls
+    it per entry, and the ``repro figure3``/``figure5``/``theorem1``/
+    ``sizes`` aliases call it for theirs, so an alias prints exactly the
+    bytes ``repro paper --only NAME`` writes.
+    """
     start = time.perf_counter()
     if entry.orchestrated:
         with _observe() as shard_probe:
-            result, csv_text = entry.runner(settings)
+            result, csv_text = entry.runner(settings, entry.seed)
         spec_hash = shard_probe.spec_hash()
         shards = dict(
             shards_total=shard_probe.cached + shard_probe.executed,
@@ -728,7 +739,7 @@ def _run_one(
             result, csv_text = cached
             artefact_cached = True
         else:
-            result, csv_text = entry.runner(settings)
+            result, csv_text = entry.runner(settings, entry.seed)
             _artefact_cache_put(
                 settings.cache_dir, spec_hash, result, csv_text
             )
@@ -810,17 +821,15 @@ def run_paper(
     keeps reruns byte-identical.  ``progress`` (when given) receives one
     summary line per experiment.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    entries = select_experiments(only)
     settings = PaperSettings(trials=trials, jobs=jobs, cache_dir=cache_dir)
+    entries = select_experiments(only)
     out_root = Path(out_dir)
     csv_dir = out_root / "csv"
     rundb_root = Path(rundb_dir) if rundb_dir is not None else out_root / "rundb"
 
     artefacts: List[ExperimentArtefact] = []
     for entry in entries:
-        artefact = _run_one(entry, settings)
+        artefact = run_experiment(entry, settings)
         atomic_write_text(csv_dir / artefact.csv_filename, artefact.csv)
         artefacts.append(artefact)
         if progress is not None:

@@ -42,9 +42,18 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_experiment(result: ExperimentResult, precision: int = 2) -> str:
-    """Render an :class:`ExperimentResult` as one table per x value."""
-    headers = ["series", "x", "mean", "std", "trials"]
+def format_experiment(
+    result: ExperimentResult,
+    precision: int = 2,
+    extra_columns: Sequence[str] = (),
+) -> str:
+    """Render an :class:`ExperimentResult` as one table per x value.
+
+    ``extra_columns`` appends named ``point.extra`` entries as columns
+    (blank where a point lacks the key), mirroring
+    :func:`~repro.experiments.records.results_to_csv`.
+    """
+    headers = ["series", "x", "mean", "std", "trials", *extra_columns]
     rows = [
         [
             p.series,
@@ -52,6 +61,11 @@ def format_experiment(result: ExperimentResult, precision: int = 2) -> str:
             f"{p.mean:.{precision}f}",
             f"{p.std:.{precision}f}",
             p.trials,
+            *(
+                "" if p.extra.get(name) is None
+                else f"{p.extra[name]:.{precision}f}"
+                for name in extra_columns
+            ),
         ]
         for p in result.points
     ]

@@ -31,6 +31,19 @@ class TestFactorAblation:
         for point in result.points[1:]:
             assert point.mean < 4.0 * baseline
 
+    def test_robustness_claim_at_n150(self):
+        """Section 6 at n=150: every factor pair, the gentle (0.7, 1.3)
+        included, stays within 3x the baseline's rounds."""
+        result = factor_ablation(
+            factor_pairs=((0.5, 2.0), (0.3, 3.0), (0.7, 1.3)),
+            n=150,
+            trials=4,
+            master_seed=11,
+        )
+        baseline = result.points[0].mean
+        assert len(result.points) == 3
+        assert all(p.mean < 3.0 * baseline for p in result.points)
+
 
 class TestInitialProbabilityAblation:
     def test_varied_initial_probability_stays_in_band(self):

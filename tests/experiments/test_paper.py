@@ -1,12 +1,15 @@
 """Tests for the one-command paper pipeline (``repro paper``)."""
 
+import csv
 import json
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import repro.experiments
+from repro.analysis.regression import fit_log2
 from repro.cli import main
 from repro.experiments.paper import (
     EXEMPT_MODULES,
@@ -18,6 +21,7 @@ from repro.experiments.paper import (
     select_experiments,
     write_golden,
 )
+from repro.experiments.records import ExperimentResult, SeriesPoint
 from repro.sweep.rundb import RunDB
 
 GOLDEN_DIR = Path(__file__).parent / "golden_paper"
@@ -85,6 +89,13 @@ class TestRegistry:
         # fingerprint; otherwise the artefact cache would serve stale
         # bytes across a scale change.
         assert all(e.fingerprint for e in REGISTRY if not e.orchestrated)
+
+    def test_artefacts_run_under_their_entry_seed(self, pipelines):
+        """The seed the provenance prints is the seed the CSV used."""
+        cold, _ = pipelines
+        seeds = {entry.name: entry.seed for entry in REGISTRY}
+        for artefact in cold.artefacts:
+            assert artefact.result.master_seed == seeds[artefact.name]
 
 
 class TestWarmRerunIdentity:
@@ -305,3 +316,119 @@ class TestCLI:
         )
         assert rc == 0
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# The paper's headline claims, asserted on the committed goldens.
+# ---------------------------------------------------------------------------
+
+
+def golden_result(name):
+    """A committed golden CSV read back as an :class:`ExperimentResult`."""
+    seeds = {entry.name: entry.seed for entry in REGISTRY}
+    path = GOLDEN_DIR / f"{name}.csv"
+    with path.open(encoding="utf-8", newline="") as handle:
+        points = [
+            SeriesPoint(
+                row["series"],
+                float(row["x"]),
+                float(row["mean"]),
+                float(row["std"]),
+                int(row["trials"]),
+            )
+            for row in csv.DictReader(handle)
+        ]
+    return ExperimentResult(name, points, master_seed=seeds[name])
+
+
+def figure3_holds(result):
+    """Feedback beats the sweep everywhere and grows like O(log n)."""
+    feedback = result.means("feedback")
+    sweep = result.means("afek-sweep")
+    slope = fit_log2(result.xs("feedback"), feedback).slope
+    return (
+        all(f < s for f, s in zip(feedback, sweep)) and 1.0 < slope < 5.0
+    )
+
+
+def figure5_holds(result):
+    """Feedback beeps per node stay flat; the sweep's grow with n."""
+    sweep = result.means("afek-sweep")
+    return max(result.means("feedback")) < 2.5 and sweep[-1] > sweep[0]
+
+
+def grid_holds(result):
+    """Feedback beeps about once per node on grids (paper: ~1.1)."""
+    return all(0.6 < mean < 2.0 for mean in result.means("feedback"))
+
+
+def theorem1_holds(result):
+    """Feedback separates from the sweep on the clique family."""
+    feedback = result.means("feedback")
+    sweep = result.means("afek-sweep")
+    return all(f < s for f, s in zip(feedback, sweep))
+
+
+CLAIMS = {
+    "figure3": figure3_holds,
+    "figure5": figure5_holds,
+    "grid": grid_holds,
+    "theorem1": theorem1_holds,
+}
+
+
+def with_mean(result, series, x, mean):
+    """A copy of ``result`` with one point's mean replaced."""
+    points = [
+        replace(p, mean=mean) if (p.series, p.x) == (series, x) else p
+        for p in result.points
+    ]
+    assert points != result.points, f"no {series} point at x={x}"
+    return replace(result, points=points)
+
+
+def feedback_flat(result):
+    """Every feedback mean set to one value: a zero log-slope."""
+    points = [
+        replace(p, mean=10.0) if p.series == "feedback" else p
+        for p in result.points
+    ]
+    return replace(result, points=points)
+
+
+# (claim, perturbation) pairs: each breaks one conjunct of its claim.
+MUTATIONS = {
+    # Only the sweep moves, so the feedback log-slope is untouched.
+    "figure3-sweep-below-feedback": (
+        "figure3", lambda r: with_mean(r, "afek-sweep", 100.0, 16.0)
+    ),
+    "figure3-flat-feedback": ("figure3", feedback_flat),
+    "figure5-feedback-beeps-grow": (
+        "figure5", lambda r: with_mean(r, "feedback", 100.0, 2.6)
+    ),
+    "figure5-sweep-beeps-flat": (
+        "figure5", lambda r: with_mean(r, "afek-sweep", 100.0, 3.0)
+    ),
+    "grid-feedback-beeps-high": (
+        "grid", lambda r: with_mean(r, "feedback", 64.0, 2.1)
+    ),
+    "theorem1-feedback-above-sweep": (
+        "theorem1", lambda r: with_mean(r, "feedback", 196.0, 21.0)
+    ),
+}
+
+
+class TestGoldenClaims:
+    """The committed trials=3 goldens carry the paper's claims."""
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_claim_holds_on_golden(self, name):
+        assert CLAIMS[name](golden_result(name)), name
+
+    @pytest.mark.parametrize("case", sorted(MUTATIONS))
+    def test_claim_fails_on_mutation(self, case):
+        name, mutate = MUTATIONS[case]
+        assert not CLAIMS[name](mutate(golden_result(name))), case
+
+    def test_every_claim_has_a_mutation(self):
+        assert {name for name, _ in MUTATIONS.values()} == set(CLAIMS)

@@ -50,3 +50,27 @@ class TestFormatExperiment:
             master_seed=0,
         )
         assert "1.2346" in format_experiment(result, precision=4)
+
+    def test_extra_columns_default_is_unchanged(self):
+        result = ExperimentResult(
+            experiment="e",
+            points=[
+                SeriesPoint("s", 30.0, 7.5, 1.0, 3, {"ratio": 0.875}),
+                SeriesPoint("t", 30.0, 8.0, 0.0, 3),
+            ],
+            master_seed=1,
+        )
+        assert format_experiment(result).split("\n") == [
+            "experiment: e (seed=1)",
+            "series | x  | mean | std  | trials",
+            "-------+----+------+------+-------",
+            "s      | 30 | 7.50 | 1.00 | 3     ",
+            "t      | 30 | 8.00 | 0.00 | 3     ",
+        ]
+        lines = format_experiment(result, extra_columns=("ratio",)).split(
+            "\n"
+        )
+        assert lines[1] == "series | x  | mean | std  | trials | ratio"
+        assert lines[3] == "s      | 30 | 7.50 | 1.00 | 3      | 0.88 "
+        # Blank where a point lacks the key, as in results_to_csv.
+        assert lines[4] == "t      | 30 | 8.00 | 0.00 | 3      |      "

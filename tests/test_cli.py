@@ -80,8 +80,7 @@ class TestSweep:
     def test_jobs_flag_accepted_on_figures(self, capsys, tmp_path):
         assert main([
             "figure5",
-            "--trials", "4",
-            "--max-n", "20",
+            "--trials", "2",
             "--csv",
             "--jobs", "2",
             "--cache-dir", str(tmp_path),
@@ -161,6 +160,23 @@ class TestRobustness:
         warm, warm_err = capsys.readouterr()
         assert "executed=0" in warm_err
         assert warm == out
+        # The churn CSV is the shared writer with the two repair extras.
+        from repro.beeping.faults import parse_churn_spec
+        from repro.experiments.records import results_to_csv
+        from repro.experiments.robustness import robustness_grid
+
+        result, _report = robustness_grid(
+            n=16,
+            loss_probabilities=(0.0, 0.2),
+            spurious_probabilities=(0.0,),
+            churn=parse_churn_spec(["leave:1:0", "sleep:2:3", "wake:4:3"]),
+            trials=4,
+            master_seed=1603,
+            cache_dir=tmp_path,
+        )
+        assert out == results_to_csv(
+            result, extra_columns=("repair", "recovered")
+        )
 
     def test_churn_table_mode_prints_repair_section(self, capsys):
         assert main([
@@ -212,34 +228,53 @@ class TestCompareChurn:
 
 class TestFigures:
     def test_figure3_csv(self, capsys):
-        assert main(
-            ["figure3", "--trials", "4", "--max-n", "60", "--seed", "1"]
-        ) == 0
+        assert main(["figure3", "--trials", "2"]) == 0
         out = capsys.readouterr().out
         assert "legend:" in out
 
     def test_figure3_csv_mode(self, capsys):
-        assert main(
-            ["figure3", "--trials", "4", "--max-n", "60", "--csv"]
-        ) == 0
+        assert main(["figure3", "--trials", "2", "--csv"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("series,x,mean,std,trials")
 
     def test_figure5(self, capsys):
-        assert main(
-            ["figure5", "--trials", "6", "--max-n", "40"]
-        ) == 0
+        assert main(["figure5", "--trials", "2"]) == 0
         out = capsys.readouterr().out
         assert "feedback" in out
+        assert "beeps/node" in out
 
-    def test_max_n_validation(self):
+
+class TestPaperAliases:
+    """figure3/figure5/theorem1/sizes print one paper registry artefact."""
+
+    @pytest.mark.parametrize(
+        "name", ["figure3", "figure5", "theorem1", "sizes"]
+    )
+    def test_csv_is_the_paper_only_artefact(self, name, capsys, tmp_path):
+        from repro.experiments.paper import run_paper
+
+        assert main([name, "--trials", "2", "--csv"]) == 0
+        out = capsys.readouterr().out
+        run_paper(
+            trials=2,
+            only=[name],
+            out_dir=tmp_path,
+            golden_dir=None,
+            bench_dir=None,
+        )
+        assert out == (tmp_path / "csv" / f"{name}.csv").read_text(
+            encoding="utf-8"
+        )
+
+    def test_report_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit):
-            main(["figure3", "--max-n", "5"])
+            main(["report"])
+        capsys.readouterr()
 
 
 class TestTheorem1:
     def test_runs(self, capsys):
-        assert main(["theorem1", "--max-side", "5", "--trials", "4"]) == 0
+        assert main(["theorem1", "--trials", "2"]) == 0
         out = capsys.readouterr().out
         assert "afek-sweep" in out
         assert "feedback" in out
@@ -255,9 +290,9 @@ class TestBio:
 
 class TestApplications:
     def test_sizes(self, capsys):
-        assert main(["sizes", "--nodes", "22", "--trials", "4"]) == 0
+        assert main(["sizes", "--trials", "2"]) == 0
         out = capsys.readouterr().out
-        assert "optimum" in out
+        assert "optimum_ratio" in out
         assert "feedback" in out
 
     def test_color(self, capsys):
@@ -298,11 +333,6 @@ class TestApplications:
         out = capsys.readouterr().out
         assert "legend:" in out
         assert "MIS =" in out
-
-    def test_report(self, capsys):
-        assert main(["report", "--trials", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "verdicts:" in out
 
 
 class TestSeedDiscipline:
