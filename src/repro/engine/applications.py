@@ -730,7 +730,7 @@ class EngineMIS(MISAlgorithm):
             graph, max_rounds=min(max_rounds, self._max_rounds)
         ).run_fleet(FeedbackRule(), [layer_seed], rng_mode="counter")
         beeps = run.beeps_by_node[0]
-        degrees = np.array(graph.degrees(), dtype=np.int64)
+        degrees = np.diff(graph.indptr).astype(np.int64)
         channel_bits = int((beeps * degrees).sum())
         return MISRun(
             algorithm=self.name,

@@ -53,32 +53,26 @@ def resolve_backend(backend: str, num_graphs: int, n: int) -> str:
 def build_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR neighbour lists of ``graph``: ``(columns, starts, isolated)``.
 
-    ``columns`` concatenates each vertex's neighbour list; ``starts`` holds
-    the *unclamped* per-vertex segment starts (``starts[v] ==
-    columns.size`` for a trailing run of isolated vertices).  Consumers
-    must therefore pad the gathered flag array with one trailing zero
-    before ``np.add.reduceat`` so every start is a valid index — clamping
-    the starts instead would silently truncate the last non-empty
-    vertex's segment and drop beeps from its highest-index neighbours.
-    Empty segments (isolated vertices) still produce garbage sums and are
-    masked with ``isolated`` (:func:`csr_row_counts` does both).
+    Read straight off the graph's own CSR arrays (``Graph.indices`` and
+    ``Graph.indptr``), widened to int64 so the engines' index arithmetic
+    (``row * n + column`` and the block-diagonal offsets) cannot
+    overflow.  ``columns`` concatenates each vertex's neighbour list;
+    ``starts`` holds the *unclamped* per-vertex segment starts
+    (``starts[v] == columns.size`` for a trailing run of isolated
+    vertices).  Consumers must therefore pad the gathered flag array with
+    one trailing zero before ``np.add.reduceat`` so every start is a valid
+    index — clamping the starts instead would silently truncate the last
+    non-empty vertex's segment and drop beeps from its highest-index
+    neighbours.  Empty segments (isolated vertices) still produce garbage
+    sums and are masked with ``isolated`` (:func:`csr_row_counts` does
+    both).
     """
-    from itertools import chain
-
-    n = graph.num_vertices
-    neighbor_lists = [graph.neighbors(v) for v in graph.vertices()]
-    degrees = np.fromiter(map(len, neighbor_lists), dtype=np.int64, count=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    # One C-level pass over the chained neighbour tuples; the per-vertex
-    # slice-assignment loop this replaces paid a tuple->array conversion
-    # per vertex.
-    columns = np.fromiter(
-        chain.from_iterable(neighbor_lists),
-        dtype=np.int64,
-        count=int(offsets[-1]),
+    indptr = graph.indptr.astype(np.int64)
+    return (
+        graph.indices.astype(np.int64),
+        indptr[:-1],
+        indptr[1:] == indptr[:-1],
     )
-    return columns, offsets[:-1].copy(), degrees == 0
 
 
 def csr_row_counts(

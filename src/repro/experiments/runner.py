@@ -22,13 +22,23 @@ Both accept a ``trial_range=(lo, hi)`` window: only global trials
 the full run.  Concatenating the outcomes of a partition of ``[0, trials)``
 therefore reproduces the unsharded run bit for bit — this is the contract
 the sweep orchestrator (:mod:`repro.sweep`) shards on.
+
+Graph ``g`` of a fleet run depends only on the graph factory and the
+``(g, 0)`` path of ``master_seed`` — not on the trial window, the rule or
+the trial count.  When the factory is a :class:`KeyedGraphFactory` (every
+sweep cell's is), :func:`run_fleet_trials` therefore draws each graph
+once per process: a memo holds the graphs of the most recent ``(key,
+master_seed)``, by graph index, so every shard of a cell and every cell
+sharing that fingerprint (both algorithms of one ``repro sweep`` size)
+reuse the same :class:`~repro.graphs.graph.Graph` objects.  The
+reference runner draws a fresh graph per trial, as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +46,71 @@ from repro.algorithms.base import MISAlgorithm, MISRun
 from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.beeping.rng import RngStream
 from repro.graphs.graph import Graph
+from repro.telemetry import probes
 
 GraphFactory = Callable[[Random], Graph]
 AlgorithmFactory = Callable[[], MISAlgorithm]
+
+
+@dataclass(frozen=True)
+class KeyedGraphFactory:
+    """A graph factory whose graph is fixed by ``key`` and its rng.
+
+    ``key`` names everything besides the rng that decides the graph (a
+    sweep cell's family and its parameters), which lets
+    :func:`run_fleet_trials` reuse graphs it has already drawn.
+    """
+
+    key: Hashable
+    build: GraphFactory
+
+    def __call__(self, rng: Random) -> Graph:
+        return self.build(rng)
+
+
+class _GraphMemo:
+    """The graphs of one ``(factory key, master_seed)``, by graph index.
+
+    A new fingerprint evicts the old one's graphs, so the memo never
+    holds more than one cell's ``graphs`` — what an unsharded fleet run
+    holds anyway.
+    """
+
+    def __init__(self) -> None:
+        self._fingerprint: Optional[Hashable] = None
+        self._graphs: Dict[int, Graph] = {}
+
+    def clear(self) -> None:
+        self._fingerprint = None
+        self._graphs = {}
+
+    def draw(
+        self,
+        graph_factory: GraphFactory,
+        stream: RngStream,
+        fingerprint: Hashable,
+        indices: Sequence[int],
+    ) -> List[Graph]:
+        """Graph ``g`` (drawn on path ``(g, 0)``) for every ``g`` in
+        ``indices``, drawing only those this fingerprint lacks."""
+        if fingerprint != self._fingerprint:
+            self.clear()
+            self._fingerprint = fingerprint
+        drawn = []
+        for graph_index in indices:
+            graph = self._graphs.get(graph_index)
+            if graph is None:
+                probes.count("graphs.drawn")
+                graph = graph_factory(stream.child(graph_index, 0))
+                self._graphs[graph_index] = graph
+            else:
+                probes.count("graphs.reused")
+            drawn.append(graph)
+        return drawn
+
+
+#: The per-process graph memo of :func:`run_fleet_trials`.
+_FLEET_GRAPHS = _GraphMemo()
 
 
 @dataclass(frozen=True)
@@ -159,7 +231,7 @@ def _emit_fleet_outcomes(
     message per incident channel.  ``graph`` must match the run's width
     — the universe graph for churn runs.
     """
-    degrees = np.array(graph.degrees(), dtype=np.int64)
+    degrees = np.diff(graph.indptr).astype(np.int64)
     for t in range(run.trials):
         channel_bits = int((run.beeps_by_node[t] * degrees).sum())
         outcomes.append(
@@ -193,7 +265,7 @@ def _emit_application_outcomes(
     peeling, matched edges / chosen vertices otherwise); beep and channel
     accounting lives on the *host* graph the MIS layers beeped on.
     """
-    degrees = np.array(host.degrees(), dtype=np.int64)
+    degrees = np.diff(host.indptr).astype(np.int64)
     for t in range(run.trials):
         channel_bits = int((run.beeps_by_node[t] * degrees).sum())
         outcomes.append(
@@ -229,6 +301,8 @@ def run_fleet_trials(
     ``(g, 1, trial)``, so graph topology and simulation randomness are
     independent, and outcomes are reproducible and identical to a
     seed-by-seed loop over the same seeds in the same ``rng_mode``.
+    A :class:`KeyedGraphFactory` draws each graph once per process (see
+    the module docs); any other factory is called once per graph.
     ``faults`` injects the vectorised fault model into every trial (a
     fault-free model changes nothing, including the random streams).
 
@@ -325,10 +399,13 @@ def run_fleet_trials(
         )
 
     outcomes: List[TrialOutcome] = []
-    drawn = [
-        graph_factory(stream.child(graph_index, 0))
-        for graph_index, _, _ in selected
-    ]
+    indices = [graph_index for graph_index, _, _ in selected]
+    if isinstance(graph_factory, KeyedGraphFactory):
+        drawn = _FLEET_GRAPHS.draw(
+            graph_factory, stream, (graph_factory.key, master_seed), indices
+        )
+    else:
+        drawn = [graph_factory(stream.child(g, 0)) for g in indices]
     same_n = len({graph.num_vertices for graph in drawn}) == 1
     if message:
         # The message-passing fabric is counter-only (checked above), so

@@ -1,18 +1,26 @@
 """Core undirected graph data structure.
 
 The whole reproduction works with a single, deliberately small graph type:
-an immutable, undirected, simple graph over vertices ``0..n-1`` stored as a
-tuple of sorted neighbour tuples.  Immutability means a :class:`Graph` can be
-shared freely between trials, algorithms and engines without defensive
-copies, and the adjacency representation gives O(deg) neighbourhood scans,
-which is the access pattern of every round of a beeping simulation.
+an immutable, undirected, simple graph over vertices ``0..n-1`` stored in
+compressed-sparse-row (CSR) form — two read-only int32 numpy arrays,
+``indptr`` (``n + 1`` segment offsets) and ``indices`` (every vertex's
+sorted neighbour list, concatenated).  The vectorised engines read those
+arrays directly; the per-node code reads Python views of them (sorted
+neighbour tuples, neighbour frozensets, the degree tuple), which are
+built lazily on first use and cached on the instance.  Immutability means
+a :class:`Graph` can be shared freely between trials, algorithms and
+engines without defensive copies.
 
 Mutable construction goes through :class:`GraphBuilder`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from itertools import chain
+from operator import eq
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 Edge = Tuple[int, int]
 
@@ -20,6 +28,92 @@ Edge = Tuple[int, int]
 def _normalise_edge(u: int, v: int) -> Edge:
     """Return the canonical (min, max) form of an undirected edge."""
     return (u, v) if u <= v else (v, u)
+
+
+ArrayPair = Tuple[np.ndarray, np.ndarray]
+
+
+def _list_pairs(edges: List[object], num_vertices: int) -> Optional[ArrayPair]:
+    """``edges`` as int64 ``(u, v)`` arrays when every edge is a pair of
+    plain, in-range, distinct ``int`` (never ``bool``); else ``None``.
+
+    The checks run as C-level passes over the flattened endpoints, never
+    as a Python loop per edge.
+    """
+    if not set(map(type, edges)) <= {tuple, list} or set(map(len, edges)) - {2}:
+        return None
+    flat = list(chain.from_iterable(edges))
+    if set(map(type, flat)) - {int}:
+        return None
+    if flat and (
+        min(flat) < 0
+        or max(flat) >= num_vertices
+        or any(map(eq, flat[::2], flat[1::2]))
+    ):
+        return None
+    ends = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    return ends[0::2], ends[1::2]
+
+
+def _array_pairs(edges: np.ndarray, num_vertices: int) -> Optional[ArrayPair]:
+    """An ``(m, 2)`` integer array as int64 ``(u, v)`` arrays when every
+    endpoint is in range and no pair is a self-loop; else ``None``."""
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        return None
+    if edges.size and (
+        edges.min() < 0
+        or edges.max() >= num_vertices
+        or (edges[:, 0] == edges[:, 1]).any()
+    ):
+        return None
+    pairs = edges.astype(np.int64)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _checked_pairs(edges: Iterable[object], num_vertices: int) -> ArrayPair:
+    """The per-edge check, in input order: raises the first invalid edge's
+    error, else returns the pairs as int64 ``(u, v)`` arrays."""
+    pairs: List[Edge] = []
+    for u, v in edges:
+        Graph._check_vertex(u, num_vertices)
+        Graph._check_vertex(v, num_vertices)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} is not allowed")
+        pairs.append((u, v))
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+def _csr(num_vertices: int, u: np.ndarray, v: np.ndarray) -> ArrayPair:
+    """``(indptr, indices)`` of the simple graph with these valid edges.
+
+    Both orientations of every edge become ``row * n + column`` keys; one
+    sort lays them out row-major with sorted rows, and dropping repeated
+    keys collapses duplicate edges given in either orientation.
+    """
+    n = num_vertices
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    if u.size == 0:
+        return indptr, np.zeros(0, dtype=np.int32)
+    keys = np.concatenate((u * n + v, v * n + u))
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    rows, columns = np.divmod(keys, n)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, columns.astype(np.int32)
+
+
+def _from_edge_arrays(num_vertices: int, u: np.ndarray, v: np.ndarray) -> "Graph":
+    """A :class:`Graph` from int64 edge arrays the caller guarantees are
+    in range and loop-free (generators drawing straight into arrays)."""
+    return _from_csr(*_csr(num_vertices, u, v))
+
+
+def _from_csr(indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+    """A :class:`Graph` over already-canonical CSR arrays (no checks)."""
+    graph = Graph.__new__(Graph)
+    graph._set_csr(indptr, indices)
+    return graph
 
 
 class Graph:
@@ -32,8 +126,9 @@ class Graph:
         ``0..n-1``; isolated vertices are permitted and occur naturally in
         sparse random graphs.
     edges:
-        An iterable of ``(u, v)`` pairs.  Self-loops are rejected; duplicate
-        edges (in either orientation) are collapsed.
+        An iterable of ``(u, v)`` pairs, or an ``(m, 2)`` integer numpy
+        array.  Self-loops are rejected; duplicate edges (in either
+        orientation) are collapsed.
 
     Examples
     --------
@@ -44,29 +139,50 @@ class Graph:
     (0, 2)
     """
 
-    __slots__ = ("_adjacency", "_num_edges", "_neighbor_sets")
+    __slots__ = (
+        "_indptr",
+        "_indices",
+        "_num_vertices",
+        "_num_edges",
+        "_adjacency",
+        "_neighbor_sets",
+        "_degrees",
+    )
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge] = ()) -> None:
         if num_vertices < 0:
             raise ValueError(f"num_vertices must be >= 0, got {num_vertices}")
-        neighbor_sets: List[Set[int]] = [set() for _ in range(num_vertices)]
-        num_edges = 0
-        for u, v in edges:
-            self._check_vertex(u, num_vertices)
-            self._check_vertex(v, num_vertices)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
-            if v not in neighbor_sets[u]:
-                neighbor_sets[u].add(v)
-                neighbor_sets[v].add(u)
-                num_edges += 1
-        self._adjacency: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted(neighbors)) for neighbors in neighbor_sets
-        )
-        self._neighbor_sets: Tuple[frozenset, ...] = tuple(
-            frozenset(neighbors) for neighbors in neighbor_sets
-        )
-        self._num_edges = num_edges
+        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+            # Integer arrays are checked vectorised; an invalid one takes
+            # the per-edge path on plain ints, so its errors read like a
+            # list's.
+            pairs = _array_pairs(edges, num_vertices)
+            if pairs is None:
+                pairs = _checked_pairs(edges.tolist(), num_vertices)
+        else:
+            # Anything that is not pairs of plain ints (bools, floats,
+            # numpy scalars, malformed edges) or fails the vectorised
+            # check takes the per-edge path, which raises exactly the
+            # per-edge errors in input order.
+            edges = edges if isinstance(edges, list) else list(edges)
+            pairs = _list_pairs(edges, num_vertices)
+            if pairs is None:
+                pairs = _checked_pairs(edges, num_vertices)
+        self._set_csr(*_csr(num_vertices, *pairs))
+
+    def _set_csr(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self._indptr = indptr
+        self._indices = indices
+        self._num_vertices = indptr.size - 1
+        self._num_edges = indices.size // 2
+        self._adjacency: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._neighbor_sets: Optional[Tuple[frozenset, ...]] = None
+        self._degrees: Optional[Tuple[int, ...]] = None
+
+    def __reduce__(self):
+        return _from_csr, (np.array(self._indptr), np.array(self._indices))
 
     @staticmethod
     def _check_vertex(v: int, num_vertices: int) -> None:
@@ -78,13 +194,38 @@ class Graph:
             )
 
     # ------------------------------------------------------------------
+    # Storage and its lazy Python views
+    # ------------------------------------------------------------------
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Read-only int32 CSR offsets: ``v``'s neighbours are
+        ``indices[indptr[v]:indptr[v + 1]]``."""
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Read-only int32 CSR neighbour lists, each sorted ascending."""
+        return self._indices
+
+    def _neighbor_tuples(self) -> Tuple[Tuple[int, ...], ...]:
+        """The sorted neighbour tuples of every vertex (built once)."""
+        if self._adjacency is None:
+            flat = self._indices.tolist()
+            bounds = self._indptr.tolist()
+            self._adjacency = tuple(
+                tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+            )
+        return self._adjacency
+
+    # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
         """Number of vertices ``n``."""
-        return len(self._adjacency)
+        return self._num_vertices
 
     @property
     def num_edges(self) -> int:
@@ -93,23 +234,30 @@ class Graph:
 
     def vertices(self) -> range:
         """The vertex set as a ``range`` object."""
-        return range(self.num_vertices)
+        return range(self._num_vertices)
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """The sorted tuple of neighbours of ``v``."""
-        return self._adjacency[v]
+        adjacency = self._adjacency
+        if adjacency is None:
+            adjacency = self._neighbor_tuples()
+        return adjacency[v]
 
     def neighbor_set(self, v: int) -> frozenset:
         """The neighbours of ``v`` as a frozenset (O(1) membership)."""
+        if self._neighbor_sets is None:
+            self._neighbor_sets = tuple(map(frozenset, self._neighbor_tuples()))
         return self._neighbor_sets[v]
 
     def degree(self, v: int) -> int:
         """The degree of vertex ``v``."""
-        return len(self._adjacency[v])
+        return self.degrees()[v]
 
     def degrees(self) -> Tuple[int, ...]:
         """Degrees of all vertices, indexed by vertex."""
-        return tuple(len(neighbors) for neighbors in self._adjacency)
+        if self._degrees is None:
+            self._degrees = tuple(np.diff(self._indptr).tolist())
+        return self._degrees
 
     def max_degree(self) -> int:
         """The maximum degree, 0 for the empty graph."""
@@ -127,14 +275,15 @@ class Graph:
         """Whether the edge ``{u, v}`` is present."""
         self._check_vertex(u, self.num_vertices)
         self._check_vertex(v, self.num_vertices)
-        return v in self._neighbor_sets[u]
+        return v in self.neighbor_set(u)
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges in canonical ``(u, v)`` with ``u < v`` order."""
-        for u, neighbors in enumerate(self._adjacency):
-            for v in neighbors:
-                if u < v:
-                    yield (u, v)
+        rows = np.repeat(
+            np.arange(self._num_vertices, dtype=np.int32), np.diff(self._indptr)
+        )
+        upper = rows < self._indices
+        yield from zip(rows[upper].tolist(), self._indices[upper].tolist())
 
     def density(self) -> float:
         """Edge density ``m / C(n, 2)``; 0.0 for graphs with < 2 vertices."""
@@ -173,7 +322,7 @@ class Graph:
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
-            if v not in self._neighbor_sets[u]
+            if v not in self.neighbor_set(u)
         ]
         return Graph(n, edges)
 
@@ -197,6 +346,7 @@ class Graph:
 
     def connected_components(self) -> List[List[int]]:
         """Connected components as sorted vertex lists, in discovery order."""
+        adjacency = self._neighbor_tuples()
         seen = [False] * self.num_vertices
         components: List[List[int]] = []
         for root in self.vertices():
@@ -208,7 +358,7 @@ class Graph:
             while stack:
                 u = stack.pop()
                 component.append(u)
-                for w in self._adjacency[u]:
+                for w in adjacency[u]:
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)
@@ -227,8 +377,6 @@ class Graph:
 
     def adjacency_matrix(self):
         """The boolean adjacency matrix as a numpy array (n x n)."""
-        import numpy as np
-
         n = self.num_vertices
         matrix = np.zeros((n, n), dtype=bool)
         for u, v in self.edges():
@@ -243,16 +391,22 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adjacency == other._adjacency
+        return np.array_equal(self._indptr, other._indptr) and np.array_equal(
+            self._indices, other._indices
+        )
 
     def __hash__(self) -> int:
-        return hash(self._adjacency)
+        return hash(self._neighbor_tuples())
 
     def __len__(self) -> int:
         return self.num_vertices
 
     def __contains__(self, v: object) -> bool:
-        return isinstance(v, int) and 0 <= v < self.num_vertices
+        return (
+            isinstance(v, int)
+            and not isinstance(v, bool)
+            and 0 <= v < self.num_vertices
+        )
 
     def __repr__(self) -> str:
         return (

@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from random import Random
 from typing import Any, Callable, Dict, List, Tuple, Union
 
 from repro.algorithms.registry import available_algorithms
@@ -47,8 +46,8 @@ from repro.engine.applications import APPLICATION_RULES, ApplicationRule
 from repro.engine.messages import MESSAGE_RULES, MessageRule
 from repro.engine.rules import FeedbackRule, ProbabilityRule, SweepRule
 from repro.engine.sparse import BACKENDS
+from repro.experiments.runner import KeyedGraphFactory
 from repro.graphs.cliques import theorem1_family
-from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import grid_graph
 
@@ -325,16 +324,31 @@ class CellSpec:
             churn_schedule=ChurnSchedule.from_events(self.churn),
         )
 
-    def graph_factory(self) -> Callable[[Random], Graph]:
-        """A seeded graph factory realising the cell's family."""
+    def family_parameters(self) -> Dict[str, Any]:
+        """The parameters of the cell's graph family."""
+        if self.family == "gnp":
+            return {"n": self.n, "edge_probability": self.edge_probability}
+        if self.family == "grid":
+            return {"rows": self.rows, "cols": self.cols}
+        return {"side": self.side, "copies": self.copies}
+
+    def graph_factory(self) -> KeyedGraphFactory:
+        """A seeded graph factory realising the cell's family.
+
+        Its key is the family and its parameters: with ``master_seed``
+        they fix every graph a fleet cell draws, so
+        :func:`~repro.experiments.runner.run_fleet_trials` draws each
+        graph once for all cells and shards that share them.
+        """
+        key = (self.family, *self.family_parameters().values())
         if self.family == "gnp":
             n, p = self.n, self.edge_probability
-            return lambda rng: gnp_random_graph(n, p, rng)
+            return KeyedGraphFactory(key, lambda rng: gnp_random_graph(n, p, rng))
         if self.family == "grid":
             rows, cols = self.rows, self.cols
-            return lambda _rng: grid_graph(rows, cols)
+            return KeyedGraphFactory(key, lambda _rng: grid_graph(rows, cols))
         side, copies = self.side, self.copies
-        return lambda _rng: theorem1_family(side, copies)
+        return KeyedGraphFactory(key, lambda _rng: theorem1_family(side, copies))
 
     def execution_fingerprint(self) -> Dict[str, Any]:
         """The fields that determine this cell's rows (see module docs)."""
@@ -349,15 +363,7 @@ class CellSpec:
             "churn": churn_to_json(self.churn),
             "max_rounds": self.max_rounds,
         }
-        if self.family == "gnp":
-            fingerprint["n"] = self.n
-            fingerprint["edge_probability"] = self.edge_probability
-        elif self.family == "grid":
-            fingerprint["rows"] = self.rows
-            fingerprint["cols"] = self.cols
-        else:
-            fingerprint["side"] = self.side
-            fingerprint["copies"] = self.copies
+        fingerprint.update(self.family_parameters())
         if self.engine == "fleet":
             # The per-graph grouping — and therefore every seed path —
             # depends on the full (trials, graphs) pair; the rng mode

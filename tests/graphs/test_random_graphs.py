@@ -63,6 +63,56 @@ class TestGnp:
         assert 0.5 * expected < g.num_edges < 2.0 * expected
 
 
+def _legacy_gnp_edges(n, p, rng):
+    """The per-edge geometric-skip loop ``gnp_random_graph`` ran before it
+    drew into arrays, kept verbatim as the oracle: its ``(w, v)`` edges."""
+    if p == 0.0 or n < 2:
+        return []
+    if p == 1.0:
+        return [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = []
+    log_q = math.log(1.0 - p)
+    if log_q == 0.0:
+        return []
+    v = 1
+    w = -1
+    while v < n:
+        w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((w, v))
+    return edges
+
+
+class TestGnpIdentity:
+    """The array-drawing generator builds exactly the legacy loop's graph
+    and leaves the rng exactly where the loop left it."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 37, 1000])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.5, 0.999, 1.0])
+    def test_matches_legacy_loop(self, n, p):
+        seed = n * 7919 + int(p * 1000)
+        ours, theirs = Random(seed), Random(seed)
+        graph = gnp_random_graph(n, p, ours)
+        edges = _legacy_gnp_edges(n, p, theirs)
+        assert list(graph.edges()) == sorted(edges)
+        assert graph.num_edges == len(edges)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_matches_legacy_loop_on_random_cases(self):
+        meta = Random(2024)
+        for _ in range(300):
+            n = meta.randrange(0, 120)
+            p = meta.choice([meta.random(), 1e-300, 1e-6, 1.0 - 1e-12])
+            seed = meta.randrange(2 ** 32)
+            ours, theirs = Random(seed), Random(seed)
+            graph = gnp_random_graph(n, p, ours)
+            assert list(graph.edges()) == sorted(_legacy_gnp_edges(n, p, theirs))
+            assert ours.getstate() == theirs.getstate()
+
+
 class TestGnm:
     def test_exact_edge_count(self):
         g = gnm_random_graph(20, 37, Random(1))

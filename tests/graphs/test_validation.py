@@ -96,3 +96,19 @@ class TestVerifyMIS:
             assert verify_mis(g, [v]) == {v}
         with pytest.raises(MISValidationError):
             verify_mis(g, [0, 1])
+
+
+class TestBoolVertices:
+    """``bool`` is an ``int`` subclass, but never a vertex: membership
+    follows the constructor's and ``has_edge``'s rule."""
+
+    def test_bools_are_not_vertices(self, p4):
+        assert True not in p4
+        assert False not in p4
+        assert 1 in p4 and 0 in p4
+
+    def test_verify_mis_rejects_bool_vertices(self, p4):
+        with pytest.raises(ValueError, match="not a vertex"):
+            verify_mis(p4, [True])
+        with pytest.raises(ValueError, match="not a vertex"):
+            is_independent_set(p4, [False, 2])

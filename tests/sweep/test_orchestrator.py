@@ -8,6 +8,8 @@ at any job count, shard width or cache state — returns exactly the
 entirely from the store (zero shards executed).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.algorithms.feedback import FeedbackMIS
@@ -487,3 +489,88 @@ class TestReportTimings:
         report = SweepReport()
         assert report.cache_hit_rate is None
         assert "hit-rate=-" in report.summary()
+
+
+class TestGraphMemo:
+    """A fleet sweep draws each graph once per process: every shard of a
+    cell, and every cell with the same family and master seed, reuses the
+    graphs of the fingerprint drawn last."""
+
+    CELLS = tuple(
+        CellSpec(
+            algorithm=algorithm,
+            engine="fleet",
+            family="gnp",
+            n=40,
+            edge_probability=0.5,
+            trials=10,
+            graphs=2,
+            master_seed=5,
+        )
+        for algorithm in ("feedback", "afek-sweep")
+    )
+    # Width-3 shards straddle the two 5-trial graph groups: without the
+    # memo each cell's four shards draw 1 + 2 + 1 + 1 = 5 graphs.
+    SPEC = SweepSpec(CELLS, shard_trials=3)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.sweep import spec as spec_module
+
+        calls = []
+        generator = spec_module.gnp_random_graph
+
+        def counting(n, p, rng):
+            calls.append((n, p))
+            return generator(n, p, rng)
+
+        monkeypatch.setattr(spec_module, "gnp_random_graph", counting)
+        runner._FLEET_GRAPHS.clear()
+        yield calls
+        runner._FLEET_GRAPHS.clear()
+
+    def test_two_cells_draw_each_graph_once(self, draws):
+        run_sweep(self.SPEC, jobs=1)
+        assert len(draws) == 2
+
+    def test_rows_equal_runs_without_reuse(self, draws):
+        from repro.experiments import runner
+
+        shared = run_sweep(self.SPEC, jobs=1).outcomes
+        for cell in self.CELLS:
+            runner._FLEET_GRAPHS.clear()
+            alone = run_sweep(SweepSpec((cell,), shard_trials=3), jobs=1)
+            assert alone.outcomes[cell] == shared[cell]
+            # A plain factory bypasses the memo altogether.
+            assert fleet_oracle(cell) == shared[cell]
+
+    def test_a_new_fingerprint_evicts_the_old_graphs(self, draws):
+        first, other = self.CELLS[0], replace(self.CELLS[0], master_seed=6)
+        for cell in (first, other, first):
+            run_sweep(SweepSpec((cell,), shard_trials=3), jobs=1)
+        assert len(draws) == 6
+
+    def test_probes_count_drawn_and_reused_graphs(self, draws):
+        from repro.experiments import runner
+
+        with probes.capture() as collector:
+            traced = run_sweep(self.SPEC, jobs=1).outcomes
+        assert collector.counters["graphs.drawn"] == 2
+        assert collector.counters["graphs.reused"] == 8
+        runner._FLEET_GRAPHS.clear()
+        assert run_sweep(self.SPEC, jobs=1).outcomes == traced
+
+    def test_jobs_two_prints_the_same_csv(self, capsys, tmp_path):
+        from repro.cli import main
+
+        args = [
+            "sweep", "--sizes", "40", "--trials", "10", "--graphs", "2",
+            "--shard-trials", "3", "--csv",
+        ]
+        csvs = []
+        for jobs in ("1", "2"):
+            cache = str(tmp_path / f"jobs{jobs}")
+            assert main(args + ["--jobs", jobs, "--cache-dir", cache]) == 0
+            csvs.append(capsys.readouterr().out)
+        assert csvs[0] == csvs[1] and csvs[0].count("\n") == 3
