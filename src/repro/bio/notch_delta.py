@@ -20,6 +20,7 @@ high-Notch receivers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import List, Optional, Tuple
@@ -41,12 +42,10 @@ class CollierParameters:
     nu: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("a and b must be > 0")
-        if self.k <= 0 or self.h <= 0:
-            raise ValueError("k and h must be > 0")
-        if self.nu <= 0:
-            raise ValueError("nu must be > 0")
+        for name in ("a", "b", "k", "h", "nu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def trans_activation(self, mean_delta: np.ndarray) -> np.ndarray:
         """F: Notch production from neighbours' mean Delta."""
@@ -118,16 +117,22 @@ class NotchDeltaModel:
         return self._parameters
 
     def derivative(self, t: float, state: np.ndarray) -> np.ndarray:
-        """Right-hand side over the packed state ``[notch..., delta...]``."""
+        """Right-hand side over the packed state ``[notch..., delta...]``.
+
+        ``state`` is one run's ``(2n,)`` vector or a ``(..., 2n)`` stack of
+        runs; each row's derivative is bit-identical to its one-row call.
+        """
         n = self._graph.num_vertices
-        notch = state[:n]
-        delta = state[n:]
-        mean_delta = self._mean_operator @ delta
+        notch = state[..., :n]
+        delta = state[..., n:]
+        # One gemv per row, bit-identical to ``M @ delta``; a GEMM over the
+        # stack (``delta @ M.T``) sums in another order and is not.
+        mean_delta = np.matmul(self._mean_operator, delta[..., None])[..., 0]
         d_notch = self._parameters.trans_activation(mean_delta) - notch
         d_delta = self._parameters.nu * (
             self._parameters.cis_inhibition(notch) - delta
         )
-        return np.concatenate([d_notch, d_delta])
+        return np.concatenate([d_notch, d_delta], axis=-1)
 
     def initial_state(
         self, rng: Random, perturbation: float = 0.01

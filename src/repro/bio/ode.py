@@ -7,6 +7,7 @@ the substrate self-contained (and deterministic across scipy versions).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Tuple
 
 import numpy as np
@@ -39,25 +40,31 @@ def rk4_integrate(
     f:
         Right-hand side; must return an array with ``y``'s shape.
     y0:
-        Initial state (copied; never mutated).
+        Initial state of any shape (copied; never mutated).  A stack of
+        independent systems, one per row, shares one loop; each row's
+        result equals integrating that row alone when ``f`` computes
+        every row exactly as it would alone.
     t_span:
-        ``(t0, t1)`` with ``t1 > t0``.
+        ``(t0, t1)``, both finite, with ``t1 > t0``.
     dt:
-        Fixed step size; the final step is shortened to land on ``t1``.
+        Finite fixed step size > 0; the final step is shortened to land
+        on ``t1``.
     record_every:
         Keep every k-th state (plus the final one) in the returned
         trajectory, to bound memory on long integrations.
 
     Returns
     -------
-    ``(times, states)``: 1-D times and a ``(len(times), len(y0))`` state
-    matrix, both including the initial and final points.
+    ``(times, states)``: 1-D times and a ``(len(times), *y0.shape)``
+    array of states, both including the initial and final points.
     """
     t0, t1 = t_span
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got t_span={t_span}")
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got t_span={t_span}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     y = np.array(y0, dtype=np.float64, copy=True)

@@ -10,6 +10,7 @@ from repro.bio.notch_delta import (
     NotchDeltaModel,
     two_cell_demo,
 )
+from repro.bio.ode import rk4_integrate
 from repro.graphs.graph import Graph
 from repro.graphs.structured import hex_lattice_graph
 
@@ -44,6 +45,12 @@ class TestParameters:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             CollierParameters(**kwargs)
+
+    @pytest.mark.parametrize("name", ["a", "b", "k", "h", "nu"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite.*{value}"):
+            CollierParameters(**{name: value})
 
 
 class TestTwoCellDemo:
@@ -116,9 +123,50 @@ class TestLatticeModel:
         state = model.initial_state(Random(1), perturbation=0.02)
         assert ((state >= 0.48) & (state <= 0.52)).all()
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"t_end": float("nan")}, {"dt": float("nan")}]
+    )
+    def test_non_finite_run_rejected(self, kwargs):
+        model = NotchDeltaModel(Graph(2, [(0, 1)]))
+        with pytest.raises(ValueError, match="nan"):
+            model.run(Random(1), **kwargs)
+
     def test_deterministic_given_seed(self):
         graph = hex_lattice_graph(4, 4)
         model = NotchDeltaModel(graph)
         a = model.run(Random(3), t_end=30.0)
         b = model.run(Random(3), t_end=30.0)
         assert np.array_equal(a.final_delta, b.final_delta)
+
+
+class TestStackedDerivative:
+    """A ``(R, 2n)`` stack of states is R independent runs, bit for bit."""
+
+    @pytest.fixture
+    def stack(self):
+        graph = hex_lattice_graph(5, 7)  # rows != cols
+        model = NotchDeltaModel(graph)
+        states = np.array(
+            [model.initial_state(Random(seed), 0.3) for seed in range(6)]
+        )
+        return graph, states
+
+    def test_stack_equals_one_row_calls(self, stack):
+        graph, states = stack
+        model = NotchDeltaModel(graph)
+        stacked = model.derivative(0.0, states)
+        assert stacked.shape == states.shape
+        for row, state in zip(stacked, states):
+            assert np.array_equal(row, model.derivative(0.0, state))
+
+    def test_stacked_integration_equals_model_runs(self, stack):
+        graph, states = stack
+        model = NotchDeltaModel(graph)
+        _times, stacked = rk4_integrate(
+            model.derivative, states, (0.0, 7.37), 0.05, 10
+        )
+        n = graph.num_vertices
+        for index, state in enumerate(states):
+            run = model.run(Random(0), t_end=7.37, initial_state=state)
+            assert np.array_equal(run.notch, stacked[:, index, :n])
+            assert np.array_equal(run.delta, stacked[:, index, n:])

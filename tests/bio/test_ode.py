@@ -76,3 +76,39 @@ class TestRk4Integrate:
     def test_invalid_arguments(self, kwargs):
         with pytest.raises(ValueError):
             rk4_integrate(lambda t, y: y, np.array([1.0]), **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"t_span": (0.0, 1.0), "dt": math.nan},
+            {"t_span": (0.0, 1.0), "dt": math.inf},
+            {"t_span": (0.0, math.nan), "dt": 0.1},
+            {"t_span": (math.nan, 1.0), "dt": 0.1},
+            {"t_span": (0.0, math.inf), "dt": 0.1},
+        ],
+    )
+    def test_non_finite_arguments_named(self, kwargs):
+        with pytest.raises(ValueError, match="nan|inf"):
+            rk4_integrate(lambda t, y: y, np.array([1.0]), **kwargs)
+
+
+class TestStackedStates:
+    @staticmethod
+    def f(t, y):
+        # Nonlinear, time-dependent and row-independent.
+        return -y ** 3 + np.sin(t) * y + 0.1
+
+    def test_states_keep_the_initial_shape(self):
+        y0 = np.zeros((3, 4))
+        times, states = rk4_integrate(self.f, y0, (0.0, 1.0), 0.1, 4)
+        assert states.shape == (len(times), 3, 4)
+
+    def test_stack_equals_per_row_integration_bit_for_bit(self):
+        rows = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 6))
+        times, stacked = rk4_integrate(self.f, rows, (0.0, 2.03), 0.05, 3)
+        for index, row in enumerate(rows):
+            row_times, alone = rk4_integrate(
+                self.f, row, (0.0, 2.03), 0.05, 3
+            )
+            assert np.array_equal(row_times, times)
+            assert np.array_equal(alone, stacked[:, index])
