@@ -35,7 +35,10 @@ implementing the same two-exchange round semantics:
     :class:`MessageRule` expresses each round as a masked
     neighbour-minimum priority contest, run on the dense full-adjacency
     sweep or the CSR ``minimum.reduceat`` pass, counter rng mode only;
-    the fleet is the one-graph armada.
+    the fleet is the one-graph armada.  It keeps its own round loop: a
+    round is a masked-minimum contest over ``uint64`` keys, not an
+    elementwise probability update, and folding it into the armada's
+    loop would make that loop branch on its caller.
     ``benchmarks/bench_message_fleet.py`` records the margin over the
     per-node loop; see :mod:`repro.engine.messages` and
     ``docs/algorithms.md``.
@@ -45,8 +48,10 @@ implementing the same two-exchange round semantics:
     The MIS *applications* — iterated-peeling colouring, maximal matching
     on the array-built line graph, independent dominating sets and
     (α, α−1)-ruling sets on vectorised graph powers — as
-    :class:`ApplicationRule` reductions on the same lockstep fabric,
-    counter rng mode only, the fleet again the one-graph armada.  They
+    :class:`ApplicationRule` reductions, counter rng mode only, the
+    fleet again the one-graph armada.  Every MIS layer is one run of the
+    armada's own round loop, started from the still-uncoloured lanes
+    with rank-compacted counter lanes.  They
     are conformance-locked bit for bit against the per-node reductions
     in :mod:`repro.applications` through the :class:`EngineMIS` adapter;
     ``benchmarks/bench_application_fleet.py`` records the margin over the

@@ -4,11 +4,12 @@ The paper's conclusion sells MIS as a building block: colouring, maximal
 matching, dominating sets and ruling sets all reduce to it.  The per-node
 reductions in :mod:`repro.applications` realise those reductions one
 Python set operation at a time; this module lifts the whole family onto
-the lockstep tensor fabric the beeping and message-passing engines
-already share.  An :class:`ApplicationRule` describes one reduction —
-which *host graph* the inner MIS runs on and whether layers are peeled —
-and a shared outer-loop driver advances a whole ``(trials, n)`` batch
-(``(slots, n)`` in the armada form) of complete reductions at once:
+the armada's lockstep round loop
+(:meth:`~repro.engine.fleet.ArmadaSimulator._lockstep`).  An
+:class:`ApplicationRule` describes one reduction — which *host graph*
+the inner MIS runs on and whether layers are peeled — and a shared layer
+loop advances a whole ``(slots, n)`` batch of complete reductions at
+once, each layer one armada run over the host graphs:
 
 - :class:`ColoringRule` — iterated MIS peeling; every layer is one
   lockstep feedback-MIS pass over the still-uncoloured lanes of every
@@ -33,9 +34,10 @@ are *rank-compacted*: remaining vertex ``v`` draws the uniform of lane
 ``rank(v)`` (its index in the induced subgraph the per-node reduction
 would build), via :func:`repro.beeping.rng.counter_uniforms_at`.  Since
 ``mis_coloring`` peels induced subgraphs in ascending vertex order, the
-lane mapping matches the reference relabelling exactly, and the inner
-round loop reproduces :class:`~repro.engine.fleet.FleetSimulator`'s
-counter-mode feedback semantics verbatim.  Consequence: feeding the
+lane mapping matches the reference relabelling exactly, and each layer's
+armada run equals the counter-mode
+:class:`~repro.engine.fleet.FleetSimulator` run on the induced subgraph.
+Consequence: feeding the
 *unchanged* per-node reductions an :class:`EngineMIS` adapter (which runs
 each ``algorithm.run`` call as a one-trial counter fleet on the matching
 layer seed) reproduces the kernels' colourings, matchings and chosen sets
@@ -67,19 +69,12 @@ from repro.applications.dominating import verify_dominating_set
 from repro.applications.matching import verify_maximal_matching
 from repro.applications.ruling_sets import verify_ruling_set
 from repro.beeping.faults import FaultModel, NO_FAULTS
-from repro.beeping.rng import (
-    DRAW_BEEP,
-    DRAW_LAYER,
-    counter_state,
-    counter_uniforms_at,
-    seed_array,
-)
+from repro.beeping.rng import DRAW_LAYER, counter_state, seed_array
 from repro.beeping.events import Trace
-from repro.engine.fleet import FleetSimulator
-from repro.engine.messages import _MessageKernel
+from repro.engine.fleet import ArmadaSimulator, FleetSimulator
 from repro.engine.rules import FeedbackRule
 from repro.engine.simulator import DEFAULT_MAX_ROUNDS
-from repro.engine.sparse import build_csr, csr_to_dense, resolve_backend
+from repro.engine.sparse import build_csr, csr_to_dense
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis
 from repro.telemetry import probes
@@ -390,19 +385,16 @@ class ApplicationFleetRun:
 
 def _run_application_lockstep(
     rule: ApplicationRule,
-    seeds: np.ndarray,
-    blocks: Sequence[Tuple[_MessageKernel, slice]],
-    num_vertices: int,
-    max_rounds: int,
+    armada: ArmadaSimulator,
+    seed_rows: Sequence[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The shared outer (layer) and inner (round) loops over the batch.
+    """The layer loop: one armada round loop per MIS layer.
 
-    ``blocks`` assigns contiguous row ranges to per-host-graph kernels
-    (one block per armada graph).
-    Every layer reruns the counter-mode feedback-MIS round loop of
-    :class:`~repro.engine.fleet.FleetSimulator` with two twists that keep
-    it bit-compatible with the per-node reduction over induced
-    subgraphs:
+    ``seed_rows[g]`` holds the trial seeds of ``armada.graphs[g]`` (the
+    host graphs).  Each layer runs the feedback rule once through
+    :meth:`~repro.engine.fleet.ArmadaSimulator._lockstep`, started from
+    the still-uncoloured lanes and with two twists that keep it
+    bit-compatible with the per-node reduction over induced subgraphs:
 
     - the layer's seeds are ``counter_state(trial_seed, layer,
       DRAW_LAYER)`` — exactly what :class:`EngineMIS` hands the lone
@@ -417,25 +409,21 @@ def _run_application_lockstep(
     updated elementwise, so the remaining lanes evolve exactly as the
     compacted subgraph batch would; the neighbour-OR restricted to
     remaining lanes equals the induced subgraph's OR because retired
-    lanes never beep.  ``max_rounds`` bounds each layer separately, the
-    same budget every per-node ``algorithm.run`` call gets.  Returns
-    ``(rounds, layers, colors, beeps)``.
+    lanes never beep.  The armada's ``max_rounds`` bounds each layer
+    separately, the same budget every per-node ``algorithm.run`` call
+    gets.  Returns ``(rounds, layers, colors, beeps)``, with ``rounds``
+    summed over layers.
     """
-    if not isinstance(rule, ApplicationRule):
-        raise TypeError(
-            f"need an ApplicationRule, got {type(rule).__name__!r}"
-        )
     mis_rule = FeedbackRule()
+    seeds = np.concatenate(seed_rows)
+    bounds = np.cumsum([row.size for row in seed_rows])[:-1]
     total = int(seeds.size)
-    n = num_vertices
+    n = armada.graphs[0].num_vertices
     colors = np.full((total, n), -1, dtype=np.int64)
     beeps = np.zeros((total, n), dtype=np.int64)
     rounds = np.zeros(total, dtype=np.int64)
     layers = np.zeros(total, dtype=np.int64)
     remaining = np.ones((total, n), dtype=bool)
-    heard = np.zeros((total, n), dtype=bool)
-    neighbor_joined = np.zeros((total, n), dtype=bool)
-    uniforms = np.empty((total, n), dtype=np.float64)
     layer = 0
     while True:
         live = remaining.any(axis=1)
@@ -451,61 +439,23 @@ def _run_application_lockstep(
         # rank[t, v]: v's lane in the induced-subgraph fleet the per-node
         # reduction would run for trial t this layer (garbage off-mask).
         rank = np.cumsum(remaining, axis=1, dtype=np.int64) - 1
-        active = remaining.copy()
-        probabilities = np.broadcast_to(
-            mis_rule.initial(n), (total, n)
-        ).astype(np.float64, copy=True)
-        alive = live.copy()
-        round_index = 0
-        while alive.any():
-            if round_index >= max_rounds:
-                raise RuntimeError(
-                    f"application simulation exceeded {max_rounds} rounds"
-                )
-            state = counter_state(layer_seeds, round_index, DRAW_BEEP)
-            rows = np.flatnonzero(alive)
-            uniforms[rows] = counter_uniforms_at(
-                state[rows, np.newaxis], rank[rows]
-            )
-            beep = active & (uniforms < probabilities)
-            # Per-block reductions touch only the block's live rows;
-            # finished rows keep stale values, masked by all-False active.
-            heard[:] = False
-            live_blocks = []
-            for kernel, block in blocks:
-                block_rows = np.flatnonzero(alive[block])
-                if block_rows.size == 0:
-                    continue
-                block_rows += block.start
-                live_blocks.append((kernel, block_rows))
-                heard[block_rows] = kernel.neighbor_or(beep[block_rows])
-            probabilities = mis_rule.update(
-                probabilities, heard, active, round_index
-            )
-            joined = beep & ~heard
-            colors[joined] = layer
-            neighbor_joined[:] = False
-            for kernel, block_rows in live_blocks:
-                neighbor_joined[block_rows] = kernel.neighbor_or(
-                    joined[block_rows]
-                )
-            beeps += beep
-            active &= ~(joined | neighbor_joined)
-            still_alive = active.any(axis=1)
-            rounds[alive & ~still_alive] += round_index + 1
-            alive = still_alive
-            round_index += 1
+        runs = armada._lockstep(
+            mis_rule, np.split(layer_seeds, bounds), False, NO_FAULTS,
+            "counter", False, initial_active=remaining, lanes=rank,
+        )
+        joined = np.concatenate([run.membership for run in runs])
+        colors[joined] = layer
+        beeps += np.concatenate([run.beeps_by_node for run in runs])
+        rounds += np.concatenate([run.rounds for run in runs])
         if not rule.peel:
             break
-        remaining &= colors < 0
+        remaining &= ~joined
         layer += 1
     if probes.enabled():
         probes.count("engine.application.runs")
         probes.count("engine.application.trials", total)
         probes.count("engine.application.rounds", int(rounds.max(initial=0)))
         probes.count("engine.application.layers", int(layers.max(initial=0)))
-        if blocks:
-            probes.count(f"engine.backend.{blocks[0][0]._backend}")
     return rounds, layers, colors, beeps
 
 
@@ -562,14 +512,13 @@ class ApplicationFleetSimulator:
 
 
 class ApplicationArmadaSimulator:
-    """One lockstep layer/round loop for several same-host-size graphs.
+    """One lockstep layer loop for several same-host-size graphs.
 
-    The application sibling of
-    :class:`~repro.engine.fleet.ArmadaSimulator`: every ``(graph,
-    trial)`` pair becomes one slot row of a ``(slots, n_host)`` batch
-    (rows grouped per graph), the layer loop runs once for the whole
-    cell, and the reductions stay block-diagonal — each host graph's
-    kernel serves its own row block — so slot ``(g, t)`` is bit-identical
+    Holds one :class:`~repro.engine.fleet.ArmadaSimulator` over the host
+    graphs: every ``(graph, trial)`` pair becomes one slot row of a
+    ``(slots, n_host)`` batch (rows grouped per graph), the layer loop
+    runs once for the whole cell with one armada run per layer, and the
+    reductions stay block-diagonal, so slot ``(g, t)`` is bit-identical
     to trial ``t`` of
     ``ApplicationFleetSimulator(graphs[g], rule).run_fleet(seed_rows[g])``.
     The *host* vertex counts must match (for matching: equal edge
@@ -583,30 +532,15 @@ class ApplicationArmadaSimulator:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         backend: str = "auto",
     ) -> None:
-        if not graphs:
-            raise ValueError("need at least one graph")
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
         if not isinstance(rule, ApplicationRule):
             raise TypeError(
                 f"need an ApplicationRule, got {type(rule).__name__!r}"
             )
         self._graphs = list(graphs)
         self._rule = rule
-        self._hosts = [rule.host(graph) for graph in self._graphs]
-        n = self._hosts[0].num_vertices
-        for host in self._hosts:
-            if host.num_vertices != n:
-                raise ValueError(
-                    "armada host graphs must share one vertex count, got "
-                    f"{n} and {host.num_vertices}"
-                )
-        self._n = n
-        self._max_rounds = max_rounds
-        self._backend = resolve_backend(backend, len(graphs), n)
-        self._kernels = [
-            _MessageKernel(host, self._backend) for host in self._hosts
-        ]
+        self._armada = ArmadaSimulator(
+            [rule.host(graph) for graph in self._graphs], max_rounds, backend
+        )
 
     @property
     def graphs(self) -> Sequence[Graph]:
@@ -616,7 +550,7 @@ class ApplicationArmadaSimulator:
     @property
     def hosts(self) -> Sequence[Graph]:
         """The per-graph host graphs, in slot order."""
-        return tuple(self._hosts)
+        return self._armada.graphs
 
     @property
     def rule(self) -> ApplicationRule:
@@ -626,7 +560,7 @@ class ApplicationArmadaSimulator:
     @property
     def backend(self) -> str:
         """The resolved backend, ``"dense"`` or ``"sparse"``."""
-        return self._backend
+        return self._armada.backend
 
     def run_armada(
         self,
@@ -648,22 +582,17 @@ class ApplicationArmadaSimulator:
         sizes = [int(group.size) for group in groups]
         if min(sizes) < 1:
             raise ValueError("every graph needs at least one seed")
-        seeds = np.concatenate(groups)
-        blocks = []
-        offset = 0
-        for kernel, size in zip(self._kernels, sizes):
-            blocks.append((kernel, slice(offset, offset + size)))
-            offset += size
         rounds, layers, colors, beeps = _run_application_lockstep(
-            self._rule, seeds, blocks, self._n, self._max_rounds
+            self._rule, self._armada, groups
         )
         runs: List[ApplicationFleetRun] = []
-        for (kernel, block), size, graph, host in zip(
-            blocks, sizes, self._graphs, self._hosts
-        ):
+        offset = 0
+        for size, graph, host in zip(sizes, self._graphs, self.hosts):
+            block = slice(offset, offset + size)
+            offset += size
             run = ApplicationFleetRun(
                 rule_name=self._rule.name,
-                num_vertices=self._n,
+                num_vertices=host.num_vertices,
                 trials=size,
                 rounds=rounds[block].copy(),
                 layers=layers[block].copy(),
@@ -683,7 +612,10 @@ class EngineMIS(MISAlgorithm):
     Call ``i`` of :meth:`run` executes a one-trial counter-mode
     :class:`~repro.engine.fleet.FleetSimulator` feedback run seeded with
     ``counter_state(trial_seed, i, DRAW_LAYER)`` — exactly the seed the
-    vectorised kernels give layer ``i`` of the same trial.  Feeding this
+    vectorised kernels give layer ``i`` of the same trial.  The kernels
+    run that layer on the same armada loop, masked to the remaining
+    vertices and drawing their rank lanes; this adapter runs it on the
+    relabelled induced subgraph itself.  Feeding this
     adapter to the *unchanged* per-node reductions in
     :mod:`repro.applications` (``mis_coloring``, ``mis_matching``,
     ``mis_dominating_set``, ``ruling_set``) therefore reproduces the

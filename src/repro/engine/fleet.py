@@ -557,9 +557,14 @@ class ArmadaSimulator:
         faults: FaultModel,
         rng_mode: str,
         record_beeps: bool,
+        initial_active: Optional[np.ndarray] = None,
+        lanes: Optional[np.ndarray] = None,
     ) -> List[FleetRun]:
         """The probability-rule round loop; graphs are already the
-        universes (:meth:`_on_universe`)."""
+        universes (:meth:`_on_universe`).  For the application layers
+        (fault-free counter runs), ``initial_active`` is a ``(slots, n)``
+        starting mask and vertex ``v`` of slot ``s`` draws counter lane
+        ``lanes[s, v]`` instead of ``v``, in both phases."""
         if not getattr(rule, "trial_parallel", False):
             raise ValueError(
                 f"rule {rule.name!r} is not trial-parallel; "
@@ -598,11 +603,12 @@ class ArmadaSimulator:
             else None
         )
         last_event = churn.last_event_round if has_churn else -1
-        active = (
-            churn.initial_active()
-            if has_churn
-            else np.ones((total, n), dtype=bool)
-        )
+        if has_churn:
+            active = churn.initial_active()
+        elif initial_active is not None:
+            active = initial_active.copy()
+        else:
+            active = np.ones((total, n), dtype=bool)
         initial_row = rule.initial(n) if has_churn else None
         recovered = np.ones(total, dtype=bool) if has_churn else None
         membership = np.zeros((total, n), dtype=bool)
@@ -688,7 +694,13 @@ class ArmadaSimulator:
                 # Counter draws are pure per-slot functions, so dead rows
                 # may read fresh uniforms (their active mask is False);
                 # skipping the live-row gather saves two copies per round.
-                uniforms = counter_uniforms(seeds, round_index, DRAW_BEEP, n)
+                if lanes is None:
+                    uniforms = counter_uniforms(
+                        seeds, round_index, DRAW_BEEP, n
+                    )
+                else:
+                    states = counter_state(seeds, round_index, DRAW_BEEP)
+                    uniforms = counter_uniforms_at(states[:, None], lanes)
             else:
                 # Dead rows keep stale uniforms, but their active row is
                 # all-False so beep stays all-False there.
@@ -840,8 +852,12 @@ class ArmadaSimulator:
                         seeds, block[:, np.newaxis], DRAW_BEEP
                     )
                 state = state_block[round_index - state_block_base]
+                entry_lanes = (
+                    entry_cols if lanes is None
+                    else lanes[entry_rows, entry_cols]
+                )
                 entry_uniforms = counter_uniforms_at(
-                    state[entry_rows], entry_cols
+                    state[entry_rows], entry_lanes
                 )
                 entry_beep = entry_uniforms < entry_p
                 beep_rows = entry_rows[entry_beep]

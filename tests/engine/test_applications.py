@@ -340,3 +340,46 @@ class TestValidity:
         ApplicationFleetSimulator(
             graph, APPLICATION_RULES[name](), backend=backend
         ).run_fleet(seeds, validate=True)
+
+
+class TestLayerLoop:
+    """Each colouring layer is one armada run with its own round budget."""
+
+    def _coloring(self, max_rounds=None):
+        graph = gnp_random_graph(40, 0.3, Random(604))
+        seeds = derive_seed_block(MASTER_SEED, 9, count=6)
+        kwargs = {} if max_rounds is None else {"max_rounds": max_rounds}
+        return ApplicationFleetSimulator(
+            graph, ColoringRule(), **kwargs
+        ).run_fleet(seeds, validate=True)
+
+    def test_round_cap_raises(self):
+        with pytest.raises(RuntimeError, match="exceeded 1 rounds"):
+            self._coloring(max_rounds=1)
+
+    def test_round_cap_is_per_layer(self):
+        full = self._coloring()
+        for cap in range(1, int(full.rounds.max()) + 1):
+            try:
+                capped = self._coloring(max_rounds=cap)
+            except RuntimeError:
+                continue
+            break
+        else:
+            pytest.fail("no cap below the summed round count completes")
+        # The smallest cap that completes fits every layer but not the
+        # whole peeling: the budget restarts at each layer.
+        assert full.rounds.max() > cap
+        assert full.layers.max() > 1
+        assert_runs_equal(capped, full)
+
+    def test_telemetry_counts_one_armada_run_per_layer(self):
+        from repro.telemetry.probes import capture
+
+        with capture() as collector:
+            run = self._coloring()
+        layers = int(run.layers.max())
+        assert layers > 1
+        assert collector.counters["engine.application.runs"] == 1
+        assert collector.counters["engine.application.layers"] == layers
+        assert collector.counters["engine.armada.runs"] == layers

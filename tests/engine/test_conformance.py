@@ -515,6 +515,61 @@ class TestArmadaConformance:
             assert np.array_equal(d.membership, s.membership)
             assert np.array_equal(d.beeps_by_node, s.beeps_by_node)
 
+    @pytest.mark.parametrize("backend", ("dense", "sparse"))
+    @pytest.mark.parametrize(
+        "frontier_entries", (0, None), ids=("full-width", "frontier")
+    )
+    def test_masked_laned_lockstep_matches_induced_subgraph_fleet(
+        self, backend, frontier_entries
+    ):
+        """The application layers' entry point: a ``_lockstep`` run
+        started from a per-slot mask, drawing each kept vertex's rank
+        among the kept vertices as its counter lane, equals the counter
+        fleet on that slot's relabelled induced subgraph.  The graphs
+        are big enough for the dense phase to run before the frontier
+        takes over, so both lane draws are exercised."""
+        from repro.engine.fleet import ArmadaSimulator
+        from repro.telemetry.probes import capture
+
+        graphs = [
+            gnp_random_graph(120, 0.1, Random(1200 + g)) for g in range(2)
+        ]
+        seed_rows = [
+            derive_seed_block(MASTER_SEED, g, 2, count=8 - 2 * g)
+            for g in range(2)
+        ]
+        slot_graphs = [g for g, row in enumerate(seed_rows) for _ in row]
+        seeds = [seed for row in seed_rows for seed in row]
+        mask = np.random.default_rng(31).random((len(seeds), 120)) < 0.7
+        mask[0] = True
+        mask[1] = False
+        lanes = np.cumsum(mask, axis=1) - 1
+        armada = ArmadaSimulator(
+            graphs, backend=backend, frontier_entries=frontier_entries
+        )
+        with capture() as collector:
+            runs = armada._lockstep(
+                FeedbackRule(), seed_rows, False, NO_FAULTS, "counter",
+                False, initial_active=mask, lanes=lanes,
+            )
+        assert collector.counters["engine.armada.dense_rounds"] > 0
+        if frontier_entries is None:
+            assert collector.counters["engine.armada.frontier_rounds"] > 0
+        rounds = np.concatenate([run.rounds for run in runs])
+        membership = np.concatenate([run.membership for run in runs])
+        beeps = np.concatenate([run.beeps_by_node for run in runs])
+        for slot, (g, seed) in enumerate(zip(slot_graphs, seeds)):
+            kept = np.flatnonzero(mask[slot])
+            sub = graphs[g].subgraph(kept.tolist())
+            lone = FleetSimulator(sub, backend=backend).run_fleet(
+                FeedbackRule(), [seed], validate=True, rng_mode="counter"
+            )
+            assert rounds[slot] == lone.rounds[0], slot
+            assert np.array_equal(membership[slot, kept], lone.membership[0])
+            assert np.array_equal(beeps[slot, kept], lone.beeps_by_node[0])
+            assert not membership[slot, ~mask[slot]].any(), slot
+            assert not beeps[slot, ~mask[slot]].any(), slot
+
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
