@@ -1,11 +1,12 @@
 """Counter-mode armada vs. a frozen stream-mode fleet on a figure cell.
 
-``run_fleet_trials`` has two ways to run a cell: in ``"stream"`` rng
-mode one batch per graph, with a per-trial ``Generator.random`` draw loop
-every round; in ``"counter"`` mode one armada batch for the whole cell,
-whose uniforms are stateless block calls and whose tail runs on the
-sparse entry-level frontier.  The workload is a Figure 3-shaped cell:
-n = 200, trials = 100 spread over 5 graphs of ``G(n, 1/2)``.
+``run_fleet_trials`` runs every cell as one armada batch per graph
+width.  In ``"counter"`` rng mode (the sweep default) its uniforms are
+stateless block calls and its tail runs on the sparse entry-level
+frontier; this bench times that path against a ``"stream"``-mode fleet,
+which draws per trial with a ``Generator.random`` loop every round.  The
+workload is a Figure 3-shaped cell: n = 200, trials = 100 spread over 5
+graphs of ``G(n, 1/2)``.
 
 The counter side is everything ``run_fleet_trials`` pays per cell beyond
 drawing the graphs (identical on both sides): one

@@ -24,9 +24,9 @@ implementing the same two-exchange round semantics:
     experiment cell in a single ``(trials, graphs * n)`` block-diagonal
     batch — one batched GEMM or per-graph CSR ``reduceat`` pass per
     round for the *whole cell*, with an entry-level frontier tail in
-    fault-free counter runs.  ``run_armada`` is counter rng mode only;
-    ``benchmarks/bench_counter_rng.py`` records the margin over the
-    per-graph stream path.
+    fault-free counter runs.  ``run_armada`` takes either rng mode
+    (counter by default); ``benchmarks/bench_counter_rng.py`` records
+    the counter armada's margin over a frozen stream-mode fleet.
 
 **Message fleet** (:class:`MessageFleetSimulator` /
 :class:`MessageArmadaSimulator`)
@@ -74,8 +74,11 @@ every fleet backend and the armada agree bit for bit on round counts,
 MIS membership and beep counts under a shared seed and mode, and a batch
 agrees with its seed-by-seed one-seed runs
 (``tests/engine/test_conformance.py`` enforces both); the per-node
-reference engine agrees distributionally.  :func:`run_batch` runs every
-batch on the fleet; the rule must be ``trial_parallel``.
+reference engine agrees distributionally.  :func:`run_batch` and the
+sweep's ``run_fleet_trials`` reach every engine through one function,
+:func:`~repro.engine.batch.run_rule_armada` (one armada of the rule's
+fabric), guarded by :func:`~repro.engine.batch.check_fleet_run`: message
+and application rules are counter-only and fault-free.
 """
 
 from repro.engine.rules import (

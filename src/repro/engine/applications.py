@@ -69,11 +69,11 @@ from repro.applications.dominating import verify_dominating_set
 from repro.applications.matching import verify_maximal_matching
 from repro.applications.ruling_sets import verify_ruling_set
 from repro.beeping.faults import FaultModel, NO_FAULTS
-from repro.beeping.rng import DRAW_LAYER, counter_state, seed_array
+from repro.beeping.rng import DRAW_LAYER, counter_state
 from repro.beeping.events import Trace
 from repro.engine.fleet import ArmadaSimulator, FleetSimulator
 from repro.engine.rules import FeedbackRule
-from repro.engine.simulator import DEFAULT_MAX_ROUNDS
+from repro.engine.simulator import DEFAULT_MAX_ROUNDS, seed_groups
 from repro.engine.sparse import build_csr, csr_to_dense
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis
@@ -306,28 +306,6 @@ class RulingSetRule(ApplicationRule):
         return len(run.chosen_set(trial))
 
 
-def check_application_run(
-    rule: "ApplicationRule", faults: FaultModel, rng_mode: str
-) -> None:
-    """The shared entry-point guard: counter fabric only, no faults.
-
-    The application siblings of
-    :func:`repro.engine.messages.check_message_run`; every driver that
-    can receive an application rule funnels through this one check so
-    the restriction — and its error wording — cannot drift.
-    """
-    if rng_mode != "counter":
-        raise ValueError(
-            f"application rule {rule.name!r} runs the counter fabric only; "
-            "pass rng_mode='counter'"
-        )
-    if not faults.is_fault_free:
-        raise ValueError(
-            f"application rule {rule.name!r} does not support fault "
-            "injection"
-        )
-
-
 #: The application kernels the fleet fabric can run, by sweep-axis name.
 APPLICATION_RULES = {
     "mis-coloring": ColoringRule,
@@ -506,8 +484,6 @@ class ApplicationFleetSimulator:
         self, seeds: Sequence[int], validate: bool = False
     ) -> ApplicationFleetRun:
         """Run one complete reduction per seed, all in lockstep."""
-        if len(seeds) < 1:
-            raise ValueError("need at least one seed")
         return self._armada.run_armada([seeds], validate)[0]
 
 
@@ -573,15 +549,8 @@ class ApplicationArmadaSimulator:
         different lengths).  Returns one :class:`ApplicationFleetRun`
         per graph.
         """
-        if len(seed_rows) != len(self._graphs):
-            raise ValueError(
-                f"need one seed row per graph, got {len(seed_rows)} rows "
-                f"for {len(self._graphs)} graphs"
-            )
-        groups = [seed_array(row) for row in seed_rows]
+        groups = seed_groups(seed_rows, len(self._graphs))
         sizes = [int(group.size) for group in groups]
-        if min(sizes) < 1:
-            raise ValueError("every graph needs at least one seed")
         rounds, layers, colors, beeps = _run_application_lockstep(
             self._rule, self._armada, groups
         )

@@ -1,4 +1,4 @@
-"""Multi-trial batch driver for the vectorised engines.
+"""Multi-trial batches and the one entry into the lockstep engines.
 
 This is what the figure benchmarks call: for one graph (or one graph
 generator) run ``trials`` independent simulations and return the round and
@@ -6,57 +6,110 @@ beep statistics as arrays.  Seeds are derived with the same splitmix
 discipline as the reference engine, so a batch is reproducible from its
 master seed alone.
 
-All trials advance in lockstep as ``(trials, n)`` tensors on the
-:class:`~repro.engine.fleet.FleetSimulator` — the one-graph armada, so
-one batched matmul or CSR ``reduceat`` pass per round serves the whole
-batch, and fault-free counter runs finish on the
-armada's entry-level frontier tail.
-Trial ``t`` is seeded with ``derive_seed(master_seed, graph_index,
-trial)``, so it equals the one-seed fleet run on that seed bit for bit.
-The driver accepts a ``faults`` model (beep loss, spurious beeps,
-crashes, churn — see :mod:`repro.beeping.faults`) and an ``rng_mode``
-(``"stream"``, the golden-trace-pinned default, or the stateless
-``"counter"`` discipline — see :mod:`repro.beeping.rng`).  The rule must
-be ``trial_parallel``; a stateful rule is rejected with ``ValueError``.
+Both batch runners — :func:`run_batch` here and
+:func:`repro.experiments.runner.run_fleet_trials` — reach the engines
+through :func:`run_rule_armada`: one armada of the rule's fabric over
+same-width graphs, each graph's trials advancing in lockstep as rows of
+one ``(slots, n)`` tensor.  The fabric follows the rule's type:
 
-Message-passing rules (:class:`~repro.engine.messages.MessageRule` — the
-Luby variants, Métivier, local-minimum-id) batch through the same entry
-point as one lockstep
-:class:`~repro.engine.messages.MessageFleetSimulator` batch.  They are
-counter-only (``rng_mode="counter"`` required) and reject fault models —
-the per-node message baselines ignore faults, so a silently dropped
-model would misreport robustness results.
+- a :class:`~repro.engine.rules.ProbabilityRule` (the beeping rules)
+  runs on :class:`~repro.engine.fleet.ArmadaSimulator`, in either
+  ``rng_mode`` (``"stream"``, the golden-trace-pinned default of
+  :func:`run_batch`, or the stateless ``"counter"`` discipline — see
+  :mod:`repro.beeping.rng`) and under any ``faults`` model (beep loss,
+  spurious beeps, crashes, churn — see :mod:`repro.beeping.faults`); the
+  rule must be ``trial_parallel``;
+- a :class:`~repro.engine.messages.MessageRule` (the Luby variants,
+  Métivier, local-minimum-id) runs on
+  :class:`~repro.engine.messages.MessageArmadaSimulator`;
+- an :class:`~repro.engine.applications.ApplicationRule` (MIS-peeling
+  colouring, matching, dominating and ruling sets) runs on
+  :class:`~repro.engine.applications.ApplicationArmadaSimulator`;
+  ``rounds`` counts beeping rounds summed over all MIS layers.
 
-Application rules (:class:`~repro.engine.applications.ApplicationRule` —
-MIS-peeling colouring, matching, dominating and ruling sets) batch the
-same way, as one lockstep
-:class:`~repro.engine.applications.ApplicationFleetSimulator` batch over
-complete reductions.  Like the message rules they are counter-only and
-fault-free; ``rounds`` counts beeping rounds summed over all MIS layers.
+Message and application rules run the counter fabric only and reject
+fault models; :func:`check_fleet_run` is the one place that rule lives,
+and every entry point — both runners, :class:`~repro.sweep.spec.CellSpec`
+and ``repro compare`` — asks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.beeping.rng import derive_seed_block
 from repro.engine.applications import (
-    ApplicationFleetSimulator,
+    ApplicationArmadaSimulator,
     ApplicationRule,
-    check_application_run,
 )
-from repro.engine.fleet import FleetSimulator
-from repro.engine.messages import (
-    MessageFleetSimulator,
-    MessageRule,
-    check_message_run,
-)
+from repro.engine.fleet import ArmadaSimulator
+from repro.engine.messages import MessageArmadaSimulator, MessageRule
 from repro.engine.rules import ProbabilityRule
+from repro.engine.simulator import DEFAULT_MAX_ROUNDS, check_rng_mode
 from repro.graphs.graph import Graph
+
+
+def check_fleet_run(rule, faults: FaultModel, rng_mode: str) -> None:
+    """Raise ``ValueError`` unless the engines can run ``rule`` so.
+
+    Probability rules take either rng mode and any fault model.  Message
+    and application rules run the counter fabric only and reject fault
+    models: the per-node references they mirror ignore faults, so a
+    silently dropped model would misreport robustness results.
+    """
+    check_rng_mode(rng_mode)
+    if isinstance(rule, MessageRule):
+        kind = "message"
+    elif isinstance(rule, ApplicationRule):
+        kind = "application"
+    else:
+        return
+    if rng_mode != "counter":
+        raise ValueError(
+            f"{kind} rule {rule.name!r} runs the counter fabric only; "
+            "pass rng_mode='counter'"
+        )
+    if not faults.is_fault_free:
+        raise ValueError(
+            f"{kind} rule {rule.name!r} does not support fault injection"
+        )
+
+
+def run_rule_armada(
+    rule,
+    graphs: Sequence[Graph],
+    seed_rows: Sequence[Sequence[int]],
+    validate: bool = False,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    faults: FaultModel = NO_FAULTS,
+    rng_mode: str = "counter",
+    backend: str = "auto",
+) -> Tuple[List, List[Graph]]:
+    """One armada of ``rule``'s fabric over same-width ``graphs``.
+
+    ``seed_rows[g]`` holds graph ``g``'s trial seeds.  Returns one run
+    per graph and, per graph, the graph the run beeped on: the host
+    graph of an application rule, the universe graph under churn, else
+    the graph itself.
+    """
+    check_fleet_run(rule, faults, rng_mode)
+    if isinstance(rule, MessageRule):
+        armada = MessageArmadaSimulator(graphs, max_rounds, backend)
+        return armada.run_armada(rule, seed_rows, validate), list(graphs)
+    if isinstance(rule, ApplicationRule):
+        armada = ApplicationArmadaSimulator(graphs, rule, max_rounds, backend)
+        return armada.run_armada(seed_rows, validate), list(armada.hosts)
+    runs = ArmadaSimulator(graphs, max_rounds, backend).run_armada(
+        rule, seed_rows, validate, faults, rng_mode
+    )
+    churn = faults.churn_schedule
+    if churn.is_empty():
+        return runs, list(graphs)
+    return runs, [churn.universe_graph(graph) for graph in graphs]
 
 
 @dataclass
@@ -121,32 +174,20 @@ def run_batch(
         raise ValueError(f"trials must be >= 1, got {trials}")
     rule = rule_factory()
     seeds = derive_seed_block(master_seed, graph_index, count=trials)
-    if isinstance(rule, MessageRule):
-        check_message_run(rule, faults, rng_mode)
-        run = MessageFleetSimulator(
-            graph, max_rounds=max_rounds, backend=backend
-        ).run_fleet(rule, seeds, validate=validate)
-        # Message algorithms do not beep.
-        mean_beeps = np.zeros(trials, dtype=np.float64)
-    elif isinstance(rule, ApplicationRule):
-        check_application_run(rule, faults, rng_mode)
-        run = ApplicationFleetSimulator(
-            graph, rule, max_rounds=max_rounds, backend=backend
-        ).run_fleet(seeds, validate=validate)
-        # Beeps per *host* vertex (line-graph vertices for matching);
-        # rounds sum the beeping rounds over every MIS layer.
-        mean_beeps = run.mean_beeps
-    else:
-        run = FleetSimulator(
-            graph, max_rounds=max_rounds, backend=backend
-        ).run_fleet(
-            rule, seeds, validate=validate, faults=faults, rng_mode=rng_mode
-        )
-        mean_beeps = run.mean_beeps
+    (run,), _ = run_rule_armada(
+        rule, [graph], [seeds], validate, max_rounds, faults, rng_mode,
+        backend,
+    )
     return BatchResult(
         rule_name=rule.name,
         num_vertices=graph.num_vertices,
         trials=trials,
         rounds=run.rounds,
-        mean_beeps=mean_beeps,
+        # Message algorithms do not beep; application beeps are per host
+        # vertex (line-graph vertices for matching).
+        mean_beeps=(
+            np.zeros(trials)
+            if isinstance(rule, MessageRule)
+            else run.mean_beeps
+        ),
     )

@@ -41,7 +41,7 @@ consumes the exact uniforms of the one-seed run on
   generator — then once per enabled fault kind (loss uniforms, then
   spurious uniforms).  One ``numpy`` generator object per slot; the
   per-slot draw loop is interpreted Python.
-- ``"counter"`` (the armada's only mode): each round's whole uniform
+- ``"counter"`` (the armada's default): each round's whole uniform
   block is one stateless :func:`repro.beeping.rng.counter_uniforms` call —
   a pure function of ``(trial seed, round, draw kind, node)``, no
   generator objects, no sequential state, no Python loop.
@@ -75,7 +75,6 @@ from repro.beeping.rng import (
     counter_state,
     counter_uniforms,
     counter_uniforms_at,
-    seed_array,
     stream_generators,
 )
 from repro.engine.rules import ProbabilityRule
@@ -83,8 +82,10 @@ from repro.engine.simulator import (
     DEFAULT_MAX_ROUNDS,
     ChurnState,
     EngineRun,
+    armada_width,
     check_rng_mode,
     faulty_observation,
+    seed_groups,
 )
 from repro.engine.sparse import (
     build_csr,
@@ -233,8 +234,6 @@ class FleetSimulator:
         equals the one-seed run on ``[seeds[t]]`` in the same mode.
         """
         check_rng_mode(rng_mode)
-        if len(seeds) < 1:
-            raise ValueError("need at least one seed")
         return self._armada._on_universe(faults)._lockstep(
             rule, [seeds], validate, faults, rng_mode, record_beeps
         )[0]
@@ -248,11 +247,10 @@ class ArmadaSimulator:
     interpreted round-loop per graph.  The armada flattens every
     ``(graph, trial)`` pair into one *slot row* of a ``(slots, n)`` batch
     (rows grouped by graph) and advances the whole cell in a single loop.
-    :meth:`run_armada` runs in ``"counter"`` rng mode only: its uniforms
-    are pure functions of ``(seed, round, kind, node)``, so every slot is
-    bit-identical to the per-graph counter-mode fleet run it replaces.
-    (The loop itself also serves the fleet's ``"stream"`` mode, with one
-    live generator per slot.)
+    Every slot draws from its own seed alone — stateless counter blocks
+    in ``"counter"`` mode (the default), one sequential generator per
+    slot in ``"stream"`` mode — so every slot is bit-identical to the
+    per-graph fleet run of the same mode it replaces.
 
     Execution has two phases, chosen per round by activity:
 
@@ -274,9 +272,10 @@ class ArmadaSimulator:
 
     Crash schedules work in both phases.  Either way the observable
     outputs — round counts, MIS membership, beep counts, crash sets — are
-    bit-identical to ``FleetSimulator(graphs[g]).run_fleet(...,
-    rng_mode="counter")`` slot for slot, which the conformance suite
-    enforces against the full-width (``frontier_entries=0``) reference.
+    bit-identical to ``FleetSimulator(graphs[g]).run_fleet(...)`` in the
+    same rng mode, slot for slot, which the conformance suite enforces
+    (counter runs against the full-width ``frontier_entries=0``
+    reference).
     """
 
     def __init__(
@@ -286,21 +285,11 @@ class ArmadaSimulator:
         backend: str = "auto",
         frontier_entries: Optional[int] = None,
     ) -> None:
-        if not graphs:
-            raise ValueError("need at least one graph")
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+        n = armada_width(graphs, max_rounds)
         if frontier_entries is not None and frontier_entries < 0:
             raise ValueError(
                 f"frontier_entries must be >= 0, got {frontier_entries}"
             )
-        n = graphs[0].num_vertices
-        for graph in graphs:
-            if graph.num_vertices != n:
-                raise ValueError(
-                    "armada graphs must share one vertex count, got "
-                    f"{n} and {graph.num_vertices}"
-                )
         self._graphs = list(graphs)
         self._n = n
         self._max_rounds = max_rounds
@@ -517,21 +506,18 @@ class ArmadaSimulator:
         seed_rows: Sequence[Sequence[int]],
         validate: bool = False,
         faults: FaultModel = NO_FAULTS,
+        rng_mode: str = "counter",
     ) -> List[FleetRun]:
         """Run every graph's trial group in one lockstep batch.
 
-        ``seed_rows[g]`` holds graph ``g``'s counter-mode trial seeds (the
-        rows may have different lengths).  Returns one :class:`FleetRun`
-        per graph, bit-identical to ``FleetSimulator(graphs[g]).run_fleet(
-        rule, seed_rows[g], rng_mode="counter", ...)``.
+        ``seed_rows[g]`` holds graph ``g``'s trial seeds (the rows may
+        have different lengths).  Returns one :class:`FleetRun` per
+        graph, bit-identical to ``FleetSimulator(graphs[g]).run_fleet(
+        rule, seed_rows[g], rng_mode=rng_mode, ...)``.
         """
-        if len(seed_rows) != len(self._graphs):
-            raise ValueError(
-                f"need one seed row per graph, got {len(seed_rows)} rows "
-                f"for {len(self._graphs)} graphs"
-            )
+        check_rng_mode(rng_mode)
         return self._on_universe(faults)._lockstep(
-            rule, seed_rows, validate, faults, "counter", False
+            rule, seed_rows, validate, faults, rng_mode, False
         )
 
     def _on_universe(self, faults: FaultModel) -> "ArmadaSimulator":
@@ -570,10 +556,8 @@ class ArmadaSimulator:
                 f"rule {rule.name!r} is not trial-parallel; "
                 "lockstep engines need an elementwise, stateless rule"
             )
-        groups = [seed_array(row) for row in seed_rows]
+        groups = seed_groups(seed_rows, len(self._graphs))
         sizes = [int(group.size) for group in groups]
-        if min(sizes) < 1:
-            raise ValueError("every graph needs at least one seed")
         n = self._n
         num_graphs = len(self._graphs)
         total = sum(sizes)

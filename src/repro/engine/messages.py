@@ -82,9 +82,12 @@ from repro.beeping.rng import (
     DRAW_VALUE,
     counter_uniforms,
     counter_values,
-    seed_array,
 )
-from repro.engine.simulator import DEFAULT_MAX_ROUNDS
+from repro.engine.simulator import (
+    DEFAULT_MAX_ROUNDS,
+    armada_width,
+    seed_groups,
+)
 from repro.engine.sparse import (
     build_csr,
     csr_row_counts,
@@ -276,25 +279,6 @@ class LocalMinimumRule(MessageRule):
             ids = ids.astype(np.uint64)
             state["ids"] = ids
         return ids, active
-
-
-def check_message_run(rule: "MessageRule", faults, rng_mode: str) -> None:
-    """The shared entry-point guard: counter fabric only, no faults.
-
-    Every driver that can receive a message rule (``run_batch``,
-    ``run_fleet_trials``) funnels through this one
-    check so the restriction — and its error wording — cannot drift
-    between entry points.
-    """
-    if rng_mode != "counter":
-        raise ValueError(
-            f"message rule {rule.name!r} runs the counter fabric only; "
-            "pass rng_mode='counter'"
-        )
-    if not faults.is_fault_free:
-        raise ValueError(
-            f"message rule {rule.name!r} does not support fault injection"
-        )
 
 
 #: The message rules the fleet fabric can run, by registry name.
@@ -559,8 +543,6 @@ class MessageFleetSimulator:
         validate: bool = False,
     ) -> MessageFleetRun:
         """Simulate one independent trial per seed, all in lockstep."""
-        if len(seeds) < 1:
-            raise ValueError("need at least one seed")
         return self._armada.run_armada(rule, [seeds], validate)[0]
 
 
@@ -582,21 +564,10 @@ class MessageArmadaSimulator:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         backend: str = "auto",
     ) -> None:
-        if not graphs:
-            raise ValueError("need at least one graph")
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        n = graphs[0].num_vertices
-        for graph in graphs:
-            if graph.num_vertices != n:
-                raise ValueError(
-                    "armada graphs must share one vertex count, got "
-                    f"{n} and {graph.num_vertices}"
-                )
+        self._n = armada_width(graphs, max_rounds)
         self._graphs = list(graphs)
-        self._n = n
         self._max_rounds = max_rounds
-        self._backend = resolve_backend(backend, len(graphs), n)
+        self._backend = resolve_backend(backend, len(graphs), self._n)
         self._kernels = [
             _MessageKernel(graph, self._backend) for graph in self._graphs
         ]
@@ -623,15 +594,8 @@ class MessageArmadaSimulator:
         different lengths).  Returns one :class:`MessageFleetRun` per
         graph.
         """
-        if len(seed_rows) != len(self._graphs):
-            raise ValueError(
-                f"need one seed row per graph, got {len(seed_rows)} rows "
-                f"for {len(self._graphs)} graphs"
-            )
-        groups = [seed_array(row) for row in seed_rows]
+        groups = seed_groups(seed_rows, len(self._graphs))
         sizes = [int(group.size) for group in groups]
-        if min(sizes) < 1:
-            raise ValueError("every graph needs at least one seed")
         seeds = np.concatenate(groups)
         blocks = []
         offset = 0

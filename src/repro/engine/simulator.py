@@ -12,7 +12,8 @@ The probability-rule round loop lives in :mod:`repro.engine.fleet` (the
 armada's lockstep loop; the fleet is the one-graph armada and one trial
 the one-seed fleet run); this module holds what the engines share: the one-trial result type :class:`EngineRun`, the noisy
 observation :func:`faulty_observation`, the churn bookkeeping
-:class:`ChurnState`, and the ``rng_mode`` check.
+:class:`ChurnState`, the ``rng_mode`` check and the armadas' argument
+checks (:func:`armada_width`, :func:`seed_groups`).
 
 Randomness comes in two modes (``rng_mode``, see
 :data:`repro.beeping.rng.RNG_MODES`), and the cross-backend
@@ -36,11 +37,11 @@ instrumentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.beeping.rng import RNG_MODES
+from repro.beeping.rng import RNG_MODES, seed_array
 
 DEFAULT_MAX_ROUNDS = 100_000
 
@@ -51,6 +52,38 @@ def check_rng_mode(rng_mode: str) -> None:
         raise ValueError(
             f"rng_mode must be one of {RNG_MODES}, got {rng_mode!r}"
         )
+
+
+def armada_width(graphs: Sequence, max_rounds: int) -> int:
+    """The one vertex count of an armada's graphs, which the
+    block-diagonal ``(slots, n)`` stack needs them to share."""
+    if not graphs:
+        raise ValueError("need at least one graph")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    n = graphs[0].num_vertices
+    for graph in graphs:
+        if graph.num_vertices != n:
+            raise ValueError(
+                "armada graphs must share one vertex count, got "
+                f"{n} and {graph.num_vertices}"
+            )
+    return n
+
+
+def seed_groups(
+    seed_rows: Sequence[Sequence[int]], num_graphs: int
+) -> List[np.ndarray]:
+    """An armada's ``seed_rows`` as one non-empty seed array per graph."""
+    if len(seed_rows) != num_graphs:
+        raise ValueError(
+            f"need one seed row per graph, got {len(seed_rows)} rows "
+            f"for {num_graphs} graphs"
+        )
+    groups = [seed_array(row) for row in seed_rows]
+    if min(group.size for group in groups) < 1:
+        raise ValueError("every graph needs at least one seed")
+    return groups
 
 
 def faulty_observation(

@@ -34,16 +34,16 @@ import io
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.beeping.faults import ChurnSchedule, FaultModel
 from repro.beeping.rng import derive_seed
+from repro.engine.batch import check_fleet_run
 from repro.experiments.records import ExperimentResult, SeriesPoint
 from repro.experiments.tables import format_table
 from repro.sweep.aggregate import outcome_value, summarize
 from repro.sweep.orchestrator import SweepReport, run_sweep
 from repro.sweep.spec import (
-    APPLICATION_FLEET_RULES,
     CHURN_REFERENCE_ALGORITHMS,
     FLEET_RULES,
-    MESSAGE_FLEET_RULES,
     CellSpec,
     SweepSpec,
 )
@@ -61,6 +61,17 @@ DEFAULT_ALGORITHMS = (
 )
 
 _FAMILIES = ("gnp", "grid")
+
+
+def _fleet_runs(algorithm: str, faults: FaultModel) -> bool:
+    """Whether the fleet engines run ``algorithm`` under ``faults``."""
+    if algorithm not in FLEET_RULES:
+        return False
+    try:
+        check_fleet_run(FLEET_RULES[algorithm](), faults, "counter")
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass
@@ -179,14 +190,13 @@ def comparison_experiment(
             f"engine must be 'auto', 'fleet' or 'reference', got {engine!r}"
         )
     churn = tuple(tuple(event) for event in churn)
+    faults = FaultModel(churn_schedule=ChurnSchedule.from_events(churn))
     if churn:
         for algorithm in algorithms:
-            beep_fleet = (
-                algorithm in FLEET_RULES
-                and algorithm not in MESSAGE_FLEET_RULES
-                and algorithm not in APPLICATION_FLEET_RULES
-            )
-            if not beep_fleet and algorithm not in CHURN_REFERENCE_ALGORITHMS:
+            if (
+                not _fleet_runs(algorithm, faults)
+                and algorithm not in CHURN_REFERENCE_ALGORITHMS
+            ):
                 raise ValueError(
                     f"algorithm {algorithm!r} ignores churn schedules; "
                     "churn comparisons support beep fleet rules and "
@@ -213,15 +223,13 @@ def comparison_experiment(
             for algorithm in algorithms:
                 cell_engine = engine
                 if engine == "auto":
-                    fleet_capable = algorithm in FLEET_RULES
-                    if churn and (
-                        algorithm in MESSAGE_FLEET_RULES
-                        or algorithm in APPLICATION_FLEET_RULES
-                    ):
-                        # Message/application kernels reject faults; their
-                        # churn comparison runs on the reference engine.
-                        fleet_capable = False
-                    cell_engine = "fleet" if fleet_capable else "reference"
+                    # Message/application kernels reject faults; their
+                    # churn comparison runs on the reference engine.
+                    cell_engine = (
+                        "fleet"
+                        if _fleet_runs(algorithm, faults)
+                        else "reference"
+                    )
                 label = (
                     f"{algorithm}/{family}" if multi_family else algorithm
                 )

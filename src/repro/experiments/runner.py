@@ -4,13 +4,11 @@ Two runners share the :class:`TrialOutcome` record:
 
 - :func:`run_trials` drives the per-node *reference* engine — what any
   experiment needing traces or non-uniform node policies uses.
-- :func:`run_fleet_trials` drives the trial-parallel fleet engine: trials
-  are grouped per graph, and in the default ``"counter"`` rng mode every
-  same-size group runs inside **one** block-diagonal
-  :class:`~repro.engine.fleet.ArmadaSimulator` batch (in ``"stream"``
-  mode, or when the graphs' vertex counts differ, one
-  :class:`~repro.engine.fleet.FleetSimulator` batch per graph — the
-  one-graph armada, so both paths run the same lockstep loop).
+- :func:`run_fleet_trials` drives the trial-parallel fleet engines:
+  trials are grouped per graph, and every group of one width runs inside
+  **one** block-diagonal armada of the rule's fabric, in either rng mode
+  (one width — one armada — in every sweep cell whose graphs share a
+  vertex count).
 
 Both accept a :class:`~repro.beeping.faults.FaultModel` — robustness
 sweeps run on the fleet engine too (vectorised beep loss, spurious beeps
@@ -196,88 +194,54 @@ def run_trials(
     return outcomes
 
 
-def _emit_message_outcomes(
-    outcomes: List[TrialOutcome],
-    run: "object",
-    group_lo: int,
-) -> None:
-    """Append one group's rows from a MessageFleetRun.
+def _group_outcomes(
+    rule: "object", run: "object", host: Graph, group_lo: int
+) -> List[TrialOutcome]:
+    """One graph's rows, in trial order, from any fabric's run.
 
-    Message algorithms do not beep; ``messages``/``bits`` carry the
-    per-node references' value-exchange accounting.
+    ``host`` is the graph the run beeped on (the universe graph under
+    churn, the host graph of an application rule).  Beep
+    accounting mirrors the reference engine's: a beep is one 1-bit
+    message per incident channel of that graph.  Message algorithms do
+    not beep; their ``messages``/``bits`` carry the per-node references'
+    value-exchange accounting.  An application's ``mis_size`` is its
+    output size (colour count for peeling, matched edges / chosen
+    vertices otherwise).
     """
-    for t in range(run.trials):
-        outcomes.append(
-            TrialOutcome(
-                trial=group_lo + t,
-                rounds=int(run.rounds[t]),
-                mis_size=int(run.membership[t].sum()),
-                mean_beeps_per_node=0.0,
-                messages=int(run.messages[t]),
-                bits=int(run.bits[t]),
-            )
+    from repro.engine.applications import ApplicationRule
+    from repro.engine.messages import MessageRule
+
+    if isinstance(rule, MessageRule):
+        mean_beeps = np.zeros(run.trials)
+        messages, bits = run.messages, run.bits
+    else:
+        mean_beeps = run.mean_beeps
+        degrees = np.diff(host.indptr).astype(np.int64)
+        messages = bits = run.beeps_by_node @ degrees
+    if isinstance(rule, ApplicationRule):
+        sizes = [rule.output_size(run, t) for t in range(run.trials)]
+    else:
+        sizes = run.membership.sum(axis=1)
+    # Churn self-repair metrics exist on churned beeping runs only.
+    repair_rounds = getattr(run, "repair_rounds", None)
+    recovered = getattr(run, "recovered", None)
+    return [
+        TrialOutcome(
+            trial=group_lo + t,
+            rounds=int(run.rounds[t]),
+            mis_size=int(sizes[t]),
+            mean_beeps_per_node=float(mean_beeps[t]),
+            messages=int(messages[t]),
+            bits=int(bits[t]),
+            repair_rounds=(
+                ()
+                if repair_rounds is None
+                else tuple(int(r) for r in repair_rounds[t])
+            ),
+            recovered=True if recovered is None else bool(recovered[t]),
         )
-
-
-def _emit_fleet_outcomes(
-    outcomes: List[TrialOutcome],
-    run: "object",
-    graph: Graph,
-    group_lo: int,
-) -> None:
-    """Append one group's :class:`TrialOutcome` rows from a FleetRun.
-
-    Beep accounting mirrors the reference engine's: a beep is one 1-bit
-    message per incident channel.  ``graph`` must match the run's width
-    — the universe graph for churn runs.
-    """
-    degrees = np.diff(graph.indptr).astype(np.int64)
-    for t in range(run.trials):
-        channel_bits = int((run.beeps_by_node[t] * degrees).sum())
-        outcomes.append(
-            TrialOutcome(
-                trial=group_lo + t,
-                rounds=int(run.rounds[t]),
-                mis_size=int(run.membership[t].sum()),
-                mean_beeps_per_node=float(run.mean_beeps[t]),
-                messages=channel_bits,
-                bits=channel_bits,
-                repair_rounds=(
-                    tuple(int(r) for r in run.repair_rounds[t])
-                    if run.repair_rounds is not None
-                    else ()
-                ),
-                recovered=run.trial_recovered(t),
-            )
-        )
-
-
-def _emit_application_outcomes(
-    outcomes: List[TrialOutcome],
-    run: "object",
-    rule: "object",
-    host: Graph,
-    group_lo: int,
-) -> None:
-    """Append one group's rows from an ApplicationFleetRun.
-
-    ``mis_size`` carries the application's output size (colour count for
-    peeling, matched edges / chosen vertices otherwise); beep and channel
-    accounting lives on the *host* graph the MIS layers beeped on.
-    """
-    degrees = np.diff(host.indptr).astype(np.int64)
-    for t in range(run.trials):
-        channel_bits = int((run.beeps_by_node[t] * degrees).sum())
-        outcomes.append(
-            TrialOutcome(
-                trial=group_lo + t,
-                rounds=int(run.rounds[t]),
-                mis_size=int(rule.output_size(run, t)),
-                mean_beeps_per_node=float(run.mean_beeps[t]),
-                messages=channel_bits,
-                bits=channel_bits,
-            )
-        )
+        for t in range(run.trials)
+    ]
 
 
 def run_fleet_trials(
@@ -293,7 +257,7 @@ def run_fleet_trials(
     rng_mode: str = "counter",
     backend: str = "auto",
 ) -> List[TrialOutcome]:
-    """Run ``trials`` trials on the trial-parallel fleet engine.
+    """Run ``trials`` trials on the trial-parallel fleet engines.
 
     The trials are spread over ``graphs`` independently drawn graphs (the
     fleet engine batches trials *per graph*).  The graph for group ``g``
@@ -306,74 +270,46 @@ def run_fleet_trials(
     ``faults`` injects the vectorised fault model into every trial (a
     fault-free model changes nothing, including the random streams).
 
-    ``rng_mode`` defaults to ``"counter"`` — the sweep/figure hot path —
-    where all same-``n`` groups execute as **one** block-diagonal
-    :class:`~repro.engine.fleet.ArmadaSimulator` batch: a single lockstep
-    round-loop per call instead of one per graph.  ``"stream"`` runs one
-    :class:`~repro.engine.fleet.FleetSimulator` (the one-graph armada)
-    per graph and keeps the golden-trace-pinned byte streams.  Either
-    way, group ``g`` / trial ``t`` is bit-identical to the corresponding
-    lone one-seed fleet run in that mode.
+    One path serves every cell: the window's graphs are grouped by
+    *width* — the vertex count, or for an application rule the vertex
+    count of its host graph (``rule.host_size``) — and each width runs
+    as **one** block-diagonal armada of the rule's fabric
+    (:func:`~repro.engine.batch.run_rule_armada`), in either
+    ``rng_mode``.  Group ``g`` / trial ``t`` is bit-identical to the
+    corresponding lone one-seed fleet run in that mode, whatever it was
+    stacked with.  ``rng_mode`` defaults to ``"counter"`` — the
+    sweep/figure hot path, which finishes on the armada's entry-level
+    frontier tail; ``"stream"`` keeps the golden-trace-pinned byte
+    streams.
 
     ``backend`` picks the neighbour-reduction kernel (``"auto"``,
-    ``"dense"`` or ``"sparse"``) of whichever engine runs the rule, on
-    both the armada and the per-graph fleet path — pure execution
-    strategy, bit-identical rows either way.
+    ``"dense"`` or ``"sparse"``) — pure execution strategy, bit-identical
+    rows either way.
 
     ``trial_range=(lo, hi)`` executes only the global trials ``lo .. hi-1``.
     The graph grouping is always computed from the *full* ``(trials,
     graphs)`` pair and seeds come from each group's own offset window, so a
     window's outcomes equal the corresponding slice of the full run.
 
-    ``rule_factory`` may also produce a
+    ``rule_factory`` may produce a probability rule, a
     :class:`~repro.engine.messages.MessageRule` (the Luby variants,
-    Métivier, local-minimum-id): the same seed paths then drive the
-    message-passing lockstep engines —
-    :class:`~repro.engine.messages.MessageArmadaSimulator` for same-``n``
-    windows, per-graph :class:`~repro.engine.messages.MessageFleetSimulator`
-    otherwise — and rows carry the references' message/bit accounting.
-    Message rules are counter-only and reject fault models.
-
-    It may equally produce an
+    Métivier, local-minimum-id; rows carry the references'
+    message/bit accounting) or an
     :class:`~repro.engine.applications.ApplicationRule` (MIS-peeling
-    colouring, matching, dominating and ruling sets): the same seed paths
-    then drive the application lockstep engines —
-    :class:`~repro.engine.applications.ApplicationArmadaSimulator` when
-    every group's *host* graph has the same vertex count (edge count for
-    matching), per-graph
-    :class:`~repro.engine.applications.ApplicationFleetSimulator`
-    otherwise.  Rows then report the application's output size (colour
-    count, matched edges, chosen vertices) as ``mis_size``, beeping
-    rounds summed over all MIS layers as ``rounds``, and beep/channel
-    accounting on the host graph.  Application rules are counter-only
-    and reject fault models, like the message rules.
+    colouring, matching, dominating and ruling sets; rows report the
+    application's output size as ``mis_size``, beeping rounds summed over
+    all MIS layers as ``rounds``, and beep/channel accounting on the
+    host graph).  Message and application rules are counter-only and
+    reject fault models (:func:`~repro.engine.batch.check_fleet_run`).
     """
     from repro.beeping.rng import derive_seed_block
-    from repro.engine.applications import (
-        ApplicationArmadaSimulator,
-        ApplicationFleetSimulator,
-        ApplicationRule,
-        check_application_run,
-    )
-    from repro.engine.fleet import ArmadaSimulator, FleetSimulator
-    from repro.engine.messages import (
-        MessageArmadaSimulator,
-        MessageFleetSimulator,
-        MessageRule,
-        check_message_run,
-    )
-    from repro.engine.simulator import check_rng_mode
+    from repro.engine.applications import ApplicationRule
+    from repro.engine.batch import check_fleet_run, run_rule_armada
 
-    check_rng_mode(rng_mode)
     if graphs < 1:
         raise ValueError(f"graphs must be >= 1, got {graphs}")
     rule = rule_factory()
-    message = isinstance(rule, MessageRule)
-    if message:
-        check_message_run(rule, faults, rng_mode)
-    application = isinstance(rule, ApplicationRule)
-    if application:
-        check_application_run(rule, faults, rng_mode)
+    check_fleet_run(rule, faults, rng_mode)
     lo, hi = _resolve_trial_range(trials, trial_range)
     stream = RngStream(master_seed)
     per_graph = [trials // graphs] * graphs
@@ -398,7 +334,6 @@ def run_fleet_trials(
             start=group_lo - int(group_starts[graph_index]),
         )
 
-    outcomes: List[TrialOutcome] = []
     indices = [graph_index for graph_index, _, _ in selected]
     if isinstance(graph_factory, KeyedGraphFactory):
         drawn = _FLEET_GRAPHS.draw(
@@ -406,98 +341,30 @@ def run_fleet_trials(
         )
     else:
         drawn = [graph_factory(stream.child(g, 0)) for g in indices]
-    same_n = len({graph.num_vertices for graph in drawn}) == 1
-    if message:
-        # The message-passing fabric is counter-only (checked above), so
-        # same-n windows always take the one-batch armada path.
-        if same_n and drawn:
-            armada = MessageArmadaSimulator(
-                drawn, max_rounds=max_rounds, backend=backend
-            )
-            runs = armada.run_armada(
-                rule,
-                [group_seeds(*group) for group in selected],
-                validate=validate,
-            )
-            for (graph_index, group_lo, group_hi), run in zip(selected, runs):
-                _emit_message_outcomes(outcomes, run, group_lo)
-            return outcomes
-        for (graph_index, group_lo, group_hi), graph in zip(selected, drawn):
-            run = MessageFleetSimulator(
-                graph, max_rounds=max_rounds, backend=backend
-            ).run_fleet(
-                rule,
-                group_seeds(graph_index, group_lo, group_hi),
-                validate=validate,
-            )
-            _emit_message_outcomes(outcomes, run, group_lo)
-        return outcomes
-    if application:
-        # Armada eligibility depends on the *host* sizes (e.g. the line
-        # graph's vertex count for matching), checked cheaply via
-        # host_size before any host graph is built.
-        same_host = len({rule.host_size(graph) for graph in drawn}) == 1
-        if same_host and drawn:
-            armada = ApplicationArmadaSimulator(
-                drawn, rule, max_rounds=max_rounds, backend=backend
-            )
-            runs = armada.run_armada(
-                [group_seeds(*group) for group in selected],
-                validate=validate,
-            )
-            for (graph_index, group_lo, group_hi), host, run in zip(
-                selected, armada.hosts, runs
-            ):
-                _emit_application_outcomes(
-                    outcomes, run, rule, host, group_lo
-                )
-            return outcomes
-        for (graph_index, group_lo, group_hi), graph in zip(selected, drawn):
-            simulator = ApplicationFleetSimulator(
-                graph, rule, max_rounds=max_rounds, backend=backend
-            )
-            run = simulator.run_fleet(
-                group_seeds(graph_index, group_lo, group_hi),
-                validate=validate,
-            )
-            _emit_application_outcomes(
-                outcomes, run, rule, simulator.host, group_lo
-            )
-        return outcomes
-    # Beep/channel accounting must match the run's width: under churn
-    # the engines run (and report) on the universe graph.
-    if faults.churn_schedule.is_empty():
-        emit_graphs = drawn
-    else:
-        emit_graphs = [
-            faults.churn_schedule.universe_graph(graph) for graph in drawn
-        ]
-    if rng_mode == "counter" and len(drawn) >= 1 and same_n:
-        # The armada path: every group of the window in one batch.
-        armada = ArmadaSimulator(drawn, max_rounds=max_rounds, backend=backend)
-        runs = armada.run_armada(
-            rule_factory(),
-            [group_seeds(*group) for group in selected],
-            validate=validate,
-            faults=faults,
+    # One armada per width (the block-diagonal stack needs equal widths);
+    # the host size is known before any host graph is built.
+    width = (
+        rule.host_size
+        if isinstance(rule, ApplicationRule)
+        else lambda graph: graph.num_vertices
+    )
+    batches: Dict[int, List[int]] = {}
+    for position, graph in enumerate(drawn):
+        batches.setdefault(width(graph), []).append(position)
+    by_group: List[List[TrialOutcome]] = [[] for _ in selected]
+    for positions in batches.values():
+        runs, hosts = run_rule_armada(
+            rule,
+            [drawn[p] for p in positions],
+            [group_seeds(*selected[p]) for p in positions],
+            validate,
+            max_rounds,
+            faults,
+            rng_mode,
+            backend,
         )
-        for (graph_index, group_lo, group_hi), graph, run in zip(
-            selected, emit_graphs, runs
-        ):
-            _emit_fleet_outcomes(outcomes, run, graph, group_lo)
-        return outcomes
-    # Stream mode (or counter with heterogeneous vertex counts, which the
-    # block-diagonal stack cannot express): one fleet batch per graph.
-    for (graph_index, group_lo, group_hi), graph, emit_graph in zip(
-        selected, drawn, emit_graphs
-    ):
-        simulator = FleetSimulator(graph, max_rounds=max_rounds, backend=backend)
-        run = simulator.run_fleet(
-            rule_factory(),
-            group_seeds(graph_index, group_lo, group_hi),
-            validate=validate,
-            faults=faults,
-            rng_mode=rng_mode,
-        )
-        _emit_fleet_outcomes(outcomes, run, emit_graph, group_lo)
-    return outcomes
+        for position, run, host in zip(positions, runs, hosts):
+            by_group[position] = _group_outcomes(
+                rule, run, host, selected[position][1]
+            )
+    return [outcome for group in by_group for outcome in group]

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.sweep.spec import SPEC_FORMAT_VERSION, SweepSpec, canonical_json
-from repro.sweep.store import atomic_write_text
+from repro.sweep.store import DAMAGE_ERRORS, atomic_write_text
 
 PathLike = Union[str, Path]
 
@@ -171,8 +171,9 @@ class RunDB:
         """Every parseable record, in append order.
 
         Damage tolerance mirrors the ledger reader: lines that do not
-        parse as JSON or lack required fields (torn tails, foreign
-        garbage) are skipped, never fatal.
+        parse as JSON, lack required fields or hold unconvertible values
+        (torn tails, foreign garbage, ``"trials": 1e999``) are skipped,
+        never fatal.
         """
         try:
             text = self.runs_path.read_text(encoding="utf-8")
@@ -184,7 +185,7 @@ class RunDB:
                 continue
             try:
                 records.append(RunRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError):
+            except DAMAGE_ERRORS:
                 continue
         return records
 
@@ -208,9 +209,12 @@ class RunDB:
         """The summary index, rebuilt from the records when damaged."""
         try:
             payload = json.loads(self.index_path.read_text(encoding="utf-8"))
-            if payload.get("format") == RUNDB_FORMAT_VERSION:
+            if (
+                isinstance(payload, dict)
+                and payload.get("format") == RUNDB_FORMAT_VERSION
+            ):
                 return payload
-        except (OSError, ValueError):
+        except DAMAGE_ERRORS:
             pass
         return self._write_index(self.records())
 

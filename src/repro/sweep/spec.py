@@ -41,10 +41,11 @@ from typing import Any, Callable, Dict, List, Tuple, Union
 
 from repro.algorithms.registry import available_algorithms
 from repro.beeping.faults import ChurnSchedule, CrashSchedule, FaultModel
-from repro.beeping.rng import RNG_MODES
 from repro.engine.applications import APPLICATION_RULES, ApplicationRule
+from repro.engine.batch import check_fleet_run
 from repro.engine.messages import MESSAGE_RULES, MessageRule
 from repro.engine.rules import FeedbackRule, ProbabilityRule, SweepRule
+from repro.engine.simulator import check_rng_mode
 from repro.engine.sparse import BACKENDS
 from repro.experiments.runner import KeyedGraphFactory
 from repro.graphs.cliques import theorem1_family
@@ -76,7 +77,9 @@ FAMILIES = ("gnp", "grid", "theorem1")
 #: application kernels (factories producing
 #: :class:`~repro.engine.messages.MessageRule` /
 #: :class:`~repro.engine.applications.ApplicationRule` instances —
-#: ``run_fleet_trials`` dispatches on the rule type).
+#: :func:`~repro.engine.batch.run_rule_armada` dispatches on the rule
+#: type, and :func:`~repro.engine.batch.check_fleet_run` decides which
+#: rng modes and fault models each accepts).
 FLEET_RULES: Dict[
     str, Callable[[], Union[ApplicationRule, MessageRule, ProbabilityRule]]
 ] = {
@@ -85,15 +88,6 @@ FLEET_RULES: Dict[
     **MESSAGE_RULES,
     **APPLICATION_RULES,
 }
-
-#: The subset of :data:`FLEET_RULES` that runs the message-passing
-#: fabric: counter rng mode only, no fault injection.
-MESSAGE_FLEET_RULES = frozenset(MESSAGE_RULES)
-
-#: The subset of :data:`FLEET_RULES` that runs the application fabric
-#: (MIS-peeling colouring, matching, dominating, ruling sets): like the
-#: message kernels, counter rng mode only and no fault injection.
-APPLICATION_FLEET_RULES = frozenset(APPLICATION_RULES)
 
 #: Registry algorithms that honour churn schedules on the reference
 #: engine: the beeping-scheduler algorithms plus the Luby baselines.
@@ -155,16 +149,16 @@ class CellSpec:
     - ``"fleet"`` — :func:`repro.experiments.runner.run_fleet_trials`:
       ``trials`` spread over ``graphs`` lockstep groups, ``algorithm``
       names a :data:`FLEET_RULES` entry — a beeping probability rule,
-      one of the message-passing kernels (:data:`MESSAGE_FLEET_RULES`:
-      the Luby variants, Métivier, local-minimum-id), or one of the MIS
-      application kernels (:data:`APPLICATION_FLEET_RULES`: ``mis-*``
-      colouring, matching, dominating and ruling-set reductions, whose
-      ``mis_size`` column carries the application's output size).
-      ``rng_mode`` picks
-      the uniform discipline: ``"counter"`` (default) runs all groups as
-      one block-diagonal armada batch; ``"stream"`` keeps the per-graph
-      sequential-generator path whose bytes the golden traces pin.
-      Message algorithms are counter-only and fault-free by construction.
+      one of the message-passing kernels (the Luby variants, Métivier,
+      local-minimum-id), or one of the MIS application kernels
+      (``mis-*`` colouring, matching, dominating and ruling-set
+      reductions, whose ``mis_size`` column carries the application's
+      output size).  Every width of the cell's graphs runs as one
+      block-diagonal armada batch.  ``rng_mode`` picks the uniform
+      discipline: ``"counter"`` (default) or ``"stream"``, the
+      sequential generators whose bytes the golden traces pin.  Message
+      and application algorithms are counter-only and fault-free
+      (:func:`~repro.engine.batch.check_fleet_run`).
     - ``"reference"`` — :func:`repro.experiments.runner.run_trials`: a
       fresh graph per trial, ``algorithm`` names a registry algorithm.
       The per-node engine has its own ``random.Random`` discipline and
@@ -216,10 +210,7 @@ class CellSpec:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.rng_mode not in RNG_MODES:
-            raise ValueError(
-                f"rng_mode must be one of {RNG_MODES}, got {self.rng_mode!r}"
-            )
+        check_rng_mode(self.rng_mode)
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.family == "gnp":
@@ -263,7 +254,7 @@ class CellSpec:
                 churn_from_json(self.churn)
             ).to_tuples(),
         )
-        self.fault_model()  # validates the fault fields for every engine
+        faults = self.fault_model()  # validates the fault fields
         if (
             self.churn
             and self.engine == "reference"
@@ -280,25 +271,9 @@ class CellSpec:
                     f"fleet engine supports rules {sorted(FLEET_RULES)}, "
                     f"got {self.algorithm!r}"
                 )
-            if (
-                self.algorithm in MESSAGE_FLEET_RULES
-                or self.algorithm in APPLICATION_FLEET_RULES
-            ):
-                kind = (
-                    "message"
-                    if self.algorithm in MESSAGE_FLEET_RULES
-                    else "application"
-                )
-                if self.rng_mode != "counter":
-                    raise ValueError(
-                        f"{kind} algorithm {self.algorithm!r} runs the "
-                        "counter fabric only; use rng_mode='counter'"
-                    )
-                if not self.fault_model().is_fault_free:
-                    raise ValueError(
-                        f"{kind} algorithm {self.algorithm!r} does not "
-                        "support fault injection on the fleet engine"
-                    )
+            check_fleet_run(
+                FLEET_RULES[self.algorithm](), faults, self.rng_mode
+            )
         elif self.algorithm not in available_algorithms():
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; "

@@ -10,8 +10,10 @@ where ``<hash>`` is :meth:`ShardSpec.content_hash` and ``ab`` its first
 two hex digits.  Writes are atomic (temp file + ``os.replace``) and the
 manifest lands *after* the rows, so a visible manifest always implies
 complete rows; readers treat anything inconsistent — missing files,
-unparsable lines, row-count or version mismatches — as a cache miss, and
-the next :meth:`ResultStore.get_or_run` simply recomputes and rewrites it.
+unparsable lines, non-integer counts, a non-finite mean, trials outside
+the shard's window or out of order, row-count or version mismatches — as
+a cache miss, and the next :meth:`ResultStore.get_or_run` simply
+recomputes and rewrites it.
 
 Invalidation is purely key-driven: results never expire, they are orphaned
 when their key changes (spec format version bump, changed seed discipline,
@@ -23,6 +25,7 @@ covers *result semantics* and is folded into the hash itself.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import time
@@ -40,6 +43,13 @@ PathLike = Union[str, Path]
 STORE_FORMAT_VERSION = 1
 
 _ROW_FIELDS = ("trial", "rounds", "mis_size", "mean_beeps_per_node", "messages", "bits")
+_COUNT_FIELDS = ("trial", "rounds", "mis_size", "messages", "bits")
+
+#: What reading a damaged file can raise; readers skip the damage (the
+#: store treats it as a miss).
+DAMAGE_ERRORS = (
+    OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError
+)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -119,16 +129,25 @@ def _row_to_json(outcome: TrialOutcome) -> str:
 
 
 def _row_from_json(line: str) -> TrialOutcome:
+    """One stored row; raises one of :data:`DAMAGE_ERRORS` on any damage."""
     payload = json.loads(line)
+    counts = [payload[name] for name in _COUNT_FIELDS]
+    mean_beeps = payload["mean_beeps_per_node"]
+    repair_rounds = tuple(payload.get("repair_rounds", ()))
+    recovered = payload.get("recovered", True)
+    # Exact types, so neither 2.5 nor True passes for a count.
+    if (
+        any(type(value) is not int for value in counts)
+        or any(type(value) is not int for value in repair_rounds)
+        or type(mean_beeps) not in (float, int)
+        or not math.isfinite(mean_beeps)
+        or type(recovered) is not bool
+    ):
+        raise ValueError(f"damaged row {line!r}")
+    trial, rounds, mis_size, messages, bits = counts
     return TrialOutcome(
-        trial=int(payload["trial"]),
-        rounds=int(payload["rounds"]),
-        mis_size=int(payload["mis_size"]),
-        mean_beeps_per_node=float(payload["mean_beeps_per_node"]),
-        messages=int(payload["messages"]),
-        bits=int(payload["bits"]),
-        repair_rounds=tuple(int(r) for r in payload.get("repair_rounds", ())),
-        recovered=bool(payload.get("recovered", True)),
+        trial, rounds, mis_size, float(mean_beeps), messages, bits,
+        repair_rounds, recovered,
     )
 
 
@@ -163,7 +182,7 @@ class ResultStore:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             manifest = ShardManifest.from_dict(payload)
-        except (OSError, ValueError, KeyError, TypeError):
+        except DAMAGE_ERRORS:
             return None
         if manifest.store_format != STORE_FORMAT_VERSION:
             return None
@@ -184,10 +203,11 @@ class ResultStore:
                 for line in text.splitlines()
                 if line.strip()
             ]
-        except (OSError, ValueError, KeyError, TypeError):
+        except DAMAGE_ERRORS:
             probes.count("store.miss")
             return None
-        if len(rows) != manifest.rows or len(rows) != shard.trials:
+        trials = [row.trial for row in rows]
+        if len(rows) != manifest.rows or trials != list(range(shard.lo, shard.hi)):
             probes.count("store.miss")
             return None
         probes.count("store.hit")

@@ -570,6 +570,52 @@ class TestArmadaConformance:
             assert not membership[slot, ~mask[slot]].any(), slot
             assert not beeps[slot, ~mask[slot]].any(), slot
 
+    @pytest.mark.parametrize("fault_kind", LOCKSTEP_FAULTS)
+    @pytest.mark.parametrize("backend", ("dense", "sparse"))
+    def test_stream_armada_matches_per_graph_and_one_seed_fleets(
+        self, backend, fault_kind
+    ):
+        """Stream-mode stacking: every slot draws from its own
+        generator, so each graph's rows equal its per-graph stream fleet
+        and every slot equals the one-seed stream fleet on its seed."""
+        from repro.engine.fleet import ArmadaSimulator
+
+        n = 18
+        graphs = [
+            gnp_random_graph(n, 0.3, Random(950 + g)) for g in range(3)
+        ]
+        faults = _lockstep_faults(fault_kind, n)
+        # Ragged groups: the stream loop reduces only live slot rows.
+        seed_rows = [
+            [int(seed) for seed in derive_seed_block(MASTER_SEED, g, 3,
+                                                     count=4 - g)]
+            for g in range(3)
+        ]
+        runs = ArmadaSimulator(graphs, backend=backend).run_armada(
+            FeedbackRule(), seed_rows, validate=True, faults=faults,
+            rng_mode="stream",
+        )
+        for graph, row, run in zip(graphs, seed_rows, runs):
+            fleet = FleetSimulator(graph, backend=backend)
+            per_graph = fleet.run_fleet(
+                FeedbackRule(), row, faults=faults, rng_mode="stream"
+            )
+            for t, seed in enumerate(row):
+                lone = fleet.run_fleet(
+                    FeedbackRule(), [seed], faults=faults, rng_mode="stream"
+                ).trial_run(0)
+                slot = run.trial_run(t)
+                for expected in (per_graph.trial_run(t), lone):
+                    assert slot.rounds == expected.rounds, t
+                    assert slot.mis == expected.mis, t
+                    assert np.array_equal(
+                        slot.beeps_by_node, expected.beeps_by_node
+                    ), t
+                    assert slot.crashed == expected.crashed, t
+                    assert slot.absent == expected.absent, t
+                    assert slot.repair_rounds == expected.repair_rounds, t
+                    assert slot.recovered == expected.recovered, t
+
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(

@@ -5,6 +5,8 @@ import pytest
 from repro.algorithms.feedback import FeedbackMIS
 from repro.algorithms.greedy import SequentialGreedyMIS
 from repro.beeping.faults import FaultModel
+from repro.engine.applications import APPLICATION_RULES
+from repro.engine.messages import MESSAGE_RULES
 from repro.experiments.runner import run_trials
 from repro.graphs.random_graphs import gnp_random_graph
 
@@ -250,3 +252,181 @@ class TestRunFleetTrialsMessages:
 
         with pytest.raises(ValueError, match="fault"):
             self._run(faults=FaultModel(beep_loss_probability=0.2))
+
+
+def vertex_count_factory(rng):
+    """G(12, 0.4) or G(15, 0.4), by a coin flip: two armada widths."""
+    n = 12 if rng.random() < 0.5 else 15
+    return gnp_random_graph(n, 0.4, rng)
+
+
+def edge_count_factory(rng):
+    """12 vertices with 10 or 14 edges: one vertex count, but two widths
+    of the matching host (the line graph has one vertex per edge)."""
+    from repro.graphs.random_graphs import gnm_random_graph
+
+    return gnm_random_graph(12, 10 if rng.random() < 0.5 else 14, rng)
+
+
+def _seed_drawing(factory, measure, pattern):
+    """The first master seed whose graphs ``0, 1, ...`` measure ``pattern``."""
+    from repro.beeping.rng import RngStream
+
+    for seed in range(2000):
+        stream = RngStream(seed)
+        drawn = tuple(
+            measure(factory(stream.child(g, 0))) for g in range(len(pattern))
+        )
+        if drawn == pattern:
+            return seed
+    raise AssertionError(f"no seed below 2000 draws {pattern}")
+
+
+def _lone_row(rule_factory, graph, seed, rng_mode):
+    """``(rounds, mis_size, mean_beeps, bits)`` of the one-seed fleet run
+    of the rule's fabric on ``graph``."""
+    from repro.engine.applications import (
+        ApplicationFleetSimulator,
+        ApplicationRule,
+    )
+    from repro.engine.fleet import FleetSimulator
+    from repro.engine.messages import MessageFleetSimulator, MessageRule
+
+    rule = rule_factory()
+    if isinstance(rule, MessageRule):
+        run = MessageFleetSimulator(graph).run_fleet(rule, [seed])
+        return (int(run.rounds[0]), int(run.membership[0].sum()), 0.0,
+                int(run.bits[0]))
+    if isinstance(rule, ApplicationRule):
+        simulator = ApplicationFleetSimulator(graph, rule)
+        run = simulator.run_fleet([seed])
+        host, mis_size = simulator.host, rule.output_size(run, 0)
+    else:
+        run = FleetSimulator(graph).run_fleet(rule, [seed], rng_mode=rng_mode)
+        host, mis_size = graph, int(run.membership[0].sum())
+    bits = sum(
+        int(run.beeps_by_node[0][v]) * host.degree(v) for v in host.vertices()
+    )
+    return int(run.rounds[0]), mis_size, float(run.mean_beeps[0]), bits
+
+
+class TestMixedWidths:
+    """Graphs of two widths in one window: one armada per width, rows in
+    trial order, each equal to its lone one-seed run."""
+
+    # name -> (rule factory, rng mode, graph factory, width, widths drawn,
+    #          the probe counting armada runs)
+    CASES = {
+        "feedback-counter": ("feedback", "counter", vertex_count_factory,
+                             "num_vertices", (12, 15, 12),
+                             "engine.armada.runs"),
+        "feedback-stream": ("feedback", "stream", vertex_count_factory,
+                            "num_vertices", (12, 15, 12),
+                            "engine.armada.runs"),
+        "luby-permutation": ("luby-permutation", "counter",
+                             vertex_count_factory, "num_vertices",
+                             (12, 15, 12), "engine.message.runs"),
+        "mis-matching": ("mis-matching", "counter", edge_count_factory,
+                         "num_edges", (10, 14, 10), "engine.armada.runs"),
+    }
+
+    @pytest.fixture(params=list(CASES))
+    def case(self, request):
+        from repro.sweep.spec import FLEET_RULES
+
+        name, rng_mode, factory, width, pattern, probe = self.CASES[
+            request.param
+        ]
+        seed = _seed_drawing(
+            factory, lambda graph: getattr(graph, width), pattern
+        )
+        return FLEET_RULES[name], rng_mode, factory, seed, probe
+
+    def _run(self, case, **kwargs):
+        from repro.experiments.runner import run_fleet_trials
+
+        rule_factory, rng_mode, factory, seed, _ = case
+        return run_fleet_trials(
+            rule_factory, factory, 9, seed, graphs=3, rng_mode=rng_mode,
+            **kwargs,
+        )
+
+    def test_one_armada_per_width(self, case):
+        from repro.telemetry.probes import capture
+
+        with capture() as collector:
+            outcomes = self._run(case)
+        assert collector.counters[case[4]] == 2
+        assert [o.trial for o in outcomes] == list(range(9))
+
+    def test_rows_equal_lone_one_seed_runs(self, case):
+        from repro.beeping.rng import RngStream, derive_seed
+
+        rule_factory, rng_mode, factory, seed, _ = case
+        outcomes = self._run(case)
+        for g in range(3):
+            graph = factory(RngStream(seed).child(g, 0))
+            for t in range(3):
+                outcome = outcomes[3 * g + t]
+                assert (
+                    outcome.rounds,
+                    outcome.mis_size,
+                    outcome.mean_beeps_per_node,
+                    outcome.bits,
+                ) == _lone_row(
+                    rule_factory, graph, derive_seed(seed, g, 1, t), rng_mode
+                ), (g, t)
+
+    def test_trial_range_windows_concatenate(self, case):
+        full = self._run(case)
+        parts = []
+        for window in ((0, 2), (2, 7), (7, 9)):
+            parts.extend(self._run(case, trial_range=window))
+        assert parts == full
+
+
+class TestOneGuard:
+    """Message and application rules are counter-only and fault-free,
+    and every entry point says so in the same words."""
+
+    @pytest.mark.parametrize("violation", ("stream", "faulty"))
+    @pytest.mark.parametrize(
+        "name", sorted({**MESSAGE_RULES, **APPLICATION_RULES})
+    )
+    def test_every_entry_point_raises_the_same_error(self, name, violation):
+        from random import Random
+
+        from repro.engine.batch import run_batch
+        from repro.experiments.runner import run_fleet_trials
+        from repro.sweep.spec import FLEET_RULES, CellSpec
+
+        rule_factory = FLEET_RULES[name]
+        rng_mode = "stream" if violation == "stream" else "counter"
+        loss = 0.1 if violation == "faulty" else 0.0
+        faults = FaultModel(beep_loss_probability=loss)
+        entry_points = (
+            lambda: CellSpec(
+                algorithm=name, n=12, trials=2, rng_mode=rng_mode,
+                beep_loss=loss,
+            ),
+            lambda: run_batch(
+                gnp_random_graph(12, 0.4, Random(1)), rule_factory, 2, 1,
+                rng_mode=rng_mode, faults=faults,
+            ),
+            lambda: run_fleet_trials(
+                rule_factory, graph_factory, 2, 1, rng_mode=rng_mode,
+                faults=faults,
+            ),
+        )
+        errors = set()
+        for entry_point in entry_points:
+            with pytest.raises(ValueError) as raised:
+                entry_point()
+            errors.add(str(raised.value))
+        assert len(errors) == 1, errors
+        (error,) = errors
+        assert repr(name) in error
+        if violation == "stream":
+            assert "counter fabric only" in error
+        else:
+            assert "does not support fault injection" in error

@@ -1,6 +1,7 @@
 """Tests for the persistent pipeline run database."""
 
 import json
+import re
 
 import pytest
 
@@ -126,6 +127,32 @@ class TestRunDB:
         db.append(record(run_id="r2"))
         assert [r.run_id for r in db.records()] == ["r1", "r2"]
 
+    @pytest.mark.parametrize(
+        "damage", ('"trials":1e999', '"shards_total":-1e999', '"extra":"x"')
+    )
+    def test_unconvertible_line_is_skipped_everywhere(
+        self, tmp_path, capsys, damage
+    ):
+        """A line that parses as JSON but holds an unconvertible value
+        costs only itself: records(), the next append() and
+        ``repro stats --rundb`` all carry on."""
+        from repro.cli import main
+
+        db = RunDB(tmp_path / "db")
+        db.append(record(run_id="r1"))
+        line = json.dumps(record(run_id="bad").to_dict(), sort_keys=True,
+                          separators=(",", ":"))
+        field = damage.split(":")[0]
+        line = re.sub(rf'{field}:("[^"]*"|[^,}}]+)', damage, line)
+        assert damage in line
+        with open(db.runs_path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        db.append(record(run_id="r2"))
+        assert [r.run_id for r in db.records()] == ["r1", "r2"]
+        assert db.index()["records"] == 2
+        assert main(["stats", "--rundb", str(tmp_path / "db")]) == 0
+        assert "r2" in capsys.readouterr().out
+
     def test_runs_for_prefix_match(self, tmp_path):
         db = RunDB(tmp_path / "db")
         db.append(record(run_id="r1", spec_hash="a" * 64))
@@ -176,3 +203,10 @@ class TestIndex:
         db.append(record(run_id="r1"))
         db.index_path.unlink()
         assert db.index()["experiments"]["figure3"]["runs"] == 1
+
+    @pytest.mark.parametrize("text", ("[]", "7", '"index"', "[" * 100_000))
+    def test_non_object_index_is_rebuilt(self, tmp_path, text):
+        db = RunDB(tmp_path / "db")
+        db.append(record(run_id="r1"))
+        db.index_path.write_text(text, encoding="utf-8")
+        assert db.index()["records"] == 1

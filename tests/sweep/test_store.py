@@ -1,11 +1,16 @@
 """Tests for the content-addressed result store."""
 
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.runner import TrialOutcome
-from repro.sweep.spec import CellSpec, ShardSpec
+from repro.sweep.orchestrator import run_sweep
+from repro.sweep.spec import CellSpec, ShardSpec, SweepSpec
 from repro.sweep.store import STORE_FORMAT_VERSION, ResultStore
 
 
@@ -232,3 +237,154 @@ class TestGetOrRun:
         store.put(second, rows_for(second))
         assert store.get(first) == rows_for(first)
         assert store.get(second) == rows_for(second)
+
+
+def _first_value(name, value):
+    """Damage: the first ``name`` field of the file becomes ``value``."""
+    return lambda text: re.sub(
+        rf'"{name}":[^,}}]+', f'"{name}":{value}', text, count=1
+    )
+
+
+def _swap_first_lines(text):
+    first, second, *rest = text.splitlines(True)
+    return "".join([second, first, *rest])
+
+
+#: Rows that parse as JSON but must not be served.
+DAMAGED_ROWS = {
+    "overflowing-rounds": _first_value("rounds", "1e999"),
+    "nan-mean": _first_value("mean_beeps_per_node", "NaN"),
+    "shifted-trials": lambda text: re.sub(
+        r'"trial":(\d+)', lambda m: f'"trial":{int(m.group(1)) + 1}', text
+    ),
+    "swapped-trials": _swap_first_lines,
+}
+
+
+class TestDamagedRows:
+    """Parsable but damaged rows are a miss: re-executed, never served,
+    never raised."""
+
+    @pytest.mark.parametrize("damage", list(DAMAGED_ROWS))
+    def test_get_misses(self, tmp_path, damage):
+        store = ResultStore(tmp_path)
+        spec = shard()
+        store.put(spec, rows_for(spec))
+        path = store.rows_path(spec)
+        path.write_text(DAMAGED_ROWS[damage](path.read_text()))
+        assert store.get(spec) is None
+
+    @pytest.mark.parametrize("field", ("rows", "store_format"))
+    def test_overflowing_manifest_is_a_miss(self, tmp_path, field):
+        store = ResultStore(tmp_path)
+        spec = shard()
+        store.put(spec, rows_for(spec))
+        path = store.manifest_path(spec)
+        manifest = json.loads(path.read_text())
+        manifest[field] = float("inf")  # serialised as Infinity
+        path.write_text(json.dumps(manifest))
+        assert store.get(spec) is None
+
+    @pytest.mark.parametrize("damage", list(DAMAGED_ROWS))
+    def test_sweep_re_executes_exactly_the_damaged_shard(
+        self, tmp_path, damage
+    ):
+        cell = CellSpec(
+            algorithm="feedback", n=20, trials=12, graphs=2, master_seed=5
+        )
+        spec = SweepSpec((cell,), shard_trials=4)
+        cold = run_sweep(spec, store=tmp_path)
+        store = ResultStore(tmp_path)
+        stored = {
+            s: store.rows_path(s).read_bytes() for s in spec.shards()
+        }
+        target = store.rows_path(spec.shards()[1])
+        target.write_text(DAMAGED_ROWS[damage](target.read_text()))
+        assert target.read_bytes() != stored[spec.shards()[1]]
+        warm = run_sweep(spec, store=tmp_path)
+        assert warm.report.shards_executed == 1
+        assert warm.report.shards_cached == 2
+        assert warm.rows(cell) == cold.rows(cell)
+        assert {
+            s: store.rows_path(s).read_bytes() for s in spec.shards()
+        } == stored
+
+
+#: JSON tokens a damaged file may hold where a value belongs.
+HOSTILE_VALUES = (
+    "1e999", "-1e999", "NaN", "Infinity", "-Infinity", "true", "false",
+    "null", '"7"', "[]", "{}", "[1e999]", "2.5", "-1", "1" + "0" * 400,
+)
+
+
+@st.composite
+def mutated_lines(draw, text):
+    """``text`` with one line damaged: a value swapped for a hostile
+    token, a splice of arbitrary characters, the whole line replaced, or
+    the line dropped or duplicated."""
+    lines = text.splitlines()
+    index = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    line = lines[index]
+    kind = draw(
+        st.sampled_from(("value", "splice", "replace", "drop", "duplicate"))
+    )
+    if kind == "value" and re.search(r'"\w+": ?', line):
+        names = re.findall(r'"(\w+)": ?', line)
+        name = draw(st.sampled_from(names))
+        token = draw(st.sampled_from(HOSTILE_VALUES))
+        lines[index] = re.sub(
+            rf'("{name}": ?)(\[[^\]]*\]|[^,}}]*)',
+            lambda m: m.group(1) + token, line, count=1,
+        )
+    elif kind in ("value", "splice"):
+        start = draw(st.integers(min_value=0, max_value=len(line)))
+        stop = draw(st.integers(min_value=start, max_value=len(line)))
+        lines[index] = line[:start] + draw(st.text(max_size=8)) + line[stop:]
+    elif kind == "replace":
+        lines[index] = draw(st.text(max_size=40))
+    elif kind == "drop":
+        del lines[index]
+    else:
+        lines.insert(index, line)
+    return "\n".join(lines) + "\n"
+
+
+def _churn_rows(spec):
+    return [
+        TrialOutcome(
+            trial=t, rounds=9, mis_size=6, mean_beeps_per_node=2.5,
+            messages=30, bits=30, repair_rounds=(2, -1), recovered=False,
+        )
+        for t in range(spec.lo, spec.hi)
+    ]
+
+
+class TestLineMutationFuzz:
+    """Whatever one damaged line holds, ``get`` returns a miss or rows
+    that pass the row checks — it never raises."""
+
+    @pytest.mark.parametrize("target", ("rows", "manifest"))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_get_never_raises(self, tmp_path_factory, target, data):
+        store = ResultStore(tmp_path_factory.mktemp("store"))
+        spec = shard(trials=8, lo=2, hi=6)
+        make_rows = data.draw(st.sampled_from((rows_for, _churn_rows)))
+        store.put(spec, make_rows(spec))
+        path = store.rows_path(spec)
+        if target == "manifest":
+            # Pin the timestamp: hypothesis needs the same text each run.
+            path = store.manifest_path(spec)
+            manifest = json.loads(path.read_text())
+            manifest["created"] = 0.0
+            path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        path.write_text(
+            data.draw(mutated_lines(path.read_text())), encoding="utf-8"
+        )
+        rows = store.get(spec)
+        if rows is not None:
+            assert [row.trial for row in rows] == list(range(2, 6))
+            assert all(
+                math.isfinite(row.mean_beeps_per_node) for row in rows
+            )
