@@ -94,7 +94,7 @@ from repro.engine.sparse import (
     resolve_backend,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.validation import verify_mis
+from repro.graphs.validation import verify_mis_rows
 from repro.telemetry import probes
 
 
@@ -968,15 +968,13 @@ class ArmadaSimulator:
                 ),
             )
             if validate:
-                for trial in range(size):
-                    if not run.trial_recovered(trial):
-                        continue
-                    verify_mis(
-                        self._graphs[g],
-                        run.mis_set(trial),
-                        crashed=run.crashed_set(trial),
-                        absent=run.absent_set(trial),
-                    )
+                verify_mis_rows(
+                    self._graphs[g],
+                    run.membership,
+                    crashed=run.crashed,
+                    absent=run.absent,
+                    recovered=run.recovered,
+                )
             runs.append(run)
             offset += size
         return runs

@@ -11,8 +11,8 @@ the paper's experiments, implemented from scratch:
   hypercubes, complete (bi)partite graphs and hexagonal lattices.
 - :mod:`~repro.graphs.cliques` — disjoint-clique families, including the
   lower-bound family of Theorem 1.
-- :mod:`~repro.graphs.validation` — independence / maximality predicates and
-  :func:`verify_mis`.
+- :mod:`~repro.graphs.validation` — independence / maximality predicates,
+  :func:`verify_mis` and its batched form :func:`verify_mis_rows`.
 - :mod:`~repro.graphs.io` — edge-list and DOT serialisation.
 """
 
@@ -57,6 +57,7 @@ from repro.graphs.validation import (
     is_maximal_independent_set,
     uncovered_vertices,
     verify_mis,
+    verify_mis_rows,
 )
 
 __all__ = [
@@ -96,4 +97,5 @@ __all__ = [
     "torus_grid_graph",
     "uncovered_vertices",
     "verify_mis",
+    "verify_mis_rows",
 ]

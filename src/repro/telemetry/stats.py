@@ -20,6 +20,7 @@ form (``repro stats --json``):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -71,12 +72,25 @@ class BenchDrift:
         }
 
 
+def _finite(value: Any) -> Optional[float]:
+    """A JSON number as a finite float; anything else reads as ``None``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def bench_drift(bench_dir: PathLike) -> List[BenchDrift]:
     """Parse every ``BENCH_*.json`` under ``bench_dir`` into drift rows.
 
     Records without a ``speedup`` result or a ``floor`` still appear
-    (with ``None`` fields) so the report shows the full trajectory;
-    unreadable files are skipped.
+    (with ``None`` fields) so the report shows the full trajectory; so
+    do records whose ``results`` is not an object or whose speedup or
+    floor is not a finite number.  Unreadable files, and files whose
+    top level is not a JSON object, are skipped.
     """
     rows: List[BenchDrift] = []
     directory = Path(bench_dir)
@@ -87,17 +101,18 @@ def bench_drift(bench_dir: PathLike) -> List[BenchDrift]:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             continue
-        results = payload.get("results", {})
-        speedup = results.get("speedup")
+        if not isinstance(payload, dict):
+            continue
+        results = payload.get("results")
         rows.append(
             BenchDrift(
                 name=str(payload.get("bench", path.stem)),
-                speedup=float(speedup) if speedup is not None else None,
-                floor=(
-                    float(payload["floor"])
-                    if payload.get("floor") is not None
+                speedup=_finite(
+                    results.get("speedup")
+                    if isinstance(results, dict)
                     else None
                 ),
+                floor=_finite(payload.get("floor")),
             )
         )
     return rows

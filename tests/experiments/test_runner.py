@@ -136,9 +136,9 @@ class TestRunFleetTrials:
         assert parts == full
 
     def test_counter_mode_handles_heterogeneous_graph_sizes(self):
-        """A graph factory with size depending on the draw cannot be
-        block-stacked; the per-graph counter fallback must still match
-        the one-seed fleet."""
+        """A graph factory whose size depends on the draw gives a window
+        of mixed widths: ``run_fleet_trials`` runs one armada per width,
+        and every trial must still match the one-seed fleet."""
         from repro.beeping.rng import RngStream, derive_seed
         from repro.engine.fleet import FleetSimulator
         from repro.engine.rules import FeedbackRule
@@ -154,7 +154,7 @@ class TestRunFleetTrials:
         stream = RngStream(77)
         sizes = {varying_factory(stream.child(g, 0)).num_vertices
                  for g in range(2)}
-        assert len(sizes) == 2  # the fallback was actually exercised
+        assert len(sizes) == 2  # two widths, so two armadas
         flat = 0
         for g in range(2):
             graph = varying_factory(RngStream(77).child(g, 0))

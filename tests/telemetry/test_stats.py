@@ -135,6 +135,46 @@ class TestBenchDrift:
     def test_missing_directory_is_empty(self, tmp_path):
         assert bench_drift(tmp_path / "nope") == []
 
+    @pytest.mark.parametrize("text", ["[]", "3.5", '"text"', "null"])
+    def test_non_object_records_are_skipped(self, tmp_path, text):
+        _write_bench(tmp_path, "good", speedup=4.0, floor=2.0)
+        (tmp_path / "BENCH_bad.json").write_text(text, encoding="utf-8")
+        assert [row.name for row in bench_drift(tmp_path)] == ["good"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"results": []},
+            {"results": "fast"},
+            {"results": {"speedup": "fast"}},
+            {"results": {"speedup": [4.0]}},
+            {"results": {"speedup": True}},
+            {"results": {"speedup": 1e999}},
+            {"results": {"speedup": -1e999}},
+            {"results": {"speedup": 10**400}},
+        ],
+        ids=["results-list", "results-str", "speedup-str", "speedup-list",
+             "speedup-bool", "speedup-inf", "speedup-minus-inf",
+             "speedup-huge-int"],
+    )
+    def test_malformed_speedup_reads_as_none(self, tmp_path, payload):
+        payload = {"bench": "bad", "floor": 2.0, **payload}
+        (tmp_path / "BENCH_bad.json").write_text(
+            json.dumps(payload), encoding="utf-8"
+        )
+        (row,) = bench_drift(tmp_path)
+        assert (row.name, row.speedup, row.floor) == ("bad", None, 2.0)
+        assert row.headroom is None
+
+    @pytest.mark.parametrize(
+        "floor", [{"min": 2.0}, [2.0], "2.0", False, 1e999],
+        ids=["dict", "list", "str", "bool", "inf"],
+    )
+    def test_malformed_floor_reads_as_none(self, tmp_path, floor):
+        _write_bench(tmp_path, "bad", speedup=4.0, floor=floor)
+        (row,) = bench_drift(tmp_path)
+        assert (row.speedup, row.floor, row.headroom) == (4.0, None, None)
+
     def test_zero_floor_has_no_headroom(self):
         assert BenchDrift("x", speedup=2.0, floor=0.0).headroom is None
 

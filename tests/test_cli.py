@@ -512,3 +512,24 @@ class TestStats:
         assert "bench floors" in out
         assert "4.00x" in out
         assert "2.00" in out
+
+    def test_damaged_bench_record_does_not_break_stats(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        ledger = tmp_path / "ledger"
+        assert main(self.SWEEP + ["--telemetry", str(ledger)]) == 0
+        (tmp_path / "BENCH_list.json").write_text("[]", encoding="utf-8")
+        (tmp_path / "BENCH_demo.json").write_text(
+            json.dumps(
+                {"bench": "demo", "results": {"speedup": "fast"},
+                 "floor": {"min": 2.0}}
+            ),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(
+            ["stats", "--ledger", str(ledger), "--bench-dir", str(tmp_path)]
+        ) == 0
+        assert "demo" in capsys.readouterr().out
