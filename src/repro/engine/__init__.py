@@ -9,8 +9,9 @@ implementing the same two-exchange round semantics:
 **Fleet** (:class:`FleetSimulator`)
     All ``trials`` independent runs of one graph in lockstep as
     ``(trials, n)`` tensors: one batched float32 GEMM (``"dense"``
-    backend) or one CSR ``reduceat`` pass (``"sparse"`` backend — a round
-    costs O(n + m), reaching n = 50,000 at mean degree 8) per round
+    backend) or one CSR ``bitwise_or.reduceat`` pass over the trials
+    packed 64 to a word (``"sparse"`` backend — a round costs O(n + m),
+    reaching n = 50,000 at mean degree 8) per round
     serves the whole batch, and finished trials drop out through an
     alive-mask.  The fleet is the
     one-graph armada below — one loop serves both — and one trial is the
@@ -22,7 +23,7 @@ implementing the same two-exchange round semantics:
 **Armada** (:class:`ArmadaSimulator`)
     The fleet lifted one dimension: every same-``n`` graph group of one
     experiment cell in a single ``(trials, graphs * n)`` block-diagonal
-    batch — one batched GEMM or per-graph CSR ``reduceat`` pass per
+    batch — one batched GEMM or per-graph packed CSR OR pass per
     round for the *whole cell*, with an entry-level frontier tail in
     fault-free counter runs.  ``run_armada`` takes either rng mode
     (counter by default); ``benchmarks/bench_counter_rng.py`` records

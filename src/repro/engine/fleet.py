@@ -7,9 +7,11 @@ tensor, and a round advances all of them at once —
 
 - ``beep = active & (U < P)`` with one fresh uniform row per live slot;
 - ``heard``: one batched float32 GEMM against the ``(graphs, n, n)``
-  adjacency stack (``"dense"`` backend) or one CSR ``add.reduceat`` pass
-  per graph (``"sparse"``) — a backend supplies the two neighbour
-  reductions (OR and counts) and nothing else;
+  adjacency stack (``"dense"`` backend) or one slot-packed CSR
+  ``bitwise_or.reduceat`` pass per graph (``"sparse"``,
+  :func:`~repro.engine.sparse.csr_row_or`) — a backend supplies the two
+  neighbour reductions (OR, and the counts only the noisy channel
+  reads) and nothing else;
 - per-slot early exit through an alive-mask: finished slots stop drawing
   and their round counts freeze (stream runs also drop them from the
   OR; counter runs hand their tail to the frontier instead).
@@ -90,6 +92,7 @@ from repro.engine.simulator import (
 from repro.engine.sparse import (
     build_csr,
     csr_row_counts,
+    csr_row_or,
     csr_to_dense,
     resolve_backend,
 )
@@ -185,8 +188,11 @@ class FleetSimulator:
 
     - ``"dense"``: ``(trials, n) @ (n, n)`` float32 GEMM.  Exact (counts are
       small integers) and BLAS-fast; memory is the n x n adjacency.
-    - ``"sparse"``: gather + ``add.reduceat`` over CSR neighbour lists,
-      O(trials * (n + m)) per round; the large-sparse-graph path.
+    - ``"sparse"``: the trials packed 64 to a uint64 word per vertex,
+      gathered along the CSR neighbour lists and ORed with one
+      ``bitwise_or.reduceat`` (:func:`~repro.engine.sparse.csr_row_or`),
+      O(trials * n + trials / 64 * m) per round; noisy runs, which need
+      counts, use ``add.reduceat``.  The large-sparse-graph path.
     - ``"auto"`` (default): dense up to
       :data:`~repro.engine.sparse.DENSE_VERTEX_LIMIT` vertices, sparse
       beyond (:func:`~repro.engine.sparse.resolve_backend`).
@@ -257,8 +263,9 @@ class ArmadaSimulator:
     - **Dense phase** (early rounds, most vertices active): the
       one-bit OR observation is one *batched* float32 GEMM against the
       ``(graphs, n, n)`` adjacency stack (``"dense"`` backend) or a
-      per-graph CSR ``add.reduceat`` pass (``"sparse"`` backend) — exact
-      in both cases.
+      per-graph slot-packed CSR ``bitwise_or.reduceat`` pass
+      (``"sparse"`` backend, :func:`~repro.engine.sparse.csr_row_or`) —
+      exact in both cases.
     - **Frontier phase** (counter mode without noise, churn or beep
       recording, once the live fraction is small): the state collapses
       to the list of still-active ``(slot, vertex)`` entries.  Uniforms
@@ -450,16 +457,20 @@ class ArmadaSimulator:
                 np.greater(counts[g, :size], 0.0, out=out[offset:offset + size])
                 offset += size
             return out
-        result = self._group_counts(flags, None, sizes) > 0
-        if out is not None:
-            np.copyto(out, result)
-            return out
-        return result
+        if out is None:
+            out = np.empty((rows, n), dtype=bool)
+        offset = 0
+        for g, size in enumerate(sizes):
+            out[offset:offset + size] = csr_row_or(
+                flags[offset:offset + size], *self._per_csr[g]
+            )
+            offset += size
+        return out
 
-    def _group_counts(self, flags: np.ndarray, alive: Optional[np.ndarray],
+    def _group_counts(self, flags: np.ndarray, alive: np.ndarray,
                       sizes: Sequence[int]) -> np.ndarray:
-        """Per-vertex beeping-neighbour counts, per-graph, optionally
-        restricted to alive slot rows (dead rows stay zero)."""
+        """Per-vertex beeping-neighbour counts of the alive slot rows,
+        per graph (dead rows stay zero); the noisy channel's input."""
         n = self._n
         rows = flags.shape[0]
         counts = np.zeros((rows, n), dtype=np.int64)
@@ -467,16 +478,11 @@ class ArmadaSimulator:
             return counts
         offset = 0
         for g, size in enumerate(sizes):
-            block = slice(offset, offset + size)
-            if alive is not None:
-                selected = np.flatnonzero(alive[block]) + offset
-                if selected.size == 0:
-                    offset += size
-                    continue
-                sub = flags[selected]
-            else:
-                selected = None
-                sub = flags[block]
+            selected = np.flatnonzero(alive[offset:offset + size]) + offset
+            offset += size
+            if selected.size == 0:
+                continue
+            sub = flags[selected]
             if self._backend == "dense":
                 # float32 GEMM counts are exact small integers; stage the
                 # flags through the reused buffer, not a fresh astype.
@@ -493,11 +499,7 @@ class ArmadaSimulator:
             else:
                 columns, starts, isolated = self._per_csr[g]
                 block_counts = csr_row_counts(sub, columns, starts, isolated)
-            if selected is None:
-                counts[block] = block_counts
-            else:
-                counts[selected] = block_counts
-            offset += size
+            counts[selected] = block_counts
         return counts
 
     def run_armada(

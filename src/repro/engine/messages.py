@@ -91,6 +91,7 @@ from repro.engine.simulator import (
 from repro.engine.sparse import (
     build_csr,
     csr_row_counts,
+    csr_row_or,
     csr_to_dense,
     resolve_backend,
 )
@@ -349,7 +350,9 @@ class _MessageKernel:
 
     def neighbor_or(self, flags: np.ndarray) -> np.ndarray:
         """Row-wise: whether any neighbour's flag is set, per vertex."""
-        return self.counts(flags) > 0
+        if self._backend == "dense":
+            return self.counts(flags) > 0
+        return csr_row_or(flags, self._columns, self._starts, self._isolated)
 
     def masked_min(self, keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Per vertex: the minimum key among masked neighbours.

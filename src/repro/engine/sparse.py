@@ -4,14 +4,17 @@ A dense n×n adjacency is perfect for the paper's ``G(n, 1/2)`` workloads
 and quadratic waste for sparse topologies (grids, geometric/sensor
 networks, scale-free graphs).  The ``"sparse"`` backends of the armada,
 message and application engines keep the adjacency in
-compressed-sparse-row form instead and compute neighbour counts with
-``numpy.add.reduceat`` over the neighbour lists, so a round costs
-O(n + m) with small constants.  This module builds that CSR
-(:func:`build_csr`), owns the one reduction over it
-(:func:`csr_row_counts`), scatters it into the ``"dense"`` backends'
-n×n operand (:func:`csr_to_dense`), and decides between the two
-(:data:`BACKENDS`, :func:`resolve_backend`) for every engine and every
-caller that validates a backend name.
+compressed-sparse-row form instead, so a round costs O(n + m) with small
+constants.  This module builds that CSR (:func:`build_csr`) and owns the
+two reductions over it: the fault-free neighbour OR
+(:func:`csr_row_or`), which packs the slot axis into uint64 bit lanes so
+one ``bitwise_or.reduceat`` over the gathered neighbour rows serves 64
+slots per word, and the neighbour counts (:func:`csr_row_counts`, a
+``numpy.add.reduceat`` over the neighbour lists) that the noisy
+channel's loss model and the message kernels need.  It also scatters the CSR into the
+``"dense"`` backends' n×n operand (:func:`csr_to_dense`), and decides
+between the two (:data:`BACKENDS`, :func:`resolve_backend`) for every
+engine and every caller that validates a backend name.
 
 With mean degree ~8 this comfortably simulates n = 50,000 node networks —
 letting the scaling benchmark extend Theorem 2's O(log n) curve well past
@@ -64,8 +67,8 @@ def build_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     index — clamping the starts instead would silently truncate the last
     non-empty vertex's segment and drop beeps from its highest-index
     neighbours.  Empty segments (isolated vertices) still produce garbage
-    sums and are masked with ``isolated`` (:func:`csr_row_counts` does
-    both).
+    sums and are masked with ``isolated`` (:func:`csr_row_counts` and
+    :func:`csr_row_or` do both).
     """
     indptr = graph.indptr.astype(np.int64)
     return (
@@ -101,6 +104,55 @@ def csr_row_counts(
     # Empty segments (isolated vertices) yield garbage sums; zero them.
     counts[:, isolated] = 0
     return counts.astype(np.int64)
+
+
+def csr_row_or(
+    flags: np.ndarray,
+    columns: np.ndarray,
+    starts: np.ndarray,
+    isolated: np.ndarray,
+) -> np.ndarray:
+    """Row-wise neighbour OR over one CSR: ``csr_row_counts(...) > 0``.
+
+    The boolean sibling of :func:`csr_row_counts`, with the same pad and
+    isolated-vertex discipline, but with the slot axis packed into bits:
+    ``flags.T`` becomes one ``(n + 1, words)`` uint64 row per vertex (lane
+    ``s`` = row ``s`` of ``flags``; row ``n`` is the all-zero pad that
+    keeps unclamped starts in range).  Gathering those rows at
+    ``columns`` is a contiguous row copy, and one
+    ``bitwise_or.reduceat`` along the neighbour axis ORs 64 flag rows
+    per word.  ``flags`` is ``(rows, n)`` boolean; returns ``(rows, n)``
+    bool.
+    """
+    k, n = flags.shape
+    if k == 0 or columns.size == 0:
+        return np.zeros((k, n), dtype=bool)
+    words = (k + 63) >> 6
+    lane_bytes = (k + 7) >> 3
+    # Bit planes: byte j of vertex v carries rows 8j .. 8j + 7 of flags.
+    # (Eight shifts over contiguous planes; ``np.packbits`` along the
+    # strided slot axis measured several times slower.)
+    planes = np.zeros((lane_bytes * 8, n), dtype=np.uint8)
+    planes[:k] = flags
+    planes = planes.reshape(lane_bytes, 8, n)
+    slot_bytes = planes[:, 0].copy()
+    for bit in range(1, 8):
+        slot_bytes |= planes[:, bit] << bit
+    packed = np.zeros((n + 1, words * 8), dtype=np.uint8)
+    packed[:n, :lane_bytes] = slot_bytes.T
+    gathered = np.take(
+        packed.view(np.uint64), np.append(columns, n), axis=0
+    )
+    reduced = np.bitwise_or.reduceat(gathered, starts, axis=0)
+    # Empty segments (isolated vertices) yield garbage ORs; zero them.
+    reduced[isolated] = 0
+    heard_bytes = np.ascontiguousarray(
+        reduced.view(np.uint8)[:, :lane_bytes].T
+    )
+    bits = np.empty((lane_bytes, 8, n), dtype=np.uint8)
+    for bit in range(8):
+        np.bitwise_and(heard_bytes >> bit, 1, out=bits[:, bit])
+    return bits.reshape(lane_bytes * 8, n)[:k].view(bool)
 
 
 def csr_to_dense(

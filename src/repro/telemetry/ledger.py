@@ -14,7 +14,8 @@ Events are appended line-buffered, so a crashed run leaves a readable
 ledger with a possibly truncated tail.  Like the result store, readers
 treat damage as data loss, not failure: :func:`read_events` skips
 unparsable lines (the torn tail of a crashed writer) and keeps
-everything before and after them.
+everything before and after them, and :func:`summarize_run` skips
+parseable lines whose fields have the wrong type or a non-finite value.
 
 The queries over a ledger directory live in
 :mod:`repro.telemetry.stats` (the ``repro stats`` command).
@@ -23,6 +24,7 @@ The queries over a ledger directory live in
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import time
@@ -172,7 +174,8 @@ def read_events(path: PathLike) -> List[Event]:
             continue
         try:
             event = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):
+            # RecursionError: pathologically deep nesting ("[[[[...").
             continue
         if isinstance(event, dict) and "event" in event:
             events.append(event)
@@ -232,53 +235,87 @@ class RunSummary:
         return executed[:limit]
 
 
+def _finite(value: Any) -> float:
+    """A JSON number as a finite float; ``ValueError`` for anything else
+    (strings, booleans, ``1e999``'s infinity)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not a number: {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past float range
+        raise ValueError(f"not a finite number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
+
+
+def _mapping(value: Any) -> Dict[str, Any]:
+    """A JSON object as a dict; ``TypeError`` for anything else."""
+    if not isinstance(value, dict):
+        raise TypeError(f"not an object: {value!r}")
+    return value
+
+
 def summarize_run(path: PathLike) -> RunSummary:
-    """Aggregate one ledger file into a :class:`RunSummary`."""
+    """Aggregate one ledger file into a :class:`RunSummary`.
+
+    Each line is checked whole before it touches the summary, so a
+    malformed-but-parseable line — a field of the wrong type, a
+    non-finite number — loses itself, not the run.
+    """
     summary = RunSummary(path=Path(path))
+
+    def note_hash(digest: Any) -> None:
+        if digest and str(digest) not in summary.spec_hashes:
+            summary.spec_hashes.append(str(digest))
+
     for event in read_events(path):
         kind = event.get("event")
         try:
             if kind == "run":
-                summary.run_id = str(event.get("run_id", ""))
-                summary.command = str(event.get("command", ""))
-                summary.argv = [str(a) for a in event.get("argv", [])]
-                summary.versions = dict(event.get("versions", {}))
-                summary.started = float(event.get("started", 0.0))
-            elif kind == "end":
-                summary.status = str(event.get("status", "ok"))
-                summary.elapsed_seconds = float(
-                    event.get("elapsed_seconds", 0.0)
+                # The whole right side is built before any field is set.
+                (summary.run_id, summary.command, summary.argv,
+                 summary.versions, summary.started) = (
+                    str(event.get("run_id", "")),
+                    str(event.get("command", "")),
+                    [str(a) for a in event.get("argv", [])],
+                    {
+                        str(k): str(v)
+                        for k, v in _mapping(event.get("versions", {})).items()
+                    },
+                    _finite(event.get("started", 0.0)),
                 )
-                summary.phases = {
-                    str(k): float(v)
-                    for k, v in event.get("phases", {}).items()
-                }
+            elif kind == "end":
+                summary.status, summary.elapsed_seconds, summary.phases = (
+                    str(event.get("status", "ok")),
+                    _finite(event.get("elapsed_seconds", 0.0)),
+                    {
+                        str(k): _finite(v)
+                        for k, v in _mapping(event.get("phases", {})).items()
+                    },
+                )
             elif kind == "counter":
                 name = str(event["name"])
-                summary.counters[name] = (
-                    summary.counters.get(name, 0.0) + float(event["value"])
+                summary.counters[name] = _finite(
+                    summary.counters.get(name, 0.0) + _finite(event["value"])
                 )
             elif kind == "gauge":
-                summary.gauges[str(event["name"])] = float(event["value"])
+                summary.gauges[str(event["name"])] = _finite(event["value"])
             elif kind == "span":
                 name = str(event["name"])
-                seconds = float(event["seconds"])
+                seconds = _finite(event["seconds"])
+                attrs = dict(_mapping(event.get("attrs", {})))
                 n, total, worst = summary.spans.get(name, (0, 0.0, 0.0))
                 summary.spans[name] = (
-                    n + 1, total + seconds, max(worst, seconds)
+                    n + 1, _finite(total + seconds), max(worst, seconds)
                 )
                 if name == "sweep.shard":
-                    attrs = dict(event.get("attrs", {}))
                     attrs["seconds"] = seconds
                     summary.shard_spans.append(attrs)
-                    digest = attrs.get("content_hash")
-                    if digest and digest not in summary.spec_hashes:
-                        summary.spec_hashes.append(str(digest))
+                    note_hash(attrs.get("content_hash"))
             elif kind == "annotation":
-                attrs = event.get("attrs", {})
-                digest = attrs.get("content_hash")
-                if digest and digest not in summary.spec_hashes:
-                    summary.spec_hashes.append(str(digest))
+                attrs = _mapping(event.get("attrs", {}))
+                note_hash(attrs.get("content_hash"))
                 if event.get("name") == "sweep.shard.failed":
                     summary.failed_shards.append(dict(attrs))
         except (KeyError, TypeError, ValueError):

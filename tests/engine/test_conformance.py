@@ -515,6 +515,55 @@ class TestArmadaConformance:
             assert np.array_equal(d.membership, s.membership)
             assert np.array_equal(d.beeps_by_node, s.beeps_by_node)
 
+    @pytest.mark.parametrize("slots", (65, 130))
+    @pytest.mark.parametrize(
+        "mode, fault_kind",
+        (("counter", "fault-free"), ("counter", "churn"),
+         ("stream", "fault-free")),
+        ids=("counter", "churn", "stream"),
+    )
+    def test_multiword_armada_backends_agree(self, mode, fault_kind, slots):
+        """More than 64 slots per graph: the sparse backend's packed OR
+        spans two or three uint64 words and must still equal the dense
+        GEMM bit for bit.  The edgeless graph finishes in one round, so
+        later stream rounds reduce a graph block with no live rows."""
+        from repro.engine.fleet import ArmadaSimulator
+        from repro.graphs.structured import empty_graph, grid_graph
+        from repro.telemetry.probes import capture
+
+        n = 20
+        graphs = [
+            grid_graph(4, 5),
+            gnp_random_graph(n, 0.3, Random(61)),
+            empty_graph(n),
+        ]
+        faults = _lockstep_faults(fault_kind, n)
+        seed_rows = [
+            [int(seed) for seed in derive_seed_block(MASTER_SEED, g, 5,
+                                                     count=slots)]
+            for g in range(3)
+        ]
+        runs = {}
+        for backend in ("dense", "sparse"):
+            with capture() as collector:
+                runs[backend] = ArmadaSimulator(
+                    graphs, backend=backend
+                ).run_armada(
+                    FeedbackRule(), seed_rows, validate=True, faults=faults,
+                    rng_mode=mode,
+                )
+            assert collector.counters["engine.armada.dense_rounds"] > 1
+        for d, s in zip(runs["dense"], runs["sparse"]):
+            assert np.array_equal(d.rounds, s.rounds)
+            assert np.array_equal(d.membership, s.membership)
+            assert np.array_equal(d.beeps_by_node, s.beeps_by_node)
+            for t in range(slots):
+                assert d.trial_run(t).absent == s.trial_run(t).absent, t
+                assert (
+                    d.trial_run(t).repair_rounds
+                    == s.trial_run(t).repair_rounds
+                ), t
+
     @pytest.mark.parametrize("backend", ("dense", "sparse"))
     @pytest.mark.parametrize(
         "frontier_entries", (0, None), ids=("full-width", "frontier")

@@ -11,12 +11,17 @@ from hypothesis import strategies as st
 
 from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import FeedbackRule, SweepRule
-from repro.engine.sparse import build_csr, csr_row_counts
+from repro.engine.sparse import build_csr, csr_row_counts, csr_row_or
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph, random_geometric_graph
 from repro.graphs.structured import empty_graph, grid_graph, star_graph
 
 from .conftest import engine_run
+
+
+def counts_or(flags, columns, starts, isolated):
+    """The neighbour OR as the count kernel computes it."""
+    return csr_row_counts(flags, columns, starts, isolated) > 0
 
 
 def one_trial(graph, rule_factory, seed, backend="sparse", **kwargs):
@@ -47,7 +52,12 @@ class TestBasics:
         run = one_trial(graph, FeedbackRule, 4, validate=True)
         assert {2, 3, 4, 5} <= run.mis
 
-    def test_trailing_isolated_vertices_do_not_truncate_hearing(self):
+    @pytest.mark.parametrize(
+        "heard_of", (counts_or, csr_row_or), ids=("counts", "packed-or")
+    )
+    def test_trailing_isolated_vertices_do_not_truncate_hearing(
+        self, heard_of
+    ):
         # A clamped trailing start used to cut the last non-empty CSR
         # segment short, dropping beeps from a vertex's highest-index
         # neighbours (sparse run then disagreed with dense on rounds).
@@ -56,8 +66,8 @@ class TestBasics:
         # to 3, cutting neighbour 1 out of vertex 2's segment.
         graph = Graph(4, [(2, 0), (2, 1)])
         only_1 = np.array([[False, True, False, False]])
-        counts = csr_row_counts(only_1, *build_csr(graph))
-        assert list(counts[0] > 0) == [False, False, True, False]
+        heard = heard_of(only_1, *build_csr(graph))
+        assert list(heard[0]) == [False, False, True, False]
 
     def test_star(self):
         run = one_trial(star_graph(20), FeedbackRule, 5, validate=True)
@@ -90,6 +100,66 @@ class TestExactEquivalenceWithDense:
         dense = one_trial(graph, FeedbackRule, 11, backend="dense")
         sparse = one_trial(graph, FeedbackRule, 11)
         assert dense.mis == sparse.mis
+
+
+#: Slot counts around the packed OR's uint64 word boundaries.
+WORD_BOUNDARY_SLOTS = (0, 1, 63, 64, 65, 128, 129)
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Graphs for the OR oracle: n in {0, 1}, edgeless, stars, G(n, p)
+    (isolated vertices included, trailing ones too) and grids."""
+    kind = draw(st.sampled_from(("tiny", "edgeless", "star", "gnp", "grid")))
+    if kind == "tiny":
+        return empty_graph(draw(st.integers(min_value=0, max_value=1)))
+    if kind == "edgeless":
+        return empty_graph(draw(st.integers(min_value=2, max_value=40)))
+    if kind == "star":
+        return star_graph(draw(st.integers(min_value=1, max_value=40)))
+    if kind == "grid":
+        return grid_graph(
+            draw(st.integers(min_value=1, max_value=8)),
+            draw(st.integers(min_value=1, max_value=8)),
+        )
+    return gnp_random_graph(
+        draw(st.integers(min_value=2, max_value=60)),
+        draw(st.floats(min_value=0.0, max_value=0.5)),
+        Random(draw(st.integers(min_value=0, max_value=2**32 - 1))),
+    )
+
+
+class TestPackedOrOracle:
+    """``csr_row_or`` is the count kernel's ``> 0``, across word edges."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        graph=oracle_graphs(),
+        k=st.sampled_from(WORD_BOUNDARY_SLOTS),
+        density=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+        flag_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_count_kernel(self, graph, k, density, flag_seed):
+        rng = np.random.default_rng(flag_seed)
+        flags = rng.random((k, graph.num_vertices)) < density
+        csr = build_csr(graph)
+        heard = csr_row_or(flags, *csr)
+        assert heard.dtype == bool
+        assert heard.shape == flags.shape
+        assert np.array_equal(heard, counts_or(flags, *csr))
+
+    @pytest.mark.parametrize("k", WORD_BOUNDARY_SLOTS[1:])
+    def test_each_lane_hears_alone(self, k):
+        """One flagged row per slot, each a different path vertex: every
+        lane (the last bit of a word and the first of the next included)
+        hears exactly its own vertex's neighbours."""
+        graph = grid_graph(1, 2 * k)
+        flags = np.zeros((k, 2 * k), dtype=bool)
+        flags[np.arange(k), 2 * np.arange(k)] = True
+        expected = np.zeros_like(flags)
+        expected[np.arange(k), 2 * np.arange(k) + 1] = True
+        expected[np.arange(1, k), 2 * np.arange(1, k) - 1] = True
+        assert np.array_equal(csr_row_or(flags, *build_csr(graph)), expected)
 
 
 class TestScale:

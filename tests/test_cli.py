@@ -533,3 +533,25 @@ class TestStats:
             ["stats", "--ledger", str(ledger), "--bench-dir", str(tmp_path)]
         ) == 0
         assert "demo" in capsys.readouterr().out
+
+    def test_damaged_ledger_line_does_not_break_stats(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        from repro.telemetry.stats import ledger_paths
+
+        ledger = tmp_path / "ledger"
+        assert main(self.SWEEP + ["--telemetry", str(ledger)]) == 0
+        (path,) = ledger_paths(ledger)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"event":"annotation","attrs":[1]}\n')
+            handle.write('{"event":"end","phases":[1]}\n')
+            handle.write("[" * 100_000 + "]" * 100_000 + "\n")
+            handle.write('{"event":"counter","name":"x","value":1e999}\n')
+        capsys.readouterr()
+        assert main(["stats", "--ledger", str(ledger)]) == 0
+        assert "status=ok" in capsys.readouterr().out
+        assert main(["stats", "--ledger", str(ledger), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "x" not in payload["runs"][0]["counters"]
