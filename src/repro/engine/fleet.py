@@ -94,6 +94,7 @@ from repro.engine.sparse import (
     csr_row_counts,
     csr_row_or,
     csr_to_dense,
+    padded_csr,
     resolve_backend,
 )
 from repro.graphs.graph import Graph
@@ -340,7 +341,7 @@ class ArmadaSimulator:
             self._flags32: Optional[np.ndarray] = None
             self._counts32: Optional[np.ndarray] = None
         else:
-            self._per_csr = per_graph
+            self._per_csr = [padded_csr(csr) for csr in per_graph]
 
     @property
     def graphs(self) -> Sequence[Graph]:
@@ -497,8 +498,7 @@ class ArmadaSimulator:
                 np.copyto(staged, sub)
                 block_counts = (staged @ self._adjacency[g]).astype(np.int64)
             else:
-                columns, starts, isolated = self._per_csr[g]
-                block_counts = csr_row_counts(sub, columns, starts, isolated)
+                block_counts = csr_row_counts(sub, *self._per_csr[g])
             counts[selected] = block_counts
         return counts
 

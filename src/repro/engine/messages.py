@@ -93,6 +93,7 @@ from repro.engine.sparse import (
     csr_row_counts,
     csr_row_or,
     csr_to_dense,
+    padded_csr,
     resolve_backend,
 )
 from repro.graphs.graph import Graph
@@ -326,7 +327,9 @@ class _MessageKernel:
         self._graph = graph
         self._n = graph.num_vertices
         self._backend = backend
-        self._columns, self._starts, self._isolated = build_csr(graph)
+        csr = build_csr(graph)
+        self._columns, self._starts, self._isolated = csr
+        self._padded = padded_csr(csr)
         if backend == "dense":
             self._adjacency_bool = csr_to_dense(
                 self._columns, self._starts,
@@ -344,15 +347,13 @@ class _MessageKernel:
             # float32 GEMM counts are exact small integers (degree < 2^24).
             counts = flags.astype(np.float32) @ self._adjacency_f32
             return counts.astype(np.int64)
-        return csr_row_counts(
-            flags, self._columns, self._starts, self._isolated
-        )
+        return csr_row_counts(flags, *self._padded)
 
     def neighbor_or(self, flags: np.ndarray) -> np.ndarray:
         """Row-wise: whether any neighbour's flag is set, per vertex."""
         if self._backend == "dense":
             return self.counts(flags) > 0
-        return csr_row_or(flags, self._columns, self._starts, self._isolated)
+        return csr_row_or(flags, *self._padded)
 
     def masked_min(self, keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Per vertex: the minimum key among masked neighbours.

@@ -5,16 +5,17 @@ and quadratic waste for sparse topologies (grids, geometric/sensor
 networks, scale-free graphs).  The ``"sparse"`` backends of the armada,
 message and application engines keep the adjacency in
 compressed-sparse-row form instead, so a round costs O(n + m) with small
-constants.  This module builds that CSR (:func:`build_csr`) and owns the
-two reductions over it: the fault-free neighbour OR
-(:func:`csr_row_or`), which packs the slot axis into uint64 bit lanes so
-one ``bitwise_or.reduceat`` over the gathered neighbour rows serves 64
-slots per word, and the neighbour counts (:func:`csr_row_counts`, a
-``numpy.add.reduceat`` over the neighbour lists) that the noisy
-channel's loss model and the message kernels need.  It also scatters the CSR into the
-``"dense"`` backends' n×n operand (:func:`csr_to_dense`), and decides
-between the two (:data:`BACKENDS`, :func:`resolve_backend`) for every
-engine and every caller that validates a backend name.
+constants.  This module builds that CSR (:func:`build_csr`) and its
+padded form (:func:`padded_csr`), whose one pad index both reductions
+over it share: the fault-free neighbour OR (:func:`csr_row_or`), which
+packs the slot axis into uint64 bit lanes so one ``bitwise_or.reduceat``
+over the gathered neighbour rows serves 64 slots per word, and the
+neighbour counts (:func:`csr_row_counts`, a ``numpy.add.reduceat`` over
+the neighbour lists) that the noisy channel's loss model and the message
+kernels need.  It also scatters the CSR into the ``"dense"`` backends'
+n×n operand (:func:`csr_to_dense`), and decides between the two
+(:data:`BACKENDS`, :func:`resolve_backend`) for every engine and every
+caller that validates a backend name.
 
 With mean degree ~8 this comfortably simulates n = 50,000 node networks —
 letting the scaling benchmark extend Theorem 2's O(log n) curve well past
@@ -53,7 +54,11 @@ def resolve_backend(backend: str, num_graphs: int, n: int) -> str:
     )
 
 
-def build_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+#: One CSR as the engines hold it: ``(columns, starts, isolated)``.
+CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def build_csr(graph: Graph) -> CSR:
     """CSR neighbour lists of ``graph``: ``(columns, starts, isolated)``.
 
     Read straight off the graph's own CSR arrays (``Graph.indices`` and
@@ -62,13 +67,8 @@ def build_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     overflow.  ``columns`` concatenates each vertex's neighbour list;
     ``starts`` holds the *unclamped* per-vertex segment starts
     (``starts[v] == columns.size`` for a trailing run of isolated
-    vertices).  Consumers must therefore pad the gathered flag array with
-    one trailing zero before ``np.add.reduceat`` so every start is a valid
-    index — clamping the starts instead would silently truncate the last
-    non-empty vertex's segment and drop beeps from its highest-index
-    neighbours.  Empty segments (isolated vertices) still produce garbage
-    sums and are masked with ``isolated`` (:func:`csr_row_counts` and
-    :func:`csr_row_or` do both).
+    vertices), and ``isolated`` marks the empty segments.  The reduction
+    kernels take the padded form of this CSR (:func:`padded_csr`).
     """
     indptr = graph.indptr.astype(np.int64)
     return (
@@ -78,29 +78,43 @@ def build_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def padded_csr(csr: CSR) -> CSR:
+    """The reduction kernels' operand: ``(gather, starts, isolated)``.
+
+    ``gather`` is ``columns`` with one trailing pad index ``n``.  Both
+    kernels (:func:`csr_row_counts` and :func:`csr_row_or`) gather
+    per-vertex values at it from a source whose entry ``n`` is zero, so
+    the gathered array ends in one zero and every unclamped start is a
+    valid ``reduceat`` index.  Clamping the starts instead would silently
+    truncate the last non-empty vertex's segment and drop beeps from its
+    highest-index neighbours.  Empty segments (isolated vertices) still
+    reduce to garbage, which both kernels mask with ``isolated``.  Build
+    it once per graph: it costs one ``m + 1`` int64 copy.
+    """
+    columns, starts, isolated = csr
+    return np.append(columns, isolated.size), starts, isolated
+
+
 def csr_row_counts(
     flags: np.ndarray,
-    columns: np.ndarray,
+    gather: np.ndarray,
     starts: np.ndarray,
     isolated: np.ndarray,
 ) -> np.ndarray:
-    """Row-wise flagged-neighbour counts over one CSR, for 2-D flags.
+    """Row-wise flagged-neighbour counts over one :func:`padded_csr`.
 
-    The one implementation of the pad/clamp discipline ``build_csr``
-    documents, shared by every batched CSR consumer (fleet, armada and
-    message kernels) so the reduceat subtleties — the trailing pad
-    column that keeps unclamped starts in range, the garbage sums of
-    empty segments — can never drift between engines.  ``flags`` is
-    ``(rows, n)`` boolean; returns ``(rows, n)`` int64.
+    ``flags`` is ``(rows, n)`` boolean; returns ``(rows, n)`` int64.  The
+    noisy channel's loss model and the message kernels need counts; the
+    fault-free OR is :func:`csr_row_or`.
     """
     k, n = flags.shape
-    if columns.size == 0:
+    if gather.size == 1:  # no edges: only the pad
         return np.zeros((k, n), dtype=np.int64)
-    # One trailing zero column keeps every (unclamped) start in range,
-    # so trailing empty segments never truncate the last real segment.
-    gathered = np.zeros((k, columns.size + 1), dtype=np.int32)
-    gathered[:, :-1] = flags[:, columns]
-    counts = np.add.reduceat(gathered, starts, axis=1)
+    source = np.zeros((k, n + 1), dtype=bool)
+    source[:, :n] = flags
+    counts = np.add.reduceat(
+        source[:, gather], starts, axis=1, dtype=np.int32
+    )
     # Empty segments (isolated vertices) yield garbage sums; zero them.
     counts[:, isolated] = 0
     return counts.astype(np.int64)
@@ -108,25 +122,31 @@ def csr_row_counts(
 
 def csr_row_or(
     flags: np.ndarray,
-    columns: np.ndarray,
+    gather: np.ndarray,
     starts: np.ndarray,
     isolated: np.ndarray,
 ) -> np.ndarray:
-    """Row-wise neighbour OR over one CSR: ``csr_row_counts(...) > 0``.
+    """Row-wise neighbour OR over one :func:`padded_csr`:
+    ``csr_row_counts(...) > 0``.
 
-    The boolean sibling of :func:`csr_row_counts`, with the same pad and
-    isolated-vertex discipline, but with the slot axis packed into bits:
-    ``flags.T`` becomes one ``(n + 1, words)`` uint64 row per vertex (lane
-    ``s`` = row ``s`` of ``flags``; row ``n`` is the all-zero pad that
-    keeps unclamped starts in range).  Gathering those rows at
-    ``columns`` is a contiguous row copy, and one
-    ``bitwise_or.reduceat`` along the neighbour axis ORs 64 flag rows
-    per word.  ``flags`` is ``(rows, n)`` boolean; returns ``(rows, n)``
-    bool.
+    Several rows pack the slot axis into bits: ``flags.T`` becomes one
+    ``(n + 1, words)`` uint64 row per vertex (lane ``s`` = row ``s`` of
+    ``flags``; row ``n`` is the all-zero pad).  Gathering those rows is a
+    contiguous row copy, and one ``bitwise_or.reduceat`` along the
+    neighbour axis ORs 64 flag rows per word.  One row has nothing to
+    pack and ORs its gathered booleans directly, which is cheaper than
+    both the packed lanes and the count.  ``flags`` is ``(rows, n)``
+    boolean; returns ``(rows, n)`` bool.
     """
     k, n = flags.shape
-    if k == 0 or columns.size == 0:
+    if k == 0 or gather.size == 1:
         return np.zeros((k, n), dtype=bool)
+    if k == 1:
+        source = np.zeros(n + 1, dtype=bool)
+        source[:n] = flags[0]
+        heard = np.logical_or.reduceat(source[gather], starts)
+        heard[isolated] = False
+        return heard[None]
     words = (k + 63) >> 6
     lane_bytes = (k + 7) >> 3
     # Bit planes: byte j of vertex v carries rows 8j .. 8j + 7 of flags.
@@ -140,9 +160,7 @@ def csr_row_or(
         slot_bytes |= planes[:, bit] << bit
     packed = np.zeros((n + 1, words * 8), dtype=np.uint8)
     packed[:n, :lane_bytes] = slot_bytes.T
-    gathered = np.take(
-        packed.view(np.uint64), np.append(columns, n), axis=0
-    )
+    gathered = np.take(packed.view(np.uint64), gather, axis=0)
     reduced = np.bitwise_or.reduceat(gathered, starts, axis=0)
     # Empty segments (isolated vertices) yield garbage ORs; zero them.
     reduced[isolated] = 0

@@ -235,18 +235,41 @@ class RunSummary:
         return executed[:limit]
 
 
-def _finite(value: Any) -> float:
-    """A JSON number as a finite float; ``ValueError`` for anything else
-    (strings, booleans, ``1e999``'s infinity)."""
+def finite_float(value: Any) -> Optional[float]:
+    """A JSON number as a finite float; ``None`` for anything else
+    (strings, booleans, ``1e999``'s infinity, integers past float range)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"not a number: {value!r}")
+        return None
     try:
         number = float(value)
-    except OverflowError:  # an integer literal past float range
-        raise ValueError(f"not a finite number: {value!r}") from None
-    if not math.isfinite(number):
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _finite(value: Any) -> float:
+    """:func:`finite_float`, with ``ValueError`` in place of ``None``."""
+    number = finite_float(value)
+    if number is None:
         raise ValueError(f"not a finite number: {value!r}")
     return number
+
+
+def _finite_attrs(value: Any) -> Dict[str, Any]:
+    """A JSON object whose every nested float is finite; ``TypeError`` or
+    ``ValueError`` otherwise, since ``repro stats --json`` could not print
+    it as strict JSON."""
+    attrs = _mapping(value)
+    pending: List[Any] = [attrs]
+    while pending:  # iterative: a deep nest must not exhaust the stack
+        item = pending.pop()
+        if isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, float) and not math.isfinite(item):
+            raise ValueError(f"not a finite number: {item!r}")
+    return attrs
 
 
 def _mapping(value: Any) -> Dict[str, Any]:
@@ -304,7 +327,7 @@ def summarize_run(path: PathLike) -> RunSummary:
             elif kind == "span":
                 name = str(event["name"])
                 seconds = _finite(event["seconds"])
-                attrs = dict(_mapping(event.get("attrs", {})))
+                attrs = dict(_finite_attrs(event.get("attrs", {})))
                 n, total, worst = summary.spans.get(name, (0, 0.0, 0.0))
                 summary.spans[name] = (
                     n + 1, _finite(total + seconds), max(worst, seconds)
@@ -314,7 +337,7 @@ def summarize_run(path: PathLike) -> RunSummary:
                     summary.shard_spans.append(attrs)
                     note_hash(attrs.get("content_hash"))
             elif kind == "annotation":
-                attrs = _mapping(event.get("attrs", {}))
+                attrs = _finite_attrs(event.get("attrs", {}))
                 note_hash(attrs.get("content_hash"))
                 if event.get("name") == "sweep.shard.failed":
                     summary.failed_shards.append(dict(attrs))

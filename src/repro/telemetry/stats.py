@@ -20,12 +20,11 @@ form (``repro stats --json``):
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.telemetry.ledger import RunSummary, summarize_run
+from repro.telemetry.ledger import RunSummary, finite_float, summarize_run
 
 PathLike = Union[str, Path]
 
@@ -72,17 +71,6 @@ class BenchDrift:
         }
 
 
-def _finite(value: Any) -> Optional[float]:
-    """A JSON number as a finite float; anything else reads as ``None``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
-
-
 def bench_drift(bench_dir: PathLike) -> List[BenchDrift]:
     """Parse every ``BENCH_*.json`` under ``bench_dir`` into drift rows.
 
@@ -107,12 +95,12 @@ def bench_drift(bench_dir: PathLike) -> List[BenchDrift]:
         rows.append(
             BenchDrift(
                 name=str(payload.get("bench", path.stem)),
-                speedup=_finite(
+                speedup=finite_float(
                     results.get("speedup")
                     if isinstance(results, dict)
                     else None
                 ),
-                floor=_finite(payload.get("floor")),
+                floor=finite_float(payload.get("floor")),
             )
         )
     return rows

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import FeedbackRule, SweepRule
-from repro.engine.sparse import build_csr, csr_row_counts, csr_row_or
+from repro.engine.sparse import (
+    build_csr,
+    csr_row_counts,
+    csr_row_or,
+    csr_to_dense,
+    padded_csr,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph, random_geometric_graph
 from repro.graphs.structured import empty_graph, grid_graph, star_graph
@@ -19,9 +25,14 @@ from repro.graphs.structured import empty_graph, grid_graph, star_graph
 from .conftest import engine_run
 
 
-def counts_or(flags, columns, starts, isolated):
+def counts_or(flags, gather, starts, isolated):
     """The neighbour OR as the count kernel computes it."""
-    return csr_row_counts(flags, columns, starts, isolated) > 0
+    return csr_row_counts(flags, gather, starts, isolated) > 0
+
+
+def kernel_csr(graph):
+    """The reduction kernels' operand for ``graph``."""
+    return padded_csr(build_csr(graph))
 
 
 def one_trial(graph, rule_factory, seed, backend="sparse", **kwargs):
@@ -66,7 +77,7 @@ class TestBasics:
         # to 3, cutting neighbour 1 out of vertex 2's segment.
         graph = Graph(4, [(2, 0), (2, 1)])
         only_1 = np.array([[False, True, False, False]])
-        heard = heard_of(only_1, *build_csr(graph))
+        heard = heard_of(only_1, *kernel_csr(graph))
         assert list(heard[0]) == [False, False, True, False]
 
     def test_star(self):
@@ -102,8 +113,9 @@ class TestExactEquivalenceWithDense:
         assert dense.mis == sparse.mis
 
 
-#: Slot counts around the packed OR's uint64 word boundaries.
-WORD_BOUNDARY_SLOTS = (0, 1, 63, 64, 65, 128, 129)
+#: Slot counts around the packed OR's byte and uint64 word boundaries,
+#: and its unpacked one-row path.
+WORD_BOUNDARY_SLOTS = (0, 1, 2, 8, 9, 63, 64, 65, 128, 129)
 
 
 @st.composite
@@ -130,7 +142,8 @@ def oracle_graphs(draw):
 
 
 class TestPackedOrOracle:
-    """``csr_row_or`` is the count kernel's ``> 0``, across word edges."""
+    """``csr_row_or`` is the count kernel's ``> 0``, across word edges,
+    and the count kernel is the dense adjacency product."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -142,11 +155,18 @@ class TestPackedOrOracle:
     def test_matches_count_kernel(self, graph, k, density, flag_seed):
         rng = np.random.default_rng(flag_seed)
         flags = rng.random((k, graph.num_vertices)) < density
-        csr = build_csr(graph)
+        csr = kernel_csr(graph)
         heard = csr_row_or(flags, *csr)
         assert heard.dtype == bool
         assert heard.shape == flags.shape
         assert np.array_equal(heard, counts_or(flags, *csr))
+        adjacency = csr_to_dense(
+            *build_csr(graph)[:2],
+            np.zeros((graph.num_vertices,) * 2, dtype=np.int64),
+        )
+        assert np.array_equal(
+            csr_row_counts(flags, *csr), flags.astype(np.int64) @ adjacency
+        )
 
     @pytest.mark.parametrize("k", WORD_BOUNDARY_SLOTS[1:])
     def test_each_lane_hears_alone(self, k):
@@ -159,7 +179,7 @@ class TestPackedOrOracle:
         expected = np.zeros_like(flags)
         expected[np.arange(k), 2 * np.arange(k) + 1] = True
         expected[np.arange(1, k), 2 * np.arange(1, k) - 1] = True
-        assert np.array_equal(csr_row_or(flags, *build_csr(graph)), expected)
+        assert np.array_equal(csr_row_or(flags, *kernel_csr(graph)), expected)
 
 
 class TestScale:

@@ -60,6 +60,18 @@ HOSTILE_LINES = {
     "span-seconds-1e999": (
         '{"event":"span","name":"sweep.shard","seconds":1e999}'
     ),
+    "span-attr-1e999": (
+        '{"attrs":{"algorithm":1e999},"event":"span","name":"sweep.shard",'
+        '"seconds":1.0}'
+    ),
+    "span-attr-nested-nan": (
+        '{"attrs":{"n":[1,{"x":NaN}]},"event":"span","name":"sweep.shard",'
+        '"seconds":1.0}'
+    ),
+    "annotation-attr-infinity": (
+        '{"attrs":{"error":-Infinity},"event":"annotation",'
+        '"name":"sweep.shard.failed"}'
+    ),
 }
 
 
@@ -262,4 +274,5 @@ class TestLineMutationFuzz:
         summary = summarize_run(path)
         assert _finite_summary(summary)
         assert format_stats(root)
-        json.dumps(stats_payload(root))  # as ``repro stats --json`` does
+        # ``repro stats --json`` must print strict JSON.
+        json.dumps(stats_payload(root), allow_nan=False)
