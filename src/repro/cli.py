@@ -539,25 +539,20 @@ def _command_compare(args: argparse.Namespace) -> int:
         )
     else:
         algorithms = DEFAULT_ALGORITHMS
-    try:
-        result = comparison_experiment(
-            algorithms=algorithms,
-            families=tuple(args.families),
-            sizes=tuple(args.sizes),
-            edge_probability=args.edge_probability,
-            trials=args.trials,
-            graphs=args.graphs,
-            master_seed=args.seed,
-            shard_trials=args.shard_trials,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            engine=args.engine,
-            churn=churn,
-        )
-    except ValueError as exc:
-        # e.g. a churn-blind algorithm under --churn: a usage error, not
-        # a crash — exit argparse-style.
-        raise SystemExit(str(exc)) from None
+    result = comparison_experiment(
+        algorithms=algorithms,
+        families=tuple(args.families),
+        sizes=tuple(args.sizes),
+        edge_probability=args.edge_probability,
+        trials=args.trials,
+        graphs=args.graphs,
+        master_seed=args.seed,
+        shard_trials=args.shard_trials,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        engine=args.engine,
+        churn=churn,
+    )
     cache = args.cache_dir if args.cache_dir else "none"
     summary = f"# {result.report.summary()} cache={cache}"
     if args.csv:
@@ -802,21 +797,18 @@ def _command_paper(args: argparse.Namespace) -> int:
         if not quiet:
             print(f"# {line}")
 
-    try:
-        pipeline = run_paper(
-            trials=args.trials,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            out_dir=args.out,
-            only=args.only,
-            golden_dir=args.golden if args.golden is not None else GOLDEN_AUTO,
-            bench_dir=args.bench_dir,
-            rundb_dir=args.rundb,
-            now=args.now,
-            progress=progress,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
+    pipeline = run_paper(
+        trials=args.trials,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        out_dir=args.out,
+        only=args.only,
+        golden_dir=args.golden if args.golden is not None else GOLDEN_AUTO,
+        bench_dir=args.bench_dir,
+        rundb_dir=args.rundb,
+        now=args.now,
+        progress=progress,
+    )
     if args.write_golden is not None:
         for path in write_golden(pipeline, args.write_golden):
             progress(f"golden pinned: {path}")
@@ -946,6 +938,20 @@ def _progress_sink(event: dict) -> None:
         )
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command.
+
+    An out-of-range argument (``--trials 0``, ``--edge-probability 2``, a
+    churn-blind algorithm under ``--churn``) surfaces as a ``ValueError``
+    from the layer that validates it: a usage error, not a crash, so it
+    exits argparse-style.
+    """
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro``.
 
@@ -956,20 +962,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     result byte (``stats`` only *reads* ledgers and is never recorded).
     """
     args = _build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
     root = _telemetry_root(args) if args.command != "stats" else None
     verbose = getattr(args, "verbose", False)
     if root is None and not verbose:
-        return handler(args)
+        return _dispatch(args)
     collector = Collector()
     if verbose:
         collector.add_sink(_progress_sink)
     if root is not None:
         recorded_argv = list(argv) if argv is not None else sys.argv[1:]
         with record_run(root, args.command, recorded_argv, collector):
-            return handler(args)
+            return _dispatch(args)
     with capture(collector):
-        return handler(args)
+        return _dispatch(args)
 
 
 if __name__ == "__main__":

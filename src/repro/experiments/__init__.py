@@ -24,10 +24,8 @@ from repro.experiments.figures import (
     figure5_series,
 )
 from repro.experiments.bio_ablation import inhibition_strength_ablation
-from repro.experiments.distributions import RoundDistribution, round_distributions
 from repro.experiments.lower_bound import theorem1_experiment
 from repro.experiments.sizes import mis_size_experiment
-from repro.experiments.workloads import available_workloads, make_workload
 from repro.experiments.ablations import (
     factor_ablation,
     fault_ablation,
@@ -37,13 +35,9 @@ from repro.experiments.tables import format_table
 
 __all__ = [
     "ExperimentResult",
-    "RoundDistribution",
     "SeriesPoint",
     "TrialOutcome",
-    "available_workloads",
-    "round_distributions",
     "inhibition_strength_ablation",
-    "make_workload",
     "factor_ablation",
     "fault_ablation",
     "figure1_example",

@@ -71,7 +71,11 @@ from repro.experiments.robustness import robustness_grid
 from repro.experiments.sizes import mis_size_experiment
 from repro.sweep.rundb import RunDB, RunRecord, fingerprint_hash
 from repro.sweep.spec import SPEC_FORMAT_VERSION
-from repro.sweep.store import STORE_FORMAT_VERSION, atomic_write_text
+from repro.sweep.store import (
+    DAMAGE_ERRORS,
+    STORE_FORMAT_VERSION,
+    atomic_write_text,
+)
 from repro.telemetry import probes
 from repro.telemetry.ledger import run_versions
 from repro.telemetry.stats import bench_drift
@@ -100,16 +104,11 @@ EXEMPT_MODULES: Dict[str, str] = {
         "and tests; the registry's robustness entry covers the paper's "
         "fault-grid claim"
     ),
-    "distributions": (
-        "interactive round-latency percentile study; no fixed paper "
-        "artefact"
-    ),
     "html_report": "renderer consumed by the pipeline, not an experiment",
     "paper": "the pipeline itself",
     "records": "serialisation schema",
     "runner": "trial execution engine",
     "tables": "ASCII rendering helper",
-    "workloads": "graph family registry",
 }
 
 
@@ -544,7 +543,12 @@ def _artefact_cache_path(cache_dir: PathLike, digest: str) -> Path:
 def _artefact_cache_get(
     cache_dir: Optional[PathLike], digest: str
 ) -> Optional[Tuple[ExperimentResult, str]]:
-    """Stored (result, csv) for the fingerprint, or ``None`` on damage."""
+    """Stored (result, csv) for the fingerprint, or ``None`` on damage.
+
+    Damage that still parses (a list or a number for the whole file, a
+    value swapped inside it) fails the type or checksum test, so the
+    experiment re-runs rather than serving altered bytes.
+    """
     if cache_dir is None:
         return None
     try:
@@ -553,13 +557,16 @@ def _artefact_cache_get(
                 encoding="utf-8"
             )
         )
-        if payload.get("format") != PAPER_FORMAT_VERSION:
-            return None
-        if payload.get("fingerprint") != digest:
+        if (
+            not isinstance(payload, dict)
+            or payload.pop("checksum", None) != fingerprint_hash(payload)
+            or payload.get("format") != PAPER_FORMAT_VERSION
+            or payload.get("fingerprint") != digest
+        ):
             return None
         result = results_from_json(json.dumps(payload["result"]))
         csv_text = str(payload["csv"])
-    except (OSError, ValueError, KeyError, TypeError):
+    except DAMAGE_ERRORS:
         return None
     return result, csv_text
 
@@ -578,6 +585,7 @@ def _artefact_cache_put(
         "result": json.loads(results_to_json(result)),
         "csv": csv_text,
     }
+    payload["checksum"] = fingerprint_hash(payload)
     atomic_write_text(
         _artefact_cache_path(cache_dir, digest),
         json.dumps(payload, indent=2, sort_keys=True),
@@ -618,9 +626,15 @@ def compare_golden(
         manifest = json.loads(
             (root / MANIFEST_NAME).read_text(encoding="utf-8")
         )
-        golden_trials = int(manifest["trials"])
+        golden_trials = manifest["trials"]
         files = dict(manifest.get("experiments", {}))
-    except (OSError, ValueError, KeyError, TypeError):
+        # Exact types, so neither 1e999 nor True passes for a trial count
+        # and every golden filename is a path string.
+        if type(golden_trials) is not int or not all(
+            isinstance(name, str) for name in files.values()
+        ):
+            raise TypeError("malformed golden manifest")
+    except DAMAGE_ERRORS:
         return [
             DriftVerdict(
                 a.name, "MISSING", f"unreadable golden manifest under {root}"
@@ -649,10 +663,12 @@ def compare_golden(
             continue
         try:
             golden = (root / filename).read_text(encoding="utf-8")
-        except OSError:
+        except (OSError, ValueError):
             verdicts.append(
                 DriftVerdict(
-                    artefact.name, "MISSING", f"golden file {filename} absent"
+                    artefact.name,
+                    "MISSING",
+                    f"golden file {filename} unreadable",
                 )
             )
             continue

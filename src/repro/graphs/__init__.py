@@ -27,15 +27,6 @@ from repro.graphs.random_graphs import (
     random_tree,
     watts_strogatz_graph,
 )
-from repro.graphs.metrics import (
-    average_clustering,
-    bfs_distances,
-    degree_histogram,
-    diameter,
-    local_clustering,
-    mean_degree,
-    workload_summary,
-)
 from repro.graphs.structured import (
     complete_bipartite_graph,
     complete_graph,
@@ -64,15 +55,8 @@ __all__ = [
     "Graph",
     "GraphBuilder",
     "MISValidationError",
-    "average_clustering",
     "barabasi_albert_graph",
-    "bfs_distances",
-    "degree_histogram",
-    "diameter",
-    "local_clustering",
-    "mean_degree",
     "watts_strogatz_graph",
-    "workload_summary",
     "complete_bipartite_graph",
     "complete_graph",
     "cycle_graph",

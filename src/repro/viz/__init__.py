@@ -9,13 +9,10 @@ series, reference curves included).
 from repro.viz.animation import render_animation, render_frame
 from repro.viz.ascii_plots import AsciiPlot, plot_experiment, plot_series
 from repro.viz.graph_render import render_adjacency, render_grid_mis, render_mis_listing
-from repro.viz.histogram import ascii_histogram, bin_values
 from repro.viz.svg_plots import svg_line_plot
 
 __all__ = [
     "AsciiPlot",
-    "ascii_histogram",
-    "bin_values",
     "plot_experiment",
     "plot_series",
     "render_adjacency",

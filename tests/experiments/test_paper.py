@@ -7,6 +7,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.experiments
 from repro.analysis.regression import fit_log2
@@ -15,14 +17,18 @@ from repro.experiments.paper import (
     EXEMPT_MODULES,
     PAPER_FORMAT_VERSION,
     REGISTRY,
+    PaperSettings,
     compare_golden,
     experiment_names,
+    run_experiment,
     run_paper,
     select_experiments,
     write_golden,
 )
 from repro.experiments.records import ExperimentResult, SeriesPoint
 from repro.sweep.rundb import RunDB
+
+from tests.line_mutation import mutated_lines
 
 GOLDEN_DIR = Path(__file__).parent / "golden_paper"
 
@@ -261,6 +267,91 @@ class TestDrift:
         assert [v.status for v in passing.drift] == ["PASS"] * len(
             FAST_SUBSET
         )
+
+
+class TestDamagedGoldenManifest:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"trials": float("inf")},
+            {"trials": True},
+            {"experiments": {"grid": "grid.csv", "bio": 5}},
+        ],
+        ids=["infinite-trials", "bool-trials", "non-string-filename"],
+    )
+    def test_malformed_manifest_is_missing(self, pipelines, tmp_path, damage):
+        cold, _ = pipelines
+        golden = tmp_path / "golden"
+        write_golden(cold, golden)
+        path = golden / "MANIFEST.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest.update(damage)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        # A bool trials count would pass for trials=1.
+        trials = 1 if manifest["trials"] is True else cold.trials
+        verdicts = compare_golden(cold.artefacts, golden, trials)
+        assert {v.status for v in verdicts} == {"MISSING"}
+
+    def test_undecodable_golden_file_is_missing(self, pipelines, tmp_path):
+        cold, _ = pipelines
+        golden = tmp_path / "golden"
+        write_golden(cold, golden)
+        (golden / "grid.csv").write_bytes(b"series,x\n\xff\xfe\n")
+        verdicts = {
+            v.artefact: v.status
+            for v in compare_golden(cold.artefacts, golden, cold.trials)
+        }
+        assert verdicts["grid"] == "MISSING"
+        assert verdicts["bio"] == "PASS"
+
+
+BIO = next(entry for entry in REGISTRY if entry.name == "bio")
+
+
+@pytest.fixture(scope="module")
+def bio_cache(tmp_path_factory):
+    """A bio artefact cached once: (settings, clean artefact, cache file,
+    its clean text)."""
+    cache = tmp_path_factory.mktemp("bio-cache")
+    settings = PaperSettings(trials=2, cache_dir=cache)
+    clean = run_experiment(BIO, settings)
+    (path,) = (cache / "paper").rglob("*.json")
+    return settings, clean, path, path.read_text(encoding="utf-8")
+
+
+class TestDamagedArtefactCache:
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", '"s"', "1e999", "[" * 100_000 + "]" * 100_000],
+        ids=["list", "string", "overflowing-number", "deep-nesting"],
+    )
+    def test_valid_non_object_json_reruns(self, bio_cache, text):
+        paper_settings, clean, path, original = bio_cache
+        path.write_text(text, encoding="utf-8")
+        rerun = run_experiment(BIO, paper_settings)
+        assert not rerun.artefact_cached
+        assert rerun.csv == clean.csv
+        assert path.read_text(encoding="utf-8") == original
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_damaged_line_reruns_or_serves_clean_bytes(
+        self, bio_cache, data
+    ):
+        paper_settings, clean, path, original = bio_cache
+        # The runner's output is known, so a stand-in keeps reruns cheap.
+        entry = replace(BIO, runner=lambda *_: (clean.result, clean.csv))
+        path.write_text(data.draw(mutated_lines(original)), encoding="utf-8")
+        rerun = run_experiment(entry, paper_settings)
+        assert rerun.csv == clean.csv
+        assert rerun.result == clean.result
+        stored = path.read_text(encoding="utf-8")
+        if rerun.artefact_cached:
+            # Served only where damage left the content whole (a
+            # duplicated line repeats a key with its own value).
+            assert json.loads(stored) == json.loads(original)
+        else:
+            assert stored == original
 
 
 class TestCLI:

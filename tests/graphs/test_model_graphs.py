@@ -2,13 +2,18 @@
 
 from random import Random
 
+import numpy as np
 import pytest
 
-from repro.graphs.metrics import average_clustering, degree_histogram
 from repro.graphs.random_graphs import (
     barabasi_albert_graph,
     watts_strogatz_graph,
 )
+
+
+def triangles(graph):
+    a = graph.adjacency_matrix().astype(np.int64)
+    return int(np.trace(a @ a @ a)) // 6
 
 
 class TestBarabasiAlbert:
@@ -24,7 +29,7 @@ class TestBarabasiAlbert:
 
     def test_heavy_tail(self):
         g = barabasi_albert_graph(300, 2, Random(3))
-        histogram = degree_histogram(g)
+        histogram = np.bincount(np.diff(g.indptr))
         # Hubs exist: some vertex has degree far above the attachment count.
         assert g.max_degree() > 12
         # But most vertices have small degree.
@@ -65,7 +70,8 @@ class TestWattsStrogatz:
     def test_rewiring_lowers_clustering(self):
         lattice = watts_strogatz_graph(100, 6, 0.0, Random(3))
         random_ish = watts_strogatz_graph(100, 6, 0.9, Random(3))
-        assert average_clustering(random_ish) < average_clustering(lattice)
+        # Same edge count, so fewer triangles means lower clustering.
+        assert triangles(random_ish) < triangles(lattice)
 
     def test_determinism(self):
         a = watts_strogatz_graph(25, 4, 0.2, Random(4))

@@ -3,6 +3,7 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from repro.graphs.random_graphs import (
@@ -42,6 +43,27 @@ class TestGnp:
         # 5 sigma tolerance: sigma^2 = C(n,2) p (1-p).
         sigma = math.sqrt(n * (n - 1) / 2 * p * (1 - p))
         assert abs(g.num_edges - expected) < 5 * sigma
+        assert g.density() == pytest.approx(p, abs=0.02)
+
+    def test_triangles_near_expectation(self):
+        # Clustering in G(n, p) is p: C(n, 3) p^3 expected triangles.
+        n, p = 200, 0.5
+        a = gnp_random_graph(n, p, Random(2)).adjacency_matrix()
+        a = a.astype(np.int64)
+        expected = math.comb(n, 3) * p ** 3
+        assert np.trace(a @ a @ a) // 6 == pytest.approx(expected, rel=0.05)
+
+    def test_dense_half_has_diameter_two(self):
+        g = gnp_random_graph(150, 0.5, Random(3))
+        a = g.adjacency_matrix()
+        # Not complete, yet every pair is adjacent or shares a neighbour.
+        assert g.num_edges < math.comb(150, 2)
+        assert (a | (a @ a) | np.eye(150, dtype=bool)).all()
+
+    def test_sparse_mean_degree(self):
+        n = 400
+        g = gnp_random_graph(n, 8 / (n - 1), Random(6))
+        assert 2 * g.num_edges / n == pytest.approx(8.0, rel=0.1)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
@@ -172,6 +194,14 @@ class TestGeometric:
         a = random_geometric_graph(25, 0.25, Random(6))
         b = random_geometric_graph(25, 0.25, Random(6))
         assert a == b
+
+    def test_mean_degree_matches_unit_square_overlap(self):
+        # Two uniform points of the unit square lie within r of each other
+        # with probability pi r^2 - 8 r^3 / 3 + r^4 / 2 (r <= 1).
+        n, r = 400, math.sqrt(8 / (math.pi * 400))
+        g = random_geometric_graph(n, r, Random(6))
+        expected = (n - 1) * (math.pi * r**2 - 8 * r**3 / 3 + r**4 / 2)
+        assert 2 * g.num_edges / n == pytest.approx(expected, rel=0.1)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Unit tests for the structured graph families."""
 
+import numpy as np
 import pytest
 
 from repro.graphs.structured import (
@@ -14,6 +15,86 @@ from repro.graphs.structured import (
     star_graph,
     torus_grid_graph,
 )
+
+
+def hop_diameter(graph):
+    """Largest hop distance of a connected graph, by frontier expansion."""
+    adjacency = graph.adjacency_matrix()
+    reached = np.eye(graph.num_vertices, dtype=bool)
+    hops = 0
+    while not reached.all():
+        grown = reached | (reached @ adjacency)
+        assert (grown != reached).any(), "graph is disconnected"
+        reached = grown
+        hops += 1
+    return hops
+
+
+def triangle_count(graph):
+    a = graph.adjacency_matrix().astype(np.int64)
+    return int(np.trace(a @ a @ a)) // 6
+
+
+def degree_counts(graph):
+    """``{degree: number of vertices}`` over the degrees that occur."""
+    histogram = np.bincount(np.diff(graph.indptr))
+    return {int(d): int(c) for d, c in enumerate(histogram) if c}
+
+
+class TestKnownShapes:
+    """Exact hop diameters, triangle counts and degree histograms."""
+
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            pytest.param(path_graph(1), 0, id="path(1)"),
+            pytest.param(path_graph(5), 4, id="path(5)"),
+            pytest.param(star_graph(6), 2, id="star(6)"),
+            pytest.param(complete_graph(5), 1, id="complete(5)"),
+            pytest.param(
+                complete_bipartite_graph(3, 4), 2, id="bipartite(3x4)"
+            ),
+            pytest.param(hypercube_graph(4), 4, id="hypercube(4)"),
+            pytest.param(torus_grid_graph(6, 6), 6, id="torus(6x6)"),
+            pytest.param(torus_grid_graph(5, 7), 2 + 3, id="torus(5x7)"),
+        ],
+    )
+    def test_diameter(self, graph, expected):
+        assert hop_diameter(graph) == expected
+
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            pytest.param(complete_graph(6), 20, id="complete(6)"),
+            pytest.param(path_graph(8), 0, id="path(8)"),
+            pytest.param(star_graph(5), 0, id="star(5)"),
+            pytest.param(grid_graph(3, 3), 0, id="grid(3x3)"),
+            pytest.param(hypercube_graph(3), 0, id="hypercube(3)"),
+            pytest.param(
+                complete_bipartite_graph(3, 4), 0, id="bipartite(3x4)"
+            ),
+            pytest.param(torus_grid_graph(4, 4), 0, id="torus(4x4)"),
+            # Each of the five length-3 columns wraps into a triangle.
+            pytest.param(torus_grid_graph(3, 5), 5, id="torus(3x5)"),
+        ],
+    )
+    def test_triangle_count(self, graph, expected):
+        assert triangle_count(graph) == expected
+
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            pytest.param(cycle_graph(9), {2: 9}, id="cycle(9)"),
+            pytest.param(complete_graph(7), {6: 7}, id="complete(7)"),
+            pytest.param(hypercube_graph(4), {4: 16}, id="hypercube(4)"),
+            pytest.param(torus_grid_graph(4, 5), {4: 20}, id="torus(4x5)"),
+            pytest.param(star_graph(5), {1: 5, 5: 1}, id="star(5)"),
+            pytest.param(path_graph(6), {1: 2, 2: 4}, id="path(6)"),
+            pytest.param(grid_graph(3, 4), {2: 4, 3: 6, 4: 2}, id="grid(3x4)"),
+        ],
+    )
+    def test_degree_histogram(self, graph, expected):
+        assert degree_counts(graph) == expected
 
 
 class TestBasicFamilies:
@@ -42,6 +123,7 @@ class TestBasicFamilies:
         assert g.num_edges == 6
         assert all(g.degree(v) == 2 for v in g.vertices())
         assert g.has_edge(5, 0)
+        assert hop_diameter(cycle_graph(12)) == 6
 
     def test_cycle_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -76,6 +158,9 @@ class TestGrids:
         assert g.degree(0) == 2          # corner
         assert g.degree(1) == 3          # edge
         assert g.degree(4) == 4          # centre
+
+    def test_grid_diameter_is_manhattan(self):
+        assert hop_diameter(grid_graph(4, 7)) == 3 + 6
 
     def test_degenerate_grids(self):
         assert grid_graph(0, 5).num_vertices == 0
@@ -119,6 +204,11 @@ class TestHexLattice:
         g = hex_lattice_graph(5, 5)
         interior = 2 * 5 + 2  # row 2, col 2
         assert g.degree(interior) == 6
+
+    def test_has_triangles(self):
+        a = hex_lattice_graph(5, 5).adjacency_matrix().astype(np.int64)
+        # Every unit square of cell centres splits into two triangles.
+        assert np.trace(a @ a @ a) // 6 == 2 * 4 * 4
 
     def test_positions_returned(self):
         g, positions = hex_lattice_graph(3, 4, return_positions=True)

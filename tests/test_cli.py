@@ -40,6 +40,29 @@ class TestRun:
             main(["run", "--algorithm", "bogus"])
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--trials", "0"], "trials must be >= 1"),
+            (["robustness", "--trials", "0"], "trials must be >= 1"),
+            (["run", "--edge-probability", "2"], "probability"),
+            (["color", "--edge-probability", "2"], "probability"),
+            (["match", "--edge-probability", "2"], "probability"),
+            (["wakeup", "--edge-probability", "2"], "probability"),
+            (["animate", "--edge-probability", "2"], "probability"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else None,
+    )
+    def test_invalid_value_exits_without_traceback(
+        self, argv, message, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert message in str(exit_info.value.code)
+
+
 class TestSweep:
     def test_cold_then_warm_run(self, capsys, tmp_path):
         args = [

@@ -7,6 +7,7 @@ together" test, complementing the per-module suites.
 
 import io
 import json
+import math
 from random import Random
 
 import pytest
@@ -16,19 +17,48 @@ from repro import (
     available_algorithms,
     gnp_random_graph,
     make_algorithm,
+    verify_mis,
 )
 from repro.analysis.regression import fit_log2
 from repro.analysis.statistics import summarize
-from repro.beeping.events import Trace
-from repro.beeping.trace_io import read_trace, write_trace
 from repro.experiments.records import (
     ExperimentResult,
     SeriesPoint,
     results_from_json,
     results_to_json,
 )
-from repro.experiments.workloads import available_workloads, make_workload
+from repro.graphs.cliques import theorem1_family
 from repro.graphs.io import read_edge_list, write_edge_list
+from repro.graphs.random_graphs import (
+    barabasi_albert_graph,
+    random_geometric_graph,
+    random_tree,
+    watts_strogatz_graph,
+)
+from repro.graphs.structured import (
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    hex_lattice_graph,
+)
+
+#: One n≈20 instance per graph family, each drawn from ``Random(3)``;
+#: the sparse G(n, p) and the geometric graph have mean degree ≈8.
+SMALL_FAMILIES = {
+    "gnp-half": lambda rng: gnp_random_graph(20, 0.5, rng),
+    "gnp-sparse": lambda rng: gnp_random_graph(20, 8 / 19, rng),
+    "grid": lambda rng: grid_graph(4, 4),
+    "hex": lambda rng: hex_lattice_graph(4, 4),
+    "geometric": lambda rng: random_geometric_graph(
+        20, math.sqrt(8 / (math.pi * 20)), rng
+    ),
+    "tree": lambda rng: random_tree(20, rng),
+    "scale-free": lambda rng: barabasi_albert_graph(20, 3, rng),
+    "small-world": lambda rng: watts_strogatz_graph(20, 6, 0.1, rng),
+    "clique": lambda rng: complete_graph(20),
+    "ring": lambda rng: cycle_graph(20),
+    "theorem1": lambda rng: theorem1_family(3),
+}
 
 
 def test_full_pipeline(tmp_path):
@@ -59,39 +89,45 @@ def test_full_pipeline(tmp_path):
     assert 0.5 < fit.slope < 6.0
 
 
-def test_graph_and_trace_round_trip_compose(tmp_path):
-    """Persist a graph and its trace, reload both, re-verify the run."""
+def test_graph_round_trip_reverifies_run(tmp_path):
+    """Persist a graph, reload it, re-verify the run on the copy."""
     graph = gnp_random_graph(30, 0.4, Random(1))
-    trace = Trace(record_probabilities=True)
     from repro.beeping.scheduler import BeepingSimulation
     from repro.core.policy import ExponentFeedbackNode
 
     result = BeepingSimulation(
-        graph, lambda v: ExponentFeedbackNode(), Random(2), trace=trace
+        graph, lambda v: ExponentFeedbackNode(), Random(2)
     ).run()
     result.verify()
 
     graph_path = tmp_path / "graph.edges"
-    trace_path = tmp_path / "trace.jsonl"
     write_edge_list(graph, graph_path)
-    write_trace(trace, trace_path)
-
     graph_restored = read_edge_list(graph_path)
-    trace_restored = read_trace(trace_path)
     assert graph_restored == graph
-    joined = set()
-    for event in trace_restored.rounds:
-        joined |= event.joined
-    assert joined == result.mis
+    verify_mis(graph_restored, result.mis)
 
 
-def test_every_algorithm_on_every_workload_small():
-    """The full compatibility matrix at tiny scale."""
-    for workload in available_workloads():
-        graph = make_workload(workload, 20, Random(3))
-        for name in available_algorithms():
-            run = make_algorithm(name).run(graph, Random(4))
-            run.verify()
+@pytest.mark.parametrize("family", sorted(SMALL_FAMILIES))
+def test_every_algorithm_on_every_workload_small(family):
+    """The full compatibility matrix at tiny scale, one family a case."""
+    graph = SMALL_FAMILIES[family](Random(3))
+    for name in available_algorithms():
+        run = make_algorithm(name).run(graph, Random(4))
+        run.verify()
+
+
+@pytest.mark.parametrize("family", sorted(SMALL_FAMILIES))
+def test_small_family_size_is_near_twenty(family):
+    graph = SMALL_FAMILIES[family](Random(3))
+    # Structured families round n to their shape, but stay near 20.
+    assert 15 <= graph.num_vertices <= 25
+    assert graph.num_edges >= graph.num_vertices // 2
+
+
+@pytest.mark.parametrize("family", sorted(SMALL_FAMILIES))
+def test_small_family_is_deterministic_given_rng(family):
+    factory = SMALL_FAMILIES[family]
+    assert factory(Random(3)) == factory(Random(3))
 
 
 def test_registry_and_cli_agree(capsys):
