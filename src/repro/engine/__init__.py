@@ -58,6 +58,13 @@ implementing the same two-exchange round semantics:
     ``benchmarks/bench_application_fleet.py`` records the margin over the
     per-node peeling loop; see :mod:`repro.engine.applications`.
 
+Backends
+--------
+Every engine above asks one :class:`~repro.engine.sparse.NeighbourOperand`
+for its neighbour reductions (OR, counts, masked minimum); the operand is
+the one place the ``"dense"``/``"sparse"``/``"auto"`` backend is decided
+and its adjacency stack or CSR built, so no round loop branches on it.
+
 Seed-derivation contract
 ------------------------
 Every batch derives trial seeds from one master seed with the splitmix64

@@ -6,12 +6,12 @@ probability rule.  It vectorises over vertices, trials *and* graphs: each
 tensor, and a round advances all of them at once —
 
 - ``beep = active & (U < P)`` with one fresh uniform row per live slot;
-- ``heard``: one batched float32 GEMM against the ``(graphs, n, n)``
-  adjacency stack (``"dense"`` backend) or one slot-packed CSR
-  ``bitwise_or.reduceat`` pass per graph (``"sparse"``,
-  :func:`~repro.engine.sparse.csr_row_or`) — a backend supplies the two
-  neighbour reductions (OR, and the counts only the noisy channel
-  reads) and nothing else;
+- ``heard``: one call to the armada's
+  :class:`~repro.engine.sparse.NeighbourOperand` — a batched float32
+  GEMM against the ``(graphs, n, n)`` adjacency stack (``"dense"``
+  backend) or one slot-packed CSR ``bitwise_or.reduceat`` pass per
+  graph (``"sparse"``).  The operand owns the backend; the loop only
+  asks it for the OR, and for the counts the noisy channel reads;
 - per-slot early exit through an alive-mask: finished slots stop drawing
   and their round counts freeze (stream runs also drop them from the
   OR; counter runs hand their tail to the frontier instead).
@@ -89,14 +89,7 @@ from repro.engine.simulator import (
     faulty_observation,
     seed_groups,
 )
-from repro.engine.sparse import (
-    build_csr,
-    csr_row_counts,
-    csr_row_or,
-    csr_to_dense,
-    padded_csr,
-    resolve_backend,
-)
+from repro.engine.sparse import NeighbourOperand, build_csr
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis_rows
 from repro.telemetry import probes
@@ -185,7 +178,7 @@ class FleetSimulator:
     The fleet is the one-graph :class:`ArmadaSimulator`: it adds the
     ``"stream"`` rng mode default and the one-graph argument shape, and
     runs the armada's loop.  ``backend`` selects how the neighbour
-    reductions are computed:
+    reductions are computed (:class:`~repro.engine.sparse.NeighbourOperand`):
 
     - ``"dense"``: ``(trials, n) @ (n, n)`` float32 GEMM.  Exact (counts are
       small integers) and BLAS-fast; memory is the n x n adjacency.
@@ -277,6 +270,9 @@ class ArmadaSimulator:
       block-diagonal CSR over the ``graphs * n``-vertex union.  Per-round
       cost then scales with the surviving frontier instead of
       ``slots * n``, which is where most of a figure cell's rounds live.
+      On the dense backend a round whose beeping entries' neighbour
+      lists would outgrow one full-tensor pass scatters them into a
+      ``(slots, n)`` mask and asks the operand for the GEMM OR instead.
 
     Crash schedules work in both phases.  Either way the observable
     outputs — round counts, MIS membership, beep counts, crash sets — are
@@ -302,8 +298,7 @@ class ArmadaSimulator:
         self._n = n
         self._max_rounds = max_rounds
         self._frontier_entries = frontier_entries
-        num_graphs = len(self._graphs)
-        self._backend = resolve_backend(backend, num_graphs, n)
+        self._operand = NeighbourOperand(self._graphs, backend)
         # Block-diagonal CSR over the graphs * n-vertex union, with
         # *local* column ids: the segment of super-vertex g*n + v holds
         # graph g's neighbour list of v.  Shared by the scatter paths of
@@ -332,16 +327,6 @@ class ArmadaSimulator:
         self._mean_degree = (
             float(self._super_degrees.mean()) if self._super_degrees.size else 0.0
         )
-        if self._backend == "dense":
-            self._adjacency = np.zeros(
-                (num_graphs, n, n), dtype=np.float32
-            )
-            for g, (columns, starts, _) in enumerate(per_graph):
-                csr_to_dense(columns, starts, self._adjacency[g])
-            self._flags32: Optional[np.ndarray] = None
-            self._counts32: Optional[np.ndarray] = None
-        else:
-            self._per_csr = [padded_csr(csr) for csr in per_graph]
 
     @property
     def graphs(self) -> Sequence[Graph]:
@@ -351,7 +336,7 @@ class ArmadaSimulator:
     @property
     def backend(self) -> str:
         """The resolved backend, ``"dense"`` or ``"sparse"``."""
-        return self._backend
+        return self._operand.backend
 
     def _expand(self, rows_sel: np.ndarray, cols_sel: np.ndarray,
                 slot_base: np.ndarray) -> np.ndarray:
@@ -395,113 +380,6 @@ class ArmadaSimulator:
         buffer[hits] = False
         return result
 
-    def _stage_f32(self, flags: np.ndarray, sizes: Sequence[int]):
-        """``flags`` as the float32 GEMM operand, grouped per graph.
-
-        Equal-size groups reshape the staging buffer for free; ragged
-        groups (``trials % graphs != 0``) pad to the widest group.
-        Returns ``(staged (graphs, width, n), equal_sizes)``.
-        """
-        num_graphs, n = len(self._graphs), self._n
-        rows = flags.shape[0]
-        width = max(sizes)
-        if self._flags32 is None or self._flags32.shape[0] < num_graphs * width:
-            self._flags32 = np.empty((num_graphs * width, n), dtype=np.float32)
-        if rows == num_graphs * width:
-            staged = self._flags32[: num_graphs * width]
-            np.copyto(staged, flags)
-            return staged.reshape(num_graphs, width, n), True
-        staged = self._flags32[: num_graphs * width].reshape(
-            num_graphs, width, n
-        )
-        staged[:] = 0.0
-        offset = 0
-        for g, size in enumerate(sizes):
-            np.copyto(staged[g, :size], flags[offset:offset + size])
-            offset += size
-        return staged, False
-
-    def _dense_or(
-        self,
-        flags: np.ndarray,
-        sizes: Sequence[int],
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Fault-free neighbour-OR over all slot rows, both backends."""
-        num_graphs, n = len(self._graphs), self._n
-        rows = flags.shape[0]
-        if n == 0:
-            return np.zeros((rows, 0), dtype=bool)
-        if self._backend == "dense":
-            staged, equal = self._stage_f32(flags, sizes)
-            width = max(sizes)
-            if (
-                self._counts32 is None
-                or self._counts32.shape[0] < num_graphs * width
-            ):
-                self._counts32 = np.empty(
-                    (num_graphs * width, n), dtype=np.float32
-                )
-            counts = self._counts32[: num_graphs * width].reshape(
-                num_graphs, width, n
-            )
-            np.matmul(staged, self._adjacency, out=counts)
-            if out is None:
-                out = np.empty((rows, n), dtype=bool)
-            if equal:
-                np.greater(
-                    counts.reshape(num_graphs * width, n)[:rows], 0.0, out=out
-                )
-                return out
-            offset = 0
-            for g, size in enumerate(sizes):
-                np.greater(counts[g, :size], 0.0, out=out[offset:offset + size])
-                offset += size
-            return out
-        if out is None:
-            out = np.empty((rows, n), dtype=bool)
-        offset = 0
-        for g, size in enumerate(sizes):
-            out[offset:offset + size] = csr_row_or(
-                flags[offset:offset + size], *self._per_csr[g]
-            )
-            offset += size
-        return out
-
-    def _group_counts(self, flags: np.ndarray, alive: np.ndarray,
-                      sizes: Sequence[int]) -> np.ndarray:
-        """Per-vertex beeping-neighbour counts of the alive slot rows,
-        per graph (dead rows stay zero); the noisy channel's input."""
-        n = self._n
-        rows = flags.shape[0]
-        counts = np.zeros((rows, n), dtype=np.int64)
-        if n == 0:
-            return counts
-        offset = 0
-        for g, size in enumerate(sizes):
-            selected = np.flatnonzero(alive[offset:offset + size]) + offset
-            offset += size
-            if selected.size == 0:
-                continue
-            sub = flags[selected]
-            if self._backend == "dense":
-                # float32 GEMM counts are exact small integers; stage the
-                # flags through the reused buffer, not a fresh astype.
-                if (
-                    self._flags32 is None
-                    or self._flags32.shape[0] < sub.shape[0]
-                ):
-                    self._flags32 = np.empty(
-                        (sub.shape[0], n), dtype=np.float32
-                    )
-                staged = self._flags32[: sub.shape[0]]
-                np.copyto(staged, sub)
-                block_counts = (staged @ self._adjacency[g]).astype(np.int64)
-            else:
-                block_counts = csr_row_counts(sub, *self._per_csr[g])
-            counts[selected] = block_counts
-        return counts
-
     def run_armada(
         self,
         rule: ProbabilityRule,
@@ -533,7 +411,7 @@ class ArmadaSimulator:
         return ArmadaSimulator(
             [schedule.universe_graph(graph) for graph in self._graphs],
             max_rounds=self._max_rounds,
-            backend=self._backend,
+            backend=self._operand.backend,
             frontier_entries=self._frontier_entries,
         )
 
@@ -663,7 +541,7 @@ class ArmadaSimulator:
                 break  # hand the tail to the frontier
             if has_churn and churn.apply_events(
                 round_index, active, membership, crashed,
-                lambda flags: self._dense_or(flags, sizes),
+                lambda flags: self._operand.any(flags, sizes),
                 probabilities, initial_row,
             ):
                 churn.record_quiescence(round_index, ~active.any(axis=1))
@@ -691,6 +569,9 @@ class ArmadaSimulator:
                 # Dead rows keep stale uniforms, but their active row is
                 # all-False so beep stays all-False there.
                 live = np.flatnonzero(alive)
+                live_sizes = np.bincount(
+                    slot_graph[live], minlength=num_graphs
+                )
                 if counter:
                     live_seeds = seeds[live]
                     for kind, buffer in draws:
@@ -711,7 +592,9 @@ class ArmadaSimulator:
             np.less(uniforms, probabilities, out=beep)
             beep &= active
             if noisy:
-                counts = self._group_counts(beep, alive, sizes)
+                # Dead rows stay zero; only the live rows are reduced.
+                counts = np.zeros((total, n), dtype=np.int64)
+                counts[live] = self._operand.counts(beep[live], live_sizes)
                 heard_true = counts > 0
                 # Finished slots keep stale fault uniforms; mask their
                 # heard bits off to keep the tensors clean.
@@ -719,17 +602,14 @@ class ArmadaSimulator:
                     counts, loss, spurious, loss_uniforms, spurious_uniforms
                 ) & alive[:, None]
             elif counter or live.size == total:
-                heard_true = self._dense_or(beep, sizes, out=heard_buf)
+                heard_true = self._operand.any(beep, sizes, out=heard_buf)
                 heard = heard_true
             else:
                 # Stream runs have no frontier tail: reduce only the
                 # live slot rows, so finished trials stop costing a GEMM.
                 heard_true = heard_buf
                 heard_true[:] = False
-                heard_true[live] = self._dense_or(
-                    beep[live],
-                    np.bincount(slot_graph[live], minlength=num_graphs),
-                )
+                heard_true[live] = self._operand.any(beep[live], live_sizes)
                 heard = heard_true
             probabilities = rule.update(
                 probabilities, heard, active, round_index
@@ -777,26 +657,6 @@ class ArmadaSimulator:
             flat_beeps = beeps.reshape(-1)
             flat_membership = membership.reshape(-1)
             true_entries = np.ones(0, dtype=bool)
-            # Padded slot-row index for the staged-GEMM heard fallback:
-            # slot row r of graph g maps to row g * width + (r - offset_g)
-            # of the (graphs, width, n) staging stack.
-            if self._backend == "dense":
-                width = max(sizes)
-                group_offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-                padded_row = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(group_offsets, sizes)
-                    + np.repeat(
-                        np.arange(num_graphs, dtype=np.int64) * width, sizes
-                    )
-                )
-                if (
-                    self._flags32 is None
-                    or self._flags32.shape[0] < num_graphs * width
-                ):
-                    self._flags32 = np.empty(
-                        (num_graphs * width, n), dtype=np.float32
-                    )
             # One full-tensor pass is what a dense-phase round would pay;
             # expand while the beeping entries' neighbour lists stay
             # below it, otherwise fall back to the batched GEMM.
@@ -850,37 +710,18 @@ class ArmadaSimulator:
                 beep_cols = entry_cols[entry_beep]
                 flat_beeps[beep_rows * n + beep_cols] += 1
                 if (
-                    self._backend == "dense"
+                    self._operand.backend == "dense"
                     and beep_rows.size * max(self._mean_degree, 1.0)
                     > expansion_budget
                 ):
                     # Dense beeps (typical right after the handoff): one
-                    # batched GEMM over the staged beep entries beats
+                    # batched GEMM over the beeping entries beats
                     # expanding their neighbour lists.
-                    staged = self._flags32[: num_graphs * width]
-                    staged[:] = 0.0
-                    staged.reshape(-1)[
-                        padded_row[beep_rows] * n + beep_cols
-                    ] = 1.0
-                    if (
-                        self._counts32 is None
-                        or self._counts32.shape[0] < num_graphs * width
-                    ):
-                        self._counts32 = np.empty(
-                            (num_graphs * width, n), dtype=np.float32
-                        )
-                    counts = self._counts32[: num_graphs * width]
-                    np.matmul(
-                        staged.reshape(num_graphs, width, n),
-                        self._adjacency,
-                        out=counts.reshape(num_graphs, width, n),
-                    )
-                    entry_heard = (
-                        counts.reshape(-1)[
-                            padded_row[entry_rows] * n + entry_cols
-                        ]
-                        > 0.0
-                    )
+                    beep[:] = False
+                    beep.reshape(-1)[beep_rows * n + beep_cols] = True
+                    entry_heard = self._operand.any(
+                        beep, sizes, out=heard_buf
+                    ).reshape(-1)[entry_rows * n + entry_cols]
                 else:
                     entry_heard = self._entry_or(
                         beep_rows, beep_cols, entry_rows, entry_cols,
@@ -921,7 +762,7 @@ class ArmadaSimulator:
             probes.count(
                 "engine.armada.frontier_rounds", round_index - dense_rounds
             )
-            probes.count(f"engine.backend.{self._backend}")
+            probes.count(f"engine.backend.{self._operand.backend}")
             if has_churn:
                 probes.count(
                     "engine.churn.events",

@@ -36,15 +36,13 @@ reduction).  All four baselines fit this shape:
 
 Backends
 --------
-The masked neighbour-minimum runs on both existing reduction styles:
-
-- ``"dense"``: a chunked full-adjacency sweep — the GEMM-shaped
-  ``O(n^2)`` pass of the dense beeping backend, expressed as a masked
-  ``minimum`` reduction over adjacency blocks (numpy has no (min, ·)
-  semiring GEMM, so the sweep is blocked to bound the broadcast
-  temporary);
-- ``"sparse"``: ``np.minimum.reduceat`` over the shared CSR neighbour
-  lists (:func:`repro.engine.sparse.build_csr`), ``O(n + m)`` per round.
+The message armada holds one :class:`~repro.engine.sparse.NeighbourOperand`,
+the one place the backend is decided, and asks it for every reduction a
+round needs — active-neighbour counts, the masked neighbour minimum and
+the neighbour OR that retires joiners' neighbours — over its live rows,
+one call each.  On ``"dense"`` the minimum is a blocked full-adjacency
+sweep (numpy has no (min, ·) semiring GEMM), on ``"sparse"`` one
+``np.minimum.reduceat`` over the padded CSR, ``O(n + m)`` per round.
 
 Both compute the exact minimum of the same ``uint64`` sets, so backend
 choice never changes results — the dense/sparse bit-equality contract of
@@ -72,7 +70,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -88,29 +86,14 @@ from repro.engine.simulator import (
     armada_width,
     seed_groups,
 )
-from repro.engine.sparse import (
-    build_csr,
-    csr_row_counts,
-    csr_row_or,
-    csr_to_dense,
-    padded_csr,
-    resolve_backend,
-)
+from repro.engine.sparse import KEY_SENTINEL, NeighbourOperand
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis_rows
 from repro.telemetry import probes
 
-#: "No candidate neighbour" in the masked-minimum reduction.  A real key
-#: can collide with it only at probability 2^-64 per draw (value-based
-#: rules); the collision merely postpones that vertex's join by a round.
-KEY_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 #: Métivier values are full 64-bit strings, like the reference's
 #: ``getrandbits(64)``; equal values cost the whole precision.
 VALUE_BITS = 64
-
-#: Element budget of one dense masked-min broadcast block (uint64), ~16 MB.
-_DENSE_MIN_CHUNK_ELEMENTS = 1 << 21
 
 
 def _bits_to_separate_u64(xor: np.ndarray) -> np.ndarray:
@@ -314,128 +297,48 @@ class MessageFleetRun:
         return {int(v) for v in np.flatnonzero(self.membership[trial])}
 
 
-class _MessageKernel:
-    """One graph's neighbour reductions, on one backend.
+def _edge_pairs(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
+    """Each undirected edge of ``graph`` once, as ``(u, v)`` arrays with
+    u < v."""
+    rows = np.repeat(
+        np.arange(graph.num_vertices, dtype=np.int64), np.diff(graph.indptr)
+    )
+    columns = graph.indices.astype(np.int64)
+    once = rows < columns
+    return rows[once], columns[once]
 
-    Everything a round needs from the topology: active-neighbour counts
-    (the count reduction the beeping engines already use), the masked
-    neighbour-minimum (the priority contest), the boolean neighbour-OR
-    (retiring joiners' neighbours) and the per-edge accounting arrays.
+
+def _prefix_round_bits(
+    edges: Tuple[np.ndarray, np.ndarray],
+    values: np.ndarray,
+    active: np.ndarray,
+) -> np.ndarray:
+    """Métivier's per-row bit charge for one round on one graph.
+
+    For each edge with both endpoints active, both endpoints send one
+    more bit than the common prefix of their 64-bit values.
     """
-
-    def __init__(self, graph: Graph, backend: str) -> None:
-        self._graph = graph
-        self._n = graph.num_vertices
-        self._backend = backend
-        csr = build_csr(graph)
-        self._columns, self._starts, self._isolated = csr
-        self._padded = padded_csr(csr)
-        if backend == "dense":
-            self._adjacency_bool = csr_to_dense(
-                self._columns, self._starts,
-                np.zeros((self._n, self._n), dtype=bool),
-            )
-            self._adjacency_f32 = self._adjacency_bool.astype(np.float32)
-        self._edge_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def counts(self, flags: np.ndarray) -> np.ndarray:
-        """Row-wise flagged-neighbour counts (int64), per vertex."""
-        k, n = flags.shape
-        if n == 0:
-            return np.zeros((k, 0), dtype=np.int64)
-        if self._backend == "dense":
-            # float32 GEMM counts are exact small integers (degree < 2^24).
-            counts = flags.astype(np.float32) @ self._adjacency_f32
-            return counts.astype(np.int64)
-        return csr_row_counts(flags, *self._padded)
-
-    def neighbor_or(self, flags: np.ndarray) -> np.ndarray:
-        """Row-wise: whether any neighbour's flag is set, per vertex."""
-        if self._backend == "dense":
-            return self.counts(flags) > 0
-        return csr_row_or(flags, *self._padded)
-
-    def masked_min(self, keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Per vertex: the minimum key among masked neighbours.
-
-        Unmasked (and absent) neighbours contribute :data:`KEY_SENTINEL`,
-        so a vertex with no masked neighbour gets the sentinel back.
-        Dense and sparse compute the exact minimum of identical uint64
-        sets, hence identical outputs.
-        """
-        k, n = keys.shape
-        result = np.full((k, n), KEY_SENTINEL, dtype=np.uint64)
-        if n == 0 or k == 0:
-            return result
-        masked = np.where(mask, keys, KEY_SENTINEL)
-        if self._backend == "dense":
-            # Blocked full-adjacency sweep: numpy has no (min, x) GEMM, so
-            # the O(n^2) pass broadcasts adjacency blocks against the key
-            # rows, bounded to _DENSE_MIN_CHUNK_ELEMENTS per temporary.
-            chunk = max(1, _DENSE_MIN_CHUNK_ELEMENTS // max(k * n, 1))
-            for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
-                contribution = np.where(
-                    self._adjacency_bool[lo:hi][np.newaxis, :, :],
-                    masked[:, lo:hi, np.newaxis],
-                    KEY_SENTINEL,
-                )
-                np.minimum(result, contribution.min(axis=1), out=result)
-            return result
-        if self._columns.size == 0:
-            return result
-        gathered = np.full(
-            (k, self._columns.size + 1), KEY_SENTINEL, dtype=np.uint64
-        )
-        gathered[:, :-1] = masked[:, self._columns]
-        minima = np.minimum.reduceat(gathered, self._starts, axis=1)
-        # Empty segments (isolated vertices) reduce to garbage; mask them.
-        minima[:, self._isolated] = KEY_SENTINEL
-        return minima
-
-    def edge_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Each undirected edge once, as ``(u, v)`` arrays with u < v."""
-        if self._edge_pair is None:
-            degrees = np.diff(np.append(self._starts, self._columns.size))
-            rows = np.repeat(
-                np.arange(self._n, dtype=np.int64), degrees
-            )
-            once = rows < self._columns
-            self._edge_pair = (rows[once], self._columns[once])
-        return self._edge_pair
-
-    def prefix_round_bits(
-        self, values: np.ndarray, active: np.ndarray
-    ) -> np.ndarray:
-        """Métivier's per-trial bit charge for one round.
-
-        For each edge with both endpoints active, both endpoints send one
-        more bit than the common prefix of their 64-bit values.
-        """
-        edge_u, edge_v = self.edge_pairs()
-        k = values.shape[0]
-        if edge_u.size == 0:
-            return np.zeros(k, dtype=np.int64)
-        both_active = active[:, edge_u] & active[:, edge_v]
-        separated = _bits_to_separate_u64(
-            values[:, edge_u] ^ values[:, edge_v]
-        )
-        return 2 * (separated * both_active).sum(axis=1)
+    edge_u, edge_v = edges
+    if edge_u.size == 0:
+        return np.zeros(values.shape[0], dtype=np.int64)
+    both_active = active[:, edge_u] & active[:, edge_v]
+    separated = _bits_to_separate_u64(values[:, edge_u] ^ values[:, edge_v])
+    return 2 * (separated * both_active).sum(axis=1)
 
 
 def _run_message_lockstep(
     rule: MessageRule,
     seeds: np.ndarray,
-    blocks: Sequence[Tuple[_MessageKernel, slice]],
-    num_vertices: int,
+    sizes: Sequence[int],
+    operand: NeighbourOperand,
+    graphs: Sequence[Graph],
     max_rounds: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The shared round loop over ``(rows, n)`` lockstep tensors.
 
-    ``blocks`` assigns contiguous row ranges to per-graph kernels (one
-    block per armada graph); the reductions are block-diagonal by
-    construction, so every row evolves exactly as it would in a lone
-    single-graph batch.  Returns
+    Rows are grouped by graph, ``sizes[g]`` rows of ``graphs[g]``; the
+    operand's reductions are block-diagonal by construction, so every row
+    evolves exactly as it would in a lone single-graph batch.  Returns
     ``(rounds, membership, messages, bits)``.
     """
     if not isinstance(rule, MessageRule):
@@ -444,7 +347,9 @@ def _run_message_lockstep(
             "rules run on FleetSimulator/ArmadaSimulator instead"
         )
     total = int(seeds.size)
-    n = num_vertices
+    n = graphs[0].num_vertices
+    slot_graph = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    edges = [_edge_pairs(g) for g in graphs] if rule.prefix_bits else []
     active = np.ones((total, n), dtype=bool)
     membership = np.zeros((total, n), dtype=bool)
     counts = np.zeros((total, n), dtype=np.int64)
@@ -461,24 +366,18 @@ def _run_message_lockstep(
             raise RuntimeError(
                 f"message simulation exceeded {max_rounds} rounds"
             )
-        # Per-block reductions touch only the block's live rows; finished
-        # rows keep stale values, which the all-False active mask ignores.
-        live_blocks = []
-        for kernel, block in blocks:
-            rows = np.flatnonzero(alive[block])
-            if rows.size == 0:
-                continue
-            rows += block.start
-            live_blocks.append((kernel, rows))
-            counts[rows] = kernel.counts(active[rows])
+        # The reductions touch only the live rows; finished rows keep
+        # stale values, which their all-False active mask ignores.
+        live = np.flatnonzero(alive)
+        live_sizes = np.bincount(slot_graph[live], minlength=len(sizes))
+        counts[live] = operand.counts(active[live], live_sizes)
         keys, candidates = rule.round_keys(
             seeds, round_index, counts, active, state
         )
         candidates = candidates & active
-        for kernel, rows in live_blocks:
-            neighbor_min[rows] = kernel.masked_min(
-                keys[rows], candidates[rows]
-            )
+        neighbor_min[live] = operand.masked_min(
+            keys[live], candidates[live], live_sizes
+        )
         joined = candidates & (keys < neighbor_min)
         membership |= joined
         # Accounting happens against the round-start active set, exactly
@@ -487,15 +386,15 @@ def _run_message_lockstep(
         round_messages = (counts * active).sum(axis=1)
         messages += round_messages
         if rule.prefix_bits:
-            for kernel, rows in live_blocks:
-                bits[rows] += kernel.prefix_round_bits(
-                    state["values"][rows], active[rows]
+            for g, graph_edges in enumerate(edges):
+                rows = live[slot_graph[live] == g]
+                bits[rows] += _prefix_round_bits(
+                    graph_edges, state["values"][rows], active[rows]
                 )
         else:
             bits += round_messages * rule.bits_per_value(n)
         retired[:] = joined
-        for kernel, rows in live_blocks:
-            retired[rows] |= kernel.neighbor_or(joined[rows])
+        retired[live] |= operand.any(joined[live], live_sizes)
         active &= ~retired
         still_alive = active.any(axis=1)
         rounds[alive & ~still_alive] = round_index + 1
@@ -505,8 +404,7 @@ def _run_message_lockstep(
         probes.count("engine.message.runs")
         probes.count("engine.message.rounds", round_index)
         probes.count("engine.message.trials", total)
-        if blocks:
-            probes.count(f"engine.backend.{blocks[0][0]._backend}")
+        probes.count(f"engine.backend.{operand.backend}")
     return rounds, membership, messages, bits
 
 
@@ -557,8 +455,9 @@ class MessageArmadaSimulator:
     :class:`~repro.engine.fleet.ArmadaSimulator`: every ``(graph, trial)``
     pair becomes one slot row of a ``(slots, n)`` batch (rows grouped per
     graph), the round loop runs once for the whole cell, and the
-    reductions stay block-diagonal — each graph's kernel serves its own
-    row block — so slot ``(g, t)`` is bit-identical to trial ``t`` of
+    operand's reductions stay block-diagonal — each graph's adjacency
+    serves its own row block — so slot ``(g, t)`` is bit-identical to
+    trial ``t`` of
     ``MessageFleetSimulator(graphs[g]).run_fleet(rule, seed_rows[g])``.
     """
 
@@ -571,10 +470,7 @@ class MessageArmadaSimulator:
         self._n = armada_width(graphs, max_rounds)
         self._graphs = list(graphs)
         self._max_rounds = max_rounds
-        self._backend = resolve_backend(backend, len(graphs), self._n)
-        self._kernels = [
-            _MessageKernel(graph, self._backend) for graph in self._graphs
-        ]
+        self._operand = NeighbourOperand(self._graphs, backend)
 
     @property
     def graphs(self) -> Sequence[Graph]:
@@ -584,7 +480,7 @@ class MessageArmadaSimulator:
     @property
     def backend(self) -> str:
         """The resolved backend, ``"dense"`` or ``"sparse"``."""
-        return self._backend
+        return self._operand.backend
 
     def run_armada(
         self,
@@ -601,18 +497,14 @@ class MessageArmadaSimulator:
         groups = seed_groups(seed_rows, len(self._graphs))
         sizes = [int(group.size) for group in groups]
         seeds = np.concatenate(groups)
-        blocks = []
-        offset = 0
-        for kernel, size in zip(self._kernels, sizes):
-            blocks.append((kernel, slice(offset, offset + size)))
-            offset += size
         rounds, membership, messages, bits = _run_message_lockstep(
-            rule, seeds, blocks, self._n, self._max_rounds
+            rule, seeds, sizes, self._operand, self._graphs, self._max_rounds
         )
         runs: List[MessageFleetRun] = []
-        for (kernel, block), size, graph in zip(
-            blocks, sizes, self._graphs
-        ):
+        offset = 0
+        for size, graph in zip(sizes, self._graphs):
+            block = slice(offset, offset + size)
+            offset += size
             run = MessageFleetRun(
                 rule_name=rule.name,
                 num_vertices=self._n,

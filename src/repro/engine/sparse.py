@@ -2,20 +2,26 @@
 
 A dense n×n adjacency is perfect for the paper's ``G(n, 1/2)`` workloads
 and quadratic waste for sparse topologies (grids, geometric/sensor
-networks, scale-free graphs).  The ``"sparse"`` backends of the armada,
-message and application engines keep the adjacency in
-compressed-sparse-row form instead, so a round costs O(n + m) with small
-constants.  This module builds that CSR (:func:`build_csr`) and its
-padded form (:func:`padded_csr`), whose one pad index both reductions
-over it share: the fault-free neighbour OR (:func:`csr_row_or`), which
-packs the slot axis into uint64 bit lanes so one ``bitwise_or.reduceat``
-over the gathered neighbour rows serves 64 slots per word, and the
-neighbour counts (:func:`csr_row_counts`, a ``numpy.add.reduceat`` over
-the neighbour lists) that the noisy channel's loss model and the message
-kernels need.  It also scatters the CSR into the ``"dense"`` backends'
-n×n operand (:func:`csr_to_dense`), and decides between the two
-(:data:`BACKENDS`, :func:`resolve_backend`) for every engine and every
-caller that validates a backend name.
+networks, scale-free graphs).  :class:`NeighbourOperand` is the one
+place the backend is decided (:data:`BACKENDS`, :func:`resolve_backend`)
+and built: the armada, message and application engines each hold one
+and ask it for three row-grouped reductions — the neighbour OR, the
+neighbour counts and the masked neighbour minimum — without branching
+on the backend themselves.
+
+- ``"dense"``: a ``(graphs, n, n)`` float32 adjacency stack, scattered
+  from the CSR (:func:`csr_to_dense`); OR and counts are one batched
+  GEMM, the minimum a blocked full-adjacency sweep.
+- ``"sparse"``: one compressed-sparse-row operand per graph
+  (:func:`build_csr`, padded by :func:`padded_csr`), so a round costs
+  O(n + m) with small constants.  Its one pad index serves all three
+  reductions: the fault-free neighbour OR (:func:`csr_row_or`), which
+  packs the slot axis into uint64 bit lanes so one
+  ``bitwise_or.reduceat`` over the gathered neighbour rows serves 64
+  slots per word; the neighbour counts (:func:`csr_row_counts`, a
+  ``numpy.add.reduceat`` over the neighbour lists) that the noisy
+  channel's loss model and the message rules need; and the masked
+  minimum, one ``minimum.reduceat`` over the same gather.
 
 With mean degree ~8 this comfortably simulates n = 50,000 node networks —
 letting the scaling benchmark extend Theorem 2's O(log n) curve well past
@@ -24,7 +30,7 @@ the paper's n = 1000.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,15 +87,17 @@ def build_csr(graph: Graph) -> CSR:
 def padded_csr(csr: CSR) -> CSR:
     """The reduction kernels' operand: ``(gather, starts, isolated)``.
 
-    ``gather`` is ``columns`` with one trailing pad index ``n``.  Both
-    kernels (:func:`csr_row_counts` and :func:`csr_row_or`) gather
-    per-vertex values at it from a source whose entry ``n`` is zero, so
-    the gathered array ends in one zero and every unclamped start is a
-    valid ``reduceat`` index.  Clamping the starts instead would silently
-    truncate the last non-empty vertex's segment and drop beeps from its
-    highest-index neighbours.  Empty segments (isolated vertices) still
-    reduce to garbage, which both kernels mask with ``isolated``.  Build
-    it once per graph: it costs one ``m + 1`` int64 copy.
+    ``gather`` is ``columns`` with one trailing pad index ``n``.  Every
+    sparse reduction (:func:`csr_row_counts`, :func:`csr_row_or` and
+    :meth:`NeighbourOperand.masked_min`) gathers per-vertex values at it
+    from a source whose entry ``n`` is the reduction's identity (zero, or
+    :data:`KEY_SENTINEL`), so the gathered array ends in one identity
+    and every unclamped start is a valid ``reduceat`` index.  Clamping
+    the starts instead would silently truncate the last non-empty
+    vertex's segment and drop beeps from its highest-index neighbours.
+    Empty segments (isolated vertices) still reduce to garbage, which
+    every reduction masks with ``isolated``.  Build it once per graph: it
+    costs one ``m + 1`` int64 copy.
     """
     columns, starts, isolated = csr
     return np.append(columns, isolated.size), starts, isolated
@@ -104,7 +112,7 @@ def csr_row_counts(
     """Row-wise flagged-neighbour counts over one :func:`padded_csr`.
 
     ``flags`` is ``(rows, n)`` boolean; returns ``(rows, n)`` int64.  The
-    noisy channel's loss model and the message kernels need counts; the
+    noisy channel's loss model and the message rules need counts; the
     fault-free OR is :func:`csr_row_or`.
     """
     k, n = flags.shape
@@ -171,6 +179,169 @@ def csr_row_or(
     for bit in range(8):
         np.bitwise_and(heard_bytes >> bit, 1, out=bits[:, bit])
     return bits.reshape(lane_bytes * 8, n)[:k].view(bool)
+
+
+#: "No masked neighbour" in :meth:`NeighbourOperand.masked_min`.  A real
+#: key can collide with it only at probability 2^-64 per draw (the
+#: value-keyed message rules); the collision merely postpones that
+#: vertex's join by a round.
+KEY_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Element budget of one dense masked-min broadcast block (uint64), ~16 MB.
+_DENSE_MIN_CHUNK_ELEMENTS = 1 << 21
+
+
+def _groups(sizes: Sequence[int]) -> Iterator[Tuple[int, slice]]:
+    """``(graph, row block)`` of every non-empty row group."""
+    offset = 0
+    for g, size in enumerate(sizes):
+        if size:
+            yield g, slice(offset, offset + size)
+        offset += size
+
+
+class NeighbourOperand:
+    """Every neighbour reduction of a stack of same-``n`` graphs.
+
+    The one place the dense/sparse backend is decided
+    (:func:`resolve_backend`) and built: ``"dense"`` holds the
+    ``(graphs, n, n)`` float32 adjacency stack and the float32 staging
+    buffers of its batched GEMM, ``"sparse"`` one :func:`padded_csr` per
+    graph.  The armadas build one in ``__init__`` and never branch on the
+    backend again (apart from the frontier's choice of when a GEMM beats
+    expanding neighbour lists).
+
+    Every reduction takes ``(rows, n)`` inputs whose rows are grouped by
+    graph: ``sizes[g]`` rows of graph ``g``, in graph order (a size may
+    be zero), so a live-row subset of an armada batch is one call.  Both
+    backends return identical values: the float32 GEMM counts are exact
+    small integers (degree < 2^24), and a minimum is exact.
+    """
+
+    def __init__(self, graphs: Sequence[Graph], backend: str = "auto") -> None:
+        n = graphs[0].num_vertices
+        self._n = n
+        self._backend = resolve_backend(backend, len(graphs), n)
+        csrs = [build_csr(graph) for graph in graphs]
+        if self._backend == "dense":
+            self._adjacency = np.zeros((len(graphs), n, n), dtype=np.float32)
+            for g, (columns, starts, _) in enumerate(csrs):
+                csr_to_dense(columns, starts, self._adjacency[g])
+            self._flags32 = np.empty((0, n), dtype=np.float32)
+            self._counts32 = np.empty((0, n), dtype=np.float32)
+        else:
+            self._padded = [padded_csr(csr) for csr in csrs]
+
+    @property
+    def backend(self) -> str:
+        """The resolved backend, ``"dense"`` or ``"sparse"``."""
+        return self._backend
+
+    def _products(
+        self, flags: np.ndarray, sizes: Sequence[int]
+    ) -> Iterator[Tuple[slice, np.ndarray]]:
+        """``flags`` times its graphs' adjacency, one batched float32 GEMM.
+
+        Yields ``(row block, float32 counts)`` pairs covering every row:
+        one pair when all groups are equal (the staging buffer reshapes
+        for free), one per non-empty group when they are ragged (each
+        group padded to the widest).
+        """
+        num_graphs, n = self._adjacency.shape[0], self._n
+        width = int(max(sizes))
+        if self._flags32.shape[0] < num_graphs * width:
+            self._flags32 = np.empty((num_graphs * width, n), dtype=np.float32)
+            self._counts32 = np.empty_like(self._flags32)
+        shape = (num_graphs, width, n)
+        staged = self._flags32[: num_graphs * width].reshape(shape)
+        counts = self._counts32[: num_graphs * width].reshape(shape)
+        equal = flags.shape[0] == num_graphs * width
+        if equal:
+            np.copyto(staged.reshape(-1, n), flags)
+        else:
+            staged[:] = 0.0
+            for g, block in _groups(sizes):
+                np.copyto(staged[g, : block.stop - block.start], flags[block])
+        np.matmul(staged, self._adjacency, out=counts)
+        if equal:
+            yield slice(0, flags.shape[0]), counts.reshape(-1, n)
+            return
+        for g, block in _groups(sizes):
+            yield block, counts[g, : block.stop - block.start]
+
+    def any(
+        self,
+        flags: np.ndarray,
+        sizes: Sequence[int],
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Row-wise: whether any neighbour's flag is set (bool)."""
+        if out is None:
+            out = np.empty(flags.shape, dtype=bool)
+        if flags.size == 0:
+            out[...] = False
+        elif self._backend == "dense":
+            for block, counts in self._products(flags, sizes):
+                np.greater(counts, 0.0, out=out[block])
+        else:
+            for g, block in _groups(sizes):
+                out[block] = csr_row_or(flags[block], *self._padded[g])
+        return out
+
+    def counts(self, flags: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+        """Row-wise flagged-neighbour counts (int64)."""
+        out = np.zeros(flags.shape, dtype=np.int64)
+        if flags.size == 0:
+            return out
+        if self._backend == "dense":
+            for block, counts in self._products(flags, sizes):
+                out[block] = counts
+        else:
+            for g, block in _groups(sizes):
+                out[block] = csr_row_counts(flags[block], *self._padded[g])
+        return out
+
+    def masked_min(
+        self, keys: np.ndarray, mask: np.ndarray, sizes: Sequence[int]
+    ) -> np.ndarray:
+        """Row-wise: the least uint64 key among the masked neighbours.
+
+        Unmasked (and absent) neighbours count as :data:`KEY_SENTINEL`,
+        so a vertex with no masked neighbour gets the sentinel back.
+        """
+        n = self._n
+        result = np.full(keys.shape, KEY_SENTINEL, dtype=np.uint64)
+        if keys.size == 0:
+            return result
+        # Column n is the pad the sparse gather reads for a segment end.
+        source = np.full((keys.shape[0], n + 1), KEY_SENTINEL, dtype=np.uint64)
+        np.copyto(source[:, :n], keys, where=mask)
+        for g, block in _groups(sizes):
+            if self._backend == "sparse":
+                gather, starts, isolated = self._padded[g]
+                minima = np.minimum.reduceat(
+                    source[block][:, gather], starts, axis=1
+                )
+                # Empty segments (isolated vertices) reduce to garbage.
+                minima[:, isolated] = KEY_SENTINEL
+                result[block] = minima
+                continue
+            # Blocked full-adjacency sweep: numpy has no (min, x) GEMM, so
+            # the O(n^2) pass broadcasts adjacency blocks against the key
+            # rows, bounded to _DENSE_MIN_CHUNK_ELEMENTS per temporary.
+            adjacency = self._adjacency[g]
+            masked = source[block, :n]
+            rows = result[block]
+            chunk = max(1, _DENSE_MIN_CHUNK_ELEMENTS // (masked.shape[0] * n))
+            for lo in range(0, n, chunk):
+                hi = min(lo + chunk, n)
+                contribution = np.where(
+                    adjacency[np.newaxis, lo:hi, :] > 0.0,
+                    masked[:, lo:hi, np.newaxis],
+                    KEY_SENTINEL,
+                )
+                np.minimum(rows, contribution.min(axis=1), out=rows)
+        return result
 
 
 def csr_to_dense(

@@ -12,14 +12,13 @@ cache?" across sessions.
 Layout (under one database root)::
 
     <root>/runs.jsonl   append-only, one JSON record per line
-    <root>/index.json   rebuildable summary (atomic rewrite)
 
-The write discipline mirrors the result store and the telemetry ledger:
-records land as single ``O_APPEND`` line writes, the index via
-``atomic_write_text``, and readers tolerate damage — an unparsable
-(torn) trailing line is skipped, a corrupt index is rebuilt from the
-records.  The database is therefore safe to share between concurrent
-pipeline runs and never blocks on partial state.
+The write discipline mirrors the telemetry ledger: records land as
+single ``O_APPEND`` line writes, and readers tolerate damage — an
+unparsable (torn) trailing line is skipped.  The per-experiment summary
+(:meth:`RunDB.index`) is computed from the records when asked, so an
+append never re-reads the log.  The database is therefore safe to share
+between concurrent pipeline runs and never blocks on partial state.
 """
 
 from __future__ import annotations
@@ -28,15 +27,15 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.sweep.spec import SPEC_FORMAT_VERSION, SweepSpec, canonical_json
-from repro.sweep.store import DAMAGE_ERRORS, atomic_write_text
+from repro.sweep.store import DAMAGE_ERRORS
 
 PathLike = Union[str, Path]
 
-#: Bump when the record schema changes incompatibly (read-time check on
-#: the index only; records are self-describing and skipped when stale).
+#: Bump when the record schema changes incompatibly (every record and
+#: the summary index carry it).
 RUNDB_FORMAT_VERSION = 1
 
 
@@ -150,13 +149,8 @@ class RunDB:
         """The append-only record log."""
         return self._root / "runs.jsonl"
 
-    @property
-    def index_path(self) -> Path:
-        """The rebuildable summary index."""
-        return self._root / "index.json"
-
     def append(self, record: RunRecord) -> None:
-        """Append one record (single line write) and refresh the index."""
+        """Append one record (single line write)."""
         line = json.dumps(
             record.to_dict(), sort_keys=True, separators=(",", ":")
         )
@@ -165,7 +159,6 @@ class RunDB:
         # torn trailing line, which records() skips.
         with open(self.runs_path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
-        self._write_index(self.records())
 
     def records(self) -> List[RunRecord]:
         """Every parseable record, in append order.
@@ -206,35 +199,18 @@ class RunDB:
         return found
 
     def index(self) -> Dict[str, Any]:
-        """The summary index, rebuilt from the records when damaged."""
-        try:
-            payload = json.loads(self.index_path.read_text(encoding="utf-8"))
-            if (
-                isinstance(payload, dict)
-                and payload.get("format") == RUNDB_FORMAT_VERSION
-            ):
-                return payload
-        except DAMAGE_ERRORS:
-            pass
-        return self._write_index(self.records())
-
-    def _write_index(self, records: Sequence[RunRecord]) -> Dict[str, Any]:
+        """Per-experiment summary of the records: run count and the last
+        run's id, spec hash and drift verdict."""
+        records = self.records()
         experiments: Dict[str, Dict[str, Any]] = {}
         for record in records:
-            entry = experiments.setdefault(
-                record.experiment, {"runs": 0}
-            )
+            entry = experiments.setdefault(record.experiment, {"runs": 0})
             entry["runs"] += 1
             entry["last_run_id"] = record.run_id
             entry["last_spec_hash"] = record.spec_hash
             entry["last_drift"] = record.drift
-        payload = {
+        return {
             "format": RUNDB_FORMAT_VERSION,
             "records": len(records),
             "experiments": experiments,
         }
-        atomic_write_text(
-            self.index_path,
-            json.dumps(payload, indent=2, sort_keys=True),
-        )
-        return payload

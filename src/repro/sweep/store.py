@@ -4,15 +4,17 @@ Layout (under one cache root)::
 
     <root>/ab/<hash>.jsonl          one TrialOutcome per line
     <root>/ab/<hash>.manifest.json  provenance: shard spec, code version,
-                                    row count, wall-clock, creation time
+                                    row count, sha256 of the rows text,
+                                    wall-clock, creation time
 
 where ``<hash>`` is :meth:`ShardSpec.content_hash` and ``ab`` its first
 two hex digits.  Writes are atomic (temp file + ``os.replace``) and the
 manifest lands *after* the rows, so a visible manifest always implies
 complete rows; readers treat anything inconsistent — missing files,
 unparsable lines, non-integer counts, a non-finite mean, trials outside
-the shard's window or out of order, row-count or version mismatches — as
-a cache miss, and the next :meth:`ResultStore.get_or_run` simply
+the shard's window or out of order, row-count or version mismatches,
+rows whose text no longer matches the manifest's sha256 — as a cache
+miss, and the next :meth:`ResultStore.get_or_run` simply
 recomputes and rewrites it.
 
 Invalidation is purely key-driven: results never expire, they are orphaned
@@ -24,6 +26,7 @@ covers *result semantics* and is folded into the hash itself.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -40,7 +43,8 @@ from repro.telemetry import probes
 PathLike = Union[str, Path]
 
 #: Bump when the JSONL/manifest layout changes (read-time check).
-STORE_FORMAT_VERSION = 1
+#: Format 2 added the manifest's ``rows_sha256``.
+STORE_FORMAT_VERSION = 2
 
 _ROW_FIELDS = ("trial", "rounds", "mis_size", "mean_beeps_per_node", "messages", "bits")
 _COUNT_FIELDS = ("trial", "rounds", "mis_size", "messages", "bits")
@@ -90,6 +94,9 @@ class ShardManifest:
     elapsed_seconds: float
     created: float
     shard: Dict[str, Any]
+    #: sha256 of the rows file's text: a row whose values were edited
+    #: (still well-typed, still in trial order) is a miss, not a hit.
+    rows_sha256: str
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form."""
@@ -101,6 +108,7 @@ class ShardManifest:
             "elapsed_seconds": self.elapsed_seconds,
             "created": self.created,
             "shard": self.shard,
+            "rows_sha256": self.rows_sha256,
         }
 
     @staticmethod
@@ -114,7 +122,12 @@ class ShardManifest:
             elapsed_seconds=float(payload["elapsed_seconds"]),
             created=float(payload.get("created", 0.0)),
             shard=payload["shard"],
+            rows_sha256=str(payload["rows_sha256"]),
         )
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _row_to_json(outcome: TrialOutcome) -> str:
@@ -198,6 +211,8 @@ class ResultStore:
             return None
         try:
             text = self.rows_path(shard).read_text(encoding="utf-8")
+            if _sha256(text) != manifest.rows_sha256:
+                raise ValueError("rows do not match the manifest checksum")
             rows = [
                 _row_from_json(line)
                 for line in text.splitlines()
@@ -241,6 +256,7 @@ class ResultStore:
             elapsed_seconds=float(elapsed_seconds),
             created=time.time(),
             shard=shard.to_dict(),
+            rows_sha256=_sha256(rows_text),
         )
         self._atomic_write(
             self.manifest_path(shard),

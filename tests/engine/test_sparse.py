@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import FeedbackRule, SweepRule
 from repro.engine.sparse import (
+    KEY_SENTINEL,
+    NeighbourOperand,
     build_csr,
     csr_row_counts,
     csr_row_or,
@@ -141,9 +143,81 @@ def oracle_graphs(draw):
     )
 
 
+#: Three same-``n`` graph stacks for the operand oracle: n = 0 and 1,
+#: isolated and trailing-isolated vertices, an edgeless graph, G(n, p)
+#: with isolated vertices, and a grid beside a star.
+OPERAND_STACKS = {
+    "n0": [empty_graph(0)] * 3,
+    "n1": [empty_graph(1)] * 3,
+    "trailing-isolated": [
+        Graph(7, [(0, 1), (1, 2)]),
+        Graph(7, [(2, 0), (2, 1), (5, 3)]),
+        empty_graph(7),
+    ],
+    "gnp": [gnp_random_graph(30, 0.08, Random(seed)) for seed in range(3)],
+    "grid-star": [grid_graph(5, 6), star_graph(29), grid_graph(6, 5)],
+}
+
+#: Ragged per-graph row counts of the operand oracle's slot rows.
+OPERAND_SIZES = (5, 4, 4)
+
+
 class TestPackedOrOracle:
     """``csr_row_or`` is the count kernel's ``> 0``, across word edges,
-    and the count kernel is the dense adjacency product."""
+    the count kernel is the dense adjacency product, and the neighbour
+    operand's three reductions equal the adjacency-matrix reference on
+    both backends."""
+
+    @pytest.mark.parametrize("backend", ("dense", "sparse"))
+    @pytest.mark.parametrize("stack", sorted(OPERAND_STACKS))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        density=st.sampled_from((0.0, 0.3, 1.0)),
+        live_all=st.booleans(),
+        flag_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_operand_matches_adjacency_matrix(
+        self, backend, stack, density, live_all, flag_seed
+    ):
+        graphs = OPERAND_STACKS[stack]
+        n = graphs[0].num_vertices
+        operand = NeighbourOperand(graphs, backend)
+        assert operand.backend == backend
+        rng = np.random.default_rng(flag_seed)
+        slot_graph = np.repeat(np.arange(3), OPERAND_SIZES)
+        # Every slot row, or a live subset (a graph may keep no rows).
+        live = np.flatnonzero(
+            np.ones(slot_graph.size, dtype=bool)
+            if live_all
+            else rng.random(slot_graph.size) < 0.5
+        )
+        sizes = np.bincount(slot_graph[live], minlength=3)
+        flags = rng.random((live.size, n)) < density
+        mask = rng.random((live.size, n)) < density
+        keys = rng.integers(
+            0, 2**64, size=(live.size, n), dtype=np.uint64
+        )
+        adjacency = [graph.adjacency_matrix() for graph in graphs]
+        expected_counts = np.zeros((live.size, n), dtype=np.int64)
+        expected_min = np.full((live.size, n), KEY_SENTINEL, dtype=np.uint64)
+        for row, g in enumerate(slot_graph[live]):
+            expected_counts[row] = flags[row].astype(np.int64) @ adjacency[g]
+            for v in range(n):
+                heard = adjacency[g][:, v] & mask[row]
+                if heard.any():
+                    expected_min[row, v] = keys[row, heard].min()
+        counts = operand.counts(flags, sizes)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected_counts)
+        heard = operand.any(flags, sizes)
+        assert heard.dtype == bool
+        assert np.array_equal(heard, expected_counts > 0)
+        out = np.ones((live.size, n), dtype=bool)
+        assert operand.any(flags, sizes, out=out) is out
+        assert np.array_equal(out, expected_counts > 0)
+        minima = operand.masked_min(keys, mask, sizes)
+        assert minima.dtype == np.uint64
+        assert np.array_equal(minima, expected_min)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(

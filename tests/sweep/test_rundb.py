@@ -172,41 +172,23 @@ class TestRunDB:
 
 
 class TestIndex:
-    def test_index_written_on_append(self, tmp_path):
+    def test_index_summarises_records(self, tmp_path):
         db = RunDB(tmp_path / "db")
-        db.append(record(run_id="r1"))
-        payload = json.loads(db.index_path.read_text(encoding="utf-8"))
-        assert payload["format"] == RUNDB_FORMAT_VERSION
-        assert payload["records"] == 1
-        assert payload["experiments"]["figure3"]["last_drift"] == "PASS"
-
-    def test_corrupt_index_is_rebuilt(self, tmp_path):
-        db = RunDB(tmp_path / "db")
-        db.append(record(run_id="r1"))
-        db.index_path.write_text("{broken", encoding="utf-8")
+        db.append(record(run_id="r1", drift="MISSING"))
+        db.append(record(run_id="r2"))
+        db.append(record(run_id="r3", experiment="bio", drift="SKIP"))
         payload = db.index()
-        assert payload["records"] == 1
-        # ... and the on-disk copy healed too.
-        assert json.loads(db.index_path.read_text())["records"] == 1
+        assert payload["format"] == RUNDB_FORMAT_VERSION
+        assert payload["records"] == 3
+        assert payload["experiments"]["figure3"] == {
+            "runs": 2,
+            "last_run_id": "r2",
+            "last_spec_hash": record().spec_hash,
+            "last_drift": "PASS",
+        }
+        assert payload["experiments"]["bio"]["last_drift"] == "SKIP"
 
-    def test_stale_format_index_is_rebuilt(self, tmp_path):
+    def test_append_writes_only_the_record_log(self, tmp_path):
         db = RunDB(tmp_path / "db")
         db.append(record(run_id="r1"))
-        db.index_path.write_text(
-            json.dumps({"format": RUNDB_FORMAT_VERSION + 1, "records": 99}),
-            encoding="utf-8",
-        )
-        assert db.index()["records"] == 1
-
-    def test_missing_index_rebuilds_from_records(self, tmp_path):
-        db = RunDB(tmp_path / "db")
-        db.append(record(run_id="r1"))
-        db.index_path.unlink()
-        assert db.index()["experiments"]["figure3"]["runs"] == 1
-
-    @pytest.mark.parametrize("text", ("[]", "7", '"index"', "[" * 100_000))
-    def test_non_object_index_is_rebuilt(self, tmp_path, text):
-        db = RunDB(tmp_path / "db")
-        db.append(record(run_id="r1"))
-        db.index_path.write_text(text, encoding="utf-8")
-        assert db.index()["records"] == 1
+        assert sorted(p.name for p in db.root.iterdir()) == ["runs.jsonl"]

@@ -1,7 +1,6 @@
 """Tests for the content-addressed result store."""
 
 import json
-import math
 import re
 
 import pytest
@@ -255,6 +254,11 @@ def _swap_first_lines(text):
 
 #: Rows that parse as JSON but must not be served.
 DAMAGED_ROWS = {
+    # Well-typed and in trial order: only the manifest's checksum sees it.
+    "edited-rounds": lambda text: re.sub(
+        r'"rounds":(\d+)', lambda m: f'"rounds":{int(m.group(1)) + 4}',
+        text, count=1,
+    ),
     "overflowing-rounds": _first_value("rounds", "1e999"),
     "nan-mean": _first_value("mean_beeps_per_node", "NaN"),
     "shifted-trials": lambda text: re.sub(
@@ -324,8 +328,8 @@ def _churn_rows(spec):
 
 
 class TestLineMutationFuzz:
-    """Whatever one damaged line holds, ``get`` returns a miss or rows
-    that pass the row checks — it never raises."""
+    """Whatever one damaged line holds, ``get`` returns a miss or the
+    rows that were put — it never raises."""
 
     @pytest.mark.parametrize("target", ("rows", "manifest"))
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -347,7 +351,4 @@ class TestLineMutationFuzz:
         )
         rows = store.get(spec)
         if rows is not None:
-            assert [row.trial for row in rows] == list(range(2, 6))
-            assert all(
-                math.isfinite(row.mean_beeps_per_node) for row in rows
-            )
+            assert rows == make_rows(spec)
