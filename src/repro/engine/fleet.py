@@ -89,7 +89,7 @@ from repro.engine.simulator import (
     faulty_observation,
     seed_groups,
 )
-from repro.engine.sparse import NeighbourOperand, build_csr
+from repro.engine.sparse import NeighbourOperand
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis_rows
 from repro.telemetry import probes
@@ -306,12 +306,10 @@ class ArmadaSimulator:
         # a trailing isolated run's start lands on the next graph's first
         # segment — harmless, because its degree is 0 and expansion
         # repeats it zero times.
-        per_graph = [build_csr(graph) for graph in self._graphs]
+        per_graph = self._operand.csrs
         column_sizes = [columns.size for columns, _, _ in per_graph]
         bases = np.concatenate(([0], np.cumsum(column_sizes)))[:-1]
-        self._local_columns = np.concatenate(
-            [columns for columns, _, _ in per_graph]
-        )
+        self._local_columns = self._operand.columns
         self._super_starts = np.concatenate(
             [starts + base for (_, starts, _), base in zip(per_graph, bases)]
         )

@@ -76,12 +76,13 @@ def build_csr(graph: Graph) -> CSR:
     vertices), and ``isolated`` marks the empty segments.  The reduction
     kernels take the padded form of this CSR (:func:`padded_csr`).
     """
+    return (graph.indices.astype(np.int64),) + _segments(graph)
+
+
+def _segments(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`build_csr`'s ``(starts, isolated)``."""
     indptr = graph.indptr.astype(np.int64)
-    return (
-        graph.indices.astype(np.int64),
-        indptr[:-1],
-        indptr[1:] == indptr[:-1],
-    )
+    return indptr[:-1], indptr[1:] == indptr[:-1]
 
 
 def padded_csr(csr: CSR) -> CSR:
@@ -207,8 +208,10 @@ class NeighbourOperand:
     (:func:`resolve_backend`) and built: ``"dense"`` holds the
     ``(graphs, n, n)`` float32 adjacency stack and the float32 staging
     buffers of its batched GEMM, ``"sparse"`` one :func:`padded_csr` per
-    graph.  The armadas build one in ``__init__`` and never branch on the
-    backend again (apart from the frontier's choice of when a GEMM beats
+    graph.  Both keep every graph's :func:`build_csr` (:attr:`csrs`),
+    widened once into one int64 :attr:`columns` block that the armada's
+    frontier indexes.  The armadas build one in ``__init__`` and never
+    branch on the backend again (apart from the frontier's choice of when a GEMM beats
     expanding neighbour lists).
 
     Every reduction takes ``(rows, n)`` inputs whose rows are grouped by
@@ -222,20 +225,45 @@ class NeighbourOperand:
         n = graphs[0].num_vertices
         self._n = n
         self._backend = resolve_backend(backend, len(graphs), n)
-        csrs = [build_csr(graph) for graph in graphs]
+        # Every graph's columns widened once, end to end in one int64 block
+        # that the armada's frontier indexes whole; each graph's
+        # build_csr columns is a slice of it.
+        self._columns = np.concatenate(
+            [graph.indices for graph in graphs], dtype=np.int64
+        )
+        self._columns.flags.writeable = False
+        bounds = np.cumsum([0] + [graph.indices.size for graph in graphs])
+        self._csrs = tuple(
+            (self._columns[lo:hi],) + _segments(graph)
+            for graph, lo, hi in zip(graphs, bounds, bounds[1:])
+        )
+        for _, starts, isolated in self._csrs:
+            starts.flags.writeable = isolated.flags.writeable = False
         if self._backend == "dense":
             self._adjacency = np.zeros((len(graphs), n, n), dtype=np.float32)
-            for g, (columns, starts, _) in enumerate(csrs):
+            for g, (columns, starts, _) in enumerate(self._csrs):
                 csr_to_dense(columns, starts, self._adjacency[g])
             self._flags32 = np.empty((0, n), dtype=np.float32)
             self._counts32 = np.empty((0, n), dtype=np.float32)
         else:
-            self._padded = [padded_csr(csr) for csr in csrs]
+            self._padded = [padded_csr(csr) for csr in self._csrs]
 
     @property
     def backend(self) -> str:
         """The resolved backend, ``"dense"`` or ``"sparse"``."""
         return self._backend
+
+    @property
+    def csrs(self) -> Tuple[CSR, ...]:
+        """Every graph's :func:`build_csr`, in graph order, with read-only
+        arrays: the armada lays its frontier CSR out from them."""
+        return self._csrs
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The :attr:`csrs`' columns end to end (read only); each CSR's
+        columns is a slice of this one array."""
+        return self._columns
 
     def _products(
         self, flags: np.ndarray, sizes: Sequence[int]

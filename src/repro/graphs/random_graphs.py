@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate, chain
 from random import Random
-from typing import List
+from typing import List, Union
 
 import numpy as np
 
@@ -36,9 +36,13 @@ def gnp_random_graph(n: int, p: float, rng: Random) -> Graph:
 
     Each ``rng.random()`` call is one geometric skip along the lower
     triangle's linear index ``L = v(v - 1)/2 + w`` (``w < v``), the last
-    call being the one that overshoots ``C(n, 2)``.  Only the skips run in
-    Python: the indices are collected in one list and turned into the
-    graph's CSR arrays by :func:`_lower_triangle_graph`.
+    call being the one that overshoots ``C(n, 2)``.  From
+    :data:`_REPLAY_DRAWS` expected skips on, and only for a plain
+    :class:`random.Random`, the skips are replayed in numpy on ``rng``'s
+    own MT19937 stream (:func:`_replay_skip_loop`); the graph and the
+    final ``rng`` state are exactly those of the one-call-per-skip loop
+    that runs otherwise.  Either way the indices become the graph's CSR
+    arrays in :func:`_lower_triangle_graph`.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -52,6 +56,10 @@ def gnp_random_graph(n: int, p: float, rng: Random) -> Graph:
         # p is below float resolution (log1p(-p) rounds to 0): no edges.
         return Graph(n)
     pairs = n * (n - 1) // 2
+    # A subclass may override random(), and SystemRandom has no state to
+    # replay: both keep the loop.
+    if type(rng) is Random and pairs * p >= _REPLAY_DRAWS:
+        return _lower_triangle_graph(n, _replay_skip_loop(pairs, p, log_q, rng))
     found: List[int] = []
     append = found.append
     draw = rng.random
@@ -65,17 +73,116 @@ def gnp_random_graph(n: int, p: float, rng: Random) -> Graph:
     return _lower_triangle_graph(n, found)
 
 
+#: Expected skip count ``C(n, 2) * p`` from which :func:`gnp_random_graph`
+#: replays its skips in numpy.  Measured on a 2-core x86 VM (Python 3.11,
+#: numpy 2.4): a replay costs ≈0.5 ms per call however small (≈160 µs of
+#: it seeding the throwaway ``RandomState``), and the first one imports
+#: ``numpy.random`` (13 ms, +6 MB RSS).  The paper pipeline draws only
+#: small graphs (80 × G(30, 0.3), at most G(200, 1/2) = 9,950 expected
+#: skips): with the threshold at 2,000 the cold ``repro paper`` peak RSS
+#: rose from 40.7 to 43.1 MB; at 20,000 it stays at 40.7 MB and
+#: ``numpy.random`` is never imported.  G(1000, 1/2) (249,750 skips)
+#: replays in 9–13 ms against the loop's 87–117 ms.
+_REPLAY_DRAWS = 20_000
+
+#: At most this many draws in one replay block, so the replay's transient
+#: arrays (a few float64/int64 copies of a block) stay at a few MB for any
+#: ``n``.  Smaller blocks also ran faster: G(3000, 1/2) replayed in 39 ms
+#: with this cap against 58 ms in one block.
+_REPLAY_BLOCK = 1 << 18
+
+#: A skip ratio this close (relative) to an integer is recomputed with
+#: ``math.log``: ``np.log`` may differ from it in the last ulp, which can
+#: move ``int()`` only across an integer.
+_NEAR_INTEGER = 1e-9
+
+
+def _skips(draws: np.ndarray, log_q: float, pairs: int) -> np.ndarray:
+    """The loop's skips ``1 + int(math.log(1.0 - u) / log_q)`` for every
+    draw ``u``, as int64; a skip past ``pairs`` (which ends the loop
+    whatever its size) is clipped to ``pairs + 1`` so the cast cannot
+    overflow."""
+    # In place where possible: each fresh array of a large block costs its
+    # page faults.
+    ratio = np.subtract(1.0, draws)
+    np.log(ratio, out=ratio)
+    ratio /= log_q
+    off = np.rint(ratio)
+    off -= ratio
+    np.abs(off, out=off)
+    tolerance = np.maximum(ratio, 1.0)
+    tolerance *= _NEAR_INTEGER
+    for i in np.flatnonzero(off <= tolerance).tolist():
+        ratio[i] = math.log(1.0 - float(draws[i])) / log_q
+    np.minimum(ratio, pairs, out=ratio)
+    skips = ratio.astype(np.int64)
+    skips += 1
+    return skips
+
+
+def _replay_skip_loop(
+    pairs: int, p: float, log_q: float, rng: Random
+) -> np.ndarray:
+    """The ascending lower-triangle indices that :func:`gnp_random_graph`'s
+    skip loop finds with ``rng``, drawn in numpy blocks.
+
+    ``random.Random`` and numpy's legacy ``RandomState`` are both MT19937
+    and build a double alike, ``((a >> 5) * 2^26 + (b >> 6)) / 2^53``, so a
+    ``RandomState`` loaded with ``rng``'s state draws the loop's uniforms.
+    With ``m`` skips still expected, a block draws ``m - s`` uniforms
+    (at most :data:`_REPLAY_BLOCK`) while that leaves a margin ``s = 4√m
+    + 16`` (over four standard deviations), and ``m + s`` once it does
+    not, so the loop almost always stops in a short last block.  That
+    block is drawn again from its start up to the overshooting draw, and
+    the stream's state is written back to ``rng`` (``gauss_next``
+    untouched): exactly where the loop would have left it.
+    """
+    from numpy.random import RandomState
+
+    version, internal, gauss_next = rng.getstate()
+    stream = RandomState()
+    stream.set_state(
+        ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
+    )
+    blocks: List[np.ndarray] = []
+    last = -1
+    while True:
+        mean = (pairs - 1 - last) * p
+        spread = 4.0 * math.sqrt(mean) + 16.0
+        if mean > 2.0 * spread:
+            size = min(int(mean - spread), _REPLAY_BLOCK)
+        else:
+            size = int(mean + spread)
+        start = stream.get_state()
+        index = np.cumsum(_skips(stream.random_sample(size), log_q, pairs))
+        index += last
+        used = int(index.searchsorted(pairs))
+        if used < size:
+            blocks.append(index[:used])
+            stream.set_state(start)
+            stream.random_sample(used + 1)
+            break
+        blocks.append(index)
+        last = int(index[-1])
+    _, key, pos = stream.get_state()[:3]
+    rng.setstate((version, tuple(key.tolist()) + (int(pos),), gauss_next))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 #: Up to this many edges :func:`_lower_triangle_graph` lays the rows out
 #: in Python: below it numpy's fixed per-call cost outweighs the work
 #: (≈10 µs against ≈30 µs at ``G(8, 1/2)``); above it the array path wins.
 _SMALL_GRAPH_EDGES = 128
 
 
-def _lower_triangle_graph(n: int, linear: List[int]) -> Graph:
+def _lower_triangle_graph(
+    n: int, linear: Union[List[int], np.ndarray]
+) -> Graph:
     """The graph on ``n`` vertices whose edges are the ascending, distinct
-    lower-triangle indices ``linear`` (``L = v(v - 1)/2 + w``, ``w < v``)."""
+    lower-triangle indices ``linear`` (``L = v(v - 1)/2 + w``, ``w < v``),
+    a list or an int64 array."""
     if len(linear) > _SMALL_GRAPH_EDGES:
-        found = np.fromiter(linear, dtype=np.int64, count=len(linear))
+        found = np.asarray(linear, dtype=np.int64)
         # Row v of L is the largest v with v(v - 1)/2 <= L, found exactly
         # by a search over the triangular numbers.
         triangular = np.arange(n, dtype=np.int64)

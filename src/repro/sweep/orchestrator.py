@@ -9,7 +9,10 @@ shard derives its seeds from its *global* trial window (via
 ``derive_seed_block``'s ``start`` offset), the assembled rows are bit
 identical to the sequential ``run_trials`` / ``run_fleet_trials`` call for
 the same cell, regardless of job count, shard width, cache state or the
-order workers finish in.
+order workers finish in.  Each worker caps OpenBLAS at ``cores //
+workers`` threads (at least one), so parallel shards do not oversubscribe
+the cores inside the dense backend's GEMMs; the parent's own BLAS threads
+and environment are left as they are.
 
 Executed shards are written back to the store as they complete, so an
 interrupted sweep resumes from its last finished shard.
@@ -38,6 +41,8 @@ are byte-identical either way.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -213,6 +218,50 @@ def execute_shard(shard: ShardSpec) -> List[TrialOutcome]:
     )
 
 
+def _openblas_function(name: str) -> Optional[Callable[..., int]]:
+    """OpenBLAS's ``openblas_<name>`` from a library loaded in this process
+    (numpy's bundled ``scipy_openblas`` build or a system one, with or
+    without the 64-bit-interface suffix), or ``None``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libraries = sorted(
+                {line.split()[-1] for line in maps if "openblas" in line.lower()}
+            )
+    except OSError:
+        return None
+    for library in libraries:
+        lib = ctypes.CDLL(library)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                symbol = f"{prefix}_{name}{suffix}"
+                if hasattr(lib, symbol):
+                    return getattr(lib, symbol)
+    return None
+
+
+def _cap_blas_threads(threads: int) -> None:
+    """Pool initializer: at most ``threads`` OpenBLAS threads in this
+    worker.  Without it every worker keeps the parent's pool of one
+    thread per core, and ``jobs`` workers oversubscribe the cores inside
+    the dense backend's GEMMs.  The parent process is left untouched."""
+    setter = _openblas_function("set_num_threads")
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(threads)
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The sweep's process pool, ``cores // workers`` BLAS threads (at
+    least one) in each worker."""
+    cores = os.cpu_count() or 1
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_cap_blas_threads,
+        initargs=(max(1, cores // workers),),
+    )
+
+
 def _execute_shard_timed(
     shard: ShardSpec, attempt: int = 0
 ) -> Tuple[List[TrialOutcome], float]:
@@ -359,7 +408,7 @@ def run_sweep(
     execute_start = time.perf_counter()
     if len(missing) > 1 and jobs > 1:
         workers = min(jobs, len(missing))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _worker_pool(workers) as pool:
             # Retries are resubmitted to the same pool, so ``as_completed``
             # over a fixed future set would miss them — drain with a
             # wait() loop over a mutating pending map instead.

@@ -219,6 +219,24 @@ class TestPackedOrOracle:
         assert minima.dtype == np.uint64
         assert np.array_equal(minima, expected_min)
 
+    @pytest.mark.parametrize("backend", ("dense", "sparse"))
+    @pytest.mark.parametrize("stack", ("trailing-isolated", "grid-star"))
+    def test_operand_hands_out_read_only_csrs(self, backend, stack):
+        graphs = OPERAND_STACKS[stack]
+        operand = NeighbourOperand(graphs, backend)
+        assert len(operand.csrs) == len(graphs)
+        for graph, csr in zip(graphs, operand.csrs):
+            for array, expected in zip(csr, build_csr(graph)):
+                assert np.array_equal(array, expected)
+                assert array.dtype == expected.dtype
+                assert not array.flags.writeable
+            if csr[0].size:
+                assert np.shares_memory(csr[0], operand.columns)
+        assert np.array_equal(
+            operand.columns, np.concatenate([csr[0] for csr in operand.csrs])
+        )
+        assert not operand.columns.flags.writeable
+
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
         graph=oracle_graphs(),

@@ -1,11 +1,16 @@
 """Unit tests for the random graph generators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 
+from repro.graphs import random_graphs
 from repro.graphs.random_graphs import (
     gnm_random_graph,
     gnp_random_graph,
@@ -133,6 +138,135 @@ class TestGnpIdentity:
             graph = gnp_random_graph(n, p, ours)
             assert list(graph.edges()) == sorted(_legacy_gnp_edges(n, p, theirs))
             assert ours.getstate() == theirs.getstate()
+
+
+def _primed_pair(seed, advance):
+    """Two equal ``Random`` s, advanced ``advance`` draws, with a pending
+    ``gauss_next``."""
+    pair = Random(seed), Random(seed)
+    for rng in pair:
+        for _ in range(advance):
+            rng.random()
+        rng.gauss(0.0, 1.0)
+    assert pair[0].getstate()[2] is not None
+    return pair
+
+
+class TestGnpReplay:
+    """The numpy replay of the skip loop on the rng's own MT19937 stream
+    builds exactly the loop's graph and leaves the rng exactly where the
+    loop left it."""
+
+    @pytest.fixture
+    def replay_always(self, monkeypatch):
+        monkeypatch.setattr(random_graphs, "_REPLAY_DRAWS", 0)
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        calls = []
+        replay = random_graphs._replay_skip_loop
+
+        def counted(*args):
+            calls.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(random_graphs, "_replay_skip_loop", counted)
+        return calls
+
+    def test_matches_legacy_loop_on_random_cases(self, replay_always, replays):
+        meta = Random(2024)
+        for _ in range(300):
+            n = meta.randrange(0, 120)
+            p = meta.choice([meta.random(), 1e-300, 1e-6, 1.0 - 1e-12])
+            ours, theirs = _primed_pair(meta.randrange(2 ** 32), meta.randrange(4))
+            graph = gnp_random_graph(n, p, ours)
+            assert list(graph.edges()) == sorted(_legacy_gnp_edges(n, p, theirs))
+            assert ours.getstate() == theirs.getstate()
+        assert len(replays) > 200
+
+    @pytest.mark.parametrize("p, replayed", [(0.99, False), (0.996, True)])
+    def test_either_side_of_the_threshold(self, replays, p, replayed):
+        n = 201
+        assert (n * (n - 1) // 2 * p >= random_graphs._REPLAY_DRAWS) is replayed
+        ours, theirs = _primed_pair(n, 3)
+        graph = gnp_random_graph(n, p, ours)
+        assert list(graph.edges()) == sorted(_legacy_gnp_edges(n, p, theirs))
+        assert ours.getstate() == theirs.getstate()
+        assert len(replays) == int(replayed)
+
+    @pytest.mark.parametrize(
+        "sizing_p, block", [(1e-4, None), (0.05, None), (0.3, None),
+                            (0.99, None), (0.3, 100)]
+    )
+    def test_block_sizes_never_change_the_result(
+        self, monkeypatch, sizing_p, block
+    ):
+        # p only sizes the blocks: far too small means many blocks, far
+        # too large a first block the loop stops in; a small cap means
+        # many full-size blocks.
+        if block is not None:
+            monkeypatch.setattr(random_graphs, "_REPLAY_BLOCK", block)
+        n, p = 300, 0.3
+        ours, theirs = _primed_pair(17, 1)
+        found = random_graphs._replay_skip_loop(
+            n * (n - 1) // 2, sizing_p, math.log(1.0 - p), ours
+        )
+        edges = _legacy_gnp_edges(n, p, theirs)
+        assert found.tolist() == [v * (v - 1) // 2 + w for w, v in edges]
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("nudge", [0.0, 1.0, -math.inf])
+    def test_near_integer_skips_follow_math_log(self, monkeypatch, nudge):
+        # u = 1 - 2^-k makes the ratio k at p = 1/2, where one ulp of log
+        # moves int() to k - 1.  Nudged by an ulp either way, np.log must
+        # still give the loop's skips.
+        log, log_q = np.log, math.log(0.5)
+
+        def nudged(x, out=None):
+            result = log(x, out=out)
+            if nudge:
+                result[...] = np.nextafter(result, nudge)
+            return result
+
+        monkeypatch.setattr(np, "log", nudged)
+        draws = np.array([1.0 - 2.0 ** -k for k in range(1, 53)])
+        skips = random_graphs._skips(draws, log_q, 10 ** 6)
+        assert skips.tolist() == [
+            1 + int(math.log(1.0 - u) / log_q) for u in draws.tolist()
+        ]
+
+    def test_huge_skips_are_clipped_before_the_cast(self):
+        log_q = math.log(1.0 - 1e-15)
+        skips = random_graphs._skips(np.array([0.0, 0.5, 1.0 - 2.0 ** -53]), log_q, 10)
+        assert skips.tolist() == [1, 11, 11]
+
+    def test_overridden_random_keeps_the_loop(self, replay_always, replays):
+        class Squared(Random):
+            def random(self):
+                return super().random() ** 2
+
+        ours, theirs = Squared(5), Squared(5)
+        graph = gnp_random_graph(60, 0.3, ours)
+        assert list(graph.edges()) == sorted(_legacy_gnp_edges(60, 0.3, theirs))
+        assert ours.getstate() == theirs.getstate()
+        assert not replays
+
+    def test_loop_sized_graphs_leave_numpy_random_unimported(self):
+        # Below the threshold (G(200, 1/2) is the paper's largest graph)
+        # a build must not pay numpy.random's import.
+        src = str(Path(random_graphs.__file__).parents[2])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys; from random import Random;"
+            "from repro.graphs.random_graphs import gnp_random_graph;"
+            "gnp_random_graph(200, 0.5, Random(1));"
+            "print('numpy.random' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestGnm:

@@ -8,6 +8,8 @@ at any job count, shard width or cache state — returns exactly the
 entirely from the store (zero shards executed).
 """
 
+import ctypes
+import os
 from dataclasses import replace
 
 import pytest
@@ -17,6 +19,7 @@ from repro.beeping.faults import FaultModel
 from repro.engine.rules import FeedbackRule, SweepRule
 from repro.experiments.runner import run_fleet_trials, run_trials
 from repro.graphs.random_graphs import gnp_random_graph
+from repro.sweep import orchestrator
 from repro.sweep.orchestrator import execute_shard, run_sweep
 from repro.sweep.spec import CellSpec, ShardSpec, SweepSpec
 from repro.sweep.store import ResultStore
@@ -567,6 +570,51 @@ class TestGraphMemo:
         args = [
             "sweep", "--sizes", "40", "--trials", "10", "--graphs", "2",
             "--shard-trials", "3", "--csv",
+        ]
+        csvs = []
+        for jobs in ("1", "2"):
+            cache = str(tmp_path / f"jobs{jobs}")
+            assert main(args + ["--jobs", jobs, "--cache-dir", cache]) == 0
+            csvs.append(capsys.readouterr().out)
+        assert csvs[0] == csvs[1] and csvs[0].count("\n") == 3
+
+
+def _worker_blas_threads():
+    getter = orchestrator._openblas_function("get_num_threads")
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    return getter()
+
+
+class TestPoolWorkers:
+    """Pool workers share the cores: each caps OpenBLAS at
+    ``cores // workers`` threads, and the parent keeps its own pool."""
+
+    def test_worker_blas_threads_are_capped(self):
+        if orchestrator._openblas_function("get_num_threads") is None:
+            pytest.skip("no OpenBLAS loaded in this process")
+        parent = _worker_blas_threads()
+        environment = dict(os.environ)
+        workers = 2
+        with orchestrator._worker_pool(workers) as pool:
+            threads = [
+                pool.submit(_worker_blas_threads).result() for _ in range(4)
+            ]
+        cap = max(1, (os.cpu_count() or 1) // workers)
+        assert all(1 <= count <= cap for count in threads), threads
+        assert _worker_blas_threads() == parent
+        assert dict(os.environ) == environment
+
+    def test_replayed_dense_graphs_print_the_same_csv_at_any_jobs(
+        self, capsys, tmp_path
+    ):
+        # G(300, 1/2) takes the numpy skip replay (22,425 expected skips)
+        # and the dense backend's GEMM, in four shards over two workers.
+        from repro.cli import main
+
+        args = [
+            "sweep", "--sizes", "300", "--trials", "8", "--graphs", "2",
+            "--shard-trials", "2", "--csv",
         ]
         csvs = []
         for jobs in ("1", "2"):
