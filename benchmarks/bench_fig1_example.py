@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from benchmarks.conftest import report
 from repro.experiments.figures import figure1_example
-from repro.graphs.io import to_dot
 from repro.graphs.validation import verify_mis
-from repro.viz.graph_render import render_mis_listing
+from repro.viz.graph_render import render_mis_listing, to_dot
 
 
 def test_fig1_regenerate(benchmark):

@@ -29,7 +29,7 @@ from repro.algorithms.afek_global import AfekGlobalMIS, global_schedule
 from repro.algorithms.luby import LubyMIS
 from repro.algorithms.metivier import MetivierMIS
 from repro.algorithms.greedy import SequentialGreedyMIS, greedy_mis
-from repro.algorithms.local_minimum import LocalMinimumIDMIS, adversarial_path_ids
+from repro.algorithms.local_minimum import LocalMinimumIDMIS
 from repro.algorithms.exact import maximum_independent_set
 from repro.algorithms.registry import available_algorithms, make_algorithm
 
@@ -39,7 +39,6 @@ __all__ = [
     "FeedbackMIS",
     "LocalMinimumIDMIS",
     "LubyMIS",
-    "adversarial_path_ids",
     "MISAlgorithm",
     "MISRun",
     "MetivierMIS",

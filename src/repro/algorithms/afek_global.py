@@ -75,9 +75,6 @@ class _GlobalScheduleNode(BeepingNode):
     def observe_first_exchange(self, did_beep: bool, heard_beep: bool) -> None:
         pass
 
-    def describe(self) -> str:
-        return f"GlobalScheduleNode(p={self._probability})"
-
 
 class AfekGlobalMIS(MISAlgorithm):
     """The Science 2011 beeping MIS algorithm (requires n and max degree).

@@ -73,9 +73,6 @@ class SweepScheduleNode(BeepingNode):
     def observe_first_exchange(self, did_beep: bool, heard_beep: bool) -> None:
         pass
 
-    def describe(self) -> str:
-        return f"SweepScheduleNode(p={self._probability})"
-
 
 class AfekSweepMIS(MISAlgorithm):
     """The DISC 2011 sweeping-probability beeping MIS algorithm."""

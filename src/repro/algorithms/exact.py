@@ -99,8 +99,3 @@ def maximum_independent_set(graph: Graph) -> Set[int]:
 
     branch((1 << graph.num_vertices) - 1, 0, 0)
     return set(_bits(best))
-
-
-def independence_number(graph: Graph) -> int:
-    """The size of a maximum independent set (tiny graphs only)."""
-    return len(maximum_independent_set(graph))

@@ -104,13 +104,3 @@ class LocalMinimumIDMIS(MISAlgorithm):
             bits=messages * max(1, (n - 1).bit_length() if n > 1 else 1),
             extra={"ids": ids},
         )
-
-
-def adversarial_path_ids(n: int) -> List[int]:
-    """The worst-case ID assignment for a path: strictly increasing.
-
-    With IDs 0,1,2,…,n-1 along a path, only the current left-most active
-    vertex is ever a local minimum, so the algorithm needs Θ(n) rounds —
-    the canonical separation from the randomized O(log n) algorithms.
-    """
-    return list(range(n))

@@ -101,14 +101,3 @@ class Trace:
     def num_rounds(self) -> int:
         """Number of rounds recorded so far."""
         return len(self.rounds)
-
-    def beeps_of(self, vertex: int) -> List[int]:
-        """The rounds in which ``vertex`` beeped."""
-        return [e.round_index for e in self.rounds if vertex in e.beepers]
-
-    def join_round_of(self, vertex: int) -> Optional[int]:
-        """The round in which ``vertex`` joined the MIS, or ``None``."""
-        for event in self.joins:
-            if event.vertex == vertex:
-                return event.round_index
-        return None

@@ -66,10 +66,3 @@ class SimulationMetrics:
         if self.num_vertices == 0:
             return 0.0
         return self.total_beeps / self.num_vertices
-
-    @property
-    def max_beeps_per_node(self) -> int:
-        """The busiest node's beep count."""
-        if not self.beeps_by_node:
-            return 0
-        return max(self.beeps_by_node)

@@ -34,11 +34,6 @@ class NodeState(enum.Enum):
     IN_MIS = "in_mis"
     RETIRED = "retired"
 
-    @property
-    def is_inactive(self) -> bool:
-        """Whether the node has terminated (joined the MIS or retired)."""
-        return self is not NodeState.ACTIVE
-
 
 class BeepingNode(ABC):
     """Abstract per-node beep-probability policy.
@@ -73,32 +68,3 @@ class BeepingNode(ABC):
         Globally scheduled algorithms (Afek et al.) override this to advance
         their preset probability sequence.
         """
-
-    def describe(self) -> str:
-        """A short human-readable description (used in traces and the CLI)."""
-        return type(self).__name__
-
-
-class FixedProbabilityNode(BeepingNode):
-    """A node that always beeps with the same fixed probability.
-
-    This is not one of the paper's algorithms; it exists as the simplest
-    possible policy for exercising the scheduler in tests, and as the base
-    case of the globally scheduled policies.
-    """
-
-    def __init__(self, probability: float) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(
-                f"probability must be in [0, 1], got {probability}"
-            )
-        self._probability = probability
-
-    def beep_probability(self) -> float:
-        return self._probability
-
-    def observe_first_exchange(self, did_beep: bool, heard_beep: bool) -> None:
-        pass
-
-    def describe(self) -> str:
-        return f"FixedProbabilityNode(p={self._probability})"

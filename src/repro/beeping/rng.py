@@ -25,7 +25,6 @@ Two uniform-stream disciplines build on the derived seeds
 from __future__ import annotations
 
 from random import Random
-from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -396,12 +395,3 @@ class RngStream:
     def child(self, *path: int) -> Random:
         """An independent RNG for the given derivation path."""
         return spawn_rng(self._master_seed, *path)
-
-    def child_seed(self, *path: int) -> int:
-        """The derived 64-bit seed for the given path (for numpy engines)."""
-        return derive_seed(self._master_seed, *path)
-
-    def trial_rngs(self, count: int) -> Iterator[Random]:
-        """RNGs for trials ``0..count-1``, one per trial."""
-        for trial in range(count):
-            yield self.child(trial)

@@ -83,19 +83,6 @@ class SimulationResult:
         """Mean beeps per node (the Figure 5 quantity)."""
         return self.metrics.mean_beeps_per_node
 
-    def bits_per_channel(self) -> float:
-        """Mean bits sent per channel over the whole run.
-
-        Each beep of ``v`` costs one bit on each of ``deg(v)`` channels.
-        """
-        if self.graph.num_edges == 0:
-            return 0.0
-        total_bits = sum(
-            beeps * self.graph.degree(v)
-            for v, beeps in enumerate(self.metrics.beeps_by_node)
-        )
-        return total_bits / self.graph.num_edges
-
     def verify(self) -> Set[int]:
         """Assert the output is an MIS of the surviving graph.
 
@@ -211,10 +198,6 @@ class BeepingSimulation:
             for v in self._graph.vertices()
             if self._states[v] is NodeState.ACTIVE
         ]
-
-    def node(self, vertex: int) -> BeepingNode:
-        """The policy object of ``vertex``."""
-        return self._nodes[vertex]
 
     @property
     def is_terminated(self) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -76,14 +76,6 @@ class NotchDeltaResult:
     def final_delta(self) -> np.ndarray:
         """Delta activity of every cell at the final time."""
         return self.delta[-1]
-
-    def delta_trajectory(self, cell: int) -> np.ndarray:
-        """Delta activity of one cell over time."""
-        return self.delta[:, cell]
-
-    def notch_trajectory(self, cell: int) -> np.ndarray:
-        """Notch activity of one cell over time."""
-        return self.notch[:, cell]
 
 
 class NotchDeltaModel:

@@ -52,9 +52,6 @@ class ExponentFeedbackNode(BeepingNode):
         else:
             self._exponent = max(self._exponent - 1, 1)
 
-    def describe(self) -> str:
-        return f"ExponentFeedbackNode(n={self._exponent})"
-
 
 class FeedbackNode(BeepingNode):
     """Generalised multiplicative feedback (Section 6 robustness form).
@@ -138,9 +135,3 @@ class FeedbackNode(BeepingNode):
                 self._probability * self._increase_factor,
                 self._max_probability,
             )
-
-    def describe(self) -> str:
-        return (
-            f"FeedbackNode(p={self._probability:.6g}, "
-            f"down={self._decrease_factor}, up={self._increase_factor})"
-        )

@@ -139,13 +139,6 @@ class BatchResult:
         """Mean (over trials) of the per-trial mean beeps per node."""
         return float(self.mean_beeps.mean())
 
-    @property
-    def std_beeps_per_node(self) -> float:
-        """Sample standard deviation of per-trial mean beeps per node."""
-        if self.trials < 2:
-            return 0.0
-        return float(self.mean_beeps.std(ddof=1))
-
 
 def run_batch(
     graph: Graph,

@@ -59,12 +59,3 @@ def theorem1_family(side: int, copies: int = 0) -> Graph:
     paper, with ``Θ(n)`` vertices.
     """
     return disjoint_cliques(theorem1_clique_sizes(side, copies))
-
-
-def clique_membership(sizes: Sequence[int]) -> List[int]:
-    """For a :func:`disjoint_cliques` graph, map each vertex to its clique
-    index (in the order the sizes were given)."""
-    membership: List[int] = []
-    for index, size in enumerate(sizes):
-        membership.extend([index] * size)
-    return membership

@@ -265,12 +265,6 @@ class Graph:
             return 0
         return max(self.degrees())
 
-    def min_degree(self) -> int:
-        """The minimum degree, 0 for the empty graph."""
-        if self.num_vertices == 0:
-            return 0
-        return min(self.degrees())
-
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the edge ``{u, v}`` is present."""
         self._check_vertex(u, self.num_vertices)
@@ -284,13 +278,6 @@ class Graph:
         )
         upper = rows < self._indices
         yield from zip(rows[upper].tolist(), self._indices[upper].tolist())
-
-    def density(self) -> float:
-        """Edge density ``m / C(n, 2)``; 0.0 for graphs with < 2 vertices."""
-        n = self.num_vertices
-        if n < 2:
-            return 0.0
-        return self._num_edges / (n * (n - 1) / 2)
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -314,62 +301,6 @@ class Graph:
             if u in index and v in index
         ]
         return Graph(len(index), edges)
-
-    def complement(self) -> "Graph":
-        """The complement graph (quadratic; meant for small graphs)."""
-        n = self.num_vertices
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if v not in self.neighbor_set(u)
-        ]
-        return Graph(n, edges)
-
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        """The disjoint union; ``other``'s vertices are shifted by ``n``."""
-        offset = self.num_vertices
-        edges = list(self.edges())
-        edges.extend((u + offset, v + offset) for u, v in other.edges())
-        return Graph(offset + other.num_vertices, edges)
-
-    def relabel(self, permutation: Sequence[int]) -> "Graph":
-        """Apply a vertex permutation: new graph has edge (p[u], p[v])."""
-        n = self.num_vertices
-        if sorted(permutation) != list(range(n)):
-            raise ValueError("permutation must be a bijection on 0..n-1")
-        return Graph(n, [(permutation[u], permutation[v]) for u, v in self.edges()])
-
-    # ------------------------------------------------------------------
-    # Connectivity
-    # ------------------------------------------------------------------
-
-    def connected_components(self) -> List[List[int]]:
-        """Connected components as sorted vertex lists, in discovery order."""
-        adjacency = self._neighbor_tuples()
-        seen = [False] * self.num_vertices
-        components: List[List[int]] = []
-        for root in self.vertices():
-            if seen[root]:
-                continue
-            stack = [root]
-            seen[root] = True
-            component = []
-            while stack:
-                u = stack.pop()
-                component.append(u)
-                for w in adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            components.append(sorted(component))
-        return components
-
-    def is_connected(self) -> bool:
-        """Whether the graph is connected (the empty graph counts as connected)."""
-        if self.num_vertices == 0:
-            return True
-        return len(self.connected_components()) == 1
 
     # ------------------------------------------------------------------
     # Matrix view
@@ -462,11 +393,6 @@ class GraphBuilder:
         for i, u in enumerate(vertices):
             for v in vertices[i + 1:]:
                 self.add_edge(u, v)
-
-    def add_path(self, vertices: Sequence[int]) -> None:
-        """Add consecutive edges along ``vertices``."""
-        for u, v in zip(vertices, vertices[1:]):
-            self.add_edge(u, v)
 
     def build(self) -> Graph:
         """Freeze the builder into an immutable :class:`Graph`."""

@@ -19,7 +19,7 @@ from typing import List, Union
 
 import numpy as np
 
-from repro.graphs.graph import Graph, GraphBuilder, _from_csr, _from_edge_arrays
+from repro.graphs.graph import Graph, _from_csr, _from_edge_arrays
 
 
 def _require_probability(p: float) -> None:
@@ -211,41 +211,6 @@ def _lower_triangle_graph(
     return _from_csr(indptr, indices)
 
 
-def gnm_random_graph(n: int, m: int, rng: Random) -> Graph:
-    """A uniformly random graph with exactly ``n`` vertices and ``m`` edges."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    max_edges = n * (n - 1) // 2
-    if not 0 <= m <= max_edges:
-        raise ValueError(
-            f"m must be in [0, {max_edges}] for n={n}, got {m}"
-        )
-    chosen = set()
-    while len(chosen) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            chosen.add((u, v) if u < v else (v, u))
-    return Graph(n, sorted(chosen))
-
-
-def random_bipartite_graph(
-    left: int, right: int, p: float, rng: Random
-) -> Graph:
-    """A random bipartite graph: parts ``0..left-1`` and ``left..left+right-1``,
-    each cross edge present independently with probability ``p``."""
-    if left < 0 or right < 0:
-        raise ValueError("part sizes must be >= 0")
-    _require_probability(p)
-    edges = [
-        (u, left + v)
-        for u in range(left)
-        for v in range(right)
-        if rng.random() < p
-    ]
-    return Graph(left + right, edges)
-
-
 def random_geometric_graph(
     n: int,
     radius: float,
@@ -293,69 +258,6 @@ def random_geometric_graph(
     return graph
 
 
-def random_tree(n: int, rng: Random) -> Graph:
-    """A uniformly random labelled tree on ``n`` vertices (Prüfer decoding)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n <= 1:
-        return Graph(n)
-    if n == 2:
-        return Graph(2, [(0, 1)])
-    sequence = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for v in sequence:
-        degree[v] += 1
-    edges = []
-    # Standard Prüfer decoding with a pointer + leaf variable.
-    pointer = 0
-    while degree[pointer] != 1:
-        pointer += 1
-    leaf = pointer
-    for v in sequence:
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1 and v < pointer:
-            leaf = v
-        else:
-            pointer += 1
-            while degree[pointer] != 1:
-                pointer += 1
-            leaf = pointer
-    edges.append((leaf, n - 1))
-    return Graph(n, edges)
-
-
-def barabasi_albert_graph(n: int, attachments: int, rng: Random) -> Graph:
-    """A preferential-attachment (Barabási–Albert) graph.
-
-    Starts from a star on ``attachments + 1`` vertices; each subsequent
-    vertex attaches to ``attachments`` distinct existing vertices chosen
-    with probability proportional to their degree.  Models the heavy-tailed
-    contact networks where adaptive probabilities matter most (hubs hear
-    beeps constantly, leaves rarely).
-    """
-    if attachments < 1:
-        raise ValueError(f"attachments must be >= 1, got {attachments}")
-    if n < attachments + 1:
-        raise ValueError(
-            f"n must be >= attachments + 1 = {attachments + 1}, got {n}"
-        )
-    builder = GraphBuilder(n)
-    # Seed star: vertex 0 connected to 1..attachments.
-    repeated: List[int] = []
-    for v in range(1, attachments + 1):
-        builder.add_edge(0, v)
-        repeated.extend((0, v))
-    for v in range(attachments + 1, n):
-        targets = set()
-        while len(targets) < attachments:
-            targets.add(repeated[rng.randrange(len(repeated))])
-        for target in sorted(targets):
-            builder.add_edge(v, target)
-            repeated.extend((v, target))
-    return builder.build()
-
-
 def watts_strogatz_graph(
     n: int, nearest: int, rewire_probability: float, rng: Random
 ) -> Graph:
@@ -390,34 +292,3 @@ def watts_strogatz_graph(
         else:
             rewired.add((u, v))
     return Graph(n, sorted(rewired))
-
-
-def planted_independent_set_graph(
-    n: int,
-    planted_size: int,
-    p: float,
-    rng: Random,
-    return_planted: bool = False,
-):
-    """``G(n, p)`` conditioned on vertices ``0..planted_size-1`` being
-    independent (edges inside the planted set are simply removed).
-
-    Useful for tests that need a graph with a known large independent set.
-    When ``return_planted`` is true, returns ``(graph, planted_vertices)``.
-    """
-    if not 0 <= planted_size <= n:
-        raise ValueError(
-            f"planted_size must be in [0, {n}], got {planted_size}"
-        )
-    _require_probability(p)
-    builder = GraphBuilder(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if v < planted_size:
-                continue
-            if rng.random() < p:
-                builder.add_edge(u, v)
-    graph = builder.build()
-    if return_planted:
-        return graph, list(range(planted_size))
-    return graph

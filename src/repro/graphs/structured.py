@@ -2,9 +2,9 @@
 
 These are the non-random workloads used in the paper (rectangular grids for
 the Figure 5 "beeps per node" claim) plus the standard families every graph
-library ships, which the tests use as known-answer fixtures (cliques, paths,
-cycles, stars, hypercubes, bipartite graphs) and the biology substrate
-depends on (hexagonal lattices of cells).
+library ships, which the tests use as known-answer fixtures (the edgeless
+graph, cliques, paths, cycles, stars) and the biology substrate depends on
+(hexagonal lattices of cells).
 """
 
 from __future__ import annotations
@@ -47,14 +47,6 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, leaf) for leaf in range(1, leaves + 1)])
 
 
-def complete_bipartite_graph(left: int, right: int) -> Graph:
-    """``K_{left,right}``; left part is ``0..left-1``."""
-    if left < 0 or right < 0:
-        raise ValueError("part sizes must be >= 0")
-    edges = [(u, left + v) for u in range(left) for v in range(right)]
-    return Graph(left + right, edges)
-
-
 def grid_graph(rows: int, cols: int) -> Graph:
     """The ``rows x cols`` rectangular grid (4-neighbour lattice).
 
@@ -72,40 +64,6 @@ def grid_graph(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 edges.append((v, v + cols))
     return Graph(rows * cols, edges)
-
-
-def torus_grid_graph(rows: int, cols: int) -> Graph:
-    """The ``rows x cols`` grid with wrap-around edges (a discrete torus).
-
-    Requires both dimensions >= 3 so that wrap-around edges are simple.
-    """
-    if rows == 0 or cols == 0:
-        return Graph(0)
-    if rows < 3 or cols < 3:
-        raise ValueError("torus dimensions must both be >= 3")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            right = r * cols + (c + 1) % cols
-            down = ((r + 1) % rows) * cols + c
-            edges.append((v, right))
-            edges.append((v, down))
-    return Graph(rows * cols, edges)
-
-
-def hypercube_graph(dimension: int) -> Graph:
-    """The ``dimension``-dimensional hypercube ``Q_d`` on ``2^d`` vertices."""
-    if dimension < 0:
-        raise ValueError("dimension must be >= 0")
-    n = 1 << dimension
-    edges = [
-        (v, v ^ (1 << bit))
-        for v in range(n)
-        for bit in range(dimension)
-        if v < v ^ (1 << bit)
-    ]
-    return Graph(n, edges)
 
 
 def hex_lattice_graph(

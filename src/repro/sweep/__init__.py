@@ -7,7 +7,7 @@ Three layers (see ``docs/sweep.md`` for the full picture):
   has a stable content hash over exactly what determines its rows.
 - :mod:`~repro.sweep.store` — :class:`ResultStore`, an on-disk cache
   mapping shard hash → JSONL of trial rows plus a provenance manifest,
-  with atomic writes and a ``get_or_run`` resume path.
+  with atomic writes; a hit is what lets a rerun resume.
 - :mod:`~repro.sweep.orchestrator` — :func:`run_sweep`, which executes
   cache-missing shards on a process pool (each worker driving the fleet
   or reference engine) and assembles rows bit-identical to the
@@ -32,7 +32,6 @@ from repro.sweep.rundb import (
     RunDB,
     RunRecord,
     fingerprint_hash,
-    sweep_spec_hash,
 )
 from repro.sweep.spec import (
     FLEET_RULES,
@@ -66,5 +65,4 @@ __all__ = [
     "outcome_value",
     "run_sweep",
     "summarize",
-    "sweep_spec_hash",
 ]

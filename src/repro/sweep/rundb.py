@@ -29,27 +29,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.sweep.spec import SPEC_FORMAT_VERSION, SweepSpec, canonical_json
+from repro.sweep.spec import canonical_json
 from repro.sweep.store import DAMAGE_ERRORS
+from repro.telemetry.ledger import finite_float
 
 PathLike = Union[str, Path]
 
 #: Bump when the record schema changes incompatibly (every record and
 #: the summary index carry it).
 RUNDB_FORMAT_VERSION = 1
-
-
-def sweep_spec_hash(spec: SweepSpec) -> str:
-    """sha256 over a sweep's execution fingerprints (order-sensitive).
-
-    Shard width is excluded — like the store's shard hashes, the key must
-    not split when only the partition of ``[0, trials)`` changes.
-    """
-    payload = {
-        "format": SPEC_FORMAT_VERSION,
-        "cells": [cell.execution_fingerprint() for cell in spec.cells],
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def fingerprint_hash(payload: Any) -> str:
@@ -115,7 +103,19 @@ class RunRecord:
 
     @staticmethod
     def from_dict(payload: Dict[str, Any]) -> "RunRecord":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        ``elapsed_seconds`` and ``created`` must be finite numbers, and
+        ``extra`` must hold no infinity or NaN, else ``ValueError``:
+        ``repro stats --json`` prints strict JSON, so such a line is damage
+        like a torn one.
+        """
+        elapsed_seconds = finite_float(payload.get("elapsed_seconds", 0.0))
+        created = finite_float(payload.get("created", 0.0))
+        if elapsed_seconds is None or created is None:
+            raise ValueError("elapsed_seconds and created must be finite")
+        extra = dict(payload.get("extra", {}))
+        json.dumps(extra, allow_nan=False)
         return RunRecord(
             run_id=str(payload["run_id"]),
             experiment=str(payload["experiment"]),
@@ -124,11 +124,11 @@ class RunRecord:
             shards_total=int(payload.get("shards_total", 0)),
             shards_executed=int(payload.get("shards_executed", 0)),
             shards_cached=int(payload.get("shards_cached", 0)),
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
+            elapsed_seconds=elapsed_seconds,
             drift=str(payload.get("drift", "MISSING")),
             csv_sha256=str(payload.get("csv_sha256", "")),
-            created=float(payload.get("created", 0.0)),
-            extra=dict(payload.get("extra", {})),
+            created=created,
+            extra=extra,
         )
 
 
@@ -181,22 +181,6 @@ class RunDB:
             except DAMAGE_ERRORS:
                 continue
         return records
-
-    def runs_for(self, spec_hash: str) -> List[RunRecord]:
-        """All records keyed by ``spec_hash`` (prefix match allowed)."""
-        return [
-            record
-            for record in self.records()
-            if record.spec_hash.startswith(spec_hash)
-        ]
-
-    def latest(self, experiment: str) -> Optional[RunRecord]:
-        """The most recent record of one experiment, or ``None``."""
-        found = None
-        for record in self.records():
-            if record.experiment == experiment:
-                found = record
-        return found
 
     def index(self) -> Dict[str, Any]:
         """Per-experiment summary of the records: run count and the last

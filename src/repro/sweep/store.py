@@ -14,8 +14,8 @@ complete rows; readers treat anything inconsistent — missing files,
 unparsable lines, non-integer counts, a non-finite mean, trials outside
 the shard's window or out of order, row-count or version mismatches,
 rows whose text no longer matches the manifest's sha256 — as a cache
-miss, and the next :meth:`ResultStore.get_or_run` simply
-recomputes and rewrites it.
+miss, and the orchestrator simply recomputes the shard and
+:meth:`ResultStore.put` rewrites it.
 
 Invalidation is purely key-driven: results never expire, they are orphaned
 when their key changes (spec format version bump, changed seed discipline,
@@ -34,7 +34,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.experiments.runner import TrialOutcome
 from repro.sweep.spec import ShardSpec
@@ -263,21 +263,3 @@ class ResultStore:
             json.dumps(manifest.to_dict(), indent=2, sort_keys=True),
         )
         return manifest
-
-    def get_or_run(
-        self,
-        shard: ShardSpec,
-        runner: Callable[[ShardSpec], List[TrialOutcome]],
-    ) -> Tuple[List[TrialOutcome], bool]:
-        """Rows for the shard, resuming from disk when possible.
-
-        Returns ``(rows, from_cache)``; on a miss ``runner`` executes the
-        shard and its rows are stored before returning.
-        """
-        cached = self.get(shard)
-        if cached is not None:
-            return cached, True
-        start = time.perf_counter()
-        rows = runner(shard)
-        self.put(shard, rows, elapsed_seconds=time.perf_counter() - start)
-        return rows, False

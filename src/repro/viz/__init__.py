@@ -7,15 +7,13 @@ series, reference curves included).
 """
 
 from repro.viz.animation import render_animation, render_frame
-from repro.viz.ascii_plots import AsciiPlot, plot_experiment, plot_series
-from repro.viz.graph_render import render_adjacency, render_grid_mis, render_mis_listing
+from repro.viz.ascii_plots import AsciiPlot, plot_experiment
+from repro.viz.graph_render import render_grid_mis, render_mis_listing
 from repro.viz.svg_plots import svg_line_plot
 
 __all__ = [
     "AsciiPlot",
     "plot_experiment",
-    "plot_series",
-    "render_adjacency",
     "render_animation",
     "render_frame",
     "render_grid_mis",

@@ -7,7 +7,7 @@ the log-vs-log² separation of Figure 3 in a terminal.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.experiments.records import ExperimentResult
 
@@ -95,20 +95,6 @@ class AsciiPlot:
         )
         lines.append("legend: " + legend)
         return "\n".join(lines)
-
-
-def plot_series(
-    series: Dict[str, Tuple[Sequence[float], Sequence[float]]],
-    width: int = 72,
-    height: int = 20,
-    x_label: str = "n",
-    y_label: str = "y",
-) -> str:
-    """Plot a mapping of ``name -> (xs, ys)``."""
-    plot = AsciiPlot(width=width, height=height, x_label=x_label, y_label=y_label)
-    for name, (xs, ys) in series.items():
-        plot.add_series(name, xs, ys)
-    return plot.render()
 
 
 def plot_experiment(

@@ -2,12 +2,12 @@
 
 Three small renderers:
 
-- :func:`render_adjacency` — the adjacency matrix as a character grid
-  (readable up to a few dozen vertices);
 - :func:`render_grid_mis` — a grid graph with MIS membership marked, the
   closest terminal analogue of Figure 1's node colouring;
 - :func:`render_mis_listing` — a vertex-by-vertex listing with MIS and
-  coverage annotations.
+  coverage annotations;
+- :func:`to_dot` — Graphviz DOT text with the MIS filled, for drawing
+  Figure 1 outside the terminal.
 """
 
 from __future__ import annotations
@@ -15,27 +15,6 @@ from __future__ import annotations
 from typing import Iterable, Set
 
 from repro.graphs.graph import Graph
-
-
-def render_adjacency(graph: Graph, mis: Iterable[int] = ()) -> str:
-    """The adjacency matrix; MIS rows/columns are marked with ``*``.
-
-    ``#`` marks an edge, ``.`` a non-edge.
-    """
-    mis_set = set(mis)
-    n = graph.num_vertices
-    header_cells = [
-        ("*" if v in mis_set else " ") + str(v % 10) for v in range(n)
-    ]
-    lines = ["    " + " ".join(header_cells)]
-    for u in range(n):
-        mark = "*" if u in mis_set else " "
-        row = " ".join(
-            " #" if graph.has_edge(u, v) else " ." if u != v else "  "
-            for v in range(n)
-        )
-        lines.append(f"{mark}{u:2d}  {row}")
-    return "\n".join(lines)
 
 
 def render_grid_mis(rows: int, cols: int, mis: Iterable[int]) -> str:
@@ -69,3 +48,29 @@ def render_mis_listing(graph: Graph, mis: Iterable[int]) -> str:
             f"v{v:<4d} deg={graph.degree(v):<4d} {role}"
         )
     return "\n".join(lines)
+
+
+def to_dot(
+    graph: Graph,
+    highlighted: Iterable[int] = (),
+    name: str = "G",
+) -> str:
+    """Render a graph in Graphviz DOT format.
+
+    ``highlighted`` vertices (typically an MIS) are filled; everything else
+    is drawn plain.  The output is deterministic.
+    """
+    highlighted_set: Set[int] = set(highlighted)
+    lines = [f"graph {name} {{"]
+    lines.append("  node [shape=circle];")
+    for v in graph.vertices():
+        if v in highlighted_set:
+            lines.append(
+                f'  {v} [style=filled, fillcolor="black", fontcolor="white"];'
+            )
+        else:
+            lines.append(f"  {v};")
+    for u, v in graph.edges():
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

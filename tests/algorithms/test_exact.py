@@ -6,19 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.exact import (
-    MAX_EXACT_VERTICES,
-    independence_number,
-    maximum_independent_set,
-)
+from repro.algorithms.exact import MAX_EXACT_VERTICES, maximum_independent_set
 from repro.graphs.cliques import disjoint_cliques, theorem1_clique_sizes
 from repro.graphs.graph import Graph
-from repro.graphs.random_graphs import gnp_random_graph, planted_independent_set_graph
+from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import (
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
+    grid_graph,
     path_graph,
     star_graph,
 )
@@ -30,25 +26,28 @@ class TestKnownAnswers:
         assert maximum_independent_set(empty_graph(5)) == {0, 1, 2, 3, 4}
 
     def test_complete_graph(self):
-        assert independence_number(complete_graph(8)) == 1
+        assert len(maximum_independent_set(complete_graph(8))) == 1
 
     @pytest.mark.parametrize("n,alpha", [(2, 1), (4, 2), (5, 3), (9, 5)])
     def test_paths(self, n, alpha):
-        assert independence_number(path_graph(n)) == alpha
+        assert len(maximum_independent_set(path_graph(n))) == alpha
 
     @pytest.mark.parametrize("n,alpha", [(3, 1), (4, 2), (5, 2), (8, 4), (9, 4)])
     def test_cycles(self, n, alpha):
-        assert independence_number(cycle_graph(n)) == alpha
+        assert len(maximum_independent_set(cycle_graph(n))) == alpha
 
     def test_star(self):
-        assert independence_number(star_graph(9)) == 9
+        assert len(maximum_independent_set(star_graph(9))) == 9
 
-    def test_complete_bipartite(self):
-        assert independence_number(complete_bipartite_graph(4, 7)) == 7
+    def test_grid(self):
+        # The 3 x 4 grid is bipartite with two colour classes of 6.
+        assert len(maximum_independent_set(grid_graph(3, 4))) == 6
 
     def test_planted_set_found(self):
-        graph = planted_independent_set_graph(24, 9, 0.7, Random(1))
-        assert independence_number(graph) >= 9
+        # G(24, 0.7) with every edge inside vertices 0..8 removed.
+        dense = gnp_random_graph(24, 0.7, Random(1))
+        graph = Graph(24, [(u, v) for u, v in dense.edges() if v >= 9])
+        assert len(maximum_independent_set(graph)) >= 9
 
     def test_petersen_graph(self):
         # The Petersen graph has independence number 4.
@@ -56,7 +55,7 @@ class TestKnownAnswers:
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, i + 5) for i in range(5)]
         petersen = Graph(10, outer + inner + spokes)
-        assert independence_number(petersen) == 4
+        assert len(maximum_independent_set(petersen)) == 4
 
 
 class TestValidity:
@@ -182,6 +181,5 @@ class TestFrozenSetOracle:
     @settings(max_examples=100, deadline=None)
     @given(small_graphs(max_n=12))
     def test_independence_number_matches_brute_force(self, graph):
-        assert independence_number(graph) == brute_force_independence_number(
-            graph
-        )
+        alpha = brute_force_independence_number(graph)
+        assert len(maximum_independent_set(graph)) == alpha

@@ -6,12 +6,19 @@ from random import Random
 import pytest
 
 from repro.algorithms.feedback import FeedbackMIS
-from repro.algorithms.local_minimum import (
-    LocalMinimumIDMIS,
-    adversarial_path_ids,
-)
+from repro.algorithms.local_minimum import LocalMinimumIDMIS
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import complete_graph, empty_graph, path_graph
+
+
+def adversarial_path_ids(n):
+    """The worst-case ID assignment for a path: strictly increasing.
+
+    With IDs 0,1,2,…,n-1 along a path, only the current left-most active
+    vertex is ever a local minimum, so the algorithm needs Θ(n) rounds —
+    the canonical separation from the randomized O(log n) algorithms.
+    """
+    return list(range(n))
 
 
 class TestCorrectness:

@@ -57,6 +57,15 @@ class TestMISRun:
         with pytest.raises(MISValidationError):
             self._run({0, 1}).verify()
 
+    def test_unrecovered_run_is_checked_for_independence_only(self):
+        # A round cap cut the repair short: {0} covers nothing past 1.
+        run = self._run({0})
+        run.recovered = False
+        assert run.verify() == {0}
+        run.mis = {0, 1}
+        with pytest.raises(AssertionError, match="edge \\(0, 1\\)"):
+            run.verify()
+
     def test_mis_size(self):
         assert self._run({1, 3}).mis_size == 2
 

@@ -9,10 +9,10 @@ from repro.algorithms.luby import LubyMIS
 from repro.applications.coloring import mis_coloring, verify_coloring
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import (
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
+    grid_graph,
     path_graph,
 )
 
@@ -49,7 +49,7 @@ class TestMisColoring:
         assert result.num_colors in (2, 3)  # <= max_degree + 1 = 3
 
     def test_bipartite_within_bound(self):
-        graph = complete_bipartite_graph(4, 6)
+        graph = grid_graph(4, 6)
         result = mis_coloring(graph, Random(4))
         assert result.num_colors <= graph.max_degree() + 1
 

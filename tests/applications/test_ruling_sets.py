@@ -11,7 +11,7 @@ from repro.applications.ruling_sets import (
     verify_ruling_set,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.random_graphs import gnp_random_graph, random_tree
+from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import (
     complete_graph,
     cycle_graph,
@@ -89,7 +89,7 @@ class TestRulingSet:
         verify_ruling_set(graph, chosen, 3, 2)
 
     def test_tree_ruling(self):
-        tree = random_tree(40, Random(5))
+        tree = path_graph(40)
         chosen = ruling_set(tree, 4, Random(6))
         verify_ruling_set(tree, chosen, 4, 3)
 

@@ -35,22 +35,6 @@ class TestTrace:
             (0, 5),
         ]
 
-    def test_join_round_of(self):
-        trace = Trace()
-        trace.append_round(_round(0))
-        trace.append_round(_round(1, joined={7}))
-        assert trace.join_round_of(7) == 1
-        assert trace.join_round_of(3) is None
-
-    def test_beeps_of(self):
-        trace = Trace()
-        trace.append_round(_round(0, beepers={1}))
-        trace.append_round(_round(1, beepers={1, 2}))
-        trace.append_round(_round(2, beepers={2}))
-        assert trace.beeps_of(1) == [0, 1]
-        assert trace.beeps_of(2) == [1, 2]
-        assert trace.beeps_of(9) == []
-
     def test_retirements(self):
         trace = Trace()
         trace.append_retirement(4, vertex=3, cause=8)

@@ -26,7 +26,6 @@ class TestSimulationMetrics:
         assert metrics.num_rounds == 0
         assert metrics.total_beeps == 0
         assert metrics.mean_beeps_per_node == 0.0
-        assert metrics.max_beeps_per_node == 0
 
     def test_record_beeps(self):
         metrics = SimulationMetrics(3)
@@ -35,7 +34,6 @@ class TestSimulationMetrics:
         assert metrics.beeps_by_node == [1, 0, 2]
         assert metrics.total_beeps == 3
         assert metrics.mean_beeps_per_node == 1.0
-        assert metrics.max_beeps_per_node == 2
 
     def test_record_rounds(self):
         metrics = SimulationMetrics(2)

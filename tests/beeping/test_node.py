@@ -2,17 +2,11 @@
 
 import pytest
 
-from repro.beeping.node import BeepingNode, FixedProbabilityNode, NodeState
+from repro.beeping.node import BeepingNode, NodeState
+from tests.beeping.doubles import FixedProbabilityNode
 
 
 class TestNodeState:
-    def test_active_is_not_inactive(self):
-        assert not NodeState.ACTIVE.is_inactive
-
-    def test_terminal_states_inactive(self):
-        assert NodeState.IN_MIS.is_inactive
-        assert NodeState.RETIRED.is_inactive
-
     def test_values_stable(self):
         assert NodeState.ACTIVE.value == "active"
         assert NodeState.IN_MIS.value == "in_mis"
@@ -39,9 +33,6 @@ class TestFixedProbabilityNode:
     def test_extremes_allowed(self):
         assert FixedProbabilityNode(0.0).beep_probability() == 0.0
         assert FixedProbabilityNode(1.0).beep_probability() == 1.0
-
-    def test_describe(self):
-        assert "0.25" in FixedProbabilityNode(0.25).describe()
 
     def test_default_round_start_is_noop(self):
         node = FixedProbabilityNode(0.5)

@@ -332,17 +332,6 @@ class TestRngStream:
         stream = RngStream(11)
         assert stream.child(4).random() == RngStream(11).child(4).random()
 
-    def test_child_seed_matches_derive(self):
-        stream = RngStream(11)
-        assert stream.child_seed(2, 3) == derive_seed(11, 2, 3)
-
-    def test_trial_rngs_count(self):
-        stream = RngStream(5)
-        rngs = list(stream.trial_rngs(7))
-        assert len(rngs) == 7
-        values = [r.random() for r in rngs]
-        assert len(set(values)) == 7
-
     def test_master_seed_masked(self):
         stream = RngStream(2**70 + 3)
         assert stream.master_seed == (2**70 + 3) % 2**64

@@ -1,5 +1,6 @@
 """Unit and property tests for the beeping round scheduler."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.beeping.events import Trace
-from repro.beeping.node import BeepingNode, FixedProbabilityNode, NodeState
+from repro.beeping.node import BeepingNode, NodeState
 from repro.beeping.scheduler import BeepingSimulation, TerminationError
 from repro.core.policy import ExponentFeedbackNode
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import complete_graph, empty_graph, path_graph
+from repro.graphs.validation import MISValidationError
+from tests.beeping.doubles import FixedProbabilityNode
 
 
 def feedback_factory(vertex):
@@ -148,20 +151,6 @@ class TestResultAccounting:
         assert total_inactive == random50.num_vertices
         assert metrics.total_beeps == sum(metrics.beeps_by_node)
 
-    def test_bits_per_channel(self):
-        def factory(vertex):
-            return FixedProbabilityNode(1.0 if vertex == 0 else 0.0)
-
-        graph = Graph(3, [(0, 1), (0, 2)])
-        sim = BeepingSimulation(graph, factory, Random(1))
-        result = sim.run()
-        # One beep by vertex 0 over 2 channels / 2 edges = 1 bit/channel.
-        assert result.bits_per_channel() == pytest.approx(1.0)
-
-    def test_bits_per_channel_empty(self):
-        sim = BeepingSimulation(empty_graph(2), feedback_factory, Random(1))
-        assert sim.run().bits_per_channel() == 0.0
-
     def test_mean_beeps(self, random50):
         result = BeepingSimulation(
             random50, feedback_factory, Random(6)
@@ -169,6 +158,28 @@ class TestResultAccounting:
         assert result.mean_beeps_per_node == pytest.approx(
             result.metrics.total_beeps / 50
         )
+
+
+class TestResultVerification:
+    """``SimulationResult.verify`` names the first way an output fails."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"mis": {0, 2}, "crashed": {0}}, "crashed vertex 0"),
+            ({"mis": {0, 2}, "absent": {2}}, "absent vertex 2"),
+            ({"mis": {0, 1}}, "not independent"),
+            ({"mis": {0}}, "vertex 2 is uncovered"),
+        ],
+    )
+    def test_invalid_output_rejected(self, p4, changes, message):
+        result = BeepingSimulation(p4, feedback_factory, Random(1)).run()
+        with pytest.raises(MISValidationError, match=message):
+            replace(result, **changes).verify()
+
+    def test_unrecovered_run_is_only_checked_for_independence(self, p4):
+        result = BeepingSimulation(p4, feedback_factory, Random(1)).run()
+        assert replace(result, mis={0}, recovered=False).verify() == {0}
 
 
 class TestDeterminism:
@@ -210,7 +221,8 @@ class TestTraceRecording:
             random50, feedback_factory, Random(8), trace=trace
         ).run()
         for v in random50.vertices():
-            assert len(trace.beeps_of(v)) == result.metrics.beeps_by_node[v]
+            beeps = sum(v in event.beepers for event in trace.rounds)
+            assert beeps == result.metrics.beeps_by_node[v]
 
     def test_retirement_causes_are_joined_neighbors(self, random50):
         trace = Trace()
@@ -229,10 +241,6 @@ class TestStepwiseExecution:
         assert sim.round_index == 0
         sim.step()
         assert sim.round_index == 1
-
-    def test_node_accessor(self, p4):
-        sim = BeepingSimulation(p4, feedback_factory, Random(1))
-        assert isinstance(sim.node(2), ExponentFeedbackNode)
 
     def test_is_terminated_flag(self):
         sim = BeepingSimulation(empty_graph(1), feedback_factory, Random(1))

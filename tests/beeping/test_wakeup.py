@@ -36,6 +36,13 @@ class TestConstruction:
                 path_graph(2), feedback_factory, [0, -1], Random(1)
             )
 
+    def test_vertexless_graph_runs_with_zero_mean_beeps(self):
+        result = WakeupSimulation(
+            empty_graph(0), feedback_factory, [], Random(1)
+        ).run()
+        assert result.mis == set()
+        assert result.mean_beeps_per_node == 0.0
+
     def test_random_schedule_bounds(self):
         schedule = random_wake_schedule(100, 7, Random(1))
         assert len(schedule) == 100

@@ -74,10 +74,10 @@ class TestTwoCellDemo:
         result = two_cell_demo()
         assert result.times.shape[0] == result.delta.shape[0]
         assert result.delta.shape[1] == 2
-        trajectory = result.delta_trajectory(1)
+        trajectory = result.delta[:, 1]
         assert trajectory[0] == pytest.approx(0.51, abs=0.01)
         assert trajectory[-1] > 0.9
-        assert result.notch_trajectory(0)[-1] > 0.9
+        assert result.notch[-1, 0] > 0.9
 
 
 class TestLatticeModel:

@@ -167,4 +167,5 @@ class TestPotentialTracker:
         tracker = PotentialTracker(graph, trace)
         winner = next(iter(result.mis))
         series = tracker.neighborhood_series(winner)
-        assert len(series) == trace.join_round_of(winner) + 1
+        joined = next(e.round_index for e in trace.joins if e.vertex == winner)
+        assert len(series) == joined + 1

@@ -51,9 +51,6 @@ class TestExponentFeedbackNode:
         b.observe_first_exchange(did_beep=False, heard_beep=True)
         assert a.exponent == b.exponent
 
-    def test_describe(self):
-        assert "n=1" in ExponentFeedbackNode().describe()
-
 
 class TestFeedbackNode:
     def test_defaults_match_exponent_policy(self):
@@ -105,7 +102,3 @@ class TestFeedbackNode:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FeedbackNode(**kwargs)
-
-    def test_describe_mentions_factors(self):
-        text = FeedbackNode(decrease_factor=0.4).describe()
-        assert "down=0.4" in text

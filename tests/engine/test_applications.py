@@ -37,6 +37,7 @@ from repro.engine.applications import (
     line_graph_arrays,
 )
 from repro.engine.batch import run_batch
+from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import empty_graph, grid_graph, star_graph
 
@@ -195,7 +196,10 @@ class TestBitEquality:
                 list(reversed(range(16))),
                 [(v * 7 + 3) % 16 for v in range(16)],
             ]
-            graphs = [base.relabel(p) for p in permutations]
+            graphs = [
+                Graph(16, [(p[u], p[v]) for u, v in base.edges()])
+                for p in permutations
+            ]
         else:
             graphs = [
                 gnp_random_graph(16, 0.3, Random(700 + g)) for g in range(3)

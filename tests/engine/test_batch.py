@@ -37,7 +37,6 @@ class TestRunBatch:
     def test_single_trial_std_zero(self, random50):
         batch = run_batch(random50, FeedbackRule, 1, master_seed=6)
         assert batch.std_rounds == 0.0
-        assert batch.std_beeps_per_node == 0.0
 
     def test_trials_validation(self, random50):
         with pytest.raises(ValueError):

@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.beeping.faults import ChurnSchedule, CrashSchedule, FaultModel
+from repro.beeping.scheduler import BeepingSimulation
+from repro.core.policy import ExponentFeedbackNode
 from repro.beeping.rng import RNG_MODES
 from repro.engine.fleet import ArmadaSimulator, FleetSimulator
 from repro.engine.rules import FeedbackRule
@@ -251,3 +253,42 @@ def test_every_engine_repairs_to_valid_mis(case):
                 assert run.repair_rounds == baseline.repair_rounds
         universe = schedule.universe_graph(graph)
         verify_mis(universe, baseline.mis, absent=baseline.absent)
+
+
+def reference_run(graph, faults, seed):
+    """The per-node reference engine's run of the paper's algorithm."""
+    return BeepingSimulation(
+        graph, lambda vertex: ExponentFeedbackNode(), Random(seed),
+        faults=faults,
+    ).run()
+
+
+class TestReferenceChurn:
+    """The per-node reference applies the same churn contract."""
+
+    def test_repairs_to_valid_mis_of_the_alive_subgraph(self):
+        result = reference_run(churn_graph(), CHURN_FAULTS, 7701)
+        result.verify()
+        # 0, 1 and the joiner 20 left; 5 slept and woke again.
+        assert result.absent == {0, 1, 20}
+        # The joiner 21 declared no neighbours, so it must join.
+        assert 21 in result.mis
+        assert result.recovered
+        assert len(result.repair_rounds) == len(
+            CHURN_FAULTS.churn_schedule.event_rounds()
+        )
+
+
+@given(case=churn_cases())
+@settings(max_examples=25, deadline=None)
+def test_reference_repairs_to_valid_mis(case):
+    """Property: under any coherent churn timeline the reference ends on a
+    valid MIS of the surviving universe subgraph."""
+    n, p, graph_seed, run_seed, schedule = case
+    graph = gnp_random_graph(n, p, Random(graph_seed))
+    result = reference_run(graph, FaultModel(churn_schedule=schedule), run_seed)
+    result.verify()
+    verify_mis(
+        schedule.universe_graph(graph), result.mis, absent=result.absent
+    )
+

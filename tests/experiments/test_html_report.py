@@ -1,6 +1,7 @@
 """Property tests for the self-contained HTML report renderer."""
 
 from html.parser import HTMLParser
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,19 @@ class TestRenderedDocument:
             [figure], provenance={"python": "3"}, drift_rows=[("e", "PASS", "ok")]
         )
         assert render() == render()
+
+    def test_bench_rows_render_as_a_table(self):
+        rows = [
+            SimpleNamespace(name="fleet", speedup=6.0, floor=3.0, headroom=2.0),
+            SimpleNamespace(name="<new>", speedup=None, floor=None,
+                            headroom=None),
+        ]
+        document = render_paper_report([], provenance={}, bench_rows=rows)
+        assert '<section id="bench">' in document
+        assert "<td>6.00x</td><td>3.00x</td><td>2.00</td>" in document
+        assert "<td>&lt;new&gt;</td><td>-</td>" in document
+        assert_well_formed(document)
+        assert "bench" not in render_paper_report([], provenance={})
 
     def test_stamp_only_with_now(self):
         without = render_paper_report([], provenance={})

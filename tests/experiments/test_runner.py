@@ -171,10 +171,9 @@ class TestRunFleetTrials:
 
     def test_graph_seed_independent_of_trial_seeds(self):
         """The graph draw path (g, 0) must not collide with any trial path."""
-        from repro.beeping.rng import RngStream, derive_seed_block
+        from repro.beeping.rng import derive_seed, derive_seed_block
 
-        stream = RngStream(21)
-        graph_seed = stream.child_seed(0, 0)
+        graph_seed = derive_seed(21, 0, 0)
         trial_seeds = {int(s) for s in derive_seed_block(21, 0, 1, count=16)}
         assert graph_seed not in trial_seeds
 
@@ -261,11 +260,12 @@ def vertex_count_factory(rng):
 
 
 def edge_count_factory(rng):
-    """12 vertices with 10 or 14 edges: one vertex count, but two widths
-    of the matching host (the line graph has one vertex per edge)."""
-    from repro.graphs.random_graphs import gnm_random_graph
+    """The 3 x 4 grid (17 edges) or hex lattice (23 edges), by a coin
+    flip: one vertex count, but two widths of the matching host (the line
+    graph has one vertex per edge)."""
+    from repro.graphs.structured import grid_graph, hex_lattice_graph
 
-    return gnm_random_graph(12, 10 if rng.random() < 0.5 else 14, rng)
+    return grid_graph(3, 4) if rng.random() < 0.5 else hex_lattice_graph(3, 4)
 
 
 def _seed_drawing(factory, measure, pattern):
@@ -327,7 +327,7 @@ class TestMixedWidths:
                              vertex_count_factory, "num_vertices",
                              (12, 15, 12), "engine.message.runs"),
         "mis-matching": ("mis-matching", "counter", edge_count_factory,
-                         "num_edges", (10, 14, 10), "engine.armada.runs"),
+                         "num_edges", (17, 23, 17), "engine.armada.runs"),
     }
 
     @pytest.fixture(params=list(CASES))

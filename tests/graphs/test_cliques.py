@@ -3,11 +3,22 @@
 import pytest
 
 from repro.graphs.cliques import (
-    clique_membership,
     disjoint_cliques,
     theorem1_clique_sizes,
     theorem1_family,
 )
+
+
+def assert_disjoint_cliques(graph, sizes):
+    """``graph`` is the cliques ``sizes`` laid out on consecutive vertex
+    blocks: every block is complete and no edge leaves its block."""
+    assert graph.num_vertices == sum(sizes)
+    start = 0
+    for k in sizes:
+        block = set(range(start, start + k))
+        for v in block:
+            assert set(graph.neighbors(v)) == block - {v}
+        start += k
 
 
 class TestDisjointCliques:
@@ -17,13 +28,7 @@ class TestDisjointCliques:
         assert g.num_edges == 3 + 1 + 6
 
     def test_components_are_cliques(self):
-        g = disjoint_cliques([4, 3])
-        components = g.connected_components()
-        assert sorted(len(c) for c in components) == [3, 4]
-        for component in components:
-            k = len(component)
-            sub = g.subgraph(component)
-            assert sub.num_edges == k * (k - 1) // 2
+        assert_disjoint_cliques(disjoint_cliques([4, 3]), [4, 3])
 
     def test_size_one_cliques_are_isolated(self):
         g = disjoint_cliques([1, 1, 1])
@@ -37,9 +42,6 @@ class TestDisjointCliques:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             disjoint_cliques([3, -1])
-
-    def test_membership_map(self):
-        assert clique_membership([2, 3]) == [0, 0, 1, 1, 1]
 
 
 class TestTheorem1Family:
@@ -59,11 +61,9 @@ class TestTheorem1Family:
 
     def test_contains_every_clique_size(self):
         side = 4
-        g = theorem1_family(side, copies=1)
-        component_sizes = sorted(
-            len(c) for c in g.connected_components()
-        )
-        assert component_sizes == [1, 2, 3, 4]
+        sizes = theorem1_clique_sizes(side, copies=1)
+        assert sorted(sizes) == [1, 2, 3, 4]
+        assert_disjoint_cliques(theorem1_family(side, copies=1), sizes)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

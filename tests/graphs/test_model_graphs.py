@@ -1,57 +1,16 @@
-"""Tests for the network-model generators (Barabási–Albert, Watts–Strogatz)."""
+"""Tests for the small-world (Watts–Strogatz) generator."""
 
 from random import Random
 
 import numpy as np
 import pytest
 
-from repro.graphs.random_graphs import (
-    barabasi_albert_graph,
-    watts_strogatz_graph,
-)
+from repro.graphs.random_graphs import watts_strogatz_graph
 
 
 def triangles(graph):
     a = graph.adjacency_matrix().astype(np.int64)
     return int(np.trace(a @ a @ a)) // 6
-
-
-class TestBarabasiAlbert:
-    def test_counts(self):
-        g = barabasi_albert_graph(50, 3, Random(1))
-        assert g.num_vertices == 50
-        # Seed star has 3 edges; each of the 46 later vertices adds 3.
-        assert g.num_edges == 3 + 46 * 3
-
-    def test_connected(self):
-        g = barabasi_albert_graph(60, 2, Random(2))
-        assert g.is_connected()
-
-    def test_heavy_tail(self):
-        g = barabasi_albert_graph(300, 2, Random(3))
-        histogram = np.bincount(np.diff(g.indptr))
-        # Hubs exist: some vertex has degree far above the attachment count.
-        assert g.max_degree() > 12
-        # But most vertices have small degree.
-        small = sum(histogram[: 6])
-        assert small > 0.6 * g.num_vertices
-
-    def test_determinism(self):
-        a = barabasi_albert_graph(40, 2, Random(4))
-        b = barabasi_albert_graph(40, 2, Random(4))
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            barabasi_albert_graph(5, 0, Random(1))
-        with pytest.raises(ValueError):
-            barabasi_albert_graph(2, 3, Random(1))
-
-    def test_mis_algorithms_work(self):
-        from repro.algorithms.feedback import FeedbackMIS
-
-        g = barabasi_albert_graph(80, 3, Random(5))
-        FeedbackMIS().run(g, Random(6)).verify()
 
 
 class TestWattsStrogatz:
@@ -77,6 +36,12 @@ class TestWattsStrogatz:
         a = watts_strogatz_graph(25, 4, 0.2, Random(4))
         b = watts_strogatz_graph(25, 4, 0.2, Random(4))
         assert a == b
+
+    def test_saturated_ring_keeps_every_edge(self):
+        # Every vertex of a 5-ring with nearest=4 already neighbours every
+        # other, so no rewiring finds a free endpoint and each edge stays.
+        g = watts_strogatz_graph(5, 4, 1.0, Random(1))
+        assert g.num_edges == 10
 
     @pytest.mark.parametrize(
         "kwargs",

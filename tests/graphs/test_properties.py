@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.graph import Graph
-from repro.graphs.random_graphs import gnp_random_graph, random_tree
+from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.validation import (
     is_independent_set,
     is_maximal_independent_set,
@@ -44,21 +44,6 @@ def test_neighbor_relation_symmetric(graph):
 
 
 @given(graphs())
-def test_complement_degree_identity(graph):
-    complement = graph.complement()
-    n = graph.num_vertices
-    for v in graph.vertices():
-        assert graph.degree(v) + complement.degree(v) == n - 1
-
-
-@given(graphs())
-def test_components_partition_vertices(graph):
-    components = graph.connected_components()
-    seen = sorted(v for component in components for v in component)
-    assert seen == list(graph.vertices())
-
-
-@given(graphs())
 def test_greedy_mis_is_always_mis(graph):
     mis = greedy_mis(graph)
     assert is_maximal_independent_set(graph, mis)
@@ -83,16 +68,6 @@ def test_independent_subsets_of_mis(graph):
     # Every subset of an independent set is independent.
     subset = {v for v in mis if v % 2 == 0}
     assert is_independent_set(graph, subset)
-
-
-@given(
-    st.integers(min_value=1, max_value=60),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_random_tree_is_acyclic_and_connected(n, seed):
-    tree = random_tree(n, Random(seed))
-    assert tree.num_edges == n - 1
-    assert tree.is_connected()
 
 
 @given(graphs(max_vertices=12))

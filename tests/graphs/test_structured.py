@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from repro.graphs.structured import (
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
     grid_graph,
     hex_lattice_graph,
-    hypercube_graph,
     path_graph,
     star_graph,
-    torus_grid_graph,
 )
 
 
@@ -51,12 +48,12 @@ class TestKnownShapes:
             pytest.param(path_graph(5), 4, id="path(5)"),
             pytest.param(star_graph(6), 2, id="star(6)"),
             pytest.param(complete_graph(5), 1, id="complete(5)"),
-            pytest.param(
-                complete_bipartite_graph(3, 4), 2, id="bipartite(3x4)"
-            ),
-            pytest.param(hypercube_graph(4), 4, id="hypercube(4)"),
-            pytest.param(torus_grid_graph(6, 6), 6, id="torus(6x6)"),
-            pytest.param(torus_grid_graph(5, 7), 2 + 3, id="torus(5x7)"),
+            pytest.param(cycle_graph(7), 3, id="cycle(7)"),
+            pytest.param(grid_graph(3, 5), 2 + 4, id="grid(3x5)"),
+            # Two row steps shift the column by at most one, so a corner
+            # to the far corner takes 4 row steps and 2 sideways ones.
+            pytest.param(hex_lattice_graph(5, 5), 4 + 2, id="hex(5x5)"),
+            pytest.param(hex_lattice_graph(4, 6), 3 + 4, id="hex(4x6)"),
         ],
     )
     def test_diameter(self, graph, expected):
@@ -69,13 +66,10 @@ class TestKnownShapes:
             pytest.param(path_graph(8), 0, id="path(8)"),
             pytest.param(star_graph(5), 0, id="star(5)"),
             pytest.param(grid_graph(3, 3), 0, id="grid(3x3)"),
-            pytest.param(hypercube_graph(3), 0, id="hypercube(3)"),
-            pytest.param(
-                complete_bipartite_graph(3, 4), 0, id="bipartite(3x4)"
-            ),
-            pytest.param(torus_grid_graph(4, 4), 0, id="torus(4x4)"),
-            # Each of the five length-3 columns wraps into a triangle.
-            pytest.param(torus_grid_graph(3, 5), 5, id="torus(3x5)"),
+            pytest.param(cycle_graph(3), 1, id="cycle(3)"),
+            # Every unit square of cell centres splits into two triangles.
+            pytest.param(hex_lattice_graph(3, 4), 2 * 2 * 3, id="hex(3x4)"),
+            pytest.param(hex_lattice_graph(4, 6), 2 * 3 * 5, id="hex(4x6)"),
         ],
     )
     def test_triangle_count(self, graph, expected):
@@ -86,8 +80,12 @@ class TestKnownShapes:
         [
             pytest.param(cycle_graph(9), {2: 9}, id="cycle(9)"),
             pytest.param(complete_graph(7), {6: 7}, id="complete(7)"),
-            pytest.param(hypercube_graph(4), {4: 16}, id="hypercube(4)"),
-            pytest.param(torus_grid_graph(4, 5), {4: 20}, id="torus(4x5)"),
+            pytest.param(
+                hex_lattice_graph(3, 4),
+                {2: 2, 3: 3, 4: 4, 5: 1, 6: 2},
+                id="hex(3x4)",
+            ),
+            pytest.param(hex_lattice_graph(4, 1), {1: 2, 2: 2}, id="hex(4x1)"),
             pytest.param(star_graph(5), {1: 5, 5: 1}, id="star(5)"),
             pytest.param(path_graph(6), {1: 2, 2: 4}, id="path(6)"),
             pytest.param(grid_graph(3, 4), {2: 4, 3: 6, 4: 2}, id="grid(3x4)"),
@@ -107,8 +105,7 @@ class TestBasicFamilies:
     def test_complete_graph(self, n, edges):
         g = complete_graph(n)
         assert g.num_edges == edges
-        if n > 1:
-            assert g.min_degree() == g.max_degree() == n - 1
+        assert all(g.degree(v) == n - 1 for v in g.vertices())
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     def test_path_graph(self, n):
@@ -139,12 +136,6 @@ class TestBasicFamilies:
         assert g.degree(0) == 6
         assert all(g.degree(v) == 1 for v in range(1, 7))
 
-    def test_complete_bipartite(self):
-        g = complete_bipartite_graph(3, 4)
-        assert g.num_edges == 12
-        assert g.degree(0) == 4
-        assert g.degree(3) == 3
-
 
 class TestGrids:
     def test_grid_counts(self):
@@ -165,38 +156,6 @@ class TestGrids:
     def test_degenerate_grids(self):
         assert grid_graph(0, 5).num_vertices == 0
         assert grid_graph(1, 5).num_edges == 4
-
-    def test_torus_is_regular(self):
-        g = torus_grid_graph(4, 5)
-        assert g.num_vertices == 20
-        assert all(g.degree(v) == 4 for v in g.vertices())
-        assert g.num_edges == 40
-
-    def test_torus_small_dims_rejected(self):
-        with pytest.raises(ValueError):
-            torus_grid_graph(2, 5)
-
-    def test_torus_empty(self):
-        assert torus_grid_graph(0, 0).num_vertices == 0
-
-
-class TestHypercube:
-    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
-    def test_hypercube_regular(self, d):
-        g = hypercube_graph(d)
-        assert g.num_vertices == 2 ** d
-        assert g.num_edges == d * 2 ** (d - 1) if d > 0 else g.num_edges == 0
-        if d > 0:
-            assert all(g.degree(v) == d for v in g.vertices())
-
-    def test_hypercube_adjacency_is_bitflip(self):
-        g = hypercube_graph(3)
-        for u, v in g.edges():
-            assert bin(u ^ v).count("1") == 1
-
-    def test_negative_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            hypercube_graph(-1)
 
 
 class TestHexLattice:
@@ -224,4 +183,4 @@ class TestHexLattice:
     def test_single_column(self):
         g = hex_lattice_graph(4, 1)
         assert g.num_vertices == 4
-        assert g.is_connected()
+        assert hop_diameter(g) == 3

@@ -432,6 +432,12 @@ class TestAggregation:
         values = [outcome_value(row, "rounds") for row in rows]
         assert point.mean == pytest.approx(sum(values) / len(values))
 
+    def test_summarize_uses_the_sample_deviation(self):
+        from repro.sweep.aggregate import summarize
+
+        assert summarize([3.0]) == (3.0, 0.0)
+        assert summarize([1.0, 3.0]) == (2.0, pytest.approx(2.0 ** 0.5))
+
     def test_outcome_value_rejects_unknown_quantity(self):
         from repro.sweep.aggregate import outcome_value
 

@@ -1,18 +1,19 @@
 """Tests for the persistent pipeline run database."""
 
 import json
-import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sweep.rundb import (
     RUNDB_FORMAT_VERSION,
     RunDB,
     RunRecord,
     fingerprint_hash,
-    sweep_spec_hash,
 )
-from repro.sweep.spec import CellSpec, SweepSpec
+from repro.telemetry.stats import stats_payload
+from tests.line_mutation import mutated_lines
 
 
 def record(run_id="r1", experiment="figure3", spec_hash="a" * 64, **overrides):
@@ -34,20 +35,6 @@ def record(run_id="r1", experiment="figure3", spec_hash="a" * 64, **overrides):
     return RunRecord(**base)
 
 
-def cell(**overrides):
-    base = dict(
-        algorithm="feedback",
-        engine="fleet",
-        family="gnp",
-        n=20,
-        edge_probability=0.5,
-        trials=4,
-        master_seed=7,
-    )
-    base.update(overrides)
-    return CellSpec(**base)
-
-
 class TestHashes:
     def test_fingerprint_hash_is_canonical(self):
         a = fingerprint_hash({"b": 2, "a": 1})
@@ -57,16 +44,6 @@ class TestHashes:
 
     def test_fingerprint_hash_distinguishes_payloads(self):
         assert fingerprint_hash({"a": 1}) != fingerprint_hash({"a": 2})
-
-    def test_sweep_spec_hash_ignores_shard_width(self):
-        spec_fine = SweepSpec((cell(),), shard_trials=2)
-        spec_coarse = SweepSpec((cell(),), shard_trials=64)
-        assert sweep_spec_hash(spec_fine) == sweep_spec_hash(spec_coarse)
-
-    def test_sweep_spec_hash_sees_cell_parameters(self):
-        assert sweep_spec_hash(SweepSpec((cell(),), 8)) != sweep_spec_hash(
-            SweepSpec((cell(master_seed=8),), 8)
-        )
 
 
 class TestRunRecord:
@@ -128,47 +105,57 @@ class TestRunDB:
         assert [r.run_id for r in db.records()] == ["r1", "r2"]
 
     @pytest.mark.parametrize(
-        "damage", ('"trials":1e999', '"shards_total":-1e999', '"extra":"x"')
+        "field, token",
+        [
+            ("trials", "1e999"),
+            ("shards_total", "-1e999"),
+            ("extra", '"x"'),
+            ("elapsed_seconds", "1e999"),
+            ("created", "NaN"),
+            ("extra", '{"k":1e999}'),
+            ("extra", '{"k":[1,-Infinity]}'),
+        ],
     )
     def test_unconvertible_line_is_skipped_everywhere(
-        self, tmp_path, capsys, damage
+        self, tmp_path, capsys, field, token
     ):
-        """A line that parses as JSON but holds an unconvertible value
-        costs only itself: records(), the next append() and
-        ``repro stats --rundb`` all carry on."""
+        """A line that parses as JSON but holds an unconvertible or
+        non-finite value costs only itself: records(), the next append(),
+        ``repro stats --rundb`` and its strict ``--json`` form all carry
+        on."""
         from repro.cli import main
 
         db = RunDB(tmp_path / "db")
         db.append(record(run_id="r1"))
-        line = json.dumps(record(run_id="bad").to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-        field = damage.split(":")[0]
-        line = re.sub(rf'{field}:("[^"]*"|[^,}}]+)', damage, line)
-        assert damage in line
+        payload = record(run_id="bad").to_dict()
+        payload[field] = "<damage>"
+        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with open(db.runs_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+            handle.write(line.replace('"<damage>"', token) + "\n")
         db.append(record(run_id="r2"))
         assert [r.run_id for r in db.records()] == ["r1", "r2"]
         assert db.index()["records"] == 2
+        json.dumps(stats_payload(None, rundb_dir=db.root), allow_nan=False)
         assert main(["stats", "--rundb", str(tmp_path / "db")]) == 0
         assert "r2" in capsys.readouterr().out
 
-    def test_runs_for_prefix_match(self, tmp_path):
-        db = RunDB(tmp_path / "db")
-        db.append(record(run_id="r1", spec_hash="a" * 64))
-        db.append(record(run_id="r2", spec_hash="b" * 64))
-        assert [r.run_id for r in db.runs_for("a" * 12)] == ["r1"]
-        assert db.runs_for("f" * 12) == []
-
-    def test_latest_picks_newest_per_experiment(self, tmp_path):
-        db = RunDB(tmp_path / "db")
-        db.append(record(run_id="r1", experiment="figure3", drift="MISSING"))
-        db.append(record(run_id="r2", experiment="figure3", drift="PASS"))
-        db.append(record(run_id="r2", experiment="bio"))
-        latest = db.latest("figure3")
-        assert latest is not None
-        assert (latest.run_id, latest.drift) == ("r2", "PASS")
-        assert db.latest("nope") is None
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_damaged_line_never_breaks_the_reader(self, tmp_path_factory, data):
+        """Whatever one line of ``runs.jsonl`` holds, the reader loses at
+        most that line and ``repro stats --json`` stays strict JSON."""
+        root = tmp_path_factory.mktemp("rundb")
+        db = RunDB(root)
+        for run_id in ("r1", "r2", "r3"):
+            db.append(record(run_id=run_id, extra={"n": 1, "xs": [0.5]}))
+        text = db.runs_path.read_text(encoding="utf-8")
+        db.runs_path.write_text(
+            data.draw(mutated_lines(text)), encoding="utf-8"
+        )
+        run_ids = [r.run_id for r in db.records()]
+        assert len(run_ids) >= 2
+        assert db.index()["records"] == len(run_ids)
+        json.dumps(stats_payload(None, rundb_dir=root), allow_nan=False)
 
 
 class TestIndex:

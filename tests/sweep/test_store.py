@@ -213,22 +213,7 @@ class TestCorruption:
         assert store.get(spec) is None
 
 
-class TestGetOrRun:
-    def test_runs_once_then_serves_from_disk(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = shard()
-        calls = []
-
-        def runner(s):
-            calls.append(s)
-            return rows_for(s)
-
-        rows, cached = store.get_or_run(spec, runner)
-        assert not cached and rows == rows_for(spec)
-        rows, cached = store.get_or_run(spec, runner)
-        assert cached and rows == rows_for(spec)
-        assert len(calls) == 1
-
+class TestShardIsolation:
     def test_distinct_shards_do_not_collide(self, tmp_path):
         store = ResultStore(tmp_path)
         first = shard(trials=8, lo=0, hi=4)

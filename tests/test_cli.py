@@ -432,6 +432,18 @@ class TestObservabilityFlags:
         assert "# shard 1/1 feedback[n=16 0:4]" in err
         assert "executed=1" in err
 
+    def test_verbose_narrates_a_resumed_sweep(self, capsys, tmp_path):
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(self.SWEEP + cache) == 0
+        capsys.readouterr()
+        grown = ["--sizes", "16", "20"]
+        assert main(self.SWEEP + grown + cache + ["--verbose"]) == 0
+        _out, err = capsys.readouterr()
+        assert "# resuming: 1 shards cached, 1 to execute" in err
+        # Only the executed shard is narrated, not the cached one.
+        assert "feedback[n=20 0:4]" in err
+        assert "feedback[n=16" not in err
+
     def test_telemetry_records_a_ledger_run(self, capsys, tmp_path):
         from repro.telemetry import load_runs
 

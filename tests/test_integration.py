@@ -5,7 +5,6 @@ serialise → reload → analyse.  This is the "does the whole library hang
 together" test, complementing the per-module suites.
 """
 
-import io
 import json
 import math
 from random import Random
@@ -17,7 +16,6 @@ from repro import (
     available_algorithms,
     gnp_random_graph,
     make_algorithm,
-    verify_mis,
 )
 from repro.analysis.regression import fit_log2
 from repro.analysis.statistics import summarize
@@ -28,11 +26,8 @@ from repro.experiments.records import (
     results_to_json,
 )
 from repro.graphs.cliques import theorem1_family
-from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.random_graphs import (
-    barabasi_albert_graph,
     random_geometric_graph,
-    random_tree,
     watts_strogatz_graph,
 )
 from repro.graphs.structured import (
@@ -40,6 +35,8 @@ from repro.graphs.structured import (
     cycle_graph,
     grid_graph,
     hex_lattice_graph,
+    path_graph,
+    star_graph,
 )
 
 #: One n≈20 instance per graph family, each drawn from ``Random(3)``;
@@ -52,8 +49,8 @@ SMALL_FAMILIES = {
     "geometric": lambda rng: random_geometric_graph(
         20, math.sqrt(8 / (math.pi * 20)), rng
     ),
-    "tree": lambda rng: random_tree(20, rng),
-    "scale-free": lambda rng: barabasi_albert_graph(20, 3, rng),
+    "tree": lambda rng: path_graph(20),
+    "hub": lambda rng: star_graph(19),
     "small-world": lambda rng: watts_strogatz_graph(20, 6, 0.1, rng),
     "clique": lambda rng: complete_graph(20),
     "ring": lambda rng: cycle_graph(20),
@@ -87,24 +84,6 @@ def test_full_pipeline(tmp_path):
     # Analyse.
     fit = fit_log2(restored.xs("feedback"), restored.means("feedback"))
     assert 0.5 < fit.slope < 6.0
-
-
-def test_graph_round_trip_reverifies_run(tmp_path):
-    """Persist a graph, reload it, re-verify the run on the copy."""
-    graph = gnp_random_graph(30, 0.4, Random(1))
-    from repro.beeping.scheduler import BeepingSimulation
-    from repro.core.policy import ExponentFeedbackNode
-
-    result = BeepingSimulation(
-        graph, lambda v: ExponentFeedbackNode(), Random(2)
-    ).run()
-    result.verify()
-
-    graph_path = tmp_path / "graph.edges"
-    write_edge_list(graph, graph_path)
-    graph_restored = read_edge_list(graph_path)
-    assert graph_restored == graph
-    verify_mis(graph_restored, result.mis)
 
 
 @pytest.mark.parametrize("family", sorted(SMALL_FAMILIES))
@@ -158,11 +137,3 @@ def test_json_schema_stability():
         "trials",
         "extra",
     }
-
-
-def test_stream_io_equivalence():
-    graph = gnp_random_graph(15, 0.3, Random(5))
-    buffer = io.StringIO()
-    write_edge_list(graph, buffer)
-    buffer.seek(0)
-    assert read_edge_list(buffer) == graph

@@ -1,9 +1,13 @@
-"""Package-level sanity: public API surface, version, doctests, and the
-guard that every module is reached by a command or asserted by a test."""
+"""Package-level sanity: public API surface, version, doctests, the
+guards that every module and every public name or method is reached by a
+command (or a listed root) or asserted by a test, and the benchmark
+tracer's layer targets."""
 
 import ast
 import doctest
+import functools
 import importlib
+import re
 import runpy
 from pathlib import Path
 
@@ -41,7 +45,42 @@ CLAIM_MODULES = {
     "experiments.ablations": (
         "tests/experiments/test_ablations.py::TestFactorAblation"
     ),
-    "graphs.io": "tests/graphs/test_io.py::TestEdgeList",
+}
+
+#: Public names and methods, as ``"module:qualname"``, in modules a command
+#: reaches, that no command, claim module, example, tutorial block or
+#: perfbench harness mentions; each mapped to the test node id or benchmark
+#: that asserts what it computes.  Any other such name is dead code.
+CLAIM_NAMES = {
+    "analysis.theory:clique_progress_upper_bound": (
+        "tests/analysis/test_theory.py::TestCliqueProgress"
+    ),
+    "analysis.theory:expected_rounds_complete_graph_first_join": (
+        "tests/analysis/test_theory.py::TestCompleteGraphSlowness"
+    ),
+    # The per-node reference the application kernels are locked to.
+    "applications.ruling_sets:ruling_set": (
+        "tests/engine/test_applications.py::TestReferenceExactConformance"
+        "::test_ruling"
+    ),
+    "engine.rules:GlobalScheduleRule": (
+        "tests/engine/test_rules.py::TestGlobalScheduleRule"
+    ),
+    "experiments.figures:figure1_example": (
+        "benchmarks/bench_fig1_example.py::test_fig1_regenerate"
+    ),
+    "experiments.paper:EXEMPT_MODULES": (
+        "tests/experiments/test_paper.py::TestRegistry"
+        "::test_every_experiment_module_is_registered_or_exempt"
+    ),
+    # The edgeless graph of the conformance suites.
+    "graphs.structured:empty_graph": (
+        "tests/engine/test_conformance.py::TestArmadaConformance"
+        "::test_armada_backends_agree"
+    ),
+    "viz.graph_render:to_dot": (
+        "benchmarks/bench_fig1_example.py::test_fig1_report"
+    ),
 }
 
 MODULES_WITH_DOCTESTS = [
@@ -164,6 +203,7 @@ def _direct_imports(module):
     return found
 
 
+@functools.lru_cache(maxsize=None)
 def _reached_from_cli():
     reached, frontier = set(), ["repro.cli"]
     while frontier:
@@ -175,7 +215,7 @@ def _reached_from_cli():
         # from it were resolved to their defining modules above.
         if _source(module).name != "__init__.py":
             frontier.extend(_direct_imports(module) - reached)
-    return reached
+    return frozenset(reached)
 
 
 def _leaf_modules():
@@ -183,6 +223,139 @@ def _leaf_modules():
         ".".join(path.relative_to(SRC).with_suffix("").parts)
         for path in (SRC / "repro").rglob("*.py")
         if path.name != "__init__.py"
+    }
+
+
+def _claim_scope(target):
+    """The AST body a ``path::Class::test`` claim target names, failing
+    when the file or any name along the path does not exist."""
+    path, *names = target.split("::")
+    assert (REPO / path).is_file(), path
+    scope = ast.parse((REPO / path).read_text(encoding="utf-8")).body
+    for name in names:
+        matches = [
+            node for node in scope
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name == name
+        ]
+        assert matches, f"{target} names no test"
+        scope = matches[0].body
+    return scope
+
+
+_IDENTIFIER_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _identifiers(tree):
+    """``(identifier, line)`` for every identifier ``tree`` mentions: names,
+    attributes, import aliases and ``"Class.method"``-shaped strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".") + [node.asname]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if not _IDENTIFIER_PATH.fullmatch(node.value):
+                continue
+            names = node.value.split(".")
+        else:
+            continue
+        line = getattr(node, "lineno", None)
+        for name in filter(None, names):
+            yield name, line
+
+
+def _parse(module):
+    return ast.parse(_source(module).read_text(encoding="utf-8"))
+
+
+def _checked_modules():
+    """The modules a command reaches, whose public names are checked."""
+    return sorted(
+        module for module in _reached_from_cli()
+        if _source(module).name != "__init__.py"
+    )
+
+
+def _public_definitions(tree):
+    """``(qualname, first line, last line)`` of each public top-level name
+    of a module's ``tree`` and each public method of its public classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(
+            node.target, ast.Name
+        ):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_"):
+                continue
+            yield name, node.lineno, node.end_lineno
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("_")
+                ):
+                    yield f"{name}.{item.name}", item.lineno, item.end_lineno
+
+
+def _root_trees():
+    """``(module, tree)`` of every root of the name guard; ``module`` is
+    ``None`` outside the package."""
+    modules = set(_checked_modules())
+    modules |= {f"repro.{module}" for module in CLAIM_MODULES}
+    for module in sorted(modules):
+        yield module, _parse(module)
+    # Its strings are the names ``import repro`` promises.
+    yield None, ast.parse(repr(repro.__all__))
+    # perfbench is read here, never edited: its Tracer looks its layer
+    # targets up by (module, "Class.method") strings.
+    for folder in ("examples", "perfbench"):
+        for path in sorted((REPO / folder).glob("*.py")):
+            yield None, ast.parse(path.read_text(encoding="utf-8"))
+    tutorial = (REPO / "docs" / "TUTORIAL.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```python\n(.*?)```", tutorial, flags=re.DOTALL):
+        yield None, ast.parse(block)
+
+
+def _unreached(checked, roots):
+    """``"module:qualname"`` of every public name and method of the
+    ``checked`` ``{module: tree}`` that no ``(module, tree)`` root mentions
+    outside the name's own definition.
+
+    Methods are matched by name only, not resolved to their class.  The
+    guard can therefore miss an orphan method whose name a reached
+    method of another class shares, but it never flags a reached name.
+    """
+    seen = {}
+    for module, tree in roots:
+        for name, line in _identifiers(tree):
+            seen.setdefault(name, set()).add((module, line))
+    unreached = set()
+    for module, tree in checked.items():
+        for qualname, first, last in _public_definitions(tree):
+            uses = seen.get(qualname.rsplit(".", 1)[-1], ())
+            if all(
+                where == module and first <= line <= last
+                for where, line in uses
+            ):
+                unreached.add(f"{module}:{qualname}")
+    return unreached
+
+
+def _unreached_names():
+    """:func:`_unreached` over the command-reached modules and every root,
+    keyed like :data:`CLAIM_NAMES`."""
+    checked = {module: _parse(module) for module in _checked_modules()}
+    return {
+        key[len("repro."):] for key in _unreached(checked, _root_trees())
     }
 
 
@@ -205,14 +378,119 @@ class TestNoOrphanModules:
 
     @pytest.mark.parametrize("module", sorted(CLAIM_MODULES))
     def test_claim_target_exists(self, module):
-        path, *names = CLAIM_MODULES[module].split("::")
-        assert (REPO / path).is_file(), path
-        scope = ast.parse((REPO / path).read_text(encoding="utf-8")).body
-        for name in names:
-            matches = [
-                node for node in scope
-                if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-                and node.name == name
-            ]
-            assert matches, f"{CLAIM_MODULES[module]} names no test"
-            scope = matches[0].body
+        _claim_scope(CLAIM_MODULES[module])
+
+
+class TestNoOrphanNames:
+    def test_every_public_name_is_reached_or_claimed(self):
+        unreached = _unreached_names()
+        orphans = sorted(unreached - set(CLAIM_NAMES))
+        assert not orphans, (
+            f"{orphans} are mentioned by no command, claim module, example, "
+            "tutorial block or perfbench harness: delete them or map them "
+            "in CLAIM_NAMES"
+        )
+        stale = sorted(set(CLAIM_NAMES) - unreached)
+        assert not stale, (
+            f"CLAIM_NAMES lists {stale}, which a root now reaches or which "
+            "no longer exist"
+        )
+
+    @pytest.mark.parametrize("key", sorted(CLAIM_NAMES))
+    def test_claim_target_uses_the_name(self, key):
+        scope = _claim_scope(CLAIM_NAMES[key])
+        name = key.rsplit(":", 1)[-1].rsplit(".", 1)[-1]
+        used = {
+            identifier
+            for identifier, _ in _identifiers(ast.Module(scope, []))
+        }
+        assert name in used, f"{CLAIM_NAMES[key]} never uses {name}"
+
+
+class TestNameGuardRule:
+    """:func:`_unreached` on one small module ``m`` and one outside root."""
+
+    MODULE = """
+def orphan():
+    return orphan()
+
+def used():
+    pass
+
+class Box:
+    def shown(self):
+        pass
+
+def _private():
+    pass
+"""
+
+    @staticmethod
+    def unreached(root):
+        module = ast.parse(TestNameGuardRule.MODULE)
+        return _unreached({"m": module}, [("m", module), (None, ast.parse(root))])
+
+    @pytest.mark.parametrize(
+        "root, key",
+        [
+            ("used()", "m:used"),
+            ("import m\nm.used", "m:used"),
+            ("from m import used as alias", "m:used"),
+            ("Box", "m:Box"),
+            ("box.shown()", "m:Box.shown"),
+            ('target = ("m", "Box.shown")', "m:Box.shown"),
+            # Name-only matching: any ``.shown`` reaches every class's.
+            ("other.shown", "m:Box.shown"),
+        ],
+    )
+    def test_a_mention_reaches_the_name(self, root, key):
+        assert key not in self.unreached(root)
+
+    def test_unmentioned_names_are_flagged(self):
+        assert self.unreached("") == {
+            "m:orphan", "m:used", "m:Box", "m:Box.shown"
+        }
+
+    def test_a_name_inside_its_own_definition_does_not_count(self):
+        assert "m:orphan" in self.unreached("used, Box")
+
+    def test_a_mention_in_a_docstring_or_text_does_not_count(self):
+        assert "m:used" in self.unreached('"""used() is documented"""')
+
+
+def _layer_targets():
+    """``perfbench/layers.py``'s ``LAYER_TARGETS`` literal as ``(module,
+    attribute)`` pairs, read from its source without running it."""
+    tree = ast.parse(
+        (REPO / "perfbench" / "layers.py").read_text(encoding="utf-8")
+    )
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.AnnAssign)
+        and getattr(node.target, "id", None) == "LAYER_TARGETS"
+    ]
+    return [
+        target
+        for targets in ast.literal_eval(table).values()
+        for target in targets
+    ]
+
+
+class TestPerfbenchLayerTargets:
+    """Every name the benchmark's tracer wraps resolves as ``Tracer.install``
+    looks it up, so a rename or deletion fails tier-1, not only a traced
+    perfbench run."""
+
+    @pytest.mark.parametrize(
+        "module_name, attribute",
+        _layer_targets(),
+        ids=lambda value: value,
+    )
+    def test_target_resolves(self, module_name, attribute):
+        module = importlib.import_module(module_name)
+        if "." in attribute:
+            class_name, method = attribute.split(".")
+            assert method in vars(getattr(module, class_name)), attribute
+        else:
+            assert callable(getattr(module, attribute)), attribute
+

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.records import ExperimentResult, SeriesPoint
-from repro.viz.ascii_plots import AsciiPlot, plot_experiment, plot_series
+from repro.viz.ascii_plots import AsciiPlot, plot_experiment
 
 
 class TestAsciiPlot:
@@ -49,10 +49,6 @@ class TestAsciiPlot:
 
 
 class TestConvenienceWrappers:
-    def test_plot_series(self):
-        text = plot_series({"s": ([1, 2], [3, 4])}, y_label="beeps")
-        assert "s" in text and "beeps" in text
-
     def test_plot_experiment(self):
         result = ExperimentResult(
             experiment="demo",

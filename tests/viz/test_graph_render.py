@@ -2,27 +2,7 @@
 
 from repro.graphs.graph import Graph
 from repro.graphs.structured import grid_graph, path_graph
-from repro.viz.graph_render import (
-    render_adjacency,
-    render_grid_mis,
-    render_mis_listing,
-)
-
-
-class TestAdjacency:
-    def test_edge_marks(self):
-        g = Graph(3, [(0, 2)])
-        text = render_adjacency(g)
-        lines = text.split("\n")
-        assert len(lines) == 4  # header + 3 rows
-        assert "#" in lines[1]
-        assert "#" in lines[3]
-
-    def test_mis_marked(self):
-        g = path_graph(3)
-        text = render_adjacency(g, mis=[0, 2])
-        assert "*0" in text.split("\n")[0]
-        assert " 1" in text.split("\n")[0]
+from repro.viz.graph_render import render_grid_mis, render_mis_listing, to_dot
 
 
 class TestGridRender:
@@ -55,3 +35,22 @@ class TestListing:
         g = grid_graph(2, 2)
         text = render_mis_listing(g, [0, 3])
         assert "deg=2" in text
+
+
+class TestDot:
+    def test_contains_all_edges(self, c5):
+        dot = to_dot(c5)
+        for u, v in c5.edges():
+            assert f"{u} -- {v};" in dot
+
+    def test_highlighting(self):
+        g = path_graph(3)
+        dot = to_dot(g, highlighted=[1])
+        assert "1 [style=filled" in dot
+        assert "0 [style=filled" not in dot
+
+    def test_deterministic(self, random50):
+        assert to_dot(random50) == to_dot(random50)
+
+    def test_custom_name(self):
+        assert to_dot(Graph(1), name="MyGraph").startswith("graph MyGraph {")
