@@ -8,7 +8,7 @@ neighbour beeped — the one-bit OR observation of the beeping model.
 from __future__ import annotations
 
 from random import Random
-from typing import AbstractSet, List, Set
+from typing import AbstractSet, Set
 
 from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.graphs.graph import Graph
@@ -29,11 +29,6 @@ class BeepChannel:
     def graph(self) -> Graph:
         """The underlying communication graph."""
         return self._graph
-
-    @property
-    def faults(self) -> FaultModel:
-        """The fault model applied to every round."""
-        return self._faults
 
     def deliver(
         self,

@@ -445,10 +445,5 @@ class FaultModel:
             and self.churn_schedule.is_empty()
         )
 
-    @property
-    def has_churn(self) -> bool:
-        """Whether the model changes the node population mid-run."""
-        return not self.churn_schedule.is_empty()
-
 
 NO_FAULTS = FaultModel()

@@ -186,11 +186,6 @@ class BeepingSimulation:
         """The index of the next round to execute."""
         return self._round_index
 
-    @property
-    def states(self) -> List[NodeState]:
-        """Current node states (a live view; do not mutate)."""
-        return self._states
-
     def active_vertices(self) -> List[int]:
         """Sorted list of currently active vertices."""
         return [

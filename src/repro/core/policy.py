@@ -38,11 +38,6 @@ class ExponentFeedbackNode(BeepingNode):
     def __init__(self) -> None:
         self._exponent = self.INITIAL_EXPONENT
 
-    @property
-    def exponent(self) -> int:
-        """The current value of ``n(v, t)``."""
-        return self._exponent
-
     def beep_probability(self) -> float:
         return 2.0 ** -self._exponent
 

@@ -284,11 +284,6 @@ class RulingSetRule(ApplicationRule):
         self._alpha = alpha
 
     @property
-    def alpha(self) -> int:
-        """The pairwise-distance parameter α."""
-        return self._alpha
-
-    @property
     def name(self) -> str:
         return f"mis-ruling-{self._alpha}"
 
@@ -471,11 +466,6 @@ class ApplicationFleetSimulator:
         return self._armada.hosts[0]
 
     @property
-    def rule(self) -> ApplicationRule:
-        """The application rule."""
-        return self._armada.rule
-
-    @property
     def backend(self) -> str:
         """The resolved backend, ``"dense"`` or ``"sparse"``."""
         return self._armada.backend
@@ -527,11 +517,6 @@ class ApplicationArmadaSimulator:
     def hosts(self) -> Sequence[Graph]:
         """The per-graph host graphs, in slot order."""
         return self._armada.graphs
-
-    @property
-    def rule(self) -> ApplicationRule:
-        """The application rule."""
-        return self._rule
 
     @property
     def backend(self) -> str:

@@ -69,12 +69,14 @@ from repro.experiments.records import (
 )
 from repro.experiments.robustness import robustness_grid
 from repro.experiments.sizes import mis_size_experiment
-from repro.sweep.rundb import RunDB, RunRecord, fingerprint_hash
-from repro.sweep.spec import SPEC_FORMAT_VERSION
+from repro.sweep.rundb import RunDB, RunRecord
+from repro.sweep.spec import SPEC_FORMAT_VERSION, fingerprint_hash
 from repro.sweep.store import (
     DAMAGE_ERRORS,
     STORE_FORMAT_VERSION,
     atomic_write_text,
+    read_checked,
+    write_checked,
 )
 from repro.telemetry import probes
 from repro.telemetry.ledger import run_versions
@@ -546,24 +548,19 @@ def _artefact_cache_get(
     """Stored (result, csv) for the fingerprint, or ``None`` on damage.
 
     Damage that still parses (a list or a number for the whole file, a
-    value swapped inside it) fails the type or checksum test, so the
-    experiment re-runs rather than serving altered bytes.
+    value swapped inside it) fails :func:`read_checked`'s checksum, so
+    the experiment re-runs rather than serving altered bytes.
     """
     if cache_dir is None:
         return None
+    payload = read_checked(_artefact_cache_path(cache_dir, digest))
+    if (
+        payload is None
+        or payload.get("format") != PAPER_FORMAT_VERSION
+        or payload.get("fingerprint") != digest
+    ):
+        return None
     try:
-        payload = json.loads(
-            _artefact_cache_path(cache_dir, digest).read_text(
-                encoding="utf-8"
-            )
-        )
-        if (
-            not isinstance(payload, dict)
-            or payload.pop("checksum", None) != fingerprint_hash(payload)
-            or payload.get("format") != PAPER_FORMAT_VERSION
-            or payload.get("fingerprint") != digest
-        ):
-            return None
         result = results_from_json(json.dumps(payload["result"]))
         csv_text = str(payload["csv"])
     except DAMAGE_ERRORS:
@@ -579,16 +576,14 @@ def _artefact_cache_put(
 ) -> None:
     if cache_dir is None:
         return
-    payload = {
-        "format": PAPER_FORMAT_VERSION,
-        "fingerprint": digest,
-        "result": json.loads(results_to_json(result)),
-        "csv": csv_text,
-    }
-    payload["checksum"] = fingerprint_hash(payload)
-    atomic_write_text(
+    write_checked(
         _artefact_cache_path(cache_dir, digest),
-        json.dumps(payload, indent=2, sort_keys=True),
+        {
+            "format": PAPER_FORMAT_VERSION,
+            "fingerprint": digest,
+            "result": json.loads(results_to_json(result)),
+            "csv": csv_text,
+        },
     )
 
 
@@ -704,11 +699,11 @@ def write_golden(
         atomic_write_text(path, artefact.csv)
         manifest["experiments"][artefact.name] = artefact.csv_filename
         written.append(path)
-    manifest_path = root / MANIFEST_NAME
+    path = root / MANIFEST_NAME
     atomic_write_text(
-        manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        path, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    written.append(manifest_path)
+    written.append(path)
     return written
 
 

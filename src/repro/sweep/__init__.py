@@ -6,8 +6,9 @@ Three layers (see ``docs/sweep.md`` for the full picture):
   :class:`CellSpec` / :class:`ShardSpec` grid descriptions; every shard
   has a stable content hash over exactly what determines its rows.
 - :mod:`~repro.sweep.store` — :class:`ResultStore`, an on-disk cache
-  mapping shard hash → JSONL of trial rows plus a provenance manifest,
-  with atomic writes; a hit is what lets a rerun resume.
+  mapping shard hash → one checksummed JSON entry (the shard spec and
+  its trial rows as columns), written atomically; a hit is what lets a
+  rerun resume.
 - :mod:`~repro.sweep.orchestrator` — :func:`run_sweep`, which executes
   cache-missing shards on a process pool (each worker driving the fleet
   or reference engine) and assembles rows bit-identical to the
@@ -27,12 +28,7 @@ from repro.sweep.orchestrator import (
     execute_shard,
     run_sweep,
 )
-from repro.sweep.rundb import (
-    RUNDB_FORMAT_VERSION,
-    RunDB,
-    RunRecord,
-    fingerprint_hash,
-)
+from repro.sweep.rundb import RUNDB_FORMAT_VERSION, RunDB, RunRecord
 from repro.sweep.spec import (
     FLEET_RULES,
     SPEC_FORMAT_VERSION,
@@ -40,8 +36,9 @@ from repro.sweep.spec import (
     ShardSpec,
     SweepSpec,
     canonical_json,
+    fingerprint_hash,
 )
-from repro.sweep.store import STORE_FORMAT_VERSION, ResultStore, ShardManifest
+from repro.sweep.store import STORE_FORMAT_VERSION, ResultStore
 
 __all__ = [
     "CellSpec",
@@ -53,7 +50,6 @@ __all__ = [
     "RunRecord",
     "SPEC_FORMAT_VERSION",
     "STORE_FORMAT_VERSION",
-    "ShardManifest",
     "ShardSpec",
     "SweepReport",
     "SweepResult",

@@ -352,7 +352,7 @@ def run_sweep(
         report.seconds_executed += elapsed
         report.timings.append(_timing(shard, digest, elapsed, cached=False))
         if store is not None:
-            store.put(shard, rows, elapsed_seconds=elapsed)
+            store.put(shard, rows)
         probes.count("sweep.cache.miss")
         probes.span_event(
             "sweep.shard",

@@ -23,13 +23,11 @@ between concurrent pipeline runs and never blocks on partial state.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.sweep.spec import canonical_json
 from repro.sweep.store import DAMAGE_ERRORS
 from repro.telemetry.ledger import finite_float
 
@@ -38,16 +36,6 @@ PathLike = Union[str, Path]
 #: Bump when the record schema changes incompatibly (every record and
 #: the summary index carry it).
 RUNDB_FORMAT_VERSION = 1
-
-
-def fingerprint_hash(payload: Any) -> str:
-    """sha256 over any JSON-safe payload's canonical serialisation.
-
-    The spec-hash fallback for experiments that do not run through the
-    orchestrator (the bio ODE ablation): hash the parameters that
-    determine the artefact bytes instead of shard fingerprints.
-    """
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -138,11 +126,6 @@ class RunDB:
     def __init__(self, root: PathLike) -> None:
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def root(self) -> Path:
-        """The database root directory."""
-        return self._root
 
     @property
     def runs_path(self) -> Path:

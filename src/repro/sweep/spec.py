@@ -135,6 +135,15 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def fingerprint_hash(payload: Any) -> str:
+    """sha256 over any JSON-safe payload's canonical serialisation.
+
+    The one hash of the package: shard content hashes, the checksums of
+    stored cache documents and the paper pipeline's run keys.
+    """
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One grid cell: an algorithm on a graph family at one size.
@@ -350,7 +359,7 @@ class CellSpec:
         return fingerprint
 
     def to_dict(self) -> Dict[str, Any]:
-        """Full JSON-safe description (manifests, CLI round trips)."""
+        """Full JSON-safe description (stored in shard store entries)."""
         return {
             "algorithm": self.algorithm,
             "engine": self.engine,
@@ -373,16 +382,6 @@ class CellSpec:
             "max_rounds": self.max_rounds,
             "backend": self.backend,
         }
-
-    @staticmethod
-    def from_dict(payload: Dict[str, Any]) -> "CellSpec":
-        """Inverse of :meth:`to_dict`."""
-        data = dict(payload)
-        data["crashes"] = tuple(
-            (int(r), int(v)) for r, v in data.get("crashes", ())
-        )
-        data["churn"] = churn_from_json(data.get("churn", ()))
-        return CellSpec(**data)
 
 
 @dataclass(frozen=True)
@@ -407,27 +406,18 @@ class ShardSpec:
 
     def content_hash(self) -> str:
         """sha256 over everything that determines this shard's rows."""
-        payload = {
-            "format": SPEC_FORMAT_VERSION,
-            "cell": self.cell.execution_fingerprint(),
-            "lo": self.lo,
-            "hi": self.hi,
-        }
-        digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
-        return digest.hexdigest()
+        return fingerprint_hash(
+            {
+                "format": SPEC_FORMAT_VERSION,
+                "cell": self.cell.execution_fingerprint(),
+                "lo": self.lo,
+                "hi": self.hi,
+            }
+        )
 
     def to_dict(self) -> Dict[str, Any]:
-        """Full JSON-safe description (stored in the shard manifest)."""
+        """Full JSON-safe description (stored in the shard's store entry)."""
         return {"cell": self.cell.to_dict(), "lo": self.lo, "hi": self.hi}
-
-    @staticmethod
-    def from_dict(payload: Dict[str, Any]) -> "ShardSpec":
-        """Inverse of :meth:`to_dict`."""
-        return ShardSpec(
-            cell=CellSpec.from_dict(payload["cell"]),
-            lo=int(payload["lo"]),
-            hi=int(payload["hi"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -461,20 +451,3 @@ class SweepSpec:
                     ShardSpec(cell, lo, min(lo + self.shard_trials, cell.trials))
                 )
         return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full JSON-safe description."""
-        return {
-            "cells": [cell.to_dict() for cell in self.cells],
-            "shard_trials": self.shard_trials,
-        }
-
-    @staticmethod
-    def from_dict(payload: Dict[str, Any]) -> "SweepSpec":
-        """Inverse of :meth:`to_dict`."""
-        return SweepSpec(
-            cells=tuple(
-                CellSpec.from_dict(cell) for cell in payload["cells"]
-            ),
-            shard_trials=int(payload.get("shard_trials", 32)),
-        )

@@ -62,10 +62,6 @@ def run_versions() -> Dict[str, str]:
     }
 
 
-# Backwards-compatible private alias (pre-paper-pipeline name).
-_versions = run_versions
-
-
 class RunLedger:
     """Appends one run's event stream to ``<root>/run-<id>.jsonl``.
 
@@ -98,7 +94,7 @@ class RunLedger:
                 "run_id": run_id,
                 "command": command,
                 "argv": list(argv) if argv is not None else [],
-                "versions": _versions(),
+                "versions": run_versions(),
                 "started": time.time(),
             }
         )

@@ -71,8 +71,6 @@ class TestFaultModel:
             churn_schedule=ChurnSchedule.from_events([("leave", 2, 0)])
         )
         assert not model.is_fault_free
-        assert model.has_churn
-        assert not NO_FAULTS.has_churn
 
 
 class TestChurnEvent:

@@ -8,7 +8,6 @@ from repro.core.policy import ExponentFeedbackNode, FeedbackNode
 class TestExponentFeedbackNode:
     def test_initial_state(self):
         node = ExponentFeedbackNode()
-        assert node.exponent == 1
         assert node.beep_probability() == 0.5
 
     def test_hearing_halves(self):
@@ -34,13 +33,12 @@ class TestExponentFeedbackNode:
         node = ExponentFeedbackNode()
         for _ in range(5):
             node.observe_first_exchange(False, False)
-        assert node.exponent == 1
+        assert node.beep_probability() == 0.5
 
     def test_exponent_grows_unboundedly(self):
         node = ExponentFeedbackNode()
         for _ in range(60):
             node.observe_first_exchange(False, True)
-        assert node.exponent == 61
         assert node.beep_probability() == pytest.approx(2.0 ** -61)
 
     def test_update_ignores_own_beep_flag(self):
@@ -49,7 +47,7 @@ class TestExponentFeedbackNode:
         b = ExponentFeedbackNode()
         a.observe_first_exchange(did_beep=True, heard_beep=True)
         b.observe_first_exchange(did_beep=False, heard_beep=True)
-        assert a.exponent == b.exponent
+        assert a.beep_probability() == b.beep_probability()
 
 
 class TestFeedbackNode:

@@ -332,6 +332,19 @@ class TestDamagedArtefactCache:
         assert rerun.csv == clean.csv
         assert path.read_text(encoding="utf-8") == original
 
+    def test_indented_cache_file_is_served(self, bio_cache):
+        """Cache files written as indented JSON carry the same checksum
+        (it covers the parsed payload, not the layout): a warm hit."""
+        paper_settings, clean, path, original = bio_cache
+        path.write_text(
+            json.dumps(json.loads(original), indent=2, sort_keys=True),
+            encoding="utf-8",
+        )
+        rerun = run_experiment(BIO, paper_settings)
+        assert rerun.artefact_cached
+        assert rerun.csv == clean.csv
+        assert rerun.result == clean.result
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_damaged_line_reruns_or_serves_clean_bytes(
@@ -340,7 +353,9 @@ class TestDamagedArtefactCache:
         paper_settings, clean, path, original = bio_cache
         # The runner's output is known, so a stand-in keeps reruns cheap.
         entry = replace(BIO, runner=lambda *_: (clean.result, clean.csv))
-        path.write_text(data.draw(mutated_lines(original)), encoding="utf-8")
+        # One value per line, so a line mutation hits one value.
+        indented = json.dumps(json.loads(original), indent=1)
+        path.write_text(data.draw(mutated_lines(indented)), encoding="utf-8")
         rerun = run_experiment(entry, paper_settings)
         assert rerun.csv == clean.csv
         assert rerun.result == clean.result

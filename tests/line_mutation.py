@@ -1,8 +1,11 @@
 """Hypothesis strategy for one damaged line of a line-oriented file.
 
-Shared by the damage-tolerance fuzz tests of every JSONL reader (the
-result store's rows and manifests, the telemetry ledger): whatever one
-line holds, the reader must lose that line at most, never the file.
+Shared by the damage-tolerance fuzz tests of the line-oriented readers
+(the telemetry ledger, the run database) and of the checksummed JSON
+documents (result-store entries, the paper's artefact cache), which the
+tests re-indent first so that each value sits on its own line.  A JSONL
+reader must lose the damaged line at most, never the file; a checksummed
+document is served whole or not at all.
 """
 
 import re

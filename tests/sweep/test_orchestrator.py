@@ -166,11 +166,11 @@ class TestStoreResume:
         assert warm.report.shards_executed == 0
         assert warm.report.shards_cached == warm.report.shards_total
         assert warm.outcomes == cold.outcomes
-        # Verified by the manifests: every shard of the spec is on disk.
+        # Verified by the store: every shard of the spec is on disk.
         for shard in spec.shards():
-            manifest = store.manifest(shard)
-            assert manifest is not None
-            assert manifest.rows == shard.trials
+            rows = store.get(shard)
+            assert rows is not None
+            assert [row.trial for row in rows] == list(range(shard.lo, shard.hi))
 
     def test_robustness_grid_is_fully_cached_on_rerun(self, tmp_path):
         """ISSUE 3 acceptance: a warm fault-grid sweep re-runs 0 shards."""

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sweep.rundb import (
-    RUNDB_FORMAT_VERSION,
-    RunDB,
-    RunRecord,
-    fingerprint_hash,
-)
+from repro.sweep.rundb import RUNDB_FORMAT_VERSION, RunDB, RunRecord
 from repro.telemetry.stats import stats_payload
 from tests.line_mutation import mutated_lines
 
@@ -33,17 +28,6 @@ def record(run_id="r1", experiment="figure3", spec_hash="a" * 64, **overrides):
     )
     base.update(overrides)
     return RunRecord(**base)
-
-
-class TestHashes:
-    def test_fingerprint_hash_is_canonical(self):
-        a = fingerprint_hash({"b": 2, "a": 1})
-        b = fingerprint_hash({"a": 1, "b": 2})
-        assert a == b
-        assert len(a) == 64
-
-    def test_fingerprint_hash_distinguishes_payloads(self):
-        assert fingerprint_hash({"a": 1}) != fingerprint_hash({"a": 2})
 
 
 class TestRunRecord:
@@ -135,7 +119,7 @@ class TestRunDB:
         db.append(record(run_id="r2"))
         assert [r.run_id for r in db.records()] == ["r1", "r2"]
         assert db.index()["records"] == 2
-        json.dumps(stats_payload(None, rundb_dir=db.root), allow_nan=False)
+        json.dumps(stats_payload(None, rundb_dir=tmp_path / "db"), allow_nan=False)
         assert main(["stats", "--rundb", str(tmp_path / "db")]) == 0
         assert "r2" in capsys.readouterr().out
 
@@ -178,4 +162,4 @@ class TestIndex:
     def test_append_writes_only_the_record_log(self, tmp_path):
         db = RunDB(tmp_path / "db")
         db.append(record(run_id="r1"))
-        assert sorted(p.name for p in db.root.iterdir()) == ["runs.jsonl"]
+        assert sorted(p.name for p in (tmp_path / "db").iterdir()) == ["runs.jsonl"]

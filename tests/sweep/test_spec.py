@@ -8,6 +8,7 @@ from repro.sweep.spec import (
     ShardSpec,
     SweepSpec,
     canonical_json,
+    fingerprint_hash,
 )
 
 
@@ -147,6 +148,8 @@ class TestCellValidation:
         assert thm.num_vertices == 3 * 6
 
     def test_round_trips_through_dict(self):
+        """``to_dict`` carries every field: the constructor rebuilds the
+        same cell from it."""
         for cell in (
             fleet_cell(),
             fleet_cell(rng_mode="stream"),
@@ -155,14 +158,7 @@ class TestCellValidation:
             fleet_cell(family="grid", rows=5, cols=5),
             fleet_cell(family="theorem1", side=6, copies=3),
         ):
-            assert CellSpec.from_dict(cell.to_dict()) == cell
-
-    def test_from_dict_defaults_missing_rng_mode(self):
-        """Pre-v2 manifests have no rng_mode; they deserialise to the
-        current default rather than failing."""
-        payload = fleet_cell().to_dict()
-        del payload["rng_mode"]
-        assert CellSpec.from_dict(payload).rng_mode == "counter"
+            assert CellSpec(**cell.to_dict()) == cell
 
 
 class TestShardHash:
@@ -301,11 +297,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="shard_trials"):
             SweepSpec((fleet_cell(),), shard_trials=0)
 
-    def test_round_trips_through_dict(self):
-        spec = SweepSpec((fleet_cell(), reference_cell()), shard_trials=8)
-        assert SweepSpec.from_dict(spec.to_dict()) == spec
-
 
 class TestCanonicalJson:
     def test_sorted_and_compact(self):
         assert canonical_json({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
+
+    def test_fingerprint_hash_is_canonical(self):
+        a = fingerprint_hash({"b": 2, "a": 1})
+        b = fingerprint_hash({"a": 1, "b": 2})
+        assert a == b
+        assert len(a) == 64
+
+    def test_fingerprint_hash_distinguishes_payloads(self):
+        assert fingerprint_hash({"a": 1}) != fingerprint_hash({"a": 2})

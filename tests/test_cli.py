@@ -86,6 +86,21 @@ class TestSweep:
         # identical CSV rows from the store
         assert warm == out
 
+    def test_table_and_plot_without_csv(self, capsys):
+        assert main([
+            "sweep",
+            "--algorithms", "feedback",
+            "--sizes", "12", "16",
+            "--trials", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        table, plot = out.split("\n\n", 1)
+        assert table.startswith("experiment: sweep (seed=1900)\n")
+        assert "series   | x  | mean | std  | trials" in table
+        assert plot.startswith("rounds\n")
+        # Without --csv the shard report closes stdout.
+        assert out.splitlines()[-1].startswith("# shards: total=2 ")
+
     def test_reference_engine_grid(self, capsys):
         assert main([
             "sweep",
@@ -233,6 +248,32 @@ class TestCompareChurn:
         out = capsys.readouterr().out
         assert "repair" in out
         assert "recovered" in out
+
+    def test_compare_churn_default_panel_honours_churn(self, capsys):
+        """Without --algorithms, churn runs the churn-honouring subset of
+        the default panel."""
+        assert main([
+            "compare", "--sizes", "12", "--trials", "2", "--churn", "leave:1:0",
+        ]) == 0
+        out = capsys.readouterr().out
+        rows = out.split("\n\n", 1)[0].splitlines()[3:]
+        assert [row.split("|")[0].strip() for row in rows] == [
+            "feedback", "afek-sweep", "luby-permutation", "luby-probability"
+        ]
+        assert "recovered" in out
+
+    def test_compare_csv_keeps_stdout_pure(self, capsys):
+        assert main([
+            "compare", "--sizes", "12", "--trials", "2",
+            "--algorithms", "feedback", "greedy", "--csv",
+        ]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == "series,x,quantity,mean,std,trials"
+        assert len(lines) == 5
+        assert all(line.count(",") == 5 for line in lines)
+        assert "# shards:" not in out
+        assert err.startswith("# shards: total=2 executed=2 ")
 
     def test_compare_rejects_churn_blind_algorithm(self):
         with pytest.raises(SystemExit, match="churn"):

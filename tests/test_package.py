@@ -247,10 +247,13 @@ _IDENTIFIER_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _identifiers(tree):
-    """``(identifier, line)`` for every identifier ``tree`` mentions: names,
-    attributes, import aliases and ``"Class.method"``-shaped strings."""
+    """``(identifier, line, bare)`` for every identifier ``tree`` mentions:
+    names, attributes, import aliases and ``"Class.method"``-shaped
+    strings; ``bare`` marks a plain ``Name``, which a method is never
+    reached through."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        bare = isinstance(node, ast.Name)
+        if bare:
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
@@ -264,7 +267,7 @@ def _identifiers(tree):
             continue
         line = getattr(node, "lineno", None)
         for name in filter(None, names):
-            yield name, line
+            yield name, line, bare
 
 
 def _parse(module):
@@ -333,15 +336,20 @@ def _unreached(checked, roots):
     Methods are matched by name only, not resolved to their class.  The
     guard can therefore miss an orphan method whose name a reached
     method of another class shares, but it never flags a reached name.
+    A method counts as reached only through an attribute, an import
+    alias or a string: a local variable of the same name is not a use.
     """
-    seen = {}
+    seen, members = {}, {}
     for module, tree in roots:
-        for name, line in _identifiers(tree):
+        for name, line, bare in _identifiers(tree):
             seen.setdefault(name, set()).add((module, line))
+            if not bare:
+                members.setdefault(name, set()).add((module, line))
     unreached = set()
     for module, tree in checked.items():
         for qualname, first, last in _public_definitions(tree):
-            uses = seen.get(qualname.rsplit(".", 1)[-1], ())
+            owner, _, name = qualname.rpartition(".")
+            uses = (members if owner else seen).get(name, ())
             if all(
                 where == module and first <= line <= last
                 for where, line in uses
@@ -402,7 +410,7 @@ class TestNoOrphanNames:
         name = key.rsplit(":", 1)[-1].rsplit(".", 1)[-1]
         used = {
             identifier
-            for identifier, _ in _identifiers(ast.Module(scope, []))
+            for identifier, _, _ in _identifiers(ast.Module(scope, []))
         }
         assert name in used, f"{CLAIM_NAMES[key]} never uses {name}"
 
@@ -456,6 +464,9 @@ def _private():
 
     def test_a_mention_in_a_docstring_or_text_does_not_count(self):
         assert "m:used" in self.unreached('"""used() is documented"""')
+
+    def test_a_local_variable_does_not_reach_a_method(self):
+        assert "m:Box.shown" in self.unreached("shown = 1\nprint(shown)")
 
 
 def _layer_targets():
