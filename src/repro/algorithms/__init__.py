@@ -1,6 +1,7 @@
 """MIS algorithms: the paper's contribution and every baseline it cites.
 
-Beeping-model algorithms (run on :class:`repro.beeping.BeepingSimulation`):
+Beeping-model algorithms (each a :class:`~repro.algorithms.base.BeepingMIS`,
+which runs it on :class:`repro.beeping.BeepingSimulation`):
 
 - :class:`FeedbackMIS` — the paper's local-feedback algorithm (Definition 1).
 - :class:`AfekSweepMIS` — Afek et al. DISC 2011: preset global sweeping

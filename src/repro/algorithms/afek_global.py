@@ -18,14 +18,10 @@ start low) and as an extra baseline.
 from __future__ import annotations
 
 import math
-from random import Random
-from typing import Optional
 
-from repro.algorithms.base import MISAlgorithm, MISRun
-from repro.beeping.events import Trace
-from repro.beeping.faults import FaultModel, NO_FAULTS
+from repro.algorithms.base import BeepingMIS
 from repro.beeping.node import BeepingNode
-from repro.beeping.scheduler import BeepingSimulation
+from repro.beeping.scheduler import NodeFactory
 from repro.graphs.graph import Graph
 
 
@@ -76,7 +72,7 @@ class _GlobalScheduleNode(BeepingNode):
         pass
 
 
-class AfekGlobalMIS(MISAlgorithm):
+class AfekGlobalMIS(BeepingMIS):
     """The Science 2011 beeping MIS algorithm (requires n and max degree).
 
     Parameters
@@ -97,43 +93,8 @@ class AfekGlobalMIS(MISAlgorithm):
     def name(self) -> str:
         return "afek-global"
 
-    def run(
-        self,
-        graph: Graph,
-        rng: Random,
-        trace: Optional[Trace] = None,
-        faults: FaultModel = NO_FAULTS,
-        max_rounds: int = 100_000,
-    ) -> MISRun:
-        num_vertices = graph.num_vertices
-        max_degree = graph.max_degree()
-        simulation = BeepingSimulation(
-            graph,
-            lambda vertex: _GlobalScheduleNode(
-                num_vertices, max_degree, self._steps_coefficient
-            ),
-            rng,
-            faults=faults,
-            trace=trace,
-            max_rounds=max_rounds,
-        )
-        result = simulation.run()
-        # Under churn, result.graph is the universe graph (base plus
-        # joiners) and the metrics are universe-length.
-        message_bits = sum(
-            beeps * result.graph.degree(v)
-            for v, beeps in enumerate(result.metrics.beeps_by_node)
-        )
-        return MISRun(
-            algorithm=self.name,
-            graph=result.graph,
-            mis=result.mis,
-            rounds=result.num_rounds,
-            beeps_by_node=list(result.metrics.beeps_by_node),
-            messages=message_bits,
-            bits=message_bits,
-            simulation=result,
-            absent=set(result.absent),
-            repair_rounds=result.repair_rounds,
-            recovered=result.recovered,
+    def node_factory(self, graph: Graph) -> NodeFactory:
+        num_vertices, max_degree = graph.num_vertices, graph.max_degree()
+        return lambda vertex: _GlobalScheduleNode(
+            num_vertices, max_degree, self._steps_coefficient
         )

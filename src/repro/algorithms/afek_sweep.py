@@ -16,14 +16,11 @@ sequence — needs Ω(log² n) rounds on the disjoint-clique family.
 from __future__ import annotations
 
 import math
-from random import Random
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.algorithms.base import MISAlgorithm, MISRun
-from repro.beeping.events import Trace
-from repro.beeping.faults import FaultModel, NO_FAULTS
+from repro.algorithms.base import BeepingMIS
 from repro.beeping.node import BeepingNode
-from repro.beeping.scheduler import BeepingSimulation
+from repro.beeping.scheduler import NodeFactory
 from repro.graphs.graph import Graph
 
 
@@ -74,46 +71,12 @@ class SweepScheduleNode(BeepingNode):
         pass
 
 
-class AfekSweepMIS(MISAlgorithm):
+class AfekSweepMIS(BeepingMIS):
     """The DISC 2011 sweeping-probability beeping MIS algorithm."""
 
     @property
     def name(self) -> str:
         return "afek-sweep"
 
-    def run(
-        self,
-        graph: Graph,
-        rng: Random,
-        trace: Optional[Trace] = None,
-        faults: FaultModel = NO_FAULTS,
-        max_rounds: int = 100_000,
-    ) -> MISRun:
-        simulation = BeepingSimulation(
-            graph,
-            lambda vertex: SweepScheduleNode(),
-            rng,
-            faults=faults,
-            trace=trace,
-            max_rounds=max_rounds,
-        )
-        result = simulation.run()
-        # Under churn, result.graph is the universe graph (base plus
-        # joiners) and the metrics are universe-length.
-        message_bits = sum(
-            beeps * result.graph.degree(v)
-            for v, beeps in enumerate(result.metrics.beeps_by_node)
-        )
-        return MISRun(
-            algorithm=self.name,
-            graph=result.graph,
-            mis=result.mis,
-            rounds=result.num_rounds,
-            beeps_by_node=list(result.metrics.beeps_by_node),
-            messages=message_bits,
-            bits=message_bits,
-            simulation=result,
-            absent=set(result.absent),
-            repair_rounds=result.repair_rounds,
-            recovered=result.recovered,
-        )
+    def node_factory(self, graph: Graph) -> NodeFactory:
+        return lambda vertex: SweepScheduleNode()

@@ -2,7 +2,9 @@
 
 Every algorithm — beeping or message-passing, distributed or centralised —
 implements :class:`MISAlgorithm` and returns an :class:`MISRun`, so the
-experiment harness can sweep over algorithms uniformly.
+experiment harness can sweep over algorithms uniformly.  The beeping
+algorithms on the per-node scheduler subclass :class:`BeepingMIS`, which
+owns their one ``run``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.beeping.events import Trace
-from repro.beeping.scheduler import SimulationResult
+from repro.beeping.metrics import beep_channel_bits
+from repro.beeping.scheduler import (
+    BeepingSimulation,
+    NodeFactory,
+    SimulationResult,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.validation import verify_mis
 
@@ -83,39 +90,23 @@ class MISRun:
         return len(self.mis)
 
     def verify(self) -> Set[int]:
-        """Assert the output is a maximal independent set.
+        """Assert the output is an MIS of the survivors (:func:`verify_mis`).
 
-        Runs with crashes or churn verify through the underlying
-        simulation when one exists (it knows which vertices left the
-        system); otherwise the crash/churn sets recorded on the run
-        drive :func:`verify_mis` directly.  Unrecovered runs skip
-        maximality (mid-repair output is a valid independent set of
-        the survivors, nothing more).
+        Crashed vertices come from the underlying simulation, when one
+        exists; an unrecovered run (``recovered=False``) skips only
+        maximality.
         """
-        if self.simulation is not None and (
-            self.simulation.crashed
-            or self.simulation.absent
-            or not self.simulation.recovered
-        ):
-            return self.simulation.verify()
-        if not self.recovered:
-            from repro.graphs.validation import independent_set_violations
-
-            violations = independent_set_violations(self.graph, self.mis)
-            if violations:
-                raise AssertionError(
-                    f"unrecovered run output is not independent: edge "
-                    f"{violations[0]} has both endpoints in the set"
-                )
-            return set(self.mis)
-        if self.absent:
-            crashed = (
-                self.simulation.crashed if self.simulation is not None else ()
-            )
-            return verify_mis(
-                self.graph, self.mis, crashed=crashed, absent=self.absent
-            )
-        return verify_mis(self.graph, self.mis)
+        return verify_mis(
+            self.graph,
+            self.mis,
+            crashed=(
+                self.simulation.crashed
+                if self.simulation is not None
+                else ()
+            ),
+            absent=self.absent,
+            recovered=self.recovered,
+        )
 
 
 class MISAlgorithm(ABC):
@@ -148,3 +139,53 @@ class MISAlgorithm(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+class BeepingMIS(MISAlgorithm):
+    """A beeping algorithm on the per-node scheduler
+    (:class:`~repro.beeping.scheduler.BeepingSimulation`).
+
+    The paper's beeping algorithms share the two-exchange round and
+    differ only in how a node picks its beep probability, so a subclass
+    supplies just a name and :meth:`node_factory`.
+    """
+
+    @abstractmethod
+    def node_factory(self, graph: Graph) -> NodeFactory:
+        """The per-vertex policy factory for one run on ``graph`` (the
+        input graph, before any churn joiners are added)."""
+
+    def run(
+        self,
+        graph: Graph,
+        rng: Random,
+        trace: Optional[Trace] = None,
+        faults: FaultModel = NO_FAULTS,
+        max_rounds: int = 100_000,
+    ) -> MISRun:
+        result = BeepingSimulation(
+            graph,
+            self.node_factory(graph),
+            rng,
+            faults=faults,
+            trace=trace,
+            max_rounds=max_rounds,
+        ).run()
+        # Under churn, result.graph is the universe graph (base plus
+        # joiners) and the metrics are universe-length.
+        channel_bits = beep_channel_bits(
+            result.graph, result.metrics.beeps_by_node
+        )
+        return MISRun(
+            algorithm=self.name,
+            graph=result.graph,
+            mis=result.mis,
+            rounds=result.num_rounds,
+            beeps_by_node=list(result.metrics.beeps_by_node),
+            messages=channel_bits,
+            bits=channel_bits,
+            simulation=result,
+            absent=set(result.absent),
+            repair_rounds=result.repair_rounds,
+            recovered=result.recovered,
+        )

@@ -1,28 +1,22 @@
 """The paper's algorithm as a runnable :class:`MISAlgorithm`.
 
 This is a thin adapter: the policy lives in :mod:`repro.core.policy`, the
-round semantics in :mod:`repro.beeping.scheduler`.  The adapter exists so
-the feedback algorithm, its robustness variants and the baselines all share
-one calling convention.
+round semantics in :mod:`repro.beeping.scheduler` and the run in
+:class:`~repro.algorithms.base.BeepingMIS`, so the feedback algorithm, its
+robustness variants and the baselines all share one calling convention.
 """
 
 from __future__ import annotations
 
-from random import Random
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.algorithms.base import MISAlgorithm, MISRun
-from repro.beeping.events import Trace
-from repro.beeping.faults import FaultModel, NO_FAULTS
-from repro.beeping.node import BeepingNode
-from repro.beeping.scheduler import BeepingSimulation
+from repro.algorithms.base import BeepingMIS
+from repro.beeping.scheduler import NodeFactory
 from repro.core.policy import ExponentFeedbackNode
 from repro.graphs.graph import Graph
 
-NodeFactory = Callable[[int], BeepingNode]
 
-
-class FeedbackMIS(MISAlgorithm):
+class FeedbackMIS(BeepingMIS):
     """The local-feedback beeping MIS algorithm (Definition 1).
 
     By default every vertex runs the exact exponent policy of the paper
@@ -36,7 +30,7 @@ class FeedbackMIS(MISAlgorithm):
         node_factory: Optional[NodeFactory] = None,
         name: str = "feedback",
     ) -> None:
-        self._node_factory = node_factory or (
+        self._factory = node_factory or (
             lambda vertex: ExponentFeedbackNode()
         )
         self._name = name
@@ -45,39 +39,5 @@ class FeedbackMIS(MISAlgorithm):
     def name(self) -> str:
         return self._name
 
-    def run(
-        self,
-        graph: Graph,
-        rng: Random,
-        trace: Optional[Trace] = None,
-        faults: FaultModel = NO_FAULTS,
-        max_rounds: int = 100_000,
-    ) -> MISRun:
-        simulation = BeepingSimulation(
-            graph,
-            self._node_factory,
-            rng,
-            faults=faults,
-            trace=trace,
-            max_rounds=max_rounds,
-        )
-        result = simulation.run()
-        # Under churn, result.graph is the universe graph (base plus
-        # joiners) and the metrics are universe-length.
-        message_bits = sum(
-            beeps * result.graph.degree(v)
-            for v, beeps in enumerate(result.metrics.beeps_by_node)
-        )
-        return MISRun(
-            algorithm=self.name,
-            graph=result.graph,
-            mis=result.mis,
-            rounds=result.num_rounds,
-            beeps_by_node=list(result.metrics.beeps_by_node),
-            messages=message_bits,
-            bits=message_bits,
-            simulation=result,
-            absent=set(result.absent),
-            repair_rounds=result.repair_rounds,
-            recovered=result.recovered,
-        )
+    def node_factory(self, graph: Graph) -> NodeFactory:
+        return self._factory

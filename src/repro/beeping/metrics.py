@@ -9,7 +9,23 @@ benchmark harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Union
+
+import numpy as np
+
+from repro.graphs.graph import Graph
+
+
+def beep_channel_bits(graph: Graph, beeps_by_node) -> Union[int, List[int]]:
+    """The bits a run's beeps cost: one beep is one 1-bit message per
+    incident channel of ``graph`` (the universe graph under churn).
+
+    ``beeps_by_node`` is one run's per-vertex counts (the result is an
+    ``int``) or a ``(trials, n)`` batch (a list of ``int``, one per
+    trial): plain Python ints, which the shard store's rows require.
+    """
+    degrees = np.diff(graph.indptr).astype(np.int64)
+    return (np.asarray(beeps_by_node, dtype=np.int64) @ degrees).tolist()
 
 
 @dataclass(frozen=True)

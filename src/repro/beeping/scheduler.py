@@ -35,7 +35,7 @@ from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.beeping.metrics import RoundRecord, SimulationMetrics
 from repro.beeping.node import BeepingNode, NodeState
 from repro.graphs.graph import Graph
-from repro.graphs.validation import MISValidationError
+from repro.graphs.validation import verify_mis
 
 NodeFactory = Callable[[int], BeepingNode]
 
@@ -84,36 +84,16 @@ class SimulationResult:
         return self.metrics.mean_beeps_per_node
 
     def verify(self) -> Set[int]:
-        """Assert the output is an MIS of the surviving graph.
-
-        Independence must hold among MIS members; every surviving
-        (non-crashed, non-absent) vertex must be in the MIS or adjacent
-        to an MIS member.  Crashed and absent vertices are excluded from
-        the maximality requirement: they left the system.  A run the
-        round budget cut off mid-repair (``recovered=False``) skips the
-        maximality check — its output is still an independent set.
-        """
-        exempt = self.crashed | self.absent
-        for u in sorted(self.mis):
-            if u in self.crashed:
-                raise MISValidationError(f"crashed vertex {u} is in the MIS")
-            if u in self.absent:
-                raise MISValidationError(f"absent vertex {u} is in the MIS")
-            for w in self.graph.neighbors(u):
-                if w in self.mis:
-                    raise MISValidationError(
-                        f"set is not independent: edge ({u}, {w}) inside MIS"
-                    )
-        if not self.recovered:
-            return set(self.mis)
-        for v in self.graph.vertices():
-            if v in self.mis or v in exempt:
-                continue
-            if not any(w in self.mis for w in self.graph.neighbors(v)):
-                raise MISValidationError(
-                    f"set is not maximal: vertex {v} is uncovered"
-                )
-        return set(self.mis)
+        """Assert the output is an MIS of the surviving graph
+        (:func:`~repro.graphs.validation.verify_mis` with this run's
+        crashed, absent and recovered fields)."""
+        return verify_mis(
+            self.graph,
+            self.mis,
+            crashed=self.crashed,
+            absent=self.absent,
+            recovered=self.recovered,
+        )
 
 
 class BeepingSimulation:

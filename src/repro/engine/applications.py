@@ -71,6 +71,7 @@ from repro.applications.ruling_sets import verify_ruling_set
 from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.beeping.rng import DRAW_LAYER, counter_state
 from repro.beeping.events import Trace
+from repro.beeping.metrics import beep_channel_bits
 from repro.engine.fleet import ArmadaSimulator, FleetSimulator
 from repro.engine.rules import FeedbackRule
 from repro.engine.simulator import DEFAULT_MAX_ROUNDS, seed_groups
@@ -615,15 +616,14 @@ class EngineMIS(MISAlgorithm):
         run = FleetSimulator(
             graph, max_rounds=min(max_rounds, self._max_rounds)
         ).run_fleet(FeedbackRule(), [layer_seed], rng_mode="counter")
-        beeps = run.beeps_by_node[0]
-        degrees = np.diff(graph.indptr).astype(np.int64)
-        channel_bits = int((beeps * degrees).sum())
+        beeps = run.beeps_by_node[0].tolist()
+        channel_bits = beep_channel_bits(graph, beeps)
         return MISRun(
             algorithm=self.name,
             graph=graph,
             mis=run.mis_set(0),
             rounds=int(run.rounds[0]),
-            beeps_by_node=[int(b) for b in beeps],
+            beeps_by_node=beeps,
             messages=channel_bits,
             bits=channel_bits,
         )

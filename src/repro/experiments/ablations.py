@@ -146,6 +146,8 @@ def fault_ablation(
     is validated in every trial (noise may slow the algorithm but can never
     corrupt the result — the second exchange is reliable by design).
     """
+    from repro.sweep.aggregate import summarize
+
     points: List[SeriesPoint] = []
     index = 0
     for loss in loss_probabilities:
@@ -163,15 +165,7 @@ def fault_ablation(
                 derive_seed(master_seed, index),
                 faults=faults,
             )
-            rounds = [o.rounds for o in outcomes]
-            mean = sum(rounds) / len(rounds)
-            if len(rounds) > 1:
-                variance = sum((r - mean) ** 2 for r in rounds) / (
-                    len(rounds) - 1
-                )
-                std = variance ** 0.5
-            else:
-                std = 0.0
+            mean, std = summarize([o.rounds for o in outcomes])
             points.append(
                 SeriesPoint(
                     series=f"loss={loss},spurious={spurious}",

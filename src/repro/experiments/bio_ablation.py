@@ -46,6 +46,8 @@ def inhibition_strength_ablation(
     row by row it is bit-identical to one ``NotchDeltaModel.run`` per
     trial.
     """
+    from repro.sweep.aggregate import summarize
+
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     graph = hex_lattice_graph(rows, cols)
@@ -76,14 +78,7 @@ def inhibition_strength_ablation(
             sop_counts.append(pattern.num_sops)
             if pattern.is_mis:
                 mis_hits += 1
-        mean_separation = sum(separations) / trials
-        if trials > 1:
-            variance = sum(
-                (s - mean_separation) ** 2 for s in separations
-            ) / (trials - 1)
-            std = variance ** 0.5
-        else:
-            std = 0.0
+        mean_separation, std = summarize(separations)
         points.append(
             SeriesPoint(
                 series="delta-separation",

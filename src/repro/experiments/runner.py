@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.algorithms.base import MISAlgorithm, MISRun
 from repro.beeping.faults import FaultModel, NO_FAULTS
+from repro.beeping.metrics import beep_channel_bits
 from repro.beeping.rng import RngStream
 from repro.graphs.graph import Graph
 from repro.telemetry import probes
@@ -200,9 +201,9 @@ def _group_outcomes(
     """One graph's rows, in trial order, from any fabric's run.
 
     ``host`` is the graph the run beeped on (the universe graph under
-    churn, the host graph of an application rule).  Beep
-    accounting mirrors the reference engine's: a beep is one 1-bit
-    message per incident channel of that graph.  Message algorithms do
+    churn, the host graph of an application rule); its beeps are
+    counted by the reference engine's rule,
+    :func:`~repro.beeping.metrics.beep_channel_bits`.  Message algorithms do
     not beep; their ``messages``/``bits`` carry the per-node references'
     value-exchange accounting.  An application's ``mis_size`` is its
     output size (colour count for peeling, matched edges / chosen
@@ -216,8 +217,7 @@ def _group_outcomes(
         messages, bits = run.messages, run.bits
     else:
         mean_beeps = run.mean_beeps
-        degrees = np.diff(host.indptr).astype(np.int64)
-        messages = bits = run.beeps_by_node @ degrees
+        messages = bits = beep_channel_bits(host, run.beeps_by_node)
     if isinstance(rule, ApplicationRule):
         sizes = [rule.output_size(run, t) for t in range(run.trials)]
     else:

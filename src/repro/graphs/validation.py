@@ -90,20 +90,29 @@ def verify_mis(
     vertices: Iterable[int],
     crashed: Iterable[int] = (),
     absent: Iterable[int] = (),
+    recovered: bool = True,
 ) -> Set[int]:
     """Assert that ``vertices`` is an MIS of ``graph`` and return it as a set.
 
+    The one MIS contract: :meth:`SimulationResult.verify
+    <repro.beeping.scheduler.SimulationResult.verify>` and
+    :meth:`MISRun.verify <repro.algorithms.base.MISRun.verify>` call it,
+    and :func:`verify_mis_rows` is its batched twin.
+
     ``crashed`` names fail-stop vertices that left the system mid-run:
     they must not appear in the set, and they are exempt from the
-    maximality requirement (a crashed vertex may legitimately be uncovered)
-    — the same contract as
-    :meth:`repro.beeping.scheduler.SimulationResult.verify`.
+    maximality requirement (a crashed vertex may legitimately be
+    uncovered).
 
     ``absent`` is the churn-aware counterpart: vertices of the universe
     graph that are not part of the final alive subgraph (departed,
     asleep at the end, or never joined).  Like crashed vertices they are
     banned from the set and exempt from maximality, so the assertion
     becomes "a valid MIS of the final alive subgraph".
+
+    ``recovered=False`` marks a churn run the round budget cut off
+    mid-repair: its set must still be independent and avoid crashed and
+    absent vertices, but maximality is not checked.
 
     Raises
     ------
@@ -130,6 +139,8 @@ def verify_mis(
             f"set is not independent: edge ({u}, {w}) has both endpoints "
             f"in the set ({len(violations)} violating edges in total)"
         )
+    if not recovered:
+        return vertex_set
     exempt = crashed_set | absent_set
     uncovered = [
         v
@@ -138,8 +149,9 @@ def verify_mis(
     ]
     if uncovered:
         raise MISValidationError(
-            f"set is not maximal: vertex {uncovered[0]} is neither in the "
-            f"set nor adjacent to it ({len(uncovered)} uncovered vertices)"
+            f"set is not maximal: vertex {uncovered[0]} is uncovered, "
+            f"neither in the set nor adjacent to it ({len(uncovered)} "
+            f"uncovered vertices)"
         )
     return vertex_set
 
@@ -170,7 +182,8 @@ def invalid_mis_rows(
 
     ``crashed`` and ``absent`` are ``(slots, n)`` bool masks of exempt
     vertices; slots whose ``(slots,)`` ``recovered`` flag is ``False``
-    are not checked and read ``False``.  The work is linear in the total
+    skip only maximality, as :func:`verify_mis` does with
+    ``recovered=False``.  The work is linear in the total
     degree of the set members: each member's CSR segment is expanded
     into ``(slot, neighbour)`` pairs, which are tested for membership
     (independence) and scattered into a ``covered`` mask (maximality).
@@ -204,11 +217,11 @@ def invalid_mis_rows(
     if conflicts.any():
         bad[pairs[conflicts] // n] = True
     covered.reshape(-1)[pairs] = True
-    bad |= ~covered.all(axis=1)
+    uncovered = ~covered.all(axis=1)
     recovered = _slot_mask(recovered, (slots,), "recovered")
     if recovered is not None:
-        bad &= recovered
-    return bad
+        uncovered &= recovered
+    return bad | uncovered
 
 
 def verify_mis_rows(
@@ -218,8 +231,8 @@ def verify_mis_rows(
     absent: Optional[np.ndarray] = None,
     recovered: Optional[np.ndarray] = None,
 ) -> None:
-    """Assert that every checked row of ``membership`` is an MIS of
-    ``graph``: :func:`verify_mis` for a ``(slots, n)`` batch of trials.
+    """Assert that every row of ``membership`` is an MIS of ``graph``:
+    :func:`verify_mis` for a ``(slots, n)`` batch of trials.
 
     Masks are as in :func:`invalid_mis_rows`.  The lowest failing slot
     is re-checked by :func:`verify_mis`, so the error text is exactly
@@ -260,6 +273,7 @@ def verify_mis_rows(
             row_set(membership),
             crashed=row_set(crashed),
             absent=row_set(absent),
+            recovered=recovered is None or bool(recovered[slot]),
         )
     except MISValidationError as error:
         error.slot = slot

@@ -105,33 +105,9 @@ CHURN_REFERENCE_ALGORITHMS = frozenset(
 )
 
 
-def churn_to_json(churn: Tuple[Tuple[Any, ...], ...]) -> List[List[Any]]:
-    """Churn event tuples as JSON-safe nested lists."""
-    return [
-        [event[0], event[1], event[2], list(event[3])]
-        if len(event) == 4
-        else [event[0], event[1], event[2]]
-        for event in churn
-    ]
-
-
-def churn_from_json(payload: Any) -> Tuple[Tuple[Any, ...], ...]:
-    """Inverse of :func:`churn_to_json` (tolerates tuple input)."""
-    events = []
-    for event in payload:
-        kind, round_index, vertex = event[0], int(event[1]), int(event[2])
-        if len(event) == 4:
-            events.append(
-                (kind, round_index, vertex,
-                 tuple(int(w) for w in event[3]))
-            )
-        else:
-            events.append((kind, round_index, vertex))
-    return tuple(events)
-
-
 def canonical_json(payload: Any) -> str:
-    """The one canonical serialisation hashes are computed over."""
+    """The one canonical serialisation hashes are computed over (tuples,
+    such as a cell's crashes and churn events, are written as lists)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -259,9 +235,7 @@ class CellSpec:
         object.__setattr__(
             self,
             "churn",
-            ChurnSchedule.from_events(
-                churn_from_json(self.churn)
-            ).to_tuples(),
+            ChurnSchedule.from_events(self.churn).to_tuples(),
         )
         faults = self.fault_model()  # validates the fault fields
         if (
@@ -343,8 +317,8 @@ class CellSpec:
             "master_seed": self.master_seed,
             "beep_loss": self.beep_loss,
             "spurious_beep": self.spurious_beep,
-            "crashes": [list(pair) for pair in self.crashes],
-            "churn": churn_to_json(self.churn),
+            "crashes": self.crashes,
+            "churn": self.churn,
             "max_rounds": self.max_rounds,
         }
         fingerprint.update(self.family_parameters())
@@ -376,8 +350,8 @@ class CellSpec:
             "rng_mode": self.rng_mode,
             "beep_loss": self.beep_loss,
             "spurious_beep": self.spurious_beep,
-            "crashes": [list(pair) for pair in self.crashes],
-            "churn": churn_to_json(self.churn),
+            "crashes": self.crashes,
+            "churn": self.churn,
             "validate": self.validate,
             "max_rounds": self.max_rounds,
             "backend": self.backend,

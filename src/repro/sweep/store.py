@@ -29,7 +29,6 @@ import dataclasses
 import json
 import math
 import os
-import tempfile
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -63,20 +62,17 @@ def atomic_write_text(path: Path, text: str) -> None:
     or the complete new ones.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w",
-        encoding="utf-8",
-        dir=path.parent,
-        prefix=f".tmp-{path.name}-",
-        delete=False,
-    )
+    # A fresh name opened with mode 0o666, so the umask sets the final
+    # mode (a NamedTemporaryFile is always 0600, which os.replace keeps).
+    temp = path.parent / f".tmp-{path.name}-{os.urandom(8).hex()}"
+    fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with handle:
+        with open(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(handle.name, path)
+        os.replace(temp, path)
     except BaseException:
         try:
-            os.unlink(handle.name)
+            os.unlink(temp)
         except OSError:
             pass
         raise

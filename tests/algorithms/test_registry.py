@@ -66,6 +66,15 @@ class TestMISRun:
         with pytest.raises(AssertionError, match="edge \\(0, 1\\)"):
             run.verify()
 
+    def test_unrecovered_run_raises_the_contract_error(self):
+        run = self._run({0, 1})
+        run.recovered = False
+        with pytest.raises(MISValidationError, match="not independent"):
+            run.verify()
+        run.mis, run.absent = {1}, {1}
+        with pytest.raises(MISValidationError, match="absent vertex 1"):
+            run.verify()
+
     def test_mis_size(self):
         assert self._run({1, 3}).mis_size == 2
 
@@ -96,3 +105,18 @@ class TestUniformBehaviour:
         assert run.algorithm == name
         assert run.rounds >= 1
         run.verify()
+
+
+class TestBeepAccounting:
+    """A beep is one 1-bit message per incident channel, counted in
+    Python ints (the shard store's rows accept nothing else)."""
+
+    @pytest.mark.parametrize("name", ["feedback", "afek-sweep", "afek-global"])
+    def test_scheduler_runs(self, name, random50):
+        run = make_algorithm(name).run(random50, Random(7))
+        expected = sum(
+            beeps * random50.degree(v)
+            for v, beeps in enumerate(run.beeps_by_node)
+        )
+        assert type(run.bits) is int and type(run.messages) is int
+        assert run.bits == run.messages == expected > 0

@@ -36,19 +36,22 @@ def row_set(mask, slot):
     return set() if mask is None else set(np.flatnonzero(mask[slot]).tolist())
 
 
+def row_recovered(recovered, slot):
+    return recovered is None or bool(recovered[slot])
+
+
 def oracle_verdicts(graph, membership, crashed, absent, recovered):
-    """Per slot: whether ``verify_mis`` rejects it (skipped slots pass)."""
+    """Per slot: whether ``verify_mis`` rejects it (an unrecovered slot
+    skips only maximality)."""
     verdicts = []
     for slot in range(membership.shape[0]):
-        if recovered is not None and not recovered[slot]:
-            verdicts.append(False)
-            continue
         try:
             verify_mis(
                 graph,
                 row_set(membership, slot),
                 crashed=row_set(crashed, slot),
                 absent=row_set(absent, slot),
+                recovered=row_recovered(recovered, slot),
             )
         except MISValidationError:
             verdicts.append(True)
@@ -57,7 +60,7 @@ def oracle_verdicts(graph, membership, crashed, absent, recovered):
     return np.array(verdicts, dtype=bool)
 
 
-def oracle_error(graph, membership, crashed, absent, slot):
+def oracle_error(graph, membership, crashed, absent, slot, recovered=None):
     """``verify_mis``'s message for one slot."""
     with pytest.raises(MISValidationError) as caught:
         verify_mis(
@@ -65,6 +68,7 @@ def oracle_error(graph, membership, crashed, absent, slot):
             row_set(membership, slot),
             crashed=row_set(crashed, slot),
             absent=row_set(absent, slot),
+            recovered=row_recovered(recovered, slot),
         )
     return str(caught.value)
 
@@ -82,7 +86,7 @@ def assert_agrees(graph, membership, crashed=None, absent=None, recovered=None):
         verify_mis_rows(graph, membership, crashed, absent, recovered)
     assert caught.value.slot == slot
     assert str(caught.value) == oracle_error(
-        graph, membership, crashed, absent, slot
+        graph, membership, crashed, absent, slot, recovered
     )
 
 
@@ -175,6 +179,27 @@ class TestOracle:
         membership[1, [0, 3]] = True
         verify_mis_rows(graph, membership, recovered=recovered)
         assert invalid_mis_rows(graph, membership).tolist() == [True, False]
+
+    def test_unrecovered_slots_skip_only_maximality(self):
+        # Slot 0 holds the edge (0, 1), slot 1 the crashed vertex 3 and
+        # slot 2 the absent vertex 0; none recovered, all three fail.
+        graph = grid_graph(2, 2)
+        membership = np.zeros((3, 4), dtype=bool)
+        membership[0, [0, 1]] = True
+        membership[1, 3] = True
+        membership[2, 0] = True
+        crashed = np.zeros((3, 4), dtype=bool)
+        crashed[1, 3] = True
+        absent = np.zeros((3, 4), dtype=bool)
+        absent[2, 0] = True
+        recovered = np.zeros(3, dtype=bool)
+        assert invalid_mis_rows(
+            graph, membership, crashed, absent, recovered
+        ).tolist() == [True, True, True]
+        with pytest.raises(MISValidationError, match=r"edge \(0, 1\)") as caught:
+            verify_mis_rows(graph, membership, crashed, absent, recovered)
+        assert caught.value.slot == 0
+        assert_agrees(graph, membership, crashed, absent, recovered)
 
     def test_shape_mismatch_is_rejected(self):
         graph = grid_graph(2, 2)

@@ -182,6 +182,23 @@ class TestShardHash:
             "1a356a0c4cd42d6c0f9c37a2a34877b45b69b717bfd10b51a662254460b21cc6"
         )
 
+    def test_golden_hash_of_a_fault_cell(self):
+        """Crash pairs and churn events (a join with its neighbour list
+        among them) hash as nested JSON lists: the key of a cached fault
+        cell is pinned like the fault-free one."""
+        cell = reference_cell(
+            crashes=((3, 5), (1, 4)),
+            churn=(
+                ("join", 2, 30, (7, 1)),
+                ("leave", 1, 3),
+                ("sleep", 0, 6),
+                ("wake", 3, 6),
+            ),
+        )
+        assert ShardSpec(cell, 0, 8).content_hash() == (
+            "ca78782a51c7a374f96b0fae83ddfc7dcec9dba7d181dabeb27af9bc19a90881"
+        )
+
     @pytest.mark.parametrize(
         "override",
         [

@@ -1,6 +1,8 @@
 """Tests for the content-addressed result store."""
 
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from repro.sweep.spec import (
 from repro.sweep.store import (
     STORE_FORMAT_VERSION,
     ResultStore,
+    atomic_write_text,
     read_checked,
     write_checked,
 )
@@ -96,7 +99,8 @@ class TestPutGet:
         }
         assert entry["format"] == STORE_FORMAT_VERSION
         assert entry["content_hash"] == spec.content_hash()
-        assert entry["shard"] == spec.to_dict()
+        # to_dict keeps the cell's tuples; the entry holds their JSON lists.
+        assert entry["shard"] == json.loads(canonical_json(spec.to_dict()))
         assert entry["rows"]["trial"] == [0, 1, 2, 3]
         assert entry["rows"]["rounds"] == [5, 6, 7, 8]
         # Compact canonical JSON: no timestamps, no whitespace, so equal
@@ -123,6 +127,32 @@ class TestPutGet:
         store.put(spec, rows_for(spec))
         leftovers = [p for p in tmp_path.rglob("*") if p.name.startswith(".tmp-")]
         assert leftovers == []
+
+
+class TestAtomicWrite:
+    """``atomic_write_text`` leaves the final mode to the umask, like a
+    plain ``open(path, "w")``, and cleans its temp file up on error."""
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+    )
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "new.txt", "fresh")
+            (tmp_path / "old.txt").write_text("stale")
+            atomic_write_text(tmp_path / "old.txt", "replaced")
+            write_checked(tmp_path / "entry.json", {"a": 1})
+        finally:
+            os.umask(previous)
+        for name in ("new.txt", "old.txt", "entry.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+        assert (tmp_path / "old.txt").read_text() == "replaced"
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_write_text(tmp_path / "x.txt", b"not text")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestChecked:
