@@ -554,7 +554,7 @@ def _command_compare(args: argparse.Namespace) -> int:
         churn=churn,
     )
     cache = args.cache_dir if args.cache_dir else "none"
-    summary = f"# {result.report.summary()} cache={cache}"
+    summary = f"# {result.rounds.report.summary()} cache={cache}"
     if args.csv:
         # Keep stdout pure CSV (byte-stable, parseable); report on stderr.
         print(comparison_csv(result), end="")
@@ -597,7 +597,7 @@ def _command_robustness(args: argparse.Namespace) -> int:
 
     quantity = args.quantity.replace("-", "_")
     churn = _parse_churn_events(args.churn)
-    result, report = robustness_grid(
+    result = robustness_grid(
         algorithm=args.algorithm,
         engine=args.engine,
         n=args.nodes,
@@ -615,7 +615,7 @@ def _command_robustness(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
     )
     cache = args.cache_dir if args.cache_dir else "none"
-    summary = f"# {report.summary()} cache={cache}"
+    summary = f"# {result.report.summary()} cache={cache}"
     extra_columns = ("repair", "recovered") if churn else ()
     if args.csv:
         # Keep stdout pure CSV (byte-stable, parseable); report on stderr.

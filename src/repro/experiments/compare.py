@@ -39,8 +39,8 @@ from repro.beeping.rng import derive_seed
 from repro.engine.batch import check_fleet_run
 from repro.experiments.records import ExperimentResult, SeriesPoint
 from repro.experiments.tables import format_table
-from repro.sweep.aggregate import outcome_value, summarize
-from repro.sweep.orchestrator import SweepReport, run_sweep
+from repro.sweep.aggregate import churn_extras, outcome_value, summarize
+from repro.sweep.orchestrator import run_sweep
 from repro.sweep.spec import (
     CHURN_REFERENCE_ALGORITHMS,
     FLEET_RULES,
@@ -82,12 +82,12 @@ class ComparisonResult:
     :class:`ExperimentResult` records (one series per algorithm ×
     workload, x = graph size), so the existing table/plot/CSV consumers
     apply; every ``rounds`` point additionally carries the cell's mean
-    ``messages``, ``bits`` and ``bits_per_message`` in ``extra``.
+    ``messages``, ``bits`` and ``bits_per_message`` in ``extra``.  Both
+    records carry the one sweep's ``report``.
     """
 
     rounds: ExperimentResult
     bits_per_node: ExperimentResult
-    report: SweepReport
 
     def table(self) -> str:
         """The paper-style rounds / bit-complexity comparison table.
@@ -276,12 +276,7 @@ def comparison_experiment(
             ),
         }
         if churn:
-            repairs = [outcome_value(row, "repair") for row in rows]
-            recovered = [outcome_value(row, "recovered") for row in rows]
-            extra["repair"] = sum(repairs) / len(repairs) if repairs else 0.0
-            extra["recovered"] = (
-                sum(recovered) / len(recovered) if recovered else 1.0
-            )
+            extra.update(churn_extras(rows))
         rounds_points.append(
             SeriesPoint(
                 series=label,
@@ -317,12 +312,13 @@ def comparison_experiment(
             points=rounds_points,
             master_seed=master_seed,
             parameters=parameters,
+            report=sweep.report,
         ),
         bits_per_node=ExperimentResult(
             experiment="compare-bits",
             points=bits_points,
             master_seed=master_seed,
             parameters=parameters,
+            report=sweep.report,
         ),
-        report=sweep.report,
     )

@@ -67,7 +67,7 @@ def _beeping_series(
     graphs_per_size: int,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: Optional[int] = None,
+    shard_trials: int = 32,
 ) -> ExperimentResult:
     """Shared sweep: both algorithms over sizes, extracting one quantity.
 
@@ -101,10 +101,7 @@ def _beeping_series(
                     **family,
                 )
             )
-    spec = SweepSpec(
-        tuple(cells),
-        shard_trials=shard_trials if shard_trials is not None else 32,
-    )
+    spec = SweepSpec(tuple(cells), shard_trials=shard_trials)
     sweep = run_sweep(spec, store=cache_dir, jobs=jobs)
     points = [
         cell_point(cell, sweep.rows(cell), quantity) for cell in cells
@@ -114,6 +111,7 @@ def _beeping_series(
         points=points,
         master_seed=master_seed,
         parameters={"sizes": list(sizes), "trials": trials},
+        report=sweep.report,
     )
 
 
@@ -126,7 +124,7 @@ def figure3_series(
     validate: bool = False,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: Optional[int] = None,
+    shard_trials: int = 32,
 ) -> ExperimentResult:
     """Figure 3: mean rounds vs n on ``G(n, edge_probability)``.
 
@@ -177,7 +175,7 @@ def figure5_series(
     validate: bool = False,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: Optional[int] = None,
+    shard_trials: int = 32,
 ) -> ExperimentResult:
     """Figure 5: mean beeps per node vs n on ``G(n, edge_probability)``."""
 
@@ -212,7 +210,7 @@ def grid_beeps_series(
     validate: bool = False,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: Optional[int] = None,
+    shard_trials: int = 32,
 ) -> ExperimentResult:
     """Mean beeps per node of the feedback algorithm on square grids.
 

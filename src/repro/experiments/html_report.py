@@ -20,11 +20,13 @@ table), and the committed ``BENCH_*.json`` trajectory.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.records import ExperimentResult
 from repro.viz.svg_plots import svg_line_plot
+
+if TYPE_CHECKING:
+    from repro.experiments.paper import ExperimentArtefact
 
 #: Inline stylesheet — the report's only styling, no external fetches.
 _CSS = """
@@ -49,23 +51,6 @@ code { background: #f5f5f5; padding: 0.1em 0.3em; font-size: 0.92em; }
 .stamp { color: #888; font-size: 0.85em; }
 svg.plot { max-width: 100%; height: auto; }
 """.strip()
-
-
-@dataclass(frozen=True)
-class ReportFigure:
-    """One experiment's block in the report."""
-
-    name: str
-    title: str
-    description: str
-    result: Optional[ExperimentResult]
-    y_label: str = "value"
-    x_label: str = "n"
-    csv_filename: str = ""
-    spec_hash: str = ""
-    trials: int = 0
-    seed: int = 0
-    extra_columns: Tuple[str, ...] = ()
 
 
 def _esc(value: Any) -> str:
@@ -169,29 +154,28 @@ def _bench_section(bench_rows: Sequence[Any]) -> str:
     )
 
 
-def _figure_section(figure: ReportFigure) -> str:
-    parts = [
-        f'<section class="experiment" id="exp-{_esc(figure.name)}">',
-        f"<h2>{_esc(figure.title)}</h2>",
-        f"<p>{_esc(figure.description)}</p>",
+def _figure_section(artefact: ExperimentArtefact) -> str:
+    meta_bits = [
+        f"csv: <code>{_esc(f'csv/{artefact.csv_filename}')}</code>",
+        f"spec: <code>{_esc(artefact.spec_hash[:12])}</code>",
+        f"seed: <code>{_esc(artefact.seed)}</code>",
+        f"trials: <code>{_esc(artefact.trials)}</code>",
     ]
-    meta_bits = []
-    if figure.csv_filename:
-        meta_bits.append(f"csv: <code>{_esc(figure.csv_filename)}</code>")
-    if figure.spec_hash:
-        meta_bits.append(f"spec: <code>{_esc(figure.spec_hash[:12])}</code>")
-    meta_bits.append(f"seed: <code>{_esc(figure.seed)}</code>")
-    meta_bits.append(f"trials: <code>{_esc(figure.trials)}</code>")
-    parts.append(f'<p class="meta">{" · ".join(meta_bits)}</p>')
-    if figure.result is not None and figure.result.points:
+    parts = [
+        f'<section class="experiment" id="exp-{_esc(artefact.name)}">',
+        f"<h2>{_esc(artefact.title)}</h2>",
+        f"<p>{_esc(artefact.description)}</p>",
+        f'<p class="meta">{" · ".join(meta_bits)}</p>',
+    ]
+    if artefact.result.points:
         parts.append(
             svg_line_plot(
-                figure.result,
-                y_label=figure.y_label,
-                x_label=figure.x_label,
+                artefact.result,
+                y_label=artefact.y_label,
+                x_label=artefact.x_label,
             )
         )
-        parts.append(result_table(figure.result, figure.extra_columns))
+        parts.append(result_table(artefact.result, artefact.extra_columns))
     else:
         parts.append('<p class="meta">no data points</p>')
     parts.append("</section>")
@@ -199,7 +183,7 @@ def _figure_section(figure: ReportFigure) -> str:
 
 
 def render_paper_report(
-    figures: Sequence[ReportFigure],
+    artefacts: Sequence[ExperimentArtefact],
     provenance: Mapping[str, Any],
     drift_rows: Sequence[Tuple[str, str, str]] = (),
     bench_rows: Sequence[Any] = (),
@@ -208,8 +192,10 @@ def render_paper_report(
 ) -> str:
     """The full self-contained HTML document.
 
-    ``drift_rows`` are ``(artefact, status, detail)`` triples;
-    ``bench_rows`` anything with ``name``/``speedup``/``floor``/
+    ``artefacts`` are the pipeline's
+    :class:`~repro.experiments.paper.ExperimentArtefact` records, one
+    block each, linking ``csv/<name>.csv``; ``drift_rows`` are
+    ``(artefact, status, detail)`` triples; ``bench_rows`` anything with ``name``/``speedup``/``floor``/
     ``headroom`` attributes (the stats module's ``BenchDrift``).  ``now``
     is the *only* way a timestamp enters the document — leave it unset
     (the default) for byte-identical regeneration.
@@ -226,8 +212,8 @@ def render_paper_report(
         parts.append(f'<p class="stamp">generated: {_esc(now)}</p>')
     parts.append(_provenance_section(provenance))
     parts.append(_drift_section(drift_rows))
-    for figure in figures:
-        parts.append(_figure_section(figure))
+    for artefact in artefacts:
+        parts.append(_figure_section(artefact))
     parts.append(_bench_section(bench_rows))
     parts.append("</body></html>")
     return "\n".join(part for part in parts if part)

@@ -39,7 +39,7 @@ def theorem1_experiment(
     validate: bool = False,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: Optional[int] = None,
+    shard_trials: int = 32,
 ) -> ExperimentResult:
     """Rounds of sweep vs feedback on the Theorem 1 clique family.
 
@@ -69,10 +69,7 @@ def theorem1_experiment(
                     validate=validate,
                 )
             )
-    spec = SweepSpec(
-        tuple(cells),
-        shard_trials=shard_trials if shard_trials is not None else 32,
-    )
+    spec = SweepSpec(tuple(cells), shard_trials=shard_trials)
     sweep = run_sweep(spec, store=cache_dir, jobs=jobs)
     points: List[SeriesPoint] = [
         cell_point(
@@ -92,4 +89,5 @@ def theorem1_experiment(
             "copies": copies,
             "trials": trials,
         },
+        report=sweep.report,
     )

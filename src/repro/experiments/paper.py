@@ -23,13 +23,14 @@ where ``repro stats --rundb`` queries them.
 
 Execution-fingerprint keys
 --------------------------
-Each orchestrated experiment's ``spec_hash`` is computed from the shard
-content hashes its sweep actually looked up, observed out of band via a
-telemetry sink (the orchestrator emits one ``sweep.shard`` span per
-distinct shard, cached or not).  The bio ablation runs no sweep; its key
-hashes the registry parameters instead, and — uniquely — its artefact is
-cached whole under ``<cache_dir>/paper/`` so warm pipeline reruns stay
-ODE-free.
+Each sweep-backed experiment's ``spec_hash`` is computed from the
+content hashes of the distinct shards its sweep looked up, cached or
+not, read from the :class:`~repro.sweep.orchestrator.SweepReport` the
+driver hands back on its result; the run database's shard counts come
+from the same report.  Telemetry plays no part in it.  The bio ablation
+runs no sweep; its key hashes the registry entry's ``fingerprint``
+parameters instead, and — uniquely — its artefact is cached whole under
+``<cache_dir>/paper/`` so warm pipeline reruns stay ODE-free.
 """
 
 from __future__ import annotations
@@ -37,20 +38,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.bio_ablation import inhibition_strength_ablation
 from repro.experiments.compare import comparison_csv, comparison_experiment
@@ -59,7 +49,7 @@ from repro.experiments.figures import (
     figure5_series,
     grid_beeps_series,
 )
-from repro.experiments.html_report import ReportFigure, render_paper_report
+from repro.experiments.html_report import render_paper_report
 from repro.experiments.lower_bound import theorem1_experiment
 from repro.experiments.records import (
     ExperimentResult,
@@ -78,7 +68,6 @@ from repro.sweep.store import (
     read_checked,
     write_checked,
 )
-from repro.telemetry import probes
 from repro.telemetry.ledger import run_versions
 from repro.telemetry.stats import bench_drift
 
@@ -139,11 +128,11 @@ class PaperExperiment:
     """One registry entry: an experiment the pipeline regenerates.
 
     ``module`` names the ``repro.experiments`` submodule the entry
-    drives (the completeness test introspects it); ``orchestrated``
-    records whether execution flows through the sweep orchestrator
-    (``False`` only for the bio ODE ablation, which gets whole-artefact
-    caching instead); ``fingerprint`` carries the scale parameters that
-    determine the artefact bytes for non-orchestrated entries.
+    drives (the completeness test introspects it).  ``fingerprint``
+    carries the scale parameters that determine the artefact bytes of an
+    entry that runs no sweep (only the bio ODE ablation); a non-empty
+    one selects whole-artefact caching, and every other entry's runner
+    returns a result whose ``report`` keys the artefact.
     """
 
     name: str
@@ -154,7 +143,6 @@ class PaperExperiment:
     runner: Runner
     y_label: str = "rounds"
     x_label: str = "n"
-    orchestrated: bool = True
     extra_columns: Tuple[str, ...] = ()
     fingerprint: Dict[str, Any] = field(default_factory=dict)
 
@@ -174,11 +162,15 @@ class ExperimentArtefact:
     y_label: str
     x_label: str
     extra_columns: Tuple[str, ...] = ()
-    shards_total: int = 0
     shards_executed: int = 0
     shards_cached: int = 0
     elapsed_seconds: float = 0.0
     artefact_cached: bool = False
+
+    @property
+    def shards_total(self) -> int:
+        """Distinct shards the sweep looked up, executed or cached."""
+        return self.shards_executed + self.shards_cached
 
     @property
     def csv_sha256(self) -> str:
@@ -288,7 +280,7 @@ def _run_sizes(s: PaperSettings, seed: int) -> RunnerResult:
 
 
 def _run_robustness(s: PaperSettings, seed: int) -> RunnerResult:
-    result, _report = robustness_grid(
+    result = robustness_grid(
         n=40,
         loss_probabilities=(0.0, 0.1),
         spurious_probabilities=(0.0, 0.1),
@@ -432,7 +424,6 @@ REGISTRY: Tuple[PaperExperiment, ...] = (
         runner=_run_bio,
         y_label="delta separation",
         x_label="inhibition strength b",
-        orchestrated=False,
         extra_columns=("mean_sops", "mis_fraction"),
         fingerprint=dict(_BIO_SCALE),
     ),
@@ -462,65 +453,7 @@ def select_experiments(
 
 
 # ---------------------------------------------------------------------------
-# Out-of-band shard observation (spec hashes + cache stats per experiment).
-# ---------------------------------------------------------------------------
-
-
-class _ShardProbe:
-    """A telemetry sink collecting one experiment's shard stream."""
-
-    def __init__(self) -> None:
-        self.content_hashes: List[str] = []
-        self.cached = 0
-        self.executed = 0
-
-    def __call__(self, event: Dict[str, Any]) -> None:
-        if event.get("event") != "span" or event.get("name") != "sweep.shard":
-            return
-        attrs = event.get("attrs", {})
-        digest = attrs.get("content_hash")
-        if digest:
-            self.content_hashes.append(str(digest))
-        if attrs.get("cached"):
-            self.cached += 1
-        else:
-            self.executed += 1
-
-    def spec_hash(self) -> str:
-        """The execution-fingerprint key over the observed shards."""
-        return fingerprint_hash(
-            {
-                "format": SPEC_FORMAT_VERSION,
-                "shards": sorted(set(self.content_hashes)),
-            }
-        )
-
-
-@contextmanager
-def _observe() -> Iterator[_ShardProbe]:
-    """Attach a shard probe without disturbing installed telemetry.
-
-    With a collector already installed (a ``--telemetry`` run ledger),
-    the probe joins as an extra sink so ledger capture continues
-    unchanged; otherwise a scoped collector is installed just to carry
-    the probe events.
-    """
-    probe = _ShardProbe()
-    active = probes.collector()
-    if active is not None:
-        active.add_sink(probe)
-        try:
-            yield probe
-        finally:
-            active.remove_sink(probe)
-    else:
-        with probes.capture() as collector:
-            collector.add_sink(probe)
-            yield probe
-
-
-# ---------------------------------------------------------------------------
-# Whole-artefact cache for non-orchestrated experiments (the bio ablation).
+# Whole-artefact cache for entries that run no sweep (the bio ablation).
 # ---------------------------------------------------------------------------
 
 
@@ -623,10 +556,14 @@ def compare_golden(
         )
         golden_trials = manifest["trials"]
         files = dict(manifest.get("experiments", {}))
-        # Exact types, so neither 1e999 nor True passes for a trial count
-        # and every golden filename is a path string.
+        # Exact types, so neither 1e999 nor True passes for a trial count,
+        # and plain file names only, so no entry (absolute, ``../``,
+        # nested) reads a file outside the golden directory.
         if type(golden_trials) is not int or not all(
-            isinstance(name, str) for name in files.values()
+            isinstance(name, str)
+            and name == Path(name).name
+            and name not in ("", ".", "..")
+            for name in files.values()
         ):
             raise TypeError("malformed golden manifest")
     except DAMAGE_ERRORS:
@@ -725,7 +662,7 @@ def _resolve_golden_dir(
 def run_experiment(
     entry: PaperExperiment, settings: PaperSettings
 ) -> ExperimentArtefact:
-    """Regenerate one registry experiment, observing its shard stream.
+    """Regenerate one registry experiment and key it by what it ran.
 
     The one path every registry artefact takes: :func:`run_paper` calls
     it per entry, and the ``repro figure3``/``figure5``/``theorem1``/
@@ -733,17 +670,8 @@ def run_experiment(
     bytes ``repro paper --only NAME`` writes.
     """
     start = time.perf_counter()
-    if entry.orchestrated:
-        with _observe() as shard_probe:
-            result, csv_text = entry.runner(settings, entry.seed)
-        spec_hash = shard_probe.spec_hash()
-        shards = dict(
-            shards_total=shard_probe.cached + shard_probe.executed,
-            shards_executed=shard_probe.executed,
-            shards_cached=shard_probe.cached,
-        )
-        artefact_cached = False
-    else:
+    artefact_cached = False
+    if entry.fingerprint:
         spec_hash = _artefact_fingerprint(entry, settings.trials)
         cached = _artefact_cache_get(settings.cache_dir, spec_hash)
         if cached is not None:
@@ -754,8 +682,18 @@ def run_experiment(
             _artefact_cache_put(
                 settings.cache_dir, spec_hash, result, csv_text
             )
-            artefact_cached = False
-        shards = dict(shards_total=0, shards_executed=0, shards_cached=0)
+        executed = cached_shards = 0
+    else:
+        result, csv_text = entry.runner(settings, entry.seed)
+        report = result.report
+        spec_hash = fingerprint_hash(
+            {
+                "format": SPEC_FORMAT_VERSION,
+                "shards": sorted({t.content_hash for t in report.timings}),
+            }
+        )
+        executed = report.shards_executed
+        cached_shards = report.shards_cached
     return ExperimentArtefact(
         name=entry.name,
         title=entry.title,
@@ -768,31 +706,11 @@ def run_experiment(
         y_label=entry.y_label,
         x_label=entry.x_label,
         extra_columns=entry.extra_columns,
+        shards_executed=executed,
+        shards_cached=cached_shards,
         elapsed_seconds=time.perf_counter() - start,
         artefact_cached=artefact_cached,
-        **shards,
     )
-
-
-def _report_figures(
-    artefacts: Sequence[ExperimentArtefact],
-) -> List[ReportFigure]:
-    return [
-        ReportFigure(
-            name=a.name,
-            title=a.title,
-            description=a.description,
-            result=a.result,
-            y_label=a.y_label,
-            x_label=a.x_label,
-            csv_filename=f"csv/{a.csv_filename}",
-            spec_hash=a.spec_hash,
-            trials=a.trials,
-            seed=a.seed,
-            extra_columns=a.extra_columns,
-        )
-        for a in artefacts
-    ]
 
 
 def _provenance(
@@ -885,7 +803,7 @@ def run_paper(
         )
 
     html = render_paper_report(
-        _report_figures(artefacts),
+        artefacts,
         provenance=_provenance(artefacts, trials),
         drift_rows=[(v.artefact, v.status, v.detail) for v in drift],
         bench_rows=bench_drift(bench_dir) if bench_dir is not None else (),

@@ -13,7 +13,10 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    from repro.sweep.orchestrator import SweepReport
 
 
 @dataclass(frozen=True)
@@ -35,12 +38,21 @@ class SeriesPoint:
 
 @dataclass
 class ExperimentResult:
-    """A named collection of series points plus provenance metadata."""
+    """A named collection of series points plus provenance metadata.
+
+    ``report`` is the :class:`~repro.sweep.orchestrator.SweepReport` of
+    the sweep that computed the points (``None`` for drivers that run no
+    sweep).  It is runtime-only: equality and ``repr`` ignore it, and the
+    JSON and CSV writers never emit it.
+    """
 
     experiment: str
     points: List[SeriesPoint]
     master_seed: int
     parameters: Dict[str, Any] = field(default_factory=dict)
+    report: Optional[SweepReport] = field(
+        default=None, compare=False, repr=False
+    )
 
     def series_names(self) -> List[str]:
         """Distinct series names, in first-appearance order."""

@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.experiments.records import ExperimentResult
-from repro.sweep.aggregate import cell_point, outcome_value
-from repro.sweep.orchestrator import SweepReport, run_sweep
+from repro.sweep.aggregate import cell_point, churn_extras
+from repro.sweep.orchestrator import run_sweep
 from repro.sweep.spec import CellSpec, SweepSpec
 from repro.sweep.store import PathLike
 
@@ -45,7 +45,7 @@ def robustness_grid(
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
     max_rounds: int = 100_000,
-) -> Tuple[ExperimentResult, SweepReport]:
+) -> ExperimentResult:
     """Sweep a fault grid and summarise it as one experiment record.
 
     One series per beep-loss level, with the spurious-beep probability on
@@ -56,8 +56,8 @@ def robustness_grid(
     crash or churn schedule; with churn the per-cell points additionally
     carry ``repair`` (mean self-repair rounds over resolved events) and
     ``recovered`` (fraction of trials that reconverged) in their extras.
-    Returns the summarised :class:`ExperimentResult` plus the orchestrator
-    report (total/executed/cached shard counts).
+    Returns the summarised :class:`ExperimentResult`; its ``report``
+    carries the orchestrator's total/executed/cached shard counts.
     """
     if not loss_probabilities or not spurious_probabilities:
         raise ValueError("need at least one loss and one spurious level")
@@ -88,12 +88,7 @@ def robustness_grid(
         rows = sweep.rows(cell)
         extra = {"loss": cell.beep_loss, "spurious": cell.spurious_beep}
         if cell.churn:
-            repairs = [outcome_value(row, "repair") for row in rows]
-            recovered = [outcome_value(row, "recovered") for row in rows]
-            extra["repair"] = sum(repairs) / len(repairs) if repairs else 0.0
-            extra["recovered"] = (
-                sum(recovered) / len(recovered) if recovered else 1.0
-            )
+            extra.update(churn_extras(rows))
         points.append(
             cell_point(
                 cell,
@@ -104,7 +99,7 @@ def robustness_grid(
                 extra=extra,
             )
         )
-    result = ExperimentResult(
+    return ExperimentResult(
         experiment="robustness",
         points=points,
         master_seed=master_seed,
@@ -121,5 +116,5 @@ def robustness_grid(
             "graphs": graphs,
             "quantity": quantity,
         },
+        report=sweep.report,
     )
-    return result, sweep.report

@@ -43,7 +43,7 @@ def mis_size_experiment(
     include_optimum: Optional[bool] = None,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: Optional[int] = None,
+    shard_trials: int = 32,
 ) -> ExperimentResult:
     """Mean MIS size per algorithm over ``trials`` G(n, p) graphs.
 
@@ -73,10 +73,7 @@ def mis_size_experiment(
         )
         for name in algorithm_names
     )
-    spec = SweepSpec(
-        cells,
-        shard_trials=shard_trials if shard_trials is not None else 32,
-    )
+    spec = SweepSpec(cells, shard_trials=shard_trials)
     sweep = run_sweep(spec, store=cache_dir, jobs=jobs)
 
     optima: List[int] = []
@@ -139,4 +136,5 @@ def mis_size_experiment(
             "trials": trials,
             "include_optimum": include_optimum,
         },
+        report=sweep.report,
     )

@@ -50,6 +50,19 @@ def outcome_value(outcome: TrialOutcome, quantity: str) -> float:
     raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
 
 
+def churn_extras(rows: Sequence[TrialOutcome]) -> Dict[str, float]:
+    """A churned cell's ``repair`` and ``recovered`` means over its rows.
+
+    An empty cell reads as no repair time (0.0), fully recovered (1.0).
+    """
+    repairs = [outcome_value(row, "repair") for row in rows]
+    recovered = [outcome_value(row, "recovered") for row in rows]
+    return {
+        "repair": sum(repairs) / len(repairs) if repairs else 0.0,
+        "recovered": sum(recovered) / len(recovered) if recovered else 1.0,
+    }
+
+
 def summarize(values: Sequence[float]) -> Tuple[float, float]:
     """Mean and sample standard deviation (0.0 below two values)."""
     if not values:

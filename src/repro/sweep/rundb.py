@@ -2,12 +2,13 @@
 
 Every ``repro paper`` invocation appends one :class:`RunRecord` per
 regenerated experiment to an on-disk database, keyed by the experiment's
-*execution-fingerprint hash* — a sha256 over exactly the shard content
-hashes the sweep orchestrator looked up (plus, for non-orchestrated
-experiments, a canonical parameter fingerprint).  Two runs with equal
-keys are guaranteed byte-identical artefacts, so the database answers
-"when did these exact bytes last get produced, and from how warm a
-cache?" across sessions.
+*execution-fingerprint hash* — a sha256 over exactly the distinct shard
+content hashes in the :class:`~repro.sweep.orchestrator.SweepReport` of
+the experiment's sweep (or, for the bio ablation, which runs no sweep, a
+canonical parameter fingerprint).  The record's shard counts come from
+the same report.  Two runs with equal keys are guaranteed byte-identical
+artefacts, so the database answers "when did these exact bytes last get
+produced, and from how warm a cache?" across sessions.
 
 Layout (under one database root)::
 

@@ -66,19 +66,6 @@ class Collector:
         """Forward all future events to ``sink`` as well."""
         self._sinks.append(sink)
 
-    def remove_sink(self, sink: Sink) -> None:
-        """Stop forwarding events to ``sink`` (no-op if absent).
-
-        Lets a scoped observer (e.g. the paper pipeline watching one
-        experiment's shard stream) attach to an *externally installed*
-        collector — a ``--telemetry`` run ledger — without hijacking or
-        replacing it.
-        """
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            pass
-
     def emit(self, event: Event) -> None:
         """Record one event and forward it to every sink."""
         kind = event["event"]

@@ -69,10 +69,15 @@ class TestComparisonExperiment:
 
     def test_warm_cache_rerun_is_free_and_identical(self, tmp_path):
         first = small_comparison(cache_dir=tmp_path)
-        assert first.report.shards_executed > 0
+        assert first.rounds.report.shards_executed > 0
+        # One sweep feeds both axes, so both records carry its report.
+        assert first.bits_per_node.report is first.rounds.report
         second = small_comparison(cache_dir=tmp_path)
-        assert second.report.shards_executed == 0
-        assert second.report.shards_cached == second.report.shards_total
+        assert second.rounds.report.shards_executed == 0
+        assert (
+            second.rounds.report.shards_cached
+            == second.rounds.report.shards_total
+        )
         assert comparison_csv(second) == comparison_csv(first)
 
     def test_multi_family_labels(self):

@@ -6,11 +6,8 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.html_report import (
-    ReportFigure,
-    render_paper_report,
-    result_table,
-)
+from repro.experiments.html_report import render_paper_report, result_table
+from repro.experiments.paper import ExperimentArtefact
 from repro.experiments.records import ExperimentResult, SeriesPoint
 
 #: Elements that never take a closing tag in HTML.
@@ -96,26 +93,44 @@ def experiment_results(draw):
     )
 
 
+def make_artefact(result, name="x", title="t", description="d"):
+    """A pipeline artefact around ``result`` with fixed provenance."""
+    return ExperimentArtefact(
+        name=name,
+        title=title,
+        description=description,
+        csv="",
+        result=result,
+        spec_hash="0123456789ab" + "f" * 52,
+        trials=3,
+        seed=7,
+        y_label="value",
+        x_label="n",
+    )
+
+
 @st.composite
-def report_figures(draw):
-    return ReportFigure(
+def artefacts(draw):
+    return ExperimentArtefact(
         name=draw(_names),
         title=draw(_names),
         description=draw(_names),
-        result=draw(st.one_of(st.none(), experiment_results())),
+        csv="",
+        result=draw(experiment_results()),
+        spec_hash=draw(
+            st.text("0123456789abcdef", min_size=64, max_size=64)
+        ),
+        trials=draw(st.integers(1, 100)),
+        seed=draw(st.integers(0, 2**31)),
         y_label=draw(_names),
         x_label=draw(_names),
-        csv_filename=draw(st.one_of(st.just(""), _names)),
-        spec_hash=draw(st.just("") | st.text("0123456789abcdef", min_size=64, max_size=64)),
-        trials=draw(st.integers(0, 100)),
-        seed=draw(st.integers(0, 2**31)),
     )
 
 
 class TestRenderedDocument:
     @settings(max_examples=40, deadline=None)
     @given(
-        figures=st.lists(report_figures(), max_size=3),
+        figures=st.lists(artefacts(), max_size=3),
         provenance=st.dictionaries(_names, _names, max_size=4),
         drift=st.lists(
             st.tuples(
@@ -136,13 +151,22 @@ class TestRenderedDocument:
     @settings(max_examples=25, deadline=None)
     @given(result=experiment_results())
     def test_figures_with_points_embed_an_svg(self, result):
-        figure = ReportFigure(
-            name="x", title="t", description="d", result=result
-        )
-        document = render_paper_report([figure], provenance={})
+        document = render_paper_report([make_artefact(result)], provenance={})
         if result.points:
             assert "<svg" in document
         assert_well_formed(document)
+
+    def test_meta_line_links_the_csv_and_spec_prefix(self):
+        document = render_paper_report(
+            [make_artefact(ExperimentResult("e", [], 0), name="grid")],
+            provenance={},
+        )
+        assert (
+            '<p class="meta">csv: <code>csv/grid.csv</code> · '
+            "spec: <code>0123456789ab</code> · seed: <code>7</code> · "
+            "trials: <code>3</code></p>"
+        ) in document
+        assert '<p class="meta">no data points</p>' in document
 
     def test_hostile_strings_are_escaped(self):
         hostile = '<script>alert("pwn")</script>'
@@ -154,8 +178,8 @@ class TestRenderedDocument:
             ],
             master_seed=1,
         )
-        figure = ReportFigure(
-            name=hostile, title=hostile, description=hostile, result=result
+        figure = make_artefact(
+            result, name=hostile, title=hostile, description=hostile
         )
         document = render_paper_report(
             [figure],
@@ -175,9 +199,7 @@ class TestRenderedDocument:
             ],
             master_seed=9,
         )
-        figure = ReportFigure(
-            name="e", title="T", description="D", result=result
-        )
+        figure = make_artefact(result, name="e", title="T", description="D")
         render = lambda: render_paper_report(  # noqa: E731
             [figure], provenance={"python": "3"}, drift_rows=[("e", "PASS", "ok")]
         )

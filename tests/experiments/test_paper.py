@@ -26,7 +26,10 @@ from repro.experiments.paper import (
     write_golden,
 )
 from repro.experiments.records import ExperimentResult, SeriesPoint
+from repro.sweep import orchestrator
 from repro.sweep.rundb import RunDB
+from repro.telemetry import probes
+from repro.telemetry.ledger import read_events
 
 from tests.line_mutation import mutated_lines
 
@@ -88,13 +91,21 @@ class TestRegistry:
         with pytest.raises(ValueError, match="nosuch"):
             select_experiments(["nosuch"])
 
-    def test_only_bio_is_non_orchestrated(self):
-        outside = [e.name for e in REGISTRY if not e.orchestrated]
-        assert outside == ["bio"]
-        # Non-orchestrated entries must pin their scale parameters in the
-        # fingerprint; otherwise the artefact cache would serve stale
-        # bytes across a scale change.
-        assert all(e.fingerprint for e in REGISTRY if not e.orchestrated)
+    def test_only_bio_has_a_fingerprint(self):
+        # A fingerprint selects whole-artefact caching, so it must pin the
+        # scale parameters of the one entry that runs no sweep; otherwise
+        # the artefact cache would serve stale bytes across a scale
+        # change.  Every other entry is keyed by its sweep's report.
+        assert [e.name for e in REGISTRY if e.fingerprint] == ["bio"]
+
+    def test_sweep_backed_results_carry_their_report(self, pipelines):
+        cold, _ = pipelines
+        for artefact in cold.artefacts:
+            report = artefact.result.report
+            if artefact.name == "bio":
+                assert report is None
+            else:
+                assert report.shards_executed == artefact.shards_executed
 
     def test_artefacts_run_under_their_entry_seed(self, pipelines):
         """The seed the provenance prints is the seed the CSV used."""
@@ -191,6 +202,86 @@ class TestRunDBRecording:
         assert index["records"] == 2 * len(FAST_SUBSET)
 
 
+#: Full spec hashes at trials=3.  The key is the sorted set of distinct
+#: shard content hashes, so neither a collector nor the job count moves it.
+PINNED_SPEC_HASHES = {
+    "theorem1": (
+        "c9255edc433c29a21c9717779d848eaffaf4502463cce23dd2af7a1b2ac4d5b1"
+    ),
+    "compare": (
+        "a5773e63a6e69523091ecfd825bce9848458d6707e72fe182ecfd409e9e48a13"
+    ),
+}
+
+
+class TestProvenanceFromTheReport:
+    def test_drivers_run_with_probes_off(self, monkeypatch, tmp_path):
+        """With no collector installed, the pipeline installs none."""
+        seen = []
+        execute = orchestrator.execute_shard
+
+        def recording(shard):
+            seen.append(probes.enabled())
+            return execute(shard)
+
+        monkeypatch.setattr(orchestrator, "execute_shard", recording)
+        assert probes.collector() is None
+        run_paper(
+            trials=2,
+            only=("grid", "theorem1"),
+            out_dir=tmp_path / "out",
+            golden_dir=None,
+            bench_dir=None,
+        )
+        assert seen and not any(seen)
+
+    @pytest.mark.parametrize(
+        "collector, jobs",
+        [(False, 1), (True, 1), (False, 2)],
+        ids=["plain", "collector", "two-jobs"],
+    )
+    @pytest.mark.parametrize("name", sorted(PINNED_SPEC_HASHES))
+    def test_spec_hash_is_pinned(self, name, collector, jobs):
+        (entry,) = select_experiments([name])
+        settings = PaperSettings(trials=3, jobs=jobs)
+        if collector:
+            with probes.capture():
+                artefact = run_experiment(entry, settings)
+        else:
+            artefact = run_experiment(entry, settings)
+        assert artefact.spec_hash == PINNED_SPEC_HASHES[name]
+        assert artefact.shards_total == artefact.shards_executed > 0
+        assert artefact.shards_cached == 0
+
+    def test_ledger_holds_one_shard_span_per_distinct_shard(
+        self, tmp_path, capsys
+    ):
+        ledger = tmp_path / "ledger"
+        rundb = tmp_path / "db"
+        assert main(
+            [
+                "paper", "--trials", "2", "--only", "grid", "theorem1",
+                "--out", str(tmp_path / "out"),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--rundb", str(rundb),
+                "--golden", str(tmp_path / "no-goldens"),
+                "--bench-dir", str(tmp_path),
+                "--telemetry", str(ledger), "--quiet",
+            ]
+        ) == 0
+        capsys.readouterr()
+        (path,) = ledger.glob("run-*.jsonl")
+        hashes = [
+            event["attrs"]["content_hash"]
+            for event in read_events(path)
+            if event.get("event") == "span"
+            and event.get("name") == "sweep.shard"
+        ]
+        records = RunDB(rundb).records()
+        assert len(hashes) == len(set(hashes))
+        assert len(hashes) == sum(r.shards_total for r in records) > 0
+
+
 class TestDrift:
     def test_committed_goldens_cover_every_experiment(self):
         manifest = json.loads(
@@ -275,8 +366,15 @@ class TestDamagedGoldenManifest:
             {"trials": float("inf")},
             {"trials": True},
             {"experiments": {"grid": "grid.csv", "bio": 5}},
+            # Plain file names only: no entry may read outside the dir.
+            {"experiments": {"grid": "/grid.csv", "bio": "bio.csv"}},
+            {"experiments": {"grid": "../grid.csv", "bio": "bio.csv"}},
+            {"experiments": {"grid": "sub/grid.csv", "bio": "bio.csv"}},
         ],
-        ids=["infinite-trials", "bool-trials", "non-string-filename"],
+        ids=[
+            "infinite-trials", "bool-trials", "non-string-filename",
+            "absolute-filename", "parent-filename", "nested-filename",
+        ],
     )
     def test_malformed_manifest_is_missing(self, pipelines, tmp_path, damage):
         cold, _ = pipelines
@@ -290,6 +388,7 @@ class TestDamagedGoldenManifest:
         trials = 1 if manifest["trials"] is True else cold.trials
         verdicts = compare_golden(cold.artefacts, golden, trials)
         assert {v.status for v in verdicts} == {"MISSING"}
+        assert all("unreadable golden manifest" in v.detail for v in verdicts)
 
     def test_undecodable_golden_file_is_missing(self, pipelines, tmp_path):
         cold, _ = pipelines

@@ -186,12 +186,12 @@ class TestStoreResume:
             shard_trials=3,
             cache_dir=tmp_path,
         )
-        cold_result, cold_report = robustness_grid(**kwargs)
-        assert cold_report.shards_executed == cold_report.shards_total > 0
-        warm_result, warm_report = robustness_grid(**kwargs)
-        assert warm_report.shards_executed == 0
-        assert warm_report.shards_cached == warm_report.shards_total
-        assert warm_result.points == cold_result.points
+        cold = robustness_grid(**kwargs)
+        assert cold.report.shards_executed == cold.report.shards_total > 0
+        warm = robustness_grid(**kwargs)
+        assert warm.report.shards_executed == 0
+        assert warm.report.shards_cached == warm.report.shards_total
+        assert warm.points == cold.points
 
     def test_partial_cache_executes_only_missing_shards(self, tmp_path):
         store = ResultStore(tmp_path)

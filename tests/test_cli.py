@@ -203,7 +203,7 @@ class TestRobustness:
         from repro.experiments.records import results_to_csv
         from repro.experiments.robustness import robustness_grid
 
-        result, _report = robustness_grid(
+        result = robustness_grid(
             n=16,
             loss_probabilities=(0.0, 0.2),
             spurious_probabilities=(0.0,),
