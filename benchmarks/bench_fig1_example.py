@@ -18,7 +18,7 @@ def test_fig1_regenerate(benchmark):
 
 
 def test_fig1_report(benchmark):
-    graph, mis = figure1_example(seed=20)
+    graph, mis = figure1_example()
     benchmark(verify_mis, graph, mis)
     body = (
         f"graph: 20 nodes, {graph.num_edges} edges\n"

@@ -51,7 +51,6 @@ def _fleet_batch():
         TRIALS,
         MASTER_SEED,
         graphs=GRAPHS,
-        validate=True,
     )
 
 
@@ -61,7 +60,6 @@ def _run_loop():
         _graph_factory,
         TRIALS,
         MASTER_SEED,
-        validate=True,
     )
 
 

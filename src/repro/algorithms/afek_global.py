@@ -8,8 +8,8 @@ increasing global probability values calculated from the total number of
 nodes of the graph and its maximum degree" (Section 1 of the PODC paper).
 
 This implementation is faithful in structure (log D phases of Θ(log n)
-steps with doubling probabilities) with the phase length coefficient ``c``
-exposed as a parameter; the PODC paper's experiments use the *sweeping*
+steps with doubling probabilities) with the phase length coefficient fixed
+at ``c = 2``; the PODC paper's experiments use the *sweeping*
 refinement (:mod:`repro.algorithms.afek_sweep`), so this class mainly
 serves the Figure 5 discussion (constant beeps per node when probabilities
 start low) and as an extra baseline.
@@ -26,21 +26,18 @@ from repro.graphs.graph import Graph
 
 
 def global_schedule(
-    round_index: int,
-    num_vertices: int,
-    max_degree: int,
-    steps_coefficient: float = 2.0,
+    round_index: int, num_vertices: int, max_degree: int
 ) -> float:
     """The shared probability at a round, given global knowledge.
 
-    Starts at ``1/(2D)`` and doubles every ``⌈c·log₂ n⌉`` rounds, capped at
+    Starts at ``1/(2D)`` and doubles every ``⌈2·log₂ n⌉`` rounds, capped at
     ``1/2``.  Degenerate graphs (``D = 0``) get ``1/2`` immediately.
     """
     if round_index < 0:
         raise ValueError(f"round_index must be >= 0, got {round_index}")
     if max_degree <= 0:
         return 0.5
-    phase_length = max(1, math.ceil(steps_coefficient * math.log2(max(num_vertices, 2))))
+    phase_length = max(1, math.ceil(2.0 * math.log2(max(num_vertices, 2))))
     phase = round_index // phase_length
     return min(0.5, (2.0 ** phase) / (2.0 * max_degree))
 
@@ -48,21 +45,16 @@ def global_schedule(
 class _GlobalScheduleNode(BeepingNode):
     """A node following the Science 2011 global schedule."""
 
-    __slots__ = ("_num_vertices", "_max_degree", "_coefficient", "_probability")
+    __slots__ = ("_num_vertices", "_max_degree", "_probability")
 
-    def __init__(
-        self, num_vertices: int, max_degree: int, steps_coefficient: float
-    ) -> None:
+    def __init__(self, num_vertices: int, max_degree: int) -> None:
         self._num_vertices = num_vertices
         self._max_degree = max_degree
-        self._coefficient = steps_coefficient
-        self._probability = global_schedule(
-            0, num_vertices, max_degree, steps_coefficient
-        )
+        self._probability = global_schedule(0, num_vertices, max_degree)
 
     def on_round_start(self, round_index: int) -> None:
         self._probability = global_schedule(
-            round_index, self._num_vertices, self._max_degree, self._coefficient
+            round_index, self._num_vertices, self._max_degree
         )
 
     def beep_probability(self) -> float:
@@ -73,21 +65,7 @@ class _GlobalScheduleNode(BeepingNode):
 
 
 class AfekGlobalMIS(BeepingMIS):
-    """The Science 2011 beeping MIS algorithm (requires n and max degree).
-
-    Parameters
-    ----------
-    steps_coefficient:
-        The ``c`` in the phase length ``⌈c·log₂ n⌉``.  Larger values make
-        each probability level last longer (slower but with fewer beeps).
-    """
-
-    def __init__(self, steps_coefficient: float = 2.0) -> None:
-        if steps_coefficient <= 0:
-            raise ValueError(
-                f"steps_coefficient must be > 0, got {steps_coefficient}"
-            )
-        self._steps_coefficient = steps_coefficient
+    """The Science 2011 beeping MIS algorithm (requires n and max degree)."""
 
     @property
     def name(self) -> str:
@@ -95,6 +73,4 @@ class AfekGlobalMIS(BeepingMIS):
 
     def node_factory(self, graph: Graph) -> NodeFactory:
         num_vertices, max_degree = graph.num_vertices, graph.max_degree()
-        return lambda vertex: _GlobalScheduleNode(
-            num_vertices, max_degree, self._steps_coefficient
-        )
+        return lambda vertex: _GlobalScheduleNode(num_vertices, max_degree)

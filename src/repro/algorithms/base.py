@@ -15,7 +15,6 @@ from random import Random
 from typing import Any, Dict, List, Optional, Set
 
 from repro.beeping.faults import FaultModel, NO_FAULTS
-from repro.beeping.events import Trace
 from repro.beeping.metrics import beep_channel_bits
 from repro.beeping.scheduler import (
     BeepingSimulation,
@@ -126,15 +125,13 @@ class MISAlgorithm(ABC):
         self,
         graph: Graph,
         rng: Random,
-        trace: Optional[Trace] = None,
         faults: FaultModel = NO_FAULTS,
         max_rounds: int = 100_000,
     ) -> MISRun:
         """Compute an MIS of ``graph`` using randomness from ``rng``.
 
-        ``trace`` and ``faults`` are honoured by the beeping algorithms;
-        message-passing and centralised algorithms ignore ``faults`` and may
-        ignore ``trace``.
+        ``faults`` are honoured by the beeping algorithms; message-passing
+        and centralised algorithms ignore them.
         """
 
     def __repr__(self) -> str:
@@ -159,7 +156,6 @@ class BeepingMIS(MISAlgorithm):
         self,
         graph: Graph,
         rng: Random,
-        trace: Optional[Trace] = None,
         faults: FaultModel = NO_FAULTS,
         max_rounds: int = 100_000,
     ) -> MISRun:
@@ -168,7 +164,6 @@ class BeepingMIS(MISAlgorithm):
             self.node_factory(graph),
             rng,
             faults=faults,
-            trace=trace,
             max_rounds=max_rounds,
         ).run()
         # Under churn, result.graph is the universe graph (base plus

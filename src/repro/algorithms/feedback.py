@@ -25,19 +25,14 @@ class FeedbackMIS(BeepingMIS):
     robustness variants from :mod:`repro.core.variants`.
     """
 
-    def __init__(
-        self,
-        node_factory: Optional[NodeFactory] = None,
-        name: str = "feedback",
-    ) -> None:
+    def __init__(self, node_factory: Optional[NodeFactory] = None) -> None:
         self._factory = node_factory or (
             lambda vertex: ExponentFeedbackNode()
         )
-        self._name = name
 
     @property
     def name(self) -> str:
-        return self._name
+        return "feedback"
 
     def node_factory(self, graph: Graph) -> NodeFactory:
         return self._factory

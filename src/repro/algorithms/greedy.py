@@ -13,7 +13,6 @@ from random import Random
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.algorithms.base import MISAlgorithm, MISRun
-from repro.beeping.events import Trace
 from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.graphs.graph import Graph
 
@@ -61,7 +60,6 @@ class SequentialGreedyMIS(MISAlgorithm):
         self,
         graph: Graph,
         rng: Random,
-        trace: Optional[Trace] = None,
         faults: FaultModel = NO_FAULTS,
         max_rounds: int = 100_000,
     ) -> MISRun:

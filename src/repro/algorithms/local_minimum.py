@@ -24,7 +24,6 @@ from random import Random
 from typing import List, Optional, Sequence, Set
 
 from repro.algorithms.base import MISAlgorithm, MISRun
-from repro.beeping.events import Trace
 from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.graphs.graph import Graph
 
@@ -51,7 +50,6 @@ class LocalMinimumIDMIS(MISAlgorithm):
         self,
         graph: Graph,
         rng: Random,
-        trace: Optional[Trace] = None,
         faults: FaultModel = NO_FAULTS,
         max_rounds: int = 100_000,
     ) -> MISRun:

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.algorithms.base import MISAlgorithm, MISRun
-from repro.beeping.events import Trace
 from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.graphs.graph import Graph
 
@@ -60,7 +59,6 @@ class LubyMIS(MISAlgorithm):
         self,
         graph: Graph,
         rng: Random,
-        trace: Optional[Trace] = None,
         faults: FaultModel = NO_FAULTS,
         max_rounds: int = 100_000,
     ) -> MISRun:

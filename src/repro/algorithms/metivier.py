@@ -22,10 +22,9 @@ fabric in :mod:`repro.engine.messages`.
 from __future__ import annotations
 
 from random import Random
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.algorithms.base import MISAlgorithm, MISRun
-from repro.beeping.events import Trace
 from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.graphs.graph import Graph
 
@@ -56,7 +55,6 @@ class MetivierMIS(MISAlgorithm):
         self,
         graph: Graph,
         rng: Random,
-        trace: Optional[Trace] = None,
         faults: FaultModel = NO_FAULTS,
         max_rounds: int = 100_000,
     ) -> MISRun:

@@ -343,26 +343,22 @@ def uniform_block(
     draw_kind: int,
     count: int,
     n: int,
-    start: int = 0,
 ):
     """One round's uniforms for a whole trial block: ``(count, n)`` float64.
 
     Row ``t`` equals ``counter_uniforms(derive_seed(master_seed, *path,
-    start + t), round_index, draw_kind, n)`` bit for bit, so the block is
-    the counter-mode analogue of :func:`derive_seed_block`: a shard
-    computes exactly its own trial window, and offset windows equal the
-    matching slices of the full block —
+    t), round_index, draw_kind, n)`` bit for bit, so the block is the
+    counter-mode analogue of :func:`derive_seed_block` —
 
     >>> import numpy as np
-    >>> whole = uniform_block(7, 3, round_index=2, draw_kind=DRAW_BEEP,
+    >>> block = uniform_block(7, 3, round_index=2, draw_kind=DRAW_BEEP,
     ...                       count=6, n=4)
-    >>> shard = uniform_block(7, 3, round_index=2, draw_kind=DRAW_BEEP,
-    ...                       count=2, n=4, start=3)
-    >>> np.array_equal(shard, whole[3:5])
+    >>> row = counter_uniforms(derive_seed(7, 3, 4), 2, DRAW_BEEP, 4)
+    >>> np.array_equal(block[4], row)
     True
     """
     return counter_uniforms(
-        derive_seed_block(master_seed, *path, count=count, start=start),
+        derive_seed_block(master_seed, *path, count=count),
         round_index,
         draw_kind,
         n,

@@ -83,7 +83,6 @@ class WakeupSimulation:
         node_factory: NodeFactory,
         wake_schedule: Sequence[int],
         rng: Random,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
     ) -> None:
         if len(wake_schedule) != graph.num_vertices:
             raise ValueError(
@@ -92,11 +91,8 @@ class WakeupSimulation:
             )
         if any(round_index < 0 for round_index in wake_schedule):
             raise ValueError("wake rounds must be >= 0")
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
         self._graph = graph
         self._rng = rng
-        self._max_rounds = max_rounds
         self._schedule = list(wake_schedule)
         self._nodes = [node_factory(v) for v in graph.vertices()]
         self._states = [NodeState.ACTIVE] * graph.num_vertices
@@ -114,9 +110,9 @@ class WakeupSimulation:
         round_index = 0
         pending_wake: Set[int] = set()
         while any(s is NodeState.ACTIVE for s in self._states):
-            if round_index >= self._max_rounds:
+            if round_index >= DEFAULT_MAX_ROUNDS:
                 raise RuntimeError(
-                    f"wake-up simulation exceeded {self._max_rounds} rounds"
+                    f"wake-up simulation exceeded {DEFAULT_MAX_ROUNDS} rounds"
                 )
             # Scheduled wake-ups, plus wake-on-beep from the last round.
             for v in self._graph.vertices():

@@ -23,12 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
 
 import numpy as np
 
 from repro.bio.ode import rk4_integrate
 from repro.graphs.graph import Graph
+
+#: RK4 step of every Notch–Delta integration: :meth:`NotchDeltaModel.run`
+#: and the stacked rows of the inhibition-strength ablation, which must
+#: stay bit-identical to it.
+RK4_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -126,48 +130,26 @@ class NotchDeltaModel:
         )
         return np.concatenate([d_notch, d_delta], axis=-1)
 
-    def initial_state(
-        self, rng: Random, perturbation: float = 0.01
-    ) -> np.ndarray:
-        """A near-homogeneous initial state with small random differences.
+    def initial_state(self, rng: Random) -> np.ndarray:
+        """A near-homogeneous initial state with small random differences
+        (each activity ``0.5`` plus a uniform draw in ``±0.01``).
 
         Lateral inhibition amplifies *small* asymmetries; a perfectly
         symmetric start would stay symmetric forever under the
         deterministic dynamics.
         """
-        if not 0.0 <= perturbation < 1.0:
-            raise ValueError(
-                f"perturbation must be in [0, 1), got {perturbation}"
-            )
         n = self._graph.num_vertices
         base = np.full(2 * n, 0.5)
-        jitter = np.array(
-            [rng.uniform(-perturbation, perturbation) for _ in range(2 * n)]
-        )
+        jitter = np.array([rng.uniform(-0.01, 0.01) for _ in range(2 * n)])
         return np.clip(base + jitter, 0.0, 1.0)
 
-    def run(
-        self,
-        rng: Random,
-        t_end: float = 60.0,
-        dt: float = 0.05,
-        perturbation: float = 0.01,
-        record_every: int = 10,
-        initial_state: Optional[np.ndarray] = None,
-    ) -> NotchDeltaResult:
-        """Integrate the model and return the trajectory."""
+    def run(self, rng: Random, t_end: float = 60.0) -> NotchDeltaResult:
+        """Integrate the model from :meth:`initial_state` to ``t_end`` (RK4
+        step :data:`RK4_STEP`, every tenth state recorded)."""
         n = self._graph.num_vertices
-        if initial_state is None:
-            state0 = self.initial_state(rng, perturbation)
-        else:
-            state0 = np.asarray(initial_state, dtype=np.float64)
-            if state0.shape != (2 * n,):
-                raise ValueError(
-                    f"initial_state must have shape ({2 * n},), got "
-                    f"{state0.shape}"
-                )
         times, states = rk4_integrate(
-            self.derivative, state0, (0.0, t_end), dt, record_every
+            self.derivative, self.initial_state(rng), (0.0, t_end), RK4_STEP,
+            10,
         )
         return NotchDeltaResult(
             graph=self._graph,
@@ -177,11 +159,7 @@ class NotchDeltaModel:
         )
 
 
-def two_cell_demo(
-    delta_bias: float = 0.01,
-    t_end: float = 40.0,
-    dt: float = 0.02,
-) -> NotchDeltaResult:
+def two_cell_demo(delta_bias: float = 0.01) -> NotchDeltaResult:
     """Figure 4 as an experiment: two coupled cells, one with a slight
     excess of Delta, driven to mutually exclusive signalling states.
 
@@ -193,7 +171,7 @@ def two_cell_demo(
     model = NotchDeltaModel(graph)
     initial = np.array([0.5, 0.5, 0.5, 0.5 + delta_bias])
     times, states = rk4_integrate(
-        model.derivative, initial, (0.0, t_end), dt, record_every=5
+        model.derivative, initial, (0.0, 40.0), 0.02, record_every=5
     )
     return NotchDeltaResult(
         graph=graph, times=times, notch=states[:, :2], delta=states[:, 2:]

@@ -22,10 +22,8 @@ from repro.graphs.validation import (
 )
 
 
-def select_sops_by_delta(
-    final_delta: Sequence[float], threshold: float = 0.5
-) -> Set[int]:
-    """Cells whose final Delta activity exceeds ``threshold``.
+def select_sops_by_delta(final_delta: Sequence[float]) -> Set[int]:
+    """Cells whose final Delta activity exceeds ``0.5``.
 
     In the Collier model the pattern is strongly bimodal (senders near
     Delta ≈ 1, receivers near 0), so any mid-range threshold selects the
@@ -34,7 +32,7 @@ def select_sops_by_delta(
     return {
         cell
         for cell, delta in enumerate(final_delta)
-        if float(delta) > threshold
+        if float(delta) > 0.5
     }
 
 

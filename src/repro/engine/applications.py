@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -70,7 +70,6 @@ from repro.applications.matching import verify_maximal_matching
 from repro.applications.ruling_sets import verify_ruling_set
 from repro.beeping.faults import FaultModel, NO_FAULTS
 from repro.beeping.rng import DRAW_LAYER, counter_state
-from repro.beeping.events import Trace
 from repro.beeping.metrics import beep_channel_bits
 from repro.engine.fleet import ArmadaSimulator, FleetSimulator
 from repro.engine.rules import FeedbackRule
@@ -277,26 +276,17 @@ class MatchingRule(ApplicationRule):
 
 
 class RulingSetRule(ApplicationRule):
-    """(α, α−1)-ruling sets: one MIS of the (α−1)-th graph power."""
-
-    def __init__(self, alpha: int = 3) -> None:
-        if alpha < 2:
-            raise ValueError(f"alpha must be >= 2, got {alpha}")
-        self._alpha = alpha
+    """(3, 2)-ruling sets: one MIS of the graph's square."""
 
     @property
     def name(self) -> str:
-        return f"mis-ruling-{self._alpha}"
+        return "mis-ruling-3"
 
     def host(self, graph: Graph) -> Graph:
-        if self._alpha == 2:
-            return graph
-        return graph_power_matrix(graph, self._alpha - 1)
+        return graph_power_matrix(graph, 2)
 
     def verify(self, graph, host, run, trial):
-        verify_ruling_set(
-            graph, run.chosen_set(trial), self._alpha, self._alpha - 1
-        )
+        verify_ruling_set(graph, run.chosen_set(trial), 3, 2)
 
     def output_size(self, run, trial):
         return len(run.chosen_set(trial))
@@ -446,14 +436,10 @@ class ApplicationFleetSimulator:
     """
 
     def __init__(
-        self,
-        graph: Graph,
-        rule: ApplicationRule,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        backend: str = "auto",
+        self, graph: Graph, rule: ApplicationRule, backend: str = "auto"
     ) -> None:
         self._armada = ApplicationArmadaSimulator(
-            [graph], rule, max_rounds, backend
+            [graph], rule, DEFAULT_MAX_ROUNDS, backend
         )
 
     @property
@@ -583,11 +569,8 @@ class EngineMIS(MISAlgorithm):
     randomness is the counter fabric's.
     """
 
-    def __init__(
-        self, trial_seed: int, max_rounds: int = DEFAULT_MAX_ROUNDS
-    ) -> None:
+    def __init__(self, trial_seed: int) -> None:
         self._trial_seed = int(trial_seed)
-        self._max_rounds = max_rounds
         self._calls = 0
 
     @property
@@ -603,7 +586,6 @@ class EngineMIS(MISAlgorithm):
         self,
         graph: Graph,
         rng,
-        trace: Optional[Trace] = None,
         faults: FaultModel = NO_FAULTS,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
     ) -> MISRun:
@@ -613,9 +595,9 @@ class EngineMIS(MISAlgorithm):
             counter_state(self._trial_seed, self._calls, DRAW_LAYER)
         )
         self._calls += 1
-        run = FleetSimulator(
-            graph, max_rounds=min(max_rounds, self._max_rounds)
-        ).run_fleet(FeedbackRule(), [layer_seed], rng_mode="counter")
+        run = FleetSimulator(graph, max_rounds=max_rounds).run_fleet(
+            FeedbackRule(), [layer_seed], rng_mode="counter"
+        )
         beeps = run.beeps_by_node[0].tolist()
         channel_bits = beep_channel_bits(graph, beeps)
         return MISRun(

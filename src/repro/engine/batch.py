@@ -145,9 +145,7 @@ def run_batch(
     rule_factory: Callable[[], ProbabilityRule],
     trials: int,
     master_seed: int,
-    graph_index: int = 0,
     validate: bool = False,
-    max_rounds: int = 100_000,
     faults: FaultModel = NO_FAULTS,
     rng_mode: str = "stream",
     backend: str = "auto",
@@ -155,9 +153,8 @@ def run_batch(
     """Run ``trials`` independent simulations of one rule on one graph.
 
     ``rule_factory`` is called once; the one instance drives every
-    trial, so the rule must be ``trial_parallel``.  ``graph_index``
-    namespaces the seed derivation when one experiment uses several
-    graphs under the same master seed.  ``backend`` selects every
+    trial, so the rule must be ``trial_parallel``; trial ``t`` runs
+    on seed ``derive_seed(master_seed, 0, t)``.  ``backend`` selects every
     engine's neighbour-reduction kernel (``"auto"``, ``"dense"`` or
     ``"sparse"``; :func:`~repro.engine.sparse.resolve_backend`) — pure
     execution strategy, bit-identical results.  ``rng_mode`` *does*
@@ -166,10 +163,10 @@ def run_batch(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rule = rule_factory()
-    seeds = derive_seed_block(master_seed, graph_index, count=trials)
+    seeds = derive_seed_block(master_seed, 0, count=trials)
     (run,), _ = run_rule_armada(
-        rule, [graph], [seeds], validate, max_rounds, faults, rng_mode,
-        backend,
+        rule, [graph], [seeds], validate, DEFAULT_MAX_ROUNDS, faults,
+        rng_mode, backend,
     )
     return BatchResult(
         rule_name=rule.name,

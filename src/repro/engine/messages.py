@@ -419,14 +419,11 @@ class MessageFleetSimulator:
     the same seeds — reproduces the matching rows bit for bit.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        backend: str = "auto",
-    ) -> None:
+    def __init__(self, graph: Graph, backend: str = "auto") -> None:
         self._graph = graph
-        self._armada = MessageArmadaSimulator([graph], max_rounds, backend)
+        self._armada = MessageArmadaSimulator(
+            [graph], DEFAULT_MAX_ROUNDS, backend
+        )
 
     @property
     def graph(self) -> Graph:

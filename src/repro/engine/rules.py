@@ -180,15 +180,9 @@ class GlobalScheduleRule(ProbabilityRule):
 
     trial_parallel = True
 
-    def __init__(
-        self,
-        num_vertices: int,
-        max_degree: int,
-        steps_coefficient: float = 2.0,
-    ) -> None:
+    def __init__(self, num_vertices: int, max_degree: int) -> None:
         self._num_vertices = num_vertices
         self._max_degree = max_degree
-        self._steps_coefficient = steps_coefficient
 
     @property
     def name(self) -> str:
@@ -196,10 +190,7 @@ class GlobalScheduleRule(ProbabilityRule):
 
     def _shared(self, round_index: int) -> float:
         return global_schedule(
-            round_index,
-            self._num_vertices,
-            self._max_degree,
-            self._steps_coefficient,
+            round_index, self._num_vertices, self._max_degree
         )
 
     def initial(self, num_vertices: int) -> np.ndarray:

@@ -17,14 +17,11 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.bio.notch_delta import CollierParameters, NotchDeltaModel
+from repro.bio.notch_delta import RK4_STEP, CollierParameters, NotchDeltaModel
 from repro.bio.ode import rk4_integrate
 from repro.bio.sop import analyze_sop_pattern, select_sops_by_delta
 from repro.experiments.records import ExperimentResult, SeriesPoint
 from repro.graphs.structured import hex_lattice_graph
-
-# RK4 step of every run: ``NotchDeltaModel.run``'s default.
-_DT = 0.05
 
 
 def inhibition_strength_ablation(
@@ -65,7 +62,7 @@ def inhibition_strength_ablation(
         )
         # Only the final state is read: record just the two end points.
         _times, states = rk4_integrate(
-            model.derivative, initial, (0.0, t_end), _DT,
+            model.derivative, initial, (0.0, t_end), RK4_STEP,
             record_every=sys.maxsize,
         )
         separations: List[float] = []

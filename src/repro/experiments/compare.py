@@ -155,7 +155,6 @@ def comparison_experiment(
     shard_trials: int = 32,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    max_rounds: int = 100_000,
     engine: str = "auto",
     churn: Sequence[Tuple[Any, ...]] = (),
 ) -> ComparisonResult:
@@ -242,7 +241,6 @@ def comparison_experiment(
                             trials=trials,
                             graphs=graphs,
                             master_seed=seed,
-                            max_rounds=max_rounds,
                             churn=churn,
                             **workload,
                         ),

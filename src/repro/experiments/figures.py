@@ -16,7 +16,7 @@ All series drivers go through the sweep orchestrator
 ``jobs > 1`` and served from the content-addressed result store when
 ``cache_dir`` is set — regenerating a figure against a warm cache executes
 zero shards.  Every seed derives from one master seed and results are
-independent of ``jobs``, ``cache_dir`` and shard width.
+independent of ``jobs`` and ``cache_dir``.
 """
 
 from __future__ import annotations
@@ -42,16 +42,17 @@ DEFAULT_FIGURE5_SIZES = (10, 25, 50, 75, 100, 125, 150, 175, 200)
 _RULE_NAMES = ("feedback", "afek-sweep")
 
 
-def figure1_example(seed: int = 20, edge_probability: float = 0.15) -> Tuple[Graph, Set[int]]:
-    """An MIS selected from a 20-node random graph (the Figure 1A artefact).
+def figure1_example() -> Tuple[Graph, Set[int]]:
+    """An MIS selected from a 20-node ``G(20, 0.15)`` graph (the Figure 1A
+    artefact), all randomness from seed 20.
 
     Runs the paper's feedback algorithm itself to pick the set, then
     verifies it.  Returns ``(graph, mis)``.
     """
     from repro.algorithms.feedback import FeedbackMIS
 
-    graph = gnp_random_graph(20, edge_probability, spawn_rng(seed, 0))
-    run = FeedbackMIS().run(graph, spawn_rng(seed, 1))
+    graph = gnp_random_graph(20, 0.15, spawn_rng(20, 0))
+    run = FeedbackMIS().run(graph, spawn_rng(20, 1))
     verify_mis(graph, run.mis)
     return graph, run.mis
 
@@ -63,11 +64,9 @@ def _beeping_series(
     trials: int,
     master_seed: int,
     quantity: str,
-    validate: bool,
     graphs_per_size: int,
-    jobs: int = 1,
-    cache_dir: Optional[PathLike] = None,
-    shard_trials: int = 32,
+    jobs: int,
+    cache_dir: Optional[PathLike],
 ) -> ExperimentResult:
     """Shared sweep: both algorithms over sizes, extracting one quantity.
 
@@ -76,7 +75,8 @@ def _beeping_series(
     *identical* graphs (the graph path ``(g, 0)`` depends only on the
     cell master seed), keeping the feedback-vs-sweep comparison paired —
     a hard outlier graph hits both series, not one.  ``trials`` are
-    spread over ``graphs_per_size`` lockstep fleet groups per cell.
+    spread over ``graphs_per_size`` lockstep fleet groups per cell, and
+    every trial's set is checked to be an MIS.
     """
     # Imported here, not at module scope: repro.sweep's modules consume
     # repro.experiments.records/runner, so a top-level import would cycle.
@@ -97,12 +97,10 @@ def _beeping_series(
                     trials=trials,
                     graphs=graphs_per_size,
                     master_seed=derive_seed(master_seed, size_index),
-                    validate=validate,
                     **family,
                 )
             )
-    spec = SweepSpec(tuple(cells), shard_trials=shard_trials)
-    sweep = run_sweep(spec, store=cache_dir, jobs=jobs)
+    sweep = run_sweep(SweepSpec(tuple(cells)), store=cache_dir, jobs=jobs)
     points = [
         cell_point(cell, sweep.rows(cell), quantity) for cell in cells
     ]
@@ -118,15 +116,12 @@ def _beeping_series(
 def figure3_series(
     sizes: Sequence[int] = DEFAULT_FIGURE3_SIZES,
     trials: int = 100,
-    edge_probability: float = 0.5,
     master_seed: int = 1303,
     graphs_per_size: int = 5,
-    validate: bool = False,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: int = 32,
 ) -> ExperimentResult:
-    """Figure 3: mean rounds vs n on ``G(n, edge_probability)``.
+    """Figure 3: mean rounds vs n on ``G(n, 1/2)``.
 
     ``trials`` simulations per (size, algorithm) are spread over
     ``graphs_per_size`` independently drawn graphs.  The result additionally
@@ -139,7 +134,7 @@ def figure3_series(
         return {
             "family": "gnp",
             "n": sizes[size_index],
-            "edge_probability": edge_probability,
+            "edge_probability": 0.5,
         }
 
     result = _beeping_series(
@@ -149,11 +144,9 @@ def figure3_series(
         trials,
         master_seed,
         "rounds",
-        validate,
         graphs_per_size,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        shard_trials=shard_trials,
+        jobs,
+        cache_dir,
     )
     for n in sizes:
         result.points.append(
@@ -162,28 +155,25 @@ def figure3_series(
         result.points.append(
             SeriesPoint("2.5_log2", float(n), figure3_feedback_reference(n), 0.0, 0)
         )
-    result.parameters["edge_probability"] = edge_probability
+    result.parameters["edge_probability"] = 0.5
     return result
 
 
 def figure5_series(
     sizes: Sequence[int] = DEFAULT_FIGURE5_SIZES,
     trials: int = 200,
-    edge_probability: float = 0.5,
     master_seed: int = 1305,
     graphs_per_size: int = 5,
-    validate: bool = False,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: int = 32,
 ) -> ExperimentResult:
-    """Figure 5: mean beeps per node vs n on ``G(n, edge_probability)``."""
+    """Figure 5: mean beeps per node vs n on ``G(n, 1/2)``."""
 
     def family_for_size(size_index: int) -> Dict[str, int]:
         return {
             "family": "gnp",
             "n": sizes[size_index],
-            "edge_probability": edge_probability,
+            "edge_probability": 0.5,
         }
 
     result = _beeping_series(
@@ -193,13 +183,11 @@ def figure5_series(
         trials,
         master_seed,
         "beeps",
-        validate,
         graphs_per_size,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        shard_trials=shard_trials,
+        jobs,
+        cache_dir,
     )
-    result.parameters["edge_probability"] = edge_probability
+    result.parameters["edge_probability"] = 0.5
     return result
 
 
@@ -207,10 +195,8 @@ def grid_beeps_series(
     side_lengths: Sequence[int] = (5, 8, 10, 12, 15),
     trials: int = 100,
     master_seed: int = 1306,
-    validate: bool = False,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: int = 32,
 ) -> ExperimentResult:
     """Mean beeps per node of the feedback algorithm on square grids.
 
@@ -230,11 +216,9 @@ def grid_beeps_series(
         trials,
         master_seed,
         "beeps",
-        validate,
         graphs_per_size=1,
         jobs=jobs,
         cache_dir=cache_dir,
-        shard_trials=shard_trials,
     )
     result.parameters["side_lengths"] = list(side_lengths)
     return result

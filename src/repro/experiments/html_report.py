@@ -182,12 +182,14 @@ def _figure_section(artefact: ExperimentArtefact) -> str:
     return "".join(parts)
 
 
+_TITLE = "Reproduction report: 'Feedback from nature' (PODC 2013)"
+
+
 def render_paper_report(
     artefacts: Sequence[ExperimentArtefact],
     provenance: Mapping[str, Any],
     drift_rows: Sequence[Tuple[str, str, str]] = (),
     bench_rows: Sequence[Any] = (),
-    title: str = "Reproduction report: 'Feedback from nature' (PODC 2013)",
     now: Optional[str] = None,
 ) -> str:
     """The full self-contained HTML document.
@@ -203,10 +205,10 @@ def render_paper_report(
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{_esc(title)}</title>",
+        f"<title>{_esc(_TITLE)}</title>",
         f"<style>{_CSS}</style>",
         "</head><body>",
-        f"<h1>{_esc(title)}</h1>",
+        f"<h1>{_esc(_TITLE)}</h1>",
     ]
     if now is not None:
         parts.append(f'<p class="stamp">generated: {_esc(now)}</p>')

@@ -15,7 +15,7 @@ Execution goes through the sweep orchestrator (:mod:`repro.sweep`): each
 experiment shares the trial-parallel fleet speedup and — with
 ``cache_dir`` set — the content-addressed result store with every other
 figure driver.  Each cell derives its own master seed, and results are
-independent of ``jobs``, ``cache_dir`` and shard width.
+independent of ``jobs`` and ``cache_dir``.
 """
 
 from __future__ import annotations
@@ -34,19 +34,17 @@ _RULE_NAMES = ("afek-sweep", "feedback")
 def theorem1_experiment(
     sides: Sequence[int] = (4, 6, 8, 10, 12),
     trials: int = 30,
-    copies: int = 0,
     master_seed: int = 1101,
-    validate: bool = False,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: int = 32,
 ) -> ExperimentResult:
     """Rounds of sweep vs feedback on the Theorem 1 clique family.
 
     ``sides[i]`` plays the role of ``n^(1/3)``; the graph for side ``s``
-    has ``copies·s(s+1)/2`` vertices (``copies`` defaults to ``s``).
-    ``jobs`` shards the sweep over worker processes; ``cache_dir``
-    enables the on-disk result store.
+    has ``s`` copies of each ``K_d``, ``s·s(s+1)/2`` vertices in all.
+    Every trial's set is checked to be an MIS.  ``jobs`` shards the
+    sweep over worker processes; ``cache_dir`` enables the on-disk
+    result store.
     """
     # Imported here, not at module scope: repro.sweep's modules consume
     # repro.experiments.records/runner, so a top-level import would cycle.
@@ -63,14 +61,11 @@ def theorem1_experiment(
                     engine="fleet",
                     family="theorem1",
                     side=side,
-                    copies=copies,
                     trials=trials,
                     master_seed=derive_seed(master_seed, side_index, rule_index),
-                    validate=validate,
                 )
             )
-    spec = SweepSpec(tuple(cells), shard_trials=shard_trials)
-    sweep = run_sweep(spec, store=cache_dir, jobs=jobs)
+    sweep = run_sweep(SweepSpec(tuple(cells)), store=cache_dir, jobs=jobs)
     points: List[SeriesPoint] = [
         cell_point(
             cell,
@@ -86,7 +81,7 @@ def theorem1_experiment(
         master_seed=master_seed,
         parameters={
             "sides": list(sides),
-            "copies": copies,
+            "copies": 0,
             "trials": trials,
         },
         report=sweep.report,

@@ -78,7 +78,7 @@ class ExperimentResult:
         return [p.mean for p in self.series(name)]
 
 
-def results_to_json(result: ExperimentResult, indent: int = 2) -> str:
+def results_to_json(result: ExperimentResult) -> str:
     """Serialise a result (round-trippable; schema mirrors the dataclasses)."""
     payload = {
         "experiment": result.experiment,
@@ -86,7 +86,7 @@ def results_to_json(result: ExperimentResult, indent: int = 2) -> str:
         "parameters": result.parameters,
         "points": [asdict(point) for point in result.points],
     }
-    return json.dumps(payload, indent=indent, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def results_from_json(text: str) -> ExperimentResult:

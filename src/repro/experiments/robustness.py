@@ -44,7 +44,6 @@ def robustness_grid(
     shard_trials: int = 32,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    max_rounds: int = 100_000,
 ) -> ExperimentResult:
     """Sweep a fault grid and summarise it as one experiment record.
 
@@ -78,7 +77,6 @@ def robustness_grid(
                     spurious_beep=spurious,
                     crashes=tuple(crashes),
                     churn=tuple(churn),
-                    max_rounds=max_rounds,
                 )
             )
     spec = SweepSpec(tuple(cells), shard_trials=shard_trials)

@@ -155,11 +155,10 @@ def run_trials(
     trials: int,
     master_seed: int,
     faults: FaultModel = NO_FAULTS,
-    validate: bool = True,
     max_rounds: int = 100_000,
     trial_range: Optional[Tuple[int, int]] = None,
 ) -> List[TrialOutcome]:
-    """Run ``trials`` independent (graph, algorithm) trials.
+    """Run ``trials`` independent (graph, algorithm) trials, each verified.
 
     Each trial draws a fresh graph and a fresh algorithm instance with
     independently derived seeds, so trials are exchangeable and the whole
@@ -178,8 +177,7 @@ def run_trials(
             faults=faults,
             max_rounds=max_rounds,
         )
-        if validate:
-            run.verify()
+        run.verify()
         outcomes.append(
             TrialOutcome(
                 trial=trial,
@@ -250,14 +248,14 @@ def run_fleet_trials(
     trials: int,
     master_seed: int,
     graphs: int = 1,
-    validate: bool = True,
     max_rounds: int = 100_000,
     trial_range: Optional[Tuple[int, int]] = None,
     faults: FaultModel = NO_FAULTS,
     rng_mode: str = "counter",
     backend: str = "auto",
 ) -> List[TrialOutcome]:
-    """Run ``trials`` trials on the trial-parallel fleet engines.
+    """Run ``trials`` trials on the trial-parallel fleet engines, each
+    verified as an MIS (of the surviving subgraph under faults).
 
     The trials are spread over ``graphs`` independently drawn graphs (the
     fleet engine batches trials *per graph*).  The graph for group ``g``
@@ -357,7 +355,7 @@ def run_fleet_trials(
             rule,
             [drawn[p] for p in positions],
             [group_seeds(*selected[p]) for p in positions],
-            validate,
+            True,
             max_rounds,
             faults,
             rng_mode,

@@ -17,7 +17,7 @@ the work over processes and ``cache_dir`` reuses stored trial rows.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.algorithms.exact import MAX_EXACT_VERTICES, maximum_independent_set
 from repro.beeping.rng import RngStream
@@ -38,28 +38,22 @@ def mis_size_experiment(
     n: int = 40,
     edge_probability: float = 0.3,
     trials: int = 20,
-    algorithm_names: Sequence[str] = DEFAULT_ALGORITHMS,
     master_seed: int = 1701,
-    include_optimum: Optional[bool] = None,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    shard_trials: int = 32,
 ) -> ExperimentResult:
-    """Mean MIS size per algorithm over ``trials`` G(n, p) graphs.
+    """Mean MIS size per :data:`DEFAULT_ALGORITHMS` entry over ``trials``
+    G(n, p) graphs.
 
-    When the graphs are small enough (or ``include_optimum`` forces it),
-    each point's ``extra["optimum_ratio"]`` records mean(size / optimum).
+    When the graphs are small enough for the exact solver (``n <=
+    MAX_EXACT_VERTICES``), each point's ``extra["optimum_ratio"]``
+    records mean(size / optimum).
     """
     from repro.sweep.aggregate import summarize
     from repro.sweep.orchestrator import run_sweep
     from repro.sweep.spec import CellSpec, SweepSpec
 
-    if include_optimum is None:
-        include_optimum = n <= MAX_EXACT_VERTICES
-    if include_optimum and n > MAX_EXACT_VERTICES:
-        raise ValueError(
-            f"exact optimum needs n <= {MAX_EXACT_VERTICES}, got {n}"
-        )
+    include_optimum = n <= MAX_EXACT_VERTICES
     cells = tuple(
         CellSpec(
             algorithm=name,
@@ -69,12 +63,10 @@ def mis_size_experiment(
             edge_probability=edge_probability,
             trials=trials,
             master_seed=master_seed,
-            validate=True,
         )
-        for name in algorithm_names
+        for name in DEFAULT_ALGORITHMS
     )
-    spec = SweepSpec(cells, shard_trials=shard_trials)
-    sweep = run_sweep(spec, store=cache_dir, jobs=jobs)
+    sweep = run_sweep(SweepSpec(cells), store=cache_dir, jobs=jobs)
 
     optima: List[int] = []
     if include_optimum:
@@ -91,7 +83,7 @@ def mis_size_experiment(
         ]
 
     points: List[SeriesPoint] = []
-    for name, cell in zip(algorithm_names, cells):
+    for name, cell in zip(DEFAULT_ALGORITHMS, cells):
         rows = sweep.rows(cell)
         sizes = [row.mis_size for row in rows]
         mean, std = summarize([float(s) for s in sizes])

@@ -44,10 +44,10 @@ def format_table(
 
 def format_experiment(
     result: ExperimentResult,
-    precision: int = 2,
     extra_columns: Sequence[str] = (),
 ) -> str:
-    """Render an :class:`ExperimentResult` as one table per x value.
+    """Render an :class:`ExperimentResult` as one table per x value, every
+    value to two decimals.
 
     ``extra_columns`` appends named ``point.extra`` entries as columns
     (blank where a point lacks the key), mirroring
@@ -58,12 +58,12 @@ def format_experiment(
         [
             p.series,
             f"{p.x:g}",
-            f"{p.mean:.{precision}f}",
-            f"{p.std:.{precision}f}",
+            f"{p.mean:.2f}",
+            f"{p.std:.2f}",
             p.trials,
             *(
                 "" if p.extra.get(name) is None
-                else f"{p.extra[name]:.{precision}f}"
+                else f"{p.extra[name]:.2f}"
                 for name in extra_columns
             ),
         ]

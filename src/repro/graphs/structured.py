@@ -66,18 +66,13 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges)
 
 
-def hex_lattice_graph(
-    rows: int, cols: int, return_positions: bool = False
-):
+def hex_lattice_graph(rows: int, cols: int) -> Graph:
     """A hexagonally packed lattice of cells (6-neighbour triangular lattice).
 
     This is the standard abstraction of an epithelial cell sheet, used by the
     Notch–Delta biology substrate: each interior cell touches six
     neighbours.  Cells are laid out in ``rows`` offset rows of ``cols`` cells;
     cell ``(r, c)`` is numbered ``r * cols + c``.
-
-    When ``return_positions`` is true, returns ``(graph, positions)`` with
-    axial 2-D coordinates suitable for plotting.
     """
     if rows < 0 or cols < 0:
         raise ValueError("lattice dimensions must be >= 0")
@@ -99,13 +94,4 @@ def hex_lattice_graph(
                     edges.append((v, vertex(r + 1, c - 1)))
                 if r % 2 == 1 and c + 1 < cols:
                     edges.append((v, vertex(r + 1, c + 1)))
-    graph = Graph(rows * cols, edges)
-    if return_positions:
-        positions = []
-        for r in range(rows):
-            for c in range(cols):
-                x = c + (0.5 if r % 2 == 1 else 0.0)
-                y = r * 0.8660254037844386  # sqrt(3)/2 row spacing
-                positions.append((x, y))
-        return graph, positions
-    return graph
+    return Graph(rows * cols, edges)

@@ -199,7 +199,6 @@ def execute_shard(shard: ShardSpec) -> List[TrialOutcome]:
             cell.trials,
             cell.master_seed,
             faults=cell.fault_model(),
-            validate=cell.validate,
             max_rounds=cell.max_rounds,
             trial_range=window,
         )
@@ -209,7 +208,6 @@ def execute_shard(shard: ShardSpec) -> List[TrialOutcome]:
         cell.trials,
         cell.master_seed,
         graphs=cell.graphs,
-        validate=cell.validate,
         max_rounds=cell.max_rounds,
         trial_range=window,
         faults=cell.fault_model(),

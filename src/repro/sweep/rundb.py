@@ -94,10 +94,13 @@ class RunRecord:
     def from_dict(payload: Dict[str, Any]) -> "RunRecord":
         """Inverse of :meth:`to_dict`.
 
-        ``elapsed_seconds`` and ``created`` must be finite numbers, and
-        ``extra`` must hold no infinity or NaN, else ``ValueError``:
-        ``repro stats --json`` prints strict JSON, so such a line is damage
-        like a torn one.
+        Every value must already have its field's type, else
+        ``ValueError``: the counts are ``int`` (not ``bool``), ``trials >=
+        1`` and each shard count ``>= 0``; the string fields are ``str``;
+        ``elapsed_seconds`` and ``created`` are finite numbers, and
+        ``extra`` holds no infinity or NaN (``repro stats --json`` prints
+        strict JSON).  A value of another shape is damage like a torn
+        line, never coerced.
         """
         elapsed_seconds = finite_float(payload.get("elapsed_seconds", 0.0))
         created = finite_float(payload.get("created", 0.0))
@@ -106,19 +109,33 @@ class RunRecord:
         extra = dict(payload.get("extra", {}))
         json.dumps(extra, allow_nan=False)
         return RunRecord(
-            run_id=str(payload["run_id"]),
-            experiment=str(payload["experiment"]),
-            spec_hash=str(payload["spec_hash"]),
-            trials=int(payload["trials"]),
-            shards_total=int(payload.get("shards_total", 0)),
-            shards_executed=int(payload.get("shards_executed", 0)),
-            shards_cached=int(payload.get("shards_cached", 0)),
+            run_id=_exact(payload["run_id"], str),
+            experiment=_exact(payload["experiment"], str),
+            spec_hash=_exact(payload["spec_hash"], str),
+            trials=_count(payload["trials"], 1),
+            shards_total=_count(payload.get("shards_total", 0), 0),
+            shards_executed=_count(payload.get("shards_executed", 0), 0),
+            shards_cached=_count(payload.get("shards_cached", 0), 0),
             elapsed_seconds=elapsed_seconds,
-            drift=str(payload.get("drift", "MISSING")),
-            csv_sha256=str(payload.get("csv_sha256", "")),
+            drift=_exact(payload.get("drift", "MISSING"), str),
+            csv_sha256=_exact(payload.get("csv_sha256", ""), str),
             created=created,
             extra=extra,
         )
+
+
+def _exact(value: Any, kind: type) -> Any:
+    """``value`` when its type is exactly ``kind``, else ``ValueError``."""
+    if type(value) is not kind:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _count(value: Any, least: int) -> int:
+    """``value`` when it is an ``int`` of at least ``least``."""
+    if _exact(value, int) < least:
+        raise ValueError(f"count must be >= {least}, got {value!r}")
+    return value
 
 
 class RunDB:

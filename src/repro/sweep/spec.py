@@ -26,10 +26,9 @@ What goes into the hash
 - the shard's global trial window ``[lo, hi)``.
 
 Deliberately **not** in the hash: job count, shard width of *other*
-shards, store paths, timestamps, ``validate`` (it can only raise, never
-alter a row), ``backend`` (dense and sparse kernels compute
-identical rows — the conformance suite enforces it, so a warm cache is
-shared across backends) — anything that cannot change the rows.
+shards, store paths, timestamps, ``backend`` (dense and sparse kernels
+compute identical rows — the conformance suite enforces it, so a warm
+cache is shared across backends) — anything that cannot change the rows.
 """
 
 from __future__ import annotations
@@ -179,13 +178,11 @@ class CellSpec:
     spurious_beep: float = 0.0
     crashes: Tuple[Tuple[int, int], ...] = ()
     churn: Tuple[Tuple[Any, ...], ...] = ()
-    validate: bool = True
     max_rounds: int = 100_000
     #: Engine neighbour-reduction kernel (one of :data:`BACKENDS`; the
     #: reference engine ignores it).  Pure execution strategy: all
-    #: backends compute bit-identical rows, so — like ``validate`` — it is
-    #: excluded from the execution fingerprint and a warm cache serves
-    #: every backend.
+    #: backends compute bit-identical rows, so it is excluded from the
+    #: execution fingerprint and a warm cache serves every backend.
     backend: str = "auto"
 
     def __post_init__(self) -> None:
@@ -352,7 +349,6 @@ class CellSpec:
             "spurious_beep": self.spurious_beep,
             "crashes": self.crashes,
             "churn": self.churn,
-            "validate": self.validate,
             "max_rounds": self.max_rounds,
             "backend": self.backend,
         }

@@ -137,6 +137,17 @@ def _outcomes(columns: Dict[str, Any], shard: ShardSpec) -> List[TrialOutcome]:
     )
 
 
+def _verified(entry: Dict[str, Any]) -> bool:
+    """Whether the entry's rows passed the MIS check when they were run.
+
+    Every shard is verified now, but earlier versions could store a cell
+    with ``validate`` false; such an entry is a miss, so it is recomputed
+    and checked rather than served unchecked.
+    """
+    cell = entry["shard"]["cell"]
+    return type(cell) is dict and cell.get("validate", True) is True
+
+
 class ResultStore:
     """A content-addressed cache of shard results under one directory."""
 
@@ -158,7 +169,8 @@ class ResultStore:
             and entry.get("content_hash") == digest
         ):
             try:
-                rows = _outcomes(entry["rows"], shard)
+                if _verified(entry):
+                    rows = _outcomes(entry["rows"], shard)
             except DAMAGE_ERRORS:
                 pass
         probes.count("store.miss" if rows is None else "store.hit")

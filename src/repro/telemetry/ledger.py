@@ -75,14 +75,12 @@ class RunLedger:
         root: PathLike,
         command: str,
         argv: Optional[Sequence[str]] = None,
-        run_id: Optional[str] = None,
     ) -> None:
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-        if run_id is None:
-            # Wall-clock prefix keeps listings chronological; the pid
-            # suffix keeps concurrent runs from colliding.
-            run_id = f"{time.time_ns():016x}-{os.getpid()}"
+        # Wall-clock prefix keeps listings chronological; the pid suffix
+        # keeps concurrent runs from colliding.
+        run_id = f"{time.time_ns():016x}-{os.getpid()}"
         self.run_id = run_id
         self.path = self._root / f"run-{run_id}.jsonl"
         self._started = time.perf_counter()

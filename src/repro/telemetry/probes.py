@@ -56,11 +56,11 @@ class Collector:
     aggregates; the raw event stream goes to every sink in order.
     """
 
-    def __init__(self, sinks: Tuple[Sink, ...] = ()) -> None:
+    def __init__(self) -> None:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.spans: Dict[str, Tuple[int, float, float]] = {}
-        self._sinks: List[Sink] = list(sinks)
+        self._sinks: List[Sink] = []
 
     def add_sink(self, sink: Sink) -> None:
         """Forward all future events to ``sink`` as well."""

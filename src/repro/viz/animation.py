@@ -85,14 +85,11 @@ def render_animation(
     trace: Trace,
     num_vertices: int,
     columns: Optional[int] = None,
-    max_frames: Optional[int] = None,
 ) -> str:
     """All rounds as consecutive frames separated by blank lines."""
-    count = trace.num_rounds
-    if max_frames is not None:
-        count = min(count, max_frames)
     frames = [
-        render_frame(trace, t, num_vertices, columns) for t in range(count)
+        render_frame(trace, t, num_vertices, columns)
+        for t in range(trace.num_rounds)
     ]
     legend = (
         f"legend: {GLYPH_BEEP}=beep {GLYPH_JOIN}=join {GLYPH_RETIRE}=retire "

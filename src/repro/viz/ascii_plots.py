@@ -15,19 +15,11 @@ _GLYPHS = "ox+*#@%&"
 
 
 class AsciiPlot:
-    """A character canvas with data-space coordinates."""
+    """A 72 by 20 character canvas with data-space coordinates."""
 
-    def __init__(
-        self,
-        width: int = 72,
-        height: int = 20,
-        x_label: str = "x",
-        y_label: str = "y",
-    ) -> None:
-        if width < 16 or height < 6:
-            raise ValueError("canvas too small: need width >= 16, height >= 6")
-        self._width = width
-        self._height = height
+    def __init__(self, x_label: str = "x", y_label: str = "y") -> None:
+        self._width = 72
+        self._height = 20
         self._x_label = x_label
         self._y_label = y_label
         self._series: List[Tuple[str, List[Tuple[float, float]]]] = []
@@ -99,15 +91,11 @@ class AsciiPlot:
 
 def plot_experiment(
     result: ExperimentResult,
-    width: int = 72,
-    height: int = 20,
     y_label: str = "mean",
     x_label: str = "n",
 ) -> str:
     """Plot every series of an :class:`ExperimentResult` (means only)."""
-    plot = AsciiPlot(
-        width=width, height=height, x_label=x_label, y_label=y_label
-    )
+    plot = AsciiPlot(x_label=x_label, y_label=y_label)
     for name in result.series_names():
         plot.add_series(name, result.xs(name), result.means(name))
     return plot.render()

@@ -50,18 +50,14 @@ def render_mis_listing(graph: Graph, mis: Iterable[int]) -> str:
     return "\n".join(lines)
 
 
-def to_dot(
-    graph: Graph,
-    highlighted: Iterable[int] = (),
-    name: str = "G",
-) -> str:
+def to_dot(graph: Graph, highlighted: Iterable[int] = ()) -> str:
     """Render a graph in Graphviz DOT format.
 
     ``highlighted`` vertices (typically an MIS) are filled; everything else
     is drawn plain.  The output is deterministic.
     """
     highlighted_set: Set[int] = set(highlighted)
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     lines.append("  node [shape=circle];")
     for v in graph.vertices():
         if v in highlighted_set:

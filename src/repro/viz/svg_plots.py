@@ -13,7 +13,7 @@ the self-contained HTML report (no external assets).
 from __future__ import annotations
 
 import html
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.records import ExperimentResult
 
@@ -58,11 +58,8 @@ def svg_line_plot(
     result: ExperimentResult,
     y_label: str = "value",
     x_label: str = "n",
-    width: int = 640,
-    height: int = 360,
-    title: Optional[str] = None,
 ) -> str:
-    """One experiment as a self-contained ``<svg>`` element.
+    """One experiment as a self-contained 640 by 360 ``<svg>`` element.
 
     Series are drawn in first-appearance order with the fixed
     :data:`PALETTE`; a legend lists them top-right.  Points with
@@ -70,6 +67,7 @@ def svg_line_plot(
     any other series.  An empty result renders a labelled placeholder
     panel rather than failing.
     """
+    width, height = 640, 360
     margin_left, margin_right = 62.0, 150.0
     margin_top, margin_bottom = 28.0, 46.0
     panel_w = width - margin_left - margin_right
@@ -86,11 +84,6 @@ def svg_line_plot(
         f'<rect x="0" y="0" width="{width}" height="{height}" '
         f'fill="#ffffff"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2.0)}" y="18" text-anchor="middle" '
-            f'font-size="13" fill="#333">{html.escape(title)}</text>'
-        )
     if not names or not xs:
         parts.append(
             f'<text x="{_fmt(width / 2.0)}" y="{_fmt(height / 2.0)}" '

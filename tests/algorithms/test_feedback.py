@@ -15,12 +15,10 @@ class TestBasics:
     def test_name(self):
         assert FeedbackMIS().name == "feedback"
 
-    def test_custom_name_and_factory(self):
+    def test_custom_factory(self):
         algorithm = FeedbackMIS(
-            node_factory=heterogeneous_feedback_factory(seed=1),
-            name="feedback-hetero",
+            node_factory=heterogeneous_feedback_factory(seed=1)
         )
-        assert algorithm.name == "feedback-hetero"
         run = algorithm.run(complete_graph(6), Random(2))
         run.verify()
 

@@ -98,5 +98,5 @@ def test_ruling_set_satisfies_alpha_beta(n, p, graph_seed, run_seed, engine):
     if engine == "reference":
         chosen = ruling_set(graph, 3, spawn_rng(run_seed, 0))
     else:
-        chosen = _fleet_run(graph, RulingSetRule(3), run_seed).chosen_set(0)
+        chosen = _fleet_run(graph, RulingSetRule(), run_seed).chosen_set(0)
     verify_ruling_set(graph, chosen, 3, 2)

@@ -150,7 +150,6 @@ def test_property_wakeup_always_mis(n, p, max_delay, seed):
     graph = gnp_random_graph(n, p, Random(seed))
     schedule = random_wake_schedule(n, max_delay, Random(seed ^ 0xAA))
     result = WakeupSimulation(
-        graph, feedback_factory, schedule, Random(seed ^ 0xBB),
-        max_rounds=50_000,
+        graph, feedback_factory, schedule, Random(seed ^ 0xBB)
     ).run()
     result.verify()

@@ -12,9 +12,8 @@ class TestSelection:
         deltas = [0.95, 0.02, 0.88, 0.1]
         assert select_sops_by_delta(deltas) == {0, 2}
 
-    def test_custom_threshold(self):
-        deltas = [0.4, 0.6]
-        assert select_sops_by_delta(deltas, threshold=0.3) == {0, 1}
+    def test_threshold_is_the_midpoint(self):
+        assert select_sops_by_delta([0.4, 0.5, 0.6]) == {2}
 
     def test_empty(self):
         assert select_sops_by_delta([]) == set()

@@ -37,6 +37,7 @@ from repro.engine.applications import (
     line_graph_arrays,
 )
 from repro.engine.batch import run_batch
+from repro.engine.simulator import DEFAULT_MAX_ROUNDS
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.structured import empty_graph, grid_graph, star_graph
@@ -143,7 +144,7 @@ class TestReferenceExactConformance:
             assert run.chosen_set(t) == ref
 
     def test_ruling(self, application_graph):
-        seeds, run = self._kernel_run(application_graph, RulingSetRule(3))
+        seeds, run = self._kernel_run(application_graph, RulingSetRule())
         for t in range(self.TRIALS):
             ref = ruling_set(
                 application_graph,
@@ -349,13 +350,13 @@ class TestValidity:
 class TestLayerLoop:
     """Each colouring layer is one armada run with its own round budget."""
 
-    def _coloring(self, max_rounds=None):
+    def _coloring(self, max_rounds=DEFAULT_MAX_ROUNDS):
         graph = gnp_random_graph(40, 0.3, Random(604))
         seeds = derive_seed_block(MASTER_SEED, 9, count=6)
-        kwargs = {} if max_rounds is None else {"max_rounds": max_rounds}
-        return ApplicationFleetSimulator(
-            graph, ColoringRule(), **kwargs
-        ).run_fleet(seeds, validate=True)
+        (run,) = ApplicationArmadaSimulator(
+            [graph], ColoringRule(), max_rounds
+        ).run_armada([seeds], validate=True)
+        return run
 
     def test_round_cap_raises(self):
         with pytest.raises(RuntimeError, match="exceeded 1 rounds"):

@@ -29,11 +29,6 @@ class TestRunBatch:
         b = run_batch(random50, FeedbackRule, 5, master_seed=4)
         assert (a.rounds != b.rounds).any()
 
-    def test_graph_index_namespaces_seeds(self, random50):
-        a = run_batch(random50, FeedbackRule, 5, master_seed=5, graph_index=0)
-        b = run_batch(random50, FeedbackRule, 5, master_seed=5, graph_index=1)
-        assert (a.rounds != b.rounds).any()
-
     def test_single_trial_std_zero(self, random50):
         batch = run_batch(random50, FeedbackRule, 1, master_seed=6)
         assert batch.std_rounds == 0.0

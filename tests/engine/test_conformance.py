@@ -133,15 +133,14 @@ class TestBitEquality:
             )
 
 
-def _seed_by_seed(graph, rule_factory, master_seed, trials, graph_index=0,
-                  **kwargs):
+def _seed_by_seed(graph, rule_factory, master_seed, trials, **kwargs):
     """One lone one-seed run per trial of a ``run_batch`` batch."""
     return [
         engine_run(
             BASELINE_ENGINE,
             graph,
             rule_factory,
-            derive_seed(master_seed, graph_index, t),
+            derive_seed(master_seed, 0, t),
             **kwargs,
         )
         for t in range(trials)
@@ -161,9 +160,8 @@ class TestBatchConformance:
     TRIALS = 12
 
     @pytest.mark.parametrize("rule_name", ("feedback", "afek-sweep"))
-    @pytest.mark.parametrize("graph_index", (0, 3))
     def test_fleet_batch_matches_loop(
-        self, conformance_graph, rule_name, graph_index, rng_mode
+        self, conformance_graph, rule_name, rng_mode
     ):
         graph = conformance_graph
         batch = run_batch(
@@ -171,7 +169,6 @@ class TestBatchConformance:
             lambda: make_rule(rule_name, graph),
             self.TRIALS,
             MASTER_SEED,
-            graph_index=graph_index,
             rng_mode=rng_mode,
         )
         assert batch.rule_name == rule_name
@@ -182,7 +179,6 @@ class TestBatchConformance:
                 lambda: make_rule(rule_name, graph),
                 MASTER_SEED,
                 self.TRIALS,
-                graph_index=graph_index,
                 rng_mode=rng_mode,
             ),
         )

@@ -13,13 +13,13 @@ from repro.graphs.validation import verify_mis
 
 class TestFigure1:
     def test_returns_verified_mis_on_20_nodes(self):
-        graph, mis = figure1_example(seed=20)
+        graph, mis = figure1_example()
         assert graph.num_vertices == 20
         verify_mis(graph, mis)
 
     def test_deterministic(self):
-        a = figure1_example(seed=4)
-        b = figure1_example(seed=4)
+        a = figure1_example()
+        b = figure1_example()
         assert a[0] == b[0]
         assert a[1] == b[1]
 
@@ -32,7 +32,6 @@ class TestFigure3:
             trials=10,
             graphs_per_size=2,
             master_seed=33,
-            validate=True,
         )
 
     def test_series_present(self, result):
@@ -109,16 +108,14 @@ class TestGridBeeps:
 
 
 class TestSweepExecution:
-    """Figures run through the sweep orchestrator: jobs, cache and shard
-    width are pure execution knobs and must never change the numbers."""
+    """Figures run through the sweep orchestrator: jobs and cache are pure
+    execution knobs and must never change the numbers."""
 
     ARGS = dict(sizes=(20, 30), trials=6, graphs_per_size=2, master_seed=12)
 
     def test_jobs_and_cache_do_not_change_results(self, tmp_path):
         plain = figure3_series(**self.ARGS)
-        sharded = figure3_series(
-            **self.ARGS, jobs=2, cache_dir=tmp_path, shard_trials=2
-        )
+        sharded = figure3_series(**self.ARGS, jobs=2, cache_dir=tmp_path)
         assert sharded.points == plain.points
 
     def test_warm_cache_reproduces_the_figure(self, tmp_path):

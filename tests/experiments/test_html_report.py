@@ -185,7 +185,6 @@ class TestRenderedDocument:
             [figure],
             provenance={hostile: hostile},
             drift_rows=[(hostile, "DRIFT", hostile)],
-            title=hostile,
             now=hostile,
         )
         assert "<script>" not in document

@@ -8,9 +8,7 @@ from repro.experiments.lower_bound import theorem1_experiment
 class TestTheorem1Experiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return theorem1_experiment(
-            sides=(3, 5, 7), trials=10, master_seed=77, validate=True
-        )
+        return theorem1_experiment(sides=(3, 5, 7), trials=10, master_seed=77)
 
     def test_two_series(self, result):
         assert set(result.series_names()) == {"afek-sweep", "feedback"}
@@ -40,10 +38,3 @@ class TestTheorem1Experiment:
             )
         ]
         assert ratios[-1] > ratios[0] * 0.8  # non-shrinking (noise margin)
-
-    def test_custom_copies(self):
-        result = theorem1_experiment(
-            sides=(3,), trials=5, copies=2, master_seed=78
-        )
-        assert result.xs("feedback") == [12.0]
-        assert result.parameters["copies"] == 2

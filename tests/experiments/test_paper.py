@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import repro.experiments
 from repro.analysis.regression import fit_log2
 from repro.cli import main
+from repro.engine import fleet
 from repro.experiments.paper import (
     EXEMPT_MODULES,
     PAPER_FORMAT_VERSION,
@@ -212,6 +213,33 @@ PINNED_SPEC_HASHES = {
         "a5773e63a6e69523091ecfd825bce9848458d6707e72fe182ecfd409e9e48a13"
     ),
 }
+
+
+class TestEveryTrialIsVerified:
+    @pytest.mark.parametrize(
+        "name", ["figure3", "figure5", "grid", "theorem1"]
+    )
+    def test_beeping_drivers_check_their_sets(
+        self, name, monkeypatch, tmp_path
+    ):
+        """``repro paper`` checks that the figure and Theorem 1 runs
+        select MISes, as it does for robustness and compare."""
+        calls = []
+        check = fleet.verify_mis_rows
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(fleet, "verify_mis_rows", counting)
+        run_paper(
+            trials=2,
+            only=[name],
+            out_dir=tmp_path / "out",
+            golden_dir=None,
+            bench_dir=None,
+        )
+        assert calls
 
 
 class TestProvenanceFromTheReport:

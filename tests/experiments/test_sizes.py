@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.sizes import mis_size_experiment
+from repro.experiments.sizes import DEFAULT_ALGORITHMS, mis_size_experiment
 
 
 class TestMisSizeExperiment:
@@ -32,32 +32,58 @@ class TestMisSizeExperiment:
         for point in result.points:
             assert point.extra["optimum_ratio"] > 0.5
 
-    def test_optimum_guard(self):
-        with pytest.raises(ValueError, match="exact optimum"):
-            mis_size_experiment(n=100, trials=2, include_optimum=True)
-
     def test_large_n_skips_optimum(self):
-        result = mis_size_experiment(
-            n=80,
-            trials=2,
-            algorithm_names=("greedy",),
-            master_seed=6,
-        )
+        result = mis_size_experiment(n=80, trials=2, master_seed=6)
         assert result.parameters["include_optimum"] is False
-        assert result.series_names() == ["greedy"]
-        assert result.points[0].extra == {}
+        assert result.series_names() == list(DEFAULT_ALGORITHMS)
+        assert all(point.extra == {} for point in result.points)
 
     def test_jobs_and_cache_do_not_change_results(self, tmp_path):
-        args = dict(
-            n=18,
-            trials=4,
-            algorithm_names=("feedback", "greedy"),
-            master_seed=8,
-        )
+        args = dict(n=18, trials=4, master_seed=8)
         plain = mis_size_experiment(**args)
-        sharded = mis_size_experiment(
-            **args, jobs=2, cache_dir=tmp_path, shard_trials=2
-        )
+        sharded = mis_size_experiment(**args, jobs=2, cache_dir=tmp_path)
         assert sharded.points == plain.points
         warm = mis_size_experiment(**args, cache_dir=tmp_path)
         assert warm.points == plain.points
+
+
+def test_optimum_is_solved_on_each_trials_run_graph(monkeypatch):
+    """The optimum redraw builds, trial by trial, the very graph every
+    algorithm ran on, so each size / optimum ratio is paired."""
+    from repro.experiments import sizes
+    from repro.experiments.runner import run_trials
+    from repro.sweep import orchestrator
+
+    ran = {}
+
+    def recording(algorithm_factory, graph_factory, trials, master_seed,
+                  trial_range, **kwargs):
+        order = iter(range(*trial_range))
+
+        def drawing(rng):
+            graph = graph_factory(rng)
+            ran.setdefault(next(order), []).append(graph)
+            return graph
+
+        return run_trials(
+            algorithm_factory, drawing, trials, master_seed,
+            trial_range=trial_range, **kwargs,
+        )
+
+    solved = []
+    solve = sizes.maximum_independent_set
+
+    def solving(graph):
+        solved.append(graph)
+        return solve(graph)
+
+    monkeypatch.setattr(orchestrator, "run_trials", recording)
+    monkeypatch.setattr(sizes, "maximum_independent_set", solving)
+    mis_size_experiment(n=18, trials=5, master_seed=9)
+    assert sorted(ran) == list(range(5))
+    assert len(solved) == 5
+    assert any(graph.num_edges for graph in solved)
+    for trial, graph in enumerate(solved):
+        assert len(ran[trial]) == len(DEFAULT_ALGORITHMS)
+        for drawn in ran[trial]:
+            assert list(drawn.edges()) == list(graph.edges()), trial

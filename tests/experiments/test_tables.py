@@ -43,14 +43,6 @@ class TestFormatExperiment:
         assert "s1" in text and "s2" in text
         assert "1.23" in text
 
-    def test_precision(self):
-        result = ExperimentResult(
-            experiment="p",
-            points=[SeriesPoint("s", 1.0, 1.23456, 0.0, 1)],
-            master_seed=0,
-        )
-        assert "1.2346" in format_experiment(result, precision=4)
-
     def test_extra_columns_default_is_unchanged(self):
         result = ExperimentResult(
             experiment="e",

@@ -169,13 +169,6 @@ class TestHexLattice:
         # Every unit square of cell centres splits into two triangles.
         assert np.trace(a @ a @ a) // 6 == 2 * 4 * 4
 
-    def test_positions_returned(self):
-        g, positions = hex_lattice_graph(3, 4, return_positions=True)
-        assert len(positions) == g.num_vertices == 12
-        # Odd rows are offset by half a cell.
-        assert positions[4][0] == pytest.approx(0.5)
-        assert positions[0][0] == pytest.approx(0.0)
-
     def test_degenerate(self):
         assert hex_lattice_graph(0, 3).num_vertices == 0
         assert hex_lattice_graph(1, 4).num_edges == 3

@@ -53,7 +53,6 @@ def fleet_oracle(cell):
         cell.trials,
         cell.master_seed,
         graphs=cell.graphs,
-        validate=cell.validate,
         faults=cell.fault_model(),
         rng_mode=cell.rng_mode,
     )
@@ -66,7 +65,6 @@ def reference_oracle(cell):
         cell.trials,
         cell.master_seed,
         faults=cell.fault_model(),
-        validate=cell.validate,
     )
 
 
@@ -90,10 +88,13 @@ class TestBitIdenticalToSequential:
         parallel = run_sweep(spec, jobs=2)
         assert sequential.outcomes == parallel.outcomes
 
-    def test_results_independent_of_shard_width(self):
-        wide = run_sweep(SweepSpec((FLEET_CELL,), shard_trials=100))
-        narrow = run_sweep(SweepSpec((FLEET_CELL,), shard_trials=1))
-        assert wide.rows(FLEET_CELL) == narrow.rows(FLEET_CELL)
+    @pytest.mark.parametrize(
+        "cell", [FLEET_CELL, REFERENCE_CELL], ids=["fleet", "reference"]
+    )
+    def test_results_independent_of_shard_width(self, cell):
+        wide = run_sweep(SweepSpec((cell,), shard_trials=100))
+        narrow = run_sweep(SweepSpec((cell,), shard_trials=1))
+        assert wide.rows(cell) == narrow.rows(cell)
 
     def test_single_shard_executor_is_the_unit(self):
         """execute_shard on the full window IS the sequential run."""
@@ -403,7 +404,8 @@ class TestShardFaultTolerance:
             _inject_failures(0, fail_attempts=SHARD_ATTEMPTS),
         )
         events = []
-        collector = Collector(sinks=(events.append,))
+        collector = Collector()
+        collector.add_sink(events.append)
         with capture(collector):
             run_sweep(self.SPEC, jobs=1)
         assert collector.counters["sweep.shard.retry"] == SHARD_ATTEMPTS - 1

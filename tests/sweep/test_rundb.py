@@ -30,6 +30,40 @@ def record(run_id="r1", experiment="figure3", spec_hash="a" * 64, **overrides):
     return RunRecord(**base)
 
 
+EXACT_FIELDS = (
+    "run_id", "experiment", "spec_hash", "trials", "shards_total",
+    "shards_executed", "shards_cached", "drift", "csv_sha256",
+)
+
+
+def assert_read_as_written(loaded, text):
+    """``loaded`` holds the count and string values of one line of
+    ``text`` as written, type for type: nothing was coerced."""
+    payloads = []
+    for line in text.splitlines():
+        try:
+            payloads.append(json.loads(line))
+        except ValueError:
+            continue
+    fields = loaded.to_dict()
+    assert any(
+        isinstance(payload, dict)
+        and all(
+            key not in payload
+            or (
+                type(payload[key]) is type(fields[key])
+                and payload[key] == fields[key]
+            )
+            for key in EXACT_FIELDS
+        )
+        for payload in payloads
+    ), fields
+    assert loaded.trials >= 1
+    assert min(
+        loaded.shards_total, loaded.shards_executed, loaded.shards_cached
+    ) >= 0
+
+
 class TestRunRecord:
     def test_round_trip(self):
         original = record()
@@ -98,6 +132,14 @@ class TestRunDB:
             ("created", "NaN"),
             ("extra", '{"k":1e999}'),
             ("extra", '{"k":[1,-Infinity]}'),
+            # Values of the wrong shape are damage, never coerced.
+            ("trials", "2.7"),
+            ("trials", "true"),
+            ("trials", '"5"'),
+            ("trials", "0"),
+            ("shards_cached", "-3"),
+            ("run_id", '["x"]'),
+            ("drift", "7"),
         ],
     )
     def test_unconvertible_line_is_skipped_everywhere(
@@ -132,13 +174,15 @@ class TestRunDB:
         db = RunDB(root)
         for run_id in ("r1", "r2", "r3"):
             db.append(record(run_id=run_id, extra={"n": 1, "xs": [0.5]}))
-        text = db.runs_path.read_text(encoding="utf-8")
-        db.runs_path.write_text(
-            data.draw(mutated_lines(text)), encoding="utf-8"
+        text = data.draw(
+            mutated_lines(db.runs_path.read_text(encoding="utf-8"))
         )
-        run_ids = [r.run_id for r in db.records()]
-        assert len(run_ids) >= 2
-        assert db.index()["records"] == len(run_ids)
+        db.runs_path.write_text(text, encoding="utf-8")
+        records = db.records()
+        assert len(records) >= 2
+        for loaded in records:
+            assert_read_as_written(loaded, text)
+        assert db.index()["records"] == len(records)
         json.dumps(stats_payload(None, rundb_dir=root), allow_nan=False)
 
 

@@ -220,13 +220,6 @@ class TestShardHash:
         changed = ShardSpec(fleet_cell(**override), 0, 32).content_hash()
         assert base != changed
 
-    def test_validate_not_in_hash(self):
-        """validate can only raise, never change a row — toggling it must
-        reuse the cache, not split it."""
-        checked = ShardSpec(fleet_cell(validate=True), 0, 32).content_hash()
-        unchecked = ShardSpec(fleet_cell(validate=False), 0, 32).content_hash()
-        assert checked == unchecked
-
     def test_backend_not_in_hash(self):
         """The neighbour-reduction backend is pure execution strategy —
         all backends compute bit-identical rows (the conformance suite

@@ -272,6 +272,35 @@ class TestEntryHeader:
         write_checked(path, entry)
         assert store.get(spec) is None
 
+    @pytest.mark.parametrize(
+        "validate, hit", [(None, True), (True, True), (False, False)]
+    )
+    def test_rows_stored_unverified_are_a_miss(self, tmp_path, validate, hit):
+        """Earlier versions stored the cell's ``validate`` flag, and a
+        cell run without the MIS check is recomputed, not served."""
+        store = ResultStore(tmp_path)
+        spec = shard()
+        store.put(spec, rows_for(spec))
+        path = entry_path(tmp_path, spec)
+        entry = read_checked(path)
+        if validate is not None:
+            entry["shard"]["cell"]["validate"] = validate
+        write_checked(path, entry)
+        assert (store.get(spec) is not None) == hit
+
+    def test_sweep_recomputes_unverified_shards(self, tmp_path):
+        cell = CellSpec(algorithm="feedback", n=20, trials=8, master_seed=5)
+        spec = SweepSpec((cell,), shard_trials=4)
+        cold = run_sweep(spec, store=tmp_path)
+        for s in spec.shards():
+            entry = read_checked(entry_path(tmp_path, s))
+            entry["shard"]["cell"]["validate"] = False
+            write_checked(entry_path(tmp_path, s), entry)
+        again = run_sweep(spec, store=tmp_path)
+        assert again.report.shards_executed == 2
+        assert again.rows(cell) == cold.rows(cell)
+        assert run_sweep(spec, store=tmp_path).report.shards_executed == 0
+
     def test_rows_of_another_shard_are_a_miss(self, tmp_path):
         """Another window's rows, re-signed under this shard's header,
         fail the trial-window check."""

@@ -74,7 +74,8 @@ class TestCollector:
 
     def test_sinks_receive_every_event_in_order(self):
         events = []
-        c = Collector(sinks=(events.append,))
+        c = Collector()
+        c.add_sink(events.append)
         with capture(c):
             probes.count("a")
             probes.gauge("b", 1.0)

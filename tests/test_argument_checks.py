@@ -15,13 +15,12 @@ from repro.algorithms.luby import LubyMIS
 from repro.algorithms.metivier import MetivierMIS
 from repro.analysis.theory import clique_progress_upper_bound
 from repro.beeping.faults import ChurnSchedule, FaultModel
-from repro.beeping.wakeup import WakeupSimulation
+from repro.beeping import wakeup
 from repro.bio.stochastic import StochasticSOPModel
 from repro.core.policy import ExponentFeedbackNode
 from repro.engine.applications import (
     ApplicationArmadaSimulator,
     EngineMIS,
-    RulingSetRule,
 )
 from repro.engine.fleet import ArmadaSimulator
 from repro.engine.messages import MessageArmadaSimulator
@@ -85,9 +84,6 @@ CASES = {
         ),
         TypeError, "need a MessageRule",
     ),
-    "ruling-set-alpha-one": (
-        lambda: RulingSetRule(alpha=1), ValueError, "alpha must be >= 2"
-    ),
     "application-armada-probability-rule": (
         lambda: ApplicationArmadaSimulator([GRAPH], FeedbackRule()),
         TypeError, "need an ApplicationRule",
@@ -97,13 +93,6 @@ CASES = {
             GRAPH, Random(0), faults=FaultModel(beep_loss_probability=0.5)
         ),
         ValueError, "fault injection",
-    ),
-    "wakeup-zero-budget": (
-        lambda: WakeupSimulation(
-            GRAPH, lambda v: ExponentFeedbackNode(), [0] * 4, Random(0),
-            max_rounds=0,
-        ),
-        ValueError, "max_rounds must be >= 1",
     ),
     "churn-vertex-joins-twice": (
         lambda: ChurnSchedule.from_events(
@@ -141,13 +130,6 @@ CASES = {
         lambda: LubyMIS().run(grid_graph(6, 6), Random(0), max_rounds=1),
         RuntimeError, "exceeded 1 rounds",
     ),
-    "wakeup-round-budget": (
-        lambda: WakeupSimulation(
-            complete_graph(30), lambda v: ExponentFeedbackNode(), [0] * 30,
-            Random(0), max_rounds=1,
-        ).run(),
-        RuntimeError, "exceeded 1 rounds",
-    ),
     "stochastic-sop-step-budget": (
         lambda: StochasticSOPModel(max_steps=1).run(
             complete_graph(5), Random(0)
@@ -162,3 +144,14 @@ def test_bad_argument_is_named(case):
     call, error, message = CASES[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_wakeup_round_budget(monkeypatch):
+    """The wake-up loop stops at its fixed round budget, here shrunk."""
+    monkeypatch.setattr(wakeup, "DEFAULT_MAX_ROUNDS", 1)
+    simulation = wakeup.WakeupSimulation(
+        complete_graph(30), lambda v: ExponentFeedbackNode(), [0] * 30,
+        Random(0),
+    )
+    with pytest.raises(RuntimeError, match="exceeded 1 rounds"):
+        simulation.run()

@@ -1,7 +1,7 @@
 """Package-level sanity: public API surface, version, doctests, the
-guards that every module and every public name or method is reached by a
-command (or a listed root) or asserted by a test, and the benchmark
-tracer's layer targets."""
+guards that every module, every public name or method and every defaulted
+parameter is reached by a command (or a listed root) or asserted by a
+test, and the benchmark tracer's layer targets."""
 
 import ast
 import doctest
@@ -79,6 +79,83 @@ CLAIM_NAMES = {
         "::test_armada_backends_agree"
     ),
     "viz.graph_render:to_dot": (
+        "benchmarks/bench_fig1_example.py::test_fig1_report"
+    ),
+}
+
+#: Defaulted parameters, as ``"module:qualname(parameter)"``, of public
+#: functions and methods in modules a command reaches, that no root passes;
+#: each mapped to the test node id or benchmark that passes it to check a
+#: paper claim, an engine contract or a test hook.  Any other such
+#: parameter is a setting nothing uses: inline its default.
+CLAIM_PARAMS = {
+    # Section 6: the robustness variants are per-node policy factories.
+    "algorithms.feedback:FeedbackMIS.__init__(node_factory)": (
+        "tests/algorithms/test_feedback.py::TestBasics::test_custom_factory"
+    ),
+    # The adversarial ID assignment behind the linear worst case.
+    "algorithms.local_minimum:LocalMinimumIDMIS.__init__(ids)": (
+        "tests/algorithms/test_local_minimum.py::TestWorstCase"
+        "::test_adversarial_path_is_linear"
+    ),
+    # Section 4: K_n is exponentially slow at p = 1/2, fast at p = 1/n.
+    "analysis.theory:expected_rounds_complete_graph_first_join(p)": (
+        "tests/analysis/test_theory.py::TestCompleteGraphSlowness"
+        "::test_fast_at_good_probability"
+    ),
+    # The per-node reductions on EngineMIS are the kernels' exact
+    # references.
+    "applications.dominating:mis_dominating_set(algorithm)": (
+        "tests/engine/test_applications.py::TestReferenceExactConformance"
+        "::test_dominating"
+    ),
+    "applications.matching:mis_matching(algorithm)": (
+        "tests/engine/test_applications.py::TestReferenceExactConformance"
+        "::test_matching"
+    ),
+    "applications.ruling_sets:ruling_set(algorithm)": (
+        "tests/engine/test_applications.py::TestReferenceExactConformance"
+        "::test_ruling"
+    ),
+    # Tests drive the CLI in process.
+    "cli:main(argv)": "tests/test_cli.py::TestList::test_lists_algorithms",
+    # Section 6: a probability floor is one of the robust variants.
+    "core.policy:FeedbackNode.__init__(min_probability)": (
+        "tests/core/test_policy.py::TestFeedbackNode::test_floor_respected"
+    ),
+    # Backends are bit-identical: the conformance contract.
+    "engine.applications:ApplicationFleetSimulator.__init__(backend)": (
+        "tests/engine/test_applications.py::TestBitEquality"
+        "::test_dense_equals_sparse"
+    ),
+    "engine.batch:run_batch(backend)": (
+        "tests/engine/test_conformance.py::TestBatchConformance"
+        "::test_run_batch_backends_agree"
+    ),
+    "engine.batch:run_batch(faults)": (
+        "tests/engine/test_conformance.py::TestFaultConformance"
+        "::test_fleet_batch_matches_loop_under_faults"
+    ),
+    "engine.batch:run_batch(rng_mode)": (
+        "tests/engine/test_conformance.py::TestBatchConformance"
+        "::test_fleet_batch_matches_loop"
+    ),
+    # Zero frontier entries keeps every round full width: the reference
+    # the frontier tail is checked against.
+    "engine.fleet:ArmadaSimulator.__init__(frontier_entries)": (
+        "tests/engine/test_conformance.py::TestArmadaConformance"
+        "::test_masked_laned_lockstep_matches_induced_subgraph_fleet"
+    ),
+    "engine.fleet:FleetSimulator.run_fleet(record_beeps)": (
+        "tests/engine/test_conformance.py"
+        "::test_frontier_tail_equals_full_width_rounds"
+    ),
+    "engine.messages:MessageFleetSimulator.__init__(backend)": (
+        "tests/engine/test_messages.py::TestBitEquality"
+        "::test_dense_equals_sparse"
+    ),
+    # The Figure 1A rendering marks the selected set.
+    "viz.graph_render:to_dot(highlighted)": (
         "benchmarks/bench_fig1_example.py::test_fig1_report"
     ),
 }
@@ -367,6 +444,115 @@ def _unreached_names():
     }
 
 
+def _defaulted_parameters(tree):
+    """``(qualname, parameter, index, first, last)`` of every parameter
+    with a default of a module's public functions and of the public
+    methods and ``__init__`` of its public classes (dataclass fields are
+    not parameters here).  ``index`` is the positional slot a call fills
+    (``None`` when keyword-only); ``first`` and ``last`` bound the
+    function or, for a method, its class."""
+
+    def defaults(qualname, function, owner, bound):
+        arguments = function.args
+        positional = arguments.posonlyargs + arguments.args
+        offset = len(positional) - len(arguments.defaults)
+        for index, argument in enumerate(positional[offset:], offset):
+            yield (
+                qualname, argument.arg, index - bound,
+                owner.lineno, owner.end_lineno,
+            )
+        for argument, default in zip(
+            arguments.kwonlyargs, arguments.kw_defaults
+        ):
+            if default is not None:
+                yield (
+                    qualname, argument.arg, None,
+                    owner.lineno, owner.end_lineno,
+                )
+
+    for node in tree.body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield from defaults(node.name, node, node, 0)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and (
+                item.name == "__init__" or not item.name.startswith("_")
+            ):
+                static = any(
+                    getattr(decorator, "id", None) == "staticmethod"
+                    for decorator in item.decorator_list
+                )
+                yield from defaults(
+                    f"{node.name}.{item.name}", item, node, int(not static)
+                )
+
+
+def _passes(call, parameter, index):
+    """Whether ``call`` hands a value to ``parameter``: by keyword, by
+    position, or through a ``*``/``**`` splat that may carry it."""
+    return (
+        any(isinstance(argument, ast.Starred) for argument in call.args)
+        or any(keyword.arg in (None, parameter) for keyword in call.keywords)
+        or (index is not None and len(call.args) > index)
+    )
+
+
+def _callee_names(qualname):
+    """The names a call of ``qualname`` is spelled with: a function's or
+    method's own name, or for a constructor its class or ``__init__``."""
+    owner, _, name = qualname.rpartition(".")
+    return (owner, name) if name == "__init__" else (name,)
+
+
+def _calls(tree):
+    """``(name, call)`` for every call in ``tree`` of a plain name or an
+    attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name is not None:
+                yield name, node
+
+
+def _unset(checked, roots):
+    """``"module:qualname(parameter)"`` of every defaulted parameter of the
+    ``checked`` ``{module: tree}`` that no call in a ``(module, tree)``
+    root passes, calls inside the parameter's own function or class aside.
+
+    Calls are matched by the called name only, not resolved to their
+    target: a call of any function or method of the same name passes the
+    parameter too.  The guard can therefore miss an orphan parameter, but
+    it never flags one that a root passes by name.
+    """
+    calls = {}
+    for module, tree in roots:
+        for name, call in _calls(tree):
+            calls.setdefault(name, []).append((module, call))
+    unset = set()
+    for module, tree in checked.items():
+        for qualname, parameter, index, first, last in (
+            _defaulted_parameters(tree)
+        ):
+            if not any(
+                _passes(call, parameter, index)
+                for name in _callee_names(qualname)
+                for where, call in calls.get(name, ())
+                if not (where == module and first <= call.lineno <= last)
+            ):
+                unset.add(f"{module}:{qualname}({parameter})")
+    return unset
+
+
+def _unset_parameters():
+    """:func:`_unset` over the command-reached modules and every root,
+    keyed like :data:`CLAIM_PARAMS`."""
+    checked = {module: _parse(module) for module in _checked_modules()}
+    return {key[len("repro."):] for key in _unset(checked, _root_trees())}
+
+
 class TestNoOrphanModules:
     def test_every_module_is_reached_or_claimed(self):
         unreached = {
@@ -467,6 +653,107 @@ def _private():
 
     def test_a_local_variable_does_not_reach_a_method(self):
         assert "m:Box.shown" in self.unreached("shown = 1\nprint(shown)")
+
+
+_PARAMETER_KEY = re.compile(r"([\w.]+):([\w.]+)\((\w+)\)")
+
+
+class TestNoOrphanParameters:
+    def test_every_defaulted_parameter_is_passed_or_claimed(self):
+        unset = _unset_parameters()
+        orphans = sorted(unset - set(CLAIM_PARAMS))
+        assert not orphans, (
+            f"{orphans} are passed by no command, claim module, example, "
+            "tutorial block or perfbench harness: inline their defaults "
+            "or map them in CLAIM_PARAMS"
+        )
+        stale = sorted(set(CLAIM_PARAMS) - unset)
+        assert not stale, (
+            f"CLAIM_PARAMS lists {stale}, which a root now passes or which "
+            "no longer exist"
+        )
+
+    @pytest.mark.parametrize("key", sorted(CLAIM_PARAMS))
+    def test_claim_target_passes_the_parameter(self, key):
+        module, qualname, parameter = _PARAMETER_KEY.fullmatch(key).groups()
+        (index,) = [
+            index
+            for name, argument, index, _, _ in _defaulted_parameters(
+                _parse(f"repro.{module}")
+            )
+            if (name, argument) == (qualname, parameter)
+        ]
+        scope = ast.Module(_claim_scope(CLAIM_PARAMS[key]), [])
+        assert any(
+            name in _callee_names(qualname) and _passes(call, parameter, index)
+            for name, call in _calls(scope)
+        ), f"{CLAIM_PARAMS[key]} never passes {parameter}"
+
+
+class TestParameterGuardRule:
+    """:func:`_unset` on one small module ``m`` and one outside root."""
+
+    MODULE = """
+def f(a, b=1, *, c=2):
+    return f(a, b=3, c=4)
+
+class Box:
+    def __init__(self, size=1):
+        pass
+
+    def shown(self, width=2):
+        return self.shown(width=3)
+
+    @staticmethod
+    def make(size=1):
+        return Box(size)
+
+def _private(d=1):
+    pass
+"""
+
+    ALL = {
+        "m:f(b)", "m:f(c)", "m:Box.__init__(size)", "m:Box.shown(width)",
+        "m:Box.make(size)",
+    }
+
+    @staticmethod
+    def unset(root):
+        module = ast.parse(TestParameterGuardRule.MODULE)
+        return _unset({"m": module}, [("m", module), (None, ast.parse(root))])
+
+    @pytest.mark.parametrize(
+        "root, key",
+        [
+            ("f(0, b=2)", "m:f(b)"),
+            ("m.f(0, c=2)", "m:f(c)"),
+            ("f(0, 2)", "m:f(b)"),
+            ("Box(3)", "m:Box.__init__(size)"),
+            ("super().__init__(size=3)", "m:Box.__init__(size)"),
+            # A method's first positional argument follows ``self``...
+            ("box.shown(3)", "m:Box.shown(width)"),
+            # ...a static method's does not.
+            ("Box.make(3)", "m:Box.make(size)"),
+            ("f(*args)", "m:f(b)"),
+            ("f(0, **options)", "m:f(c)"),
+            # Name-only matching: any ``.shown`` call passes every class's.
+            ("other.shown(width=3)", "m:Box.shown(width)"),
+        ],
+    )
+    def test_a_call_passing_the_parameter_reaches_it(self, root, key):
+        assert key not in self.unset(root)
+
+    def test_unpassed_parameters_are_flagged(self):
+        assert self.unset("f(0)\nBox()\nbox.shown()\nBox.make()") == self.ALL
+
+    def test_a_keyword_only_parameter_is_never_positional(self):
+        assert "m:f(c)" in self.unset("f(0, 1, 2)")
+
+    def test_a_call_inside_its_own_function_or_class_does_not_count(self):
+        assert self.unset("") == self.ALL
+
+    def test_a_splat_of_another_function_does_not_count(self):
+        assert "m:f(b)" in self.unset("g(*args)")
 
 
 def _layer_targets():

@@ -58,9 +58,3 @@ class TestRenderAnimation:
         for t in range(trace.num_rounds):
             assert f"round {t}:" in text
         assert "legend:" in text
-
-    def test_max_frames(self, traced):
-        _graph, trace, _result = traced
-        text = render_animation(trace, 16, max_frames=1)
-        assert "round 0:" in text
-        assert "round 1:" not in text

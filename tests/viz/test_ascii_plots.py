@@ -33,10 +33,6 @@ class TestAsciiPlot:
         with pytest.raises(ValueError):
             plot.add_series("a", [1, 2], [1])
 
-    def test_tiny_canvas_rejected(self):
-        with pytest.raises(ValueError):
-            AsciiPlot(width=5, height=5)
-
     def test_constant_series_does_not_crash(self):
         plot = AsciiPlot()
         plot.add_series("flat", [1, 2, 3], [5, 5, 5])

@@ -1,6 +1,5 @@
 """Tests for terminal graph rendering."""
 
-from repro.graphs.graph import Graph
 from repro.graphs.structured import grid_graph, path_graph
 from repro.viz.graph_render import render_grid_mis, render_mis_listing, to_dot
 
@@ -52,5 +51,3 @@ class TestDot:
     def test_deterministic(self, random50):
         assert to_dot(random50) == to_dot(random50)
 
-    def test_custom_name(self):
-        assert to_dot(Graph(1), name="MyGraph").startswith("graph MyGraph {")
