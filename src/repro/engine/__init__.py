@@ -8,8 +8,10 @@ implementing the same two-exchange round semantics:
 
 **Fleet** (:class:`FleetSimulator`)
     All ``trials`` independent runs of one graph in lockstep as
-    ``(trials, n)`` tensors: one batched float32 GEMM (``"dense"``
-    backend) or one CSR ``bitwise_or.reduceat`` pass over the trials
+    ``(trials, n)`` tensors: one batched float32 GEMM or, once few
+    vertices beep, an OR of the beepers' bit-packed adjacency rows
+    (``"dense"`` backend, push or pull per round by a measured cost
+    model) or one CSR ``bitwise_or.reduceat`` pass over the trials
     packed 64 to a word (``"sparse"`` backend — a round costs O(n + m),
     reaching n = 50,000 at mean degree 8) per round
     serves the whole batch, and finished trials drop out through an
@@ -23,9 +25,9 @@ implementing the same two-exchange round semantics:
 **Armada** (:class:`ArmadaSimulator`)
     The fleet lifted one dimension: every same-``n`` graph group of one
     experiment cell in a single ``(trials, graphs * n)`` block-diagonal
-    batch — one batched GEMM or per-graph packed CSR OR pass per
-    round for the *whole cell*, with an entry-level frontier tail in
-    fault-free counter runs.  ``run_armada`` takes either rng mode
+    batch — one dense OR (batched GEMM or push) or per-graph packed CSR
+    OR pass per round for the *whole cell*, with an entry-level frontier
+    tail in fault-free counter runs.  ``run_armada`` takes either rng mode
     (counter by default); ``benchmarks/bench_counter_rng.py`` records
     the counter armada's margin over a frozen stream-mode fleet.
 

@@ -7,11 +7,14 @@ tensor, and a round advances all of them at once —
 
 - ``beep = active & (U < P)`` with one fresh uniform row per live slot;
 - ``heard``: one call to the armada's
-  :class:`~repro.engine.sparse.NeighbourOperand` — a batched float32
-  GEMM against the ``(graphs, n, n)`` adjacency stack (``"dense"``
-  backend) or one slot-packed CSR ``bitwise_or.reduceat`` pass per
-  graph (``"sparse"``).  The operand owns the backend; the loop only
-  asks it for the OR, and for the counts the noisy channel reads;
+  :class:`~repro.engine.sparse.NeighbourOperand` — on the ``"dense"``
+  backend a batched float32 GEMM against the ``(graphs, n, n)``
+  adjacency stack (pull) or, once few vertices beep, an OR of the
+  beepers' bit-packed adjacency rows (push), chosen per call by a
+  measured cost model; on ``"sparse"`` one slot-packed CSR
+  ``bitwise_or.reduceat`` pass per graph.  The operand owns the
+  backend; the loop only asks it for the OR, and for the counts the
+  noisy channel reads;
 - per-slot early exit through an alive-mask: finished slots stop drawing
   and their round counts freeze (stream runs also drop them from the
   OR; counter runs hand their tail to the frontier instead).
@@ -180,8 +183,11 @@ class FleetSimulator:
     runs the armada's loop.  ``backend`` selects how the neighbour
     reductions are computed (:class:`~repro.engine.sparse.NeighbourOperand`):
 
-    - ``"dense"``: ``(trials, n) @ (n, n)`` float32 GEMM.  Exact (counts are
-      small integers) and BLAS-fast; memory is the n x n adjacency.
+    - ``"dense"``: ``(trials, n) @ (n, n)`` float32 GEMM (exact: counts
+      are small integers), or for the OR of a round with few beepers a
+      gather of their bit-packed adjacency rows, whichever the operand's
+      cost model prices lower; memory is the n x n adjacency plus its
+      n^2 / 8 bytes of bit rows.
     - ``"sparse"``: the trials packed 64 to a uint64 word per vertex,
       gathered along the CSR neighbour lists and ORed with one
       ``bitwise_or.reduceat`` (:func:`~repro.engine.sparse.csr_row_or`),
@@ -255,11 +261,13 @@ class ArmadaSimulator:
     Execution has two phases, chosen per round by activity:
 
     - **Dense phase** (early rounds, most vertices active): the
-      one-bit OR observation is one *batched* float32 GEMM against the
-      ``(graphs, n, n)`` adjacency stack (``"dense"`` backend) or a
-      per-graph slot-packed CSR ``bitwise_or.reduceat`` pass
-      (``"sparse"`` backend, :func:`~repro.engine.sparse.csr_row_or`) —
-      exact in both cases.
+      one-bit OR observation is one operand call (``"dense"`` backend:
+      a *batched* float32 GEMM against the ``(graphs, n, n)`` adjacency
+      stack while many vertices beep, an OR of the beepers' bit-packed
+      adjacency rows once the rule has thinned them out) or a per-graph
+      slot-packed CSR ``bitwise_or.reduceat`` pass (``"sparse"``
+      backend, :func:`~repro.engine.sparse.csr_row_or`) — exact in all
+      cases.
     - **Frontier phase** (counter mode without noise, churn or beep
       recording, once the live fraction is small): the state collapses
       to the list of still-active ``(slot, vertex)`` entries.  Uniforms
@@ -272,7 +280,8 @@ class ArmadaSimulator:
       ``slots * n``, which is where most of a figure cell's rounds live.
       On the dense backend a round whose beeping entries' neighbour
       lists would outgrow one full-tensor pass scatters them into a
-      ``(slots, n)`` mask and asks the operand for the GEMM OR instead.
+      ``(slots, n)`` mask and asks the operand for its OR instead (push
+      or GEMM, as the operand prices it).
 
     Crash schedules work in both phases.  Either way the observable
     outputs — round counts, MIS membership, beep counts, crash sets — are
@@ -657,7 +666,7 @@ class ArmadaSimulator:
             true_entries = np.ones(0, dtype=bool)
             # One full-tensor pass is what a dense-phase round would pay;
             # expand while the beeping entries' neighbour lists stay
-            # below it, otherwise fall back to the batched GEMM.
+            # below it, otherwise ask the operand (push or GEMM).
             expansion_budget = float(max(total * n, 1))
             # Counter states for a block of future rounds in one call
             # (statelessness makes look-ahead free); refilled as the
@@ -713,8 +722,8 @@ class ArmadaSimulator:
                     > expansion_budget
                 ):
                     # Dense beeps (typical right after the handoff): one
-                    # batched GEMM over the beeping entries beats
-                    # expanding their neighbour lists.
+                    # operand OR over the beeping entries beats expanding
+                    # their neighbour lists.
                     beep[:] = False
                     beep.reshape(-1)[beep_rows * n + beep_cols] = True
                     entry_heard = self._operand.any(

@@ -10,8 +10,15 @@ neighbour counts and the masked neighbour minimum — without branching
 on the backend themselves.
 
 - ``"dense"``: a ``(graphs, n, n)`` float32 adjacency stack, scattered
-  from the CSR (:func:`csr_to_dense`); OR and counts are one batched
-  GEMM, the minimum a blocked full-adjacency sweep.
+  from the CSR (:func:`csr_to_dense`), plus the same rows packed into
+  uint64 bit words.  Counts are one batched GEMM (*pull*), and so is
+  the OR while many vertices beep; once the feedback rule has thinned
+  the beepers out, the OR *pushes* instead: it gathers each beeper's
+  packed adjacency row and ORs them per slot row, so its cost follows
+  the beepers, not n^2.  A measured cost model (:func:`_pushes`) picks
+  the direction per call, as in direction-optimising BFS (Beamer,
+  Asanović and Patterson, SC 2012).  The minimum is a blocked
+  full-adjacency sweep.
 - ``"sparse"``: one compressed-sparse-row operand per graph
   (:func:`build_csr`, padded by :func:`padded_csr`), so a round costs
   O(n + m) with small constants.  Its one pad index serves all three
@@ -191,6 +198,43 @@ KEY_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: Element budget of one dense masked-min broadcast block (uint64), ~16 MB.
 _DENSE_MIN_CHUNK_ELEMENTS = 1 << 21
 
+#: The dense OR's cost model (:func:`_pushes`), in nanoseconds, fitted
+#: to push and pull timings on one OpenBLAS thread of a 2-core x86-64
+#: host (docs/perf.md, "Push or pull").  Pull pays per multiply-add of
+#: its staged GEMM; push pays a fixed call overhead beyond pull's, per
+#: gathered uint64 word of packed adjacency, and per ``(row, vertex)``
+#: cell it scans and unpacks.  The fixed overhead fits 14 µs in
+#: isolation; 30 µs also covers the first push's packing and cold bit
+#: rows, which made pushes at n = 150-200 cost more than GEMMs in a
+#: whole ``figure5_series`` run.
+_PUSH_FIXED_NS = 30_000.0
+_PUSH_NS_PER_WORD = 2.5
+_PUSH_NS_PER_CELL = 0.3
+_PULL_NS_PER_MAC = 0.023
+
+
+def _pushes(flags: np.ndarray, staged_rows: int) -> bool:
+    """Whether the dense OR of the ``(rows, n)`` ``flags`` is cheaper by
+    push (gather the flagged vertices' packed adjacency rows) than by
+    pull (the GEMM of ``staged_rows`` padded rows).
+
+    Pull's cost grows with n^2 per row and push's with the beepers, so
+    push wins on large graphs once the feedback rule has thinned the
+    beepers out.  On small graphs the GEMM undercuts push's fixed
+    overhead whatever the beepers (below n = 209 at 32 rows, below
+    n = 411 at 8), and the flags are not even counted.
+    """
+    rows, n = flags.shape
+    spare_ns = (
+        _PULL_NS_PER_MAC * staged_rows * n * n
+        - _PUSH_FIXED_NS
+        - _PUSH_NS_PER_CELL * rows * n
+    )
+    return spare_ns > 0.0 and (
+        _PUSH_NS_PER_WORD * ((n + 63) >> 6) * int(np.count_nonzero(flags))
+        < spare_ns
+    )
+
 
 def _groups(sizes: Sequence[int]) -> Iterator[Tuple[int, slice]]:
     """``(graph, row block)`` of every non-empty row group."""
@@ -206,13 +250,16 @@ class NeighbourOperand:
 
     The one place the dense/sparse backend is decided
     (:func:`resolve_backend`) and built: ``"dense"`` holds the
-    ``(graphs, n, n)`` float32 adjacency stack and the float32 staging
-    buffers of its batched GEMM, ``"sparse"`` one :func:`padded_csr` per
-    graph.  Both keep every graph's :func:`build_csr` (:attr:`csrs`),
-    widened once into one int64 :attr:`columns` block that the armada's
-    frontier indexes.  The armadas build one in ``__init__`` and never
-    branch on the backend again (apart from the frontier's choice of when a GEMM beats
-    expanding neighbour lists).
+    ``(graphs, n, n)`` float32 adjacency stack, the float32 staging
+    buffers of its batched GEMM and, from the first push on, the
+    ``(graphs * n, ceil(n / 64))`` uint64 bit rows that :meth:`any`
+    pushes from when the GEMM would cost more (:func:`_pushes`);
+    ``"sparse"`` holds one :func:`padded_csr` per graph.  Both keep
+    every graph's :func:`build_csr` (:attr:`csrs`), widened once into
+    one int64 :attr:`columns` block that the armada's frontier indexes.
+    The armadas build one in ``__init__`` and never branch on the
+    backend again (apart from the frontier's choice of when one operand
+    OR beats expanding neighbour lists).
 
     Every reduction takes ``(rows, n)`` inputs whose rows are grouped by
     graph: ``sizes[g]`` rows of graph ``g``, in graph order (a size may
@@ -245,6 +292,9 @@ class NeighbourOperand:
                 csr_to_dense(columns, starts, self._adjacency[g])
             self._flags32 = np.empty((0, n), dtype=np.float32)
             self._counts32 = np.empty((0, n), dtype=np.float32)
+            # Push's operand, packed on the first push: most small-graph
+            # operands never push, and packing adds 15-25% to their build.
+            self._bit_rows: Optional[np.ndarray] = None
         else:
             self._padded = [padded_csr(csr) for csr in self._csrs]
 
@@ -297,20 +347,75 @@ class NeighbourOperand:
         for g, block in _groups(sizes):
             yield block, counts[g, : block.stop - block.start]
 
+    def _push(
+        self, flags: np.ndarray, sizes: Sequence[int], out: np.ndarray
+    ) -> None:
+        """The dense OR by push: each row ORs its beepers' bit rows.
+
+        One ``take`` gathers every flagged ``(row, vertex)``'s packed
+        adjacency row (rows in order, so each flag row is one segment),
+        one ``bitwise_or.reduceat`` folds the segments, and
+        ``unpackbits`` writes the words' bits back as booleans.  The
+        gather ends in the all-zero pad row, so a trailing empty
+        segment's start is a valid index; an empty segment in the middle
+        reduces to its successor's first row, which the mask zeroes.
+        """
+        n = self._n
+        if self._bit_rows is None:
+            # Adjacency row g*n + v as bits of uint64 words (bit c =
+            # column c), and one all-zero pad row at the end.
+            num_graphs = self._adjacency.shape[0]
+            self._bit_rows = np.zeros(
+                (num_graphs * n + 1, (n + 63) >> 6), dtype=np.uint64
+            )
+            row_bytes = self._bit_rows.view(np.uint8)
+            for g in range(num_graphs):
+                row_bytes[g * n : (g + 1) * n, : (n + 7) >> 3] = np.packbits(
+                    self._adjacency[g] != 0.0, axis=1, bitorder="little"
+                )
+        positions = np.flatnonzero(flags)
+        rows = positions // n
+        counts = np.bincount(rows, minlength=flags.shape[0])
+        ends = np.cumsum(counts)
+        # Flat position row * n + v becomes bit row graph(row) * n + v.
+        offsets = n * (
+            np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+            - np.arange(flags.shape[0], dtype=np.int64)
+        )
+        gather = np.empty(positions.size + 1, dtype=np.int64)
+        np.add(positions, offsets[rows], out=gather[:-1])
+        gather[-1] = self._bit_rows.shape[0] - 1
+        reduced = np.bitwise_or.reduceat(
+            np.take(self._bit_rows, gather, axis=0), ends - counts, axis=0
+        )
+        reduced[counts == 0] = 0
+        out[...] = np.unpackbits(
+            reduced.view(np.uint8), axis=1, count=n, bitorder="little"
+        ).view(bool)
+
     def any(
         self,
         flags: np.ndarray,
         sizes: Sequence[int],
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Row-wise: whether any neighbour's flag is set (bool)."""
+        """Row-wise: whether any neighbour's flag is set (bool).
+
+        On the dense backend each call pulls (the GEMM of
+        :meth:`_products`) or pushes (:meth:`_push`), whichever
+        :func:`_pushes` prices lower for its n, rows and flag count;
+        both give the same booleans.
+        """
         if out is None:
             out = np.empty(flags.shape, dtype=bool)
         if flags.size == 0:
             out[...] = False
         elif self._backend == "dense":
-            for block, counts in self._products(flags, sizes):
-                np.greater(counts, 0.0, out=out[block])
+            if _pushes(flags, len(sizes) * int(max(sizes))):
+                self._push(flags, sizes, out)
+            else:
+                for block, counts in self._products(flags, sizes):
+                    np.greater(counts, 0.0, out=out[block])
         else:
             for g, block in _groups(sizes):
                 out[block] = csr_row_or(flags[block], *self._padded[g])

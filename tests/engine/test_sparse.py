@@ -2,6 +2,7 @@
 with the dense backend — both consume the same numpy random stream in the
 same order, so identical seeds must give identical runs."""
 
+import math
 from random import Random
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import sparse
 from repro.engine.fleet import FleetSimulator
 from repro.engine.rules import FeedbackRule, SweepRule
 from repro.engine.sparse import (
@@ -161,6 +163,14 @@ OPERAND_STACKS = {
 #: Ragged per-graph row counts of the operand oracle's slot rows.
 OPERAND_SIZES = (5, 4, 4)
 
+#: Vertex counts of the dense push/pull oracle: n = 0, byte and uint64
+#: word edges, and a count that is not a multiple of 8.
+DENSE_OR_VERTICES = (0, 1, 13, 63, 64, 65, 130)
+
+#: Row groups of the dense push/pull oracle: equal, ragged, and ragged
+#: with an empty first or middle graph.
+DENSE_OR_SIZES = ((3, 3, 3), (5, 4, 2), (0, 6, 3), (4, 0, 5))
+
 
 class TestPackedOrOracle:
     """``csr_row_or`` is the count kernel's ``> 0``, across word edges,
@@ -236,6 +246,89 @@ class TestPackedOrOracle:
             operand.columns, np.concatenate([csr[0] for csr in operand.csrs])
         )
         assert not operand.columns.flags.writeable
+
+    @pytest.mark.parametrize("direction", ("push", "pull"))
+    @pytest.mark.parametrize("n", DENSE_OR_VERTICES)
+    @pytest.mark.parametrize("edges", ("gnp", "edgeless"))
+    @pytest.mark.parametrize("sizes", DENSE_OR_SIZES)
+    def test_dense_or_matches_adjacency_matrix_either_direction(
+        self, monkeypatch, direction, n, edges, sizes
+    ):
+        """The dense OR forced to push, then to pull, by its fixed-cost
+        constant: both equal the adjacency-matrix reference on ragged row
+        groups (a graph may keep no rows), on all-zero rows (trailing ones
+        end on the gather's pad row), on one-beeper and full rows, at n
+        across byte and uint64 word edges, and on edgeless stacks."""
+        monkeypatch.setattr(
+            sparse, "_PUSH_FIXED_NS",
+            -math.inf if direction == "push" else math.inf,
+        )
+        pushed = []
+        push = NeighbourOperand._push
+        monkeypatch.setattr(
+            NeighbourOperand, "_push",
+            lambda self, *args: pushed.append(1) or push(self, *args),
+        )
+        graphs = [
+            gnp_random_graph(n, 0.3, Random(seed)) if edges == "gnp"
+            else empty_graph(n)
+            for seed in range(3)
+        ]
+        operand = NeighbourOperand(graphs, "dense")
+        slot_graph = np.repeat(np.arange(3), sizes)
+        rng = np.random.default_rng(n)
+        # Row r holds a share r % 5 / 4 of flags, so zero rows and full
+        # rows interleave, and the last row is all zero.
+        density = (np.arange(slot_graph.size) % 5) / 4.0
+        density[-1:] = 0.0
+        flags = rng.random((slot_graph.size, n)) < density[:, None]
+        flags[1, :] = False
+        flags[1, : min(n, 1)] = True  # one beeper
+        adjacency = [graph.adjacency_matrix() for graph in graphs]
+        expected = np.zeros(flags.shape, dtype=bool)
+        for row, g in enumerate(slot_graph):
+            expected[row] = flags[row].astype(np.int64) @ adjacency[g] > 0
+        heard = operand.any(flags, sizes)
+        assert heard.dtype == bool
+        assert np.array_equal(heard, expected)
+        out = np.ones(flags.shape, dtype=bool)
+        assert operand.any(flags, sizes, out=out) is out
+        assert np.array_equal(out, expected)
+        # The flags may be their own out: both directions read every
+        # flag before writing.
+        alias = flags.copy()
+        assert operand.any(alias, sizes, out=alias) is alias
+        assert np.array_equal(alias, expected)
+        assert bool(pushed) == (direction == "push" and flags.size > 0)
+
+    def test_dense_or_switch_depends_on_n_and_beepers(self):
+        """Below n of about 200 the GEMM wins whatever the beepers; at
+        n = 1000 push wins a thinned-out round and loses a full one."""
+        for n in (10, 50, 100):
+            for rows in (1, 8, 32):
+                assert not sparse._pushes(np.zeros((rows, n), bool), rows)
+        thinned = np.zeros((32, 1000), dtype=bool)
+        thinned[:, :62] = True
+        assert sparse._pushes(thinned, 32)
+        assert not sparse._pushes(np.ones((32, 1000), dtype=bool), 32)
+
+    @pytest.mark.parametrize("beepers_per_row", (4, 250))
+    def test_dense_or_unpatched_switch_either_side(self, beepers_per_row):
+        """At n = 300 with 24 rows the unpatched switch pushes 4 beepers
+        a row and pulls 250; either way the OR is the reference's."""
+        graphs = [gnp_random_graph(300, 0.5, Random(seed)) for seed in (1, 2)]
+        sizes = (16, 8)
+        operand = NeighbourOperand(graphs, "dense")
+        rng = np.random.default_rng(beepers_per_row)
+        flags = rng.random((24, 300)) < beepers_per_row / 300
+        assert sparse._pushes(flags, 2 * 16) == (beepers_per_row < 100)
+        adjacency = [graph.adjacency_matrix() for graph in graphs]
+        slot_graph = np.repeat(np.arange(2), sizes)
+        expected = np.stack([
+            flags[row].astype(np.int64) @ adjacency[g] > 0
+            for row, g in enumerate(slot_graph)
+        ])
+        assert np.array_equal(operand.any(flags, sizes), expected)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
