@@ -50,7 +50,7 @@ def _make_graph():
 def _fleet_batch(graph):
     seeds = derive_seed_block(MASTER_SEED, 0, count=TRIALS)
     simulator = ApplicationFleetSimulator(graph, ColoringRule())
-    return simulator.run_fleet(seeds, validate=True)
+    return simulator.run_fleet(seeds)
 
 
 def _run_loop(graph):

@@ -62,7 +62,7 @@ def _workload():
 
 def _fleet_batch(graph, faults, seeds):
     return FleetSimulator(graph).run_fleet(
-        FeedbackRule(), seeds, validate=True, faults=faults,
+        FeedbackRule(), seeds, faults=faults,
         rng_mode="counter",
     )
 
@@ -71,7 +71,7 @@ def _run_per_trial(graph, faults, seeds):
     simulator = FleetSimulator(graph)
     return [
         simulator.run_fleet(
-            FeedbackRule(), [int(seed)], validate=True, faults=faults,
+            FeedbackRule(), [int(seed)], faults=faults,
             rng_mode="counter",
         ).trial_run(0)
         for seed in seeds

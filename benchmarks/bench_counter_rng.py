@@ -226,9 +226,7 @@ def test_counter_cell_is_reproducible_and_complete():
     """The timed workload is sane: bit-identical per-graph fleet runs."""
     graphs = _cell_graphs(N)
     seed_rows = _seed_rows()
-    runs = ArmadaSimulator(graphs).run_armada(
-        FeedbackRule(), seed_rows, validate=True
-    )
+    runs = ArmadaSimulator(graphs).run_armada(FeedbackRule(), seed_rows)
     assert [run.trials for run in runs] == [TRIALS // GRAPHS] * GRAPHS
     for graph, row, run in zip(graphs, seed_rows, runs):
         # Beep recording keeps the reference full width (no frontier).

@@ -682,9 +682,7 @@ def _command_color(args: argparse.Namespace) -> int:
         seeds = derive_seed_block(
             args.seed, *CLI_ALGO_STREAMS["color"], count=args.trials
         )
-        run = ApplicationFleetSimulator(graph, ColoringRule()).run_fleet(
-            seeds, validate=True
-        )
+        run = ApplicationFleetSimulator(graph, ColoringRule()).run_fleet(seeds)
         print(
             f"fleet batch: {run.trials} proper colourings in lockstep "
             f"(bound {graph.max_degree() + 1}); "
@@ -727,9 +725,7 @@ def _command_match(args: argparse.Namespace) -> int:
         seeds = derive_seed_block(
             args.seed, *CLI_ALGO_STREAMS["match"], count=args.trials
         )
-        run = ApplicationFleetSimulator(graph, MatchingRule()).run_fleet(
-            seeds, validate=True
-        )
+        run = ApplicationFleetSimulator(graph, MatchingRule()).run_fleet(seeds)
         sizes = run.membership.sum(axis=1)
         print(
             f"fleet batch: {run.trials} maximal matchings in lockstep "

@@ -74,21 +74,25 @@ chain in :mod:`repro.beeping.rng`: trial ``t`` on graph ``g`` runs with
 ``derive_seed(master_seed, g, t)``, and
 ``derive_seed_block(master_seed, g, count=trials)`` produces the same
 seeds as one vectorised block.  How a seed expands into per-round
-uniforms is the ``rng_mode``: in ``"stream"`` (the default) each trial
-draws one ``Generator.random(n)`` row per round from ``numpy``'s default
-PCG64; in ``"counter"`` every uniform is a stateless
-:func:`repro.beeping.rng.counter_uniforms` value, computed blockwise with
-no generator objects at all.  Because all engines consume randomness
-identically within a mode, **engine choice never changes results**:
-every fleet backend and the armada agree bit for bit on round counts,
-MIS membership and beep counts under a shared seed and mode, and a batch
-agrees with its seed-by-seed one-seed runs
+uniforms is the ``rng_mode``: in ``"stream"`` (the default of
+``FleetSimulator.run_fleet`` and :func:`run_batch`) each trial draws one
+``Generator.random(n)`` row per round from ``numpy``'s default PCG64; in
+``"counter"`` (the default of ``ArmadaSimulator.run_armada``,
+``run_rule_armada``, ``run_fleet_trials`` and sweep cells, and the only
+mode of the message and application engines) every uniform is a
+stateless :func:`repro.beeping.rng.counter_uniforms` value, computed
+blockwise with no generator objects at all.  Because all engines consume
+randomness identically within a mode, **engine choice never changes
+results**: every fleet backend and the armada agree bit for bit on round
+counts, MIS membership and beep counts under a shared seed and mode, and
+a batch agrees with its seed-by-seed one-seed runs
 (``tests/engine/test_conformance.py`` enforces both); the per-node
 reference engine agrees distributionally.  :func:`run_batch` and the
 sweep's ``run_fleet_trials`` reach every engine through one function,
 :func:`~repro.engine.batch.run_rule_armada` (one armada of the rule's
 fabric), guarded by :func:`~repro.engine.batch.check_fleet_run`: message
-and application rules are counter-only and fault-free.
+and application rules are counter-only and fault-free.  Every engine run
+ends in an MIS check, so no entry point returns an unverified trial.
 """
 
 from repro.engine.rules import (

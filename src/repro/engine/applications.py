@@ -404,8 +404,8 @@ def _run_application_lockstep(
         # reduction would run for trial t this layer (garbage off-mask).
         rank = np.cumsum(remaining, axis=1, dtype=np.int64) - 1
         runs = armada._lockstep(
-            mis_rule, np.split(layer_seeds, bounds), False, NO_FAULTS,
-            "counter", False, initial_active=remaining, lanes=rank,
+            mis_rule, np.split(layer_seeds, bounds), NO_FAULTS, "counter",
+            False, initial_active=remaining, lanes=rank,
         )
         joined = np.concatenate([run.membership for run in runs])
         colors[joined] = layer
@@ -457,11 +457,10 @@ class ApplicationFleetSimulator:
         """The resolved backend, ``"dense"`` or ``"sparse"``."""
         return self._armada.backend
 
-    def run_fleet(
-        self, seeds: Sequence[int], validate: bool = False
-    ) -> ApplicationFleetRun:
-        """Run one complete reduction per seed, all in lockstep."""
-        return self._armada.run_armada([seeds], validate)[0]
+    def run_fleet(self, seeds: Sequence[int]) -> ApplicationFleetRun:
+        """Run one complete reduction per seed, all in lockstep (each
+        verified, as in :meth:`ApplicationArmadaSimulator.run_armada`)."""
+        return self._armada.run_armada([seeds])[0]
 
 
 class ApplicationArmadaSimulator:
@@ -511,15 +510,14 @@ class ApplicationArmadaSimulator:
         return self._armada.backend
 
     def run_armada(
-        self,
-        seed_rows: Sequence[Sequence[int]],
-        validate: bool = False,
+        self, seed_rows: Sequence[Sequence[int]]
     ) -> List[ApplicationFleetRun]:
         """Run every graph's trial group in one lockstep batch.
 
         ``seed_rows[g]`` holds graph ``g``'s trial seeds (rows may have
         different lengths).  Returns one :class:`ApplicationFleetRun`
-        per graph.
+        per graph.  Every peeling layer is verified as an MIS of the
+        unpeeled vertices, every trial by :meth:`ApplicationRule.verify`.
         """
         groups = seed_groups(seed_rows, len(self._graphs))
         sizes = [int(group.size) for group in groups]
@@ -540,9 +538,8 @@ class ApplicationArmadaSimulator:
                 colors=colors[block].copy(),
                 beeps_by_node=beeps[block].copy(),
             )
-            if validate:
-                for trial in range(size):
-                    self._rule.verify(graph, host, run, trial)
+            for trial in range(size):
+                self._rule.verify(graph, host, run, trial)
             runs.append(run)
         return runs
 

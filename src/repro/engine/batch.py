@@ -83,7 +83,6 @@ def run_rule_armada(
     rule,
     graphs: Sequence[Graph],
     seed_rows: Sequence[Sequence[int]],
-    validate: bool = False,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     faults: FaultModel = NO_FAULTS,
     rng_mode: str = "counter",
@@ -99,17 +98,13 @@ def run_rule_armada(
     check_fleet_run(rule, faults, rng_mode)
     if isinstance(rule, MessageRule):
         armada = MessageArmadaSimulator(graphs, max_rounds, backend)
-        return armada.run_armada(rule, seed_rows, validate), list(graphs)
+        return armada.run_armada(rule, seed_rows), list(graphs)
     if isinstance(rule, ApplicationRule):
         armada = ApplicationArmadaSimulator(graphs, rule, max_rounds, backend)
-        return armada.run_armada(seed_rows, validate), list(armada.hosts)
-    runs = ArmadaSimulator(graphs, max_rounds, backend).run_armada(
-        rule, seed_rows, validate, faults, rng_mode
-    )
-    churn = faults.churn_schedule
-    if churn.is_empty():
-        return runs, list(graphs)
-    return runs, [churn.universe_graph(graph) for graph in graphs]
+        return armada.run_armada(seed_rows), list(armada.hosts)
+    armada = ArmadaSimulator(graphs, max_rounds, backend)._on_universe(faults)
+    runs = armada.run_armada(rule, seed_rows, faults, rng_mode)
+    return runs, list(armada.graphs)
 
 
 @dataclass
@@ -145,7 +140,6 @@ def run_batch(
     rule_factory: Callable[[], ProbabilityRule],
     trials: int,
     master_seed: int,
-    validate: bool = False,
     faults: FaultModel = NO_FAULTS,
     rng_mode: str = "stream",
     backend: str = "auto",
@@ -165,8 +159,8 @@ def run_batch(
     rule = rule_factory()
     seeds = derive_seed_block(master_seed, 0, count=trials)
     (run,), _ = run_rule_armada(
-        rule, [graph], [seeds], validate, DEFAULT_MAX_ROUNDS, faults,
-        rng_mode, backend,
+        rule, [graph], [seeds], DEFAULT_MAX_ROUNDS, faults, rng_mode,
+        backend,
     )
     return BatchResult(
         rule_name=rule.name,

@@ -117,8 +117,9 @@ class FleetRun:
     #: scheduled no crashes (the overwhelmingly common case).
     crashed: Optional[np.ndarray] = None
     #: ``(trials, n)`` churn-absence indicators (departed, asleep at the
-    #: end, or never joined); ``None`` when the fault model scheduled no
-    #: churn.  The schedule is shared, so every row is identical.
+    #: end, or never joined; the schedule is shared, so every row is
+    #: identical), or an application layer's already-peeled vertices;
+    #: ``None`` otherwise.
     absent: Optional[np.ndarray] = None
     #: ``(trials, events)`` per-churn-event repair times (``-1`` for
     #: events unresolved at the round cap); ``None`` without churn.
@@ -224,7 +225,6 @@ class FleetSimulator:
         self,
         rule: ProbabilityRule,
         seeds: Sequence[int],
-        validate: bool = False,
         record_beeps: bool = False,
         faults: FaultModel = NO_FAULTS,
         rng_mode: str = "stream",
@@ -238,10 +238,12 @@ class FleetSimulator:
         bit-identical to one without the argument.  ``rng_mode`` selects
         the uniform discipline (module docstring); trial ``t`` always
         equals the one-seed run on ``[seeds[t]]`` in the same mode.
+        Every trial is verified before return, as in
+        :meth:`ArmadaSimulator.run_armada`.
         """
         check_rng_mode(rng_mode)
         return self._armada._on_universe(faults)._lockstep(
-            rule, [seeds], validate, faults, rng_mode, record_beeps
+            rule, [seeds], faults, rng_mode, record_beeps
         )[0]
 
 
@@ -307,6 +309,8 @@ class ArmadaSimulator:
         self._n = n
         self._max_rounds = max_rounds
         self._frontier_entries = frontier_entries
+        # The churn schedule whose universe these graphs already are.
+        self._universe_of = None
         self._operand = NeighbourOperand(self._graphs, backend)
         # Block-diagonal CSR over the graphs * n-vertex union, with
         # *local* column ids: the segment of super-vertex g*n + v holds
@@ -391,7 +395,6 @@ class ArmadaSimulator:
         self,
         rule: ProbabilityRule,
         seed_rows: Sequence[Sequence[int]],
-        validate: bool = False,
         faults: FaultModel = NO_FAULTS,
         rng_mode: str = "counter",
     ) -> List[FleetRun]:
@@ -400,33 +403,38 @@ class ArmadaSimulator:
         ``seed_rows[g]`` holds graph ``g``'s trial seeds (the rows may
         have different lengths).  Returns one :class:`FleetRun` per
         graph, bit-identical to ``FleetSimulator(graphs[g]).run_fleet(
-        rule, seed_rows[g], rng_mode=rng_mode, ...)``.
+        rule, seed_rows[g], rng_mode=rng_mode, ...)``.  Every trial is
+        verified as an MIS (of the surviving vertices under faults); a
+        failing one raises
+        :class:`~repro.graphs.validation.MISValidationError`.
         """
         check_rng_mode(rng_mode)
         return self._on_universe(faults)._lockstep(
-            rule, seed_rows, validate, faults, rng_mode, False
+            rule, seed_rows, faults, rng_mode, False
         )
 
     def _on_universe(self, faults: FaultModel) -> "ArmadaSimulator":
         """This armada, or under churn one on the universe graphs (base +
         joiners, one shared schedule so the stacked vertex counts stay
         equal).  Churn runs are niche, so per-run construction beats
-        complicating the cached block-diagonal structures."""
+        complicating the cached block-diagonal structures.  An armada
+        already on the schedule's universe is returned as is."""
         schedule = faults.churn_schedule
-        if schedule.is_empty():
+        if schedule.is_empty() or schedule == self._universe_of:
             return self
-        return ArmadaSimulator(
+        universe = ArmadaSimulator(
             [schedule.universe_graph(graph) for graph in self._graphs],
             max_rounds=self._max_rounds,
             backend=self._operand.backend,
             frontier_entries=self._frontier_entries,
         )
+        universe._universe_of = schedule
+        return universe
 
     def _lockstep(
         self,
         rule: ProbabilityRule,
         seed_rows: Sequence[Sequence[int]],
-        validate: bool,
         faults: FaultModel,
         rng_mode: str,
         record_beeps: bool,
@@ -785,7 +793,10 @@ class ArmadaSimulator:
                     "engine.armada.active_fraction",
                     active_cells / (round_index * total * n),
                 )
-        absent = churn.absent_mask() if has_churn else None
+        if has_churn:
+            absent = churn.absent_mask()
+        else:  # a peeling layer's set is an MIS of its unpeeled vertices
+            absent = None if initial_active is None else ~initial_active
         if record_beeps:
             history = np.array(history, dtype=bool).reshape(
                 len(history), total, n
@@ -817,14 +828,13 @@ class ArmadaSimulator:
                     recovered[block].copy() if has_churn else None
                 ),
             )
-            if validate:
-                verify_mis_rows(
-                    self._graphs[g],
-                    run.membership,
-                    crashed=run.crashed,
-                    absent=run.absent,
-                    recovered=run.recovered,
-                )
+            verify_mis_rows(
+                self._graphs[g],
+                run.membership,
+                crashed=run.crashed,
+                absent=run.absent,
+                recovered=run.recovered,
+            )
             runs.append(run)
             offset += size
         return runs

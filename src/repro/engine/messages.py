@@ -436,13 +436,11 @@ class MessageFleetSimulator:
         return self._armada.backend
 
     def run_fleet(
-        self,
-        rule: MessageRule,
-        seeds: Sequence[int],
-        validate: bool = False,
+        self, rule: MessageRule, seeds: Sequence[int]
     ) -> MessageFleetRun:
-        """Simulate one independent trial per seed, all in lockstep."""
-        return self._armada.run_armada(rule, [seeds], validate)[0]
+        """Simulate one independent trial per seed, all in lockstep (each
+        verified, as in :meth:`MessageArmadaSimulator.run_armada`)."""
+        return self._armada.run_armada(rule, [seeds])[0]
 
 
 class MessageArmadaSimulator:
@@ -480,16 +478,14 @@ class MessageArmadaSimulator:
         return self._operand.backend
 
     def run_armada(
-        self,
-        rule: MessageRule,
-        seed_rows: Sequence[Sequence[int]],
-        validate: bool = False,
+        self, rule: MessageRule, seed_rows: Sequence[Sequence[int]]
     ) -> List[MessageFleetRun]:
         """Run every graph's trial group in one lockstep batch.
 
         ``seed_rows[g]`` holds graph ``g``'s trial seeds (rows may have
         different lengths).  Returns one :class:`MessageFleetRun` per
-        graph.
+        graph.  Every trial is verified as an MIS; a failing one raises
+        :class:`~repro.graphs.validation.MISValidationError`.
         """
         groups = seed_groups(seed_rows, len(self._graphs))
         sizes = [int(group.size) for group in groups]
@@ -511,7 +507,6 @@ class MessageArmadaSimulator:
                 messages=messages[block].copy(),
                 bits=bits[block].copy(),
             )
-            if validate:
-                verify_mis_rows(graph, run.membership)
+            verify_mis_rows(graph, run.membership)
             runs.append(run)
         return runs

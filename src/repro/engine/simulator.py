@@ -10,8 +10,9 @@ algebra:
 
 The probability-rule round loop lives in :mod:`repro.engine.fleet` (the
 armada's lockstep loop; the fleet is the one-graph armada and one trial
-the one-seed fleet run); this module holds what the engines share: the one-trial result type :class:`EngineRun`, the noisy
-observation :func:`faulty_observation`, the churn bookkeeping
+the one-seed fleet run); this module holds what the engines share: the
+one-trial result type :class:`EngineRun`, the noisy observation
+:func:`faulty_observation`, the churn bookkeeping
 :class:`ChurnState`, the ``rng_mode`` check and the armadas' argument
 checks (:func:`armada_width`, :func:`seed_groups`).
 
@@ -19,15 +20,18 @@ Randomness comes in two modes (``rng_mode``, see
 :data:`repro.beeping.rng.RNG_MODES`), and the cross-backend
 bit-reproducibility contract holds *within each mode*:
 
-- ``"stream"`` (the default): one sequential ``numpy`` generator per
-  seed.  The per-round draw order — beep uniforms, then loss uniforms,
-  then spurious uniforms, each a full ``rng.random(n)`` and only when the
+- ``"stream"`` (the default of ``FleetSimulator.run_fleet`` and
+  ``run_batch``): one sequential ``numpy`` generator per seed.  The
+  per-round draw order — beep uniforms, then loss uniforms, then
+  spurious uniforms, each a full ``rng.random(n)`` and only when the
   corresponding probability is non-zero — is the shared contract that
   keeps every backend bit-for-bit identical under one seed
   (``docs/robustness.md``).
-- ``"counter"``: every uniform is a pure function of ``(seed, round,
-  draw kind, node)`` via :func:`repro.beeping.rng.counter_uniforms` — no
-  stream state at all, so draw *order* is irrelevant by construction.
+- ``"counter"`` (the default of ``ArmadaSimulator.run_armada``,
+  ``run_rule_armada``, ``run_fleet_trials`` and sweep cells): every
+  uniform is a pure function of ``(seed, round, draw kind, node)`` via
+  :func:`repro.beeping.rng.counter_uniforms` — no stream state at all,
+  so draw *order* is irrelevant by construction.
 
 The per-node reference engine consumes randomness differently and agrees
 in law only; use it when a robustness experiment needs traces or per-node

@@ -62,7 +62,6 @@ def factor_ablation(
             ),
             trials,
             derive_seed(master_seed, index),
-            validate=True,
         )
         points.append(
             SeriesPoint(
@@ -109,7 +108,6 @@ def initial_probability_ablation(
             lambda p=p0: FeedbackRule(initial_probability=p),
             trials,
             derive_seed(master_seed, index),
-            validate=True,
         )
         points.append(
             SeriesPoint(

@@ -355,7 +355,6 @@ def run_fleet_trials(
             rule,
             [drawn[p] for p in positions],
             [group_seeds(*selected[p]) for p in positions],
-            True,
             max_rounds,
             faults,
             rng_mode,

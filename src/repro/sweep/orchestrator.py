@@ -46,7 +46,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.registry import make_algorithm
 from repro.experiments.runner import TrialOutcome, run_fleet_trials, run_trials
@@ -270,14 +270,21 @@ def _execute_shard_timed(
     return rows, time.perf_counter() - start
 
 
+def _coordinates(shard: ShardSpec) -> Dict[str, Any]:
+    """Where a shard sits in its sweep, for reports and telemetry."""
+    return {
+        "algorithm": shard.cell.algorithm,
+        "n": shard.cell.num_vertices,
+        "lo": shard.lo,
+        "hi": shard.hi,
+    }
+
+
 def _timing(
     shard: ShardSpec, digest: str, seconds: float, cached: bool
 ) -> ShardTiming:
     return ShardTiming(
-        algorithm=shard.cell.algorithm,
-        n=shard.cell.num_vertices,
-        lo=shard.lo,
-        hi=shard.hi,
+        **_coordinates(shard),
         seconds=seconds,
         cached=cached,
         content_hash=digest,
@@ -300,20 +307,22 @@ def run_sweep(
         store = ResultStore(store)
 
     shards = spec.shards()
+    # Each shard is hashed once; the digest travels with it from here.
+    digests = [shard.content_hash() for shard in shards]
     report = SweepReport(shards_total=len(shards))
 
     # Deduplicate by content hash: identical shards (e.g. the same cell
     # listed twice) execute once and share rows.
     by_hash: Dict[str, ShardSpec] = {}
-    for shard in shards:
-        by_hash.setdefault(shard.content_hash(), shard)
+    for digest, shard in zip(digests, shards):
+        by_hash.setdefault(digest, shard)
     distinct = len(by_hash)
 
     rows_by_hash: Dict[str, List[TrialOutcome]] = {}
-    missing: List[ShardSpec] = []
+    missing: List[Tuple[str, ShardSpec]] = []
     for digest, shard in by_hash.items():
         lookup_start = time.perf_counter()
-        cached = store.get(shard) if store is not None else None
+        cached = store.get(shard, digest) if store is not None else None
         if cached is not None:
             lookup_seconds = time.perf_counter() - lookup_start
             rows_by_hash[digest] = cached
@@ -325,15 +334,12 @@ def run_sweep(
             probes.span_event(
                 "sweep.shard",
                 lookup_seconds,
-                algorithm=shard.cell.algorithm,
-                n=shard.cell.num_vertices,
-                lo=shard.lo,
-                hi=shard.hi,
+                **_coordinates(shard),
                 cached=True,
                 content_hash=digest,
             )
         else:
-            missing.append(shard)
+            missing.append((digest, shard))
 
     if report.shards_cached and missing:
         # A partially warm cache means this sweep resumed earlier work.
@@ -343,22 +349,21 @@ def run_sweep(
             missing=len(missing),
         )
 
-    def record(shard: ShardSpec, rows: List[TrialOutcome], elapsed: float) -> None:
-        digest = shard.content_hash()
+    def record(
+        digest: str, shard: ShardSpec, rows: List[TrialOutcome],
+        elapsed: float,
+    ) -> None:
         rows_by_hash[digest] = rows
         report.shards_executed += 1
         report.seconds_executed += elapsed
         report.timings.append(_timing(shard, digest, elapsed, cached=False))
         if store is not None:
-            store.put(shard, rows)
+            store.put(shard, digest, rows)
         probes.count("sweep.cache.miss")
         probes.span_event(
             "sweep.shard",
             elapsed,
-            algorithm=shard.cell.algorithm,
-            n=shard.cell.num_vertices,
-            lo=shard.lo,
-            hi=shard.hi,
+            **_coordinates(shard),
             cached=False,
             content_hash=digest,
             index=report.shards_executed,
@@ -370,22 +375,17 @@ def run_sweep(
         probes.count("sweep.shard.retry")
         probes.annotate(
             "sweep.shard.retry",
-            algorithm=shard.cell.algorithm,
-            n=shard.cell.num_vertices,
-            lo=shard.lo,
-            hi=shard.hi,
+            **_coordinates(shard),
             attempt=attempt,
             error=f"{type(exc).__name__}: {exc}",
         )
 
-    def record_failure(shard: ShardSpec, exc: BaseException) -> None:
-        digest = shard.content_hash()
+    def record_failure(
+        digest: str, shard: ShardSpec, exc: BaseException
+    ) -> None:
         report.failed_shards.append(
             FailedShard(
-                algorithm=shard.cell.algorithm,
-                n=shard.cell.num_vertices,
-                lo=shard.lo,
-                hi=shard.hi,
+                **_coordinates(shard),
                 content_hash=digest,
                 attempts=SHARD_ATTEMPTS,
                 error=f"{type(exc).__name__}: {exc}",
@@ -394,10 +394,7 @@ def run_sweep(
         probes.count("sweep.shard.failed")
         probes.annotate(
             "sweep.shard.failed",
-            algorithm=shard.cell.algorithm,
-            n=shard.cell.num_vertices,
-            lo=shard.lo,
-            hi=shard.hi,
+            **_coordinates(shard),
             content_hash=digest,
             error=f"{type(exc).__name__}: {exc}",
         )
@@ -411,13 +408,13 @@ def run_sweep(
             # over a fixed future set would miss them — drain with a
             # wait() loop over a mutating pending map instead.
             pending = {
-                pool.submit(_execute_shard_timed, shard, 0): (shard, 0)
-                for shard in missing
+                pool.submit(_execute_shard_timed, shard, 0): (digest, shard, 0)
+                for digest, shard in missing
             }
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    shard, attempt = pending.pop(future)
+                    digest, shard, attempt = pending.pop(future)
                     try:
                         rows, elapsed = future.result()
                     except Exception as exc:
@@ -427,13 +424,13 @@ def run_sweep(
                                 pool.submit(
                                     _execute_shard_timed, shard, attempt + 1
                                 )
-                            ] = (shard, attempt + 1)
+                            ] = (digest, shard, attempt + 1)
                         else:
-                            record_failure(shard, exc)
+                            record_failure(digest, shard, exc)
                         continue
-                    record(shard, rows, elapsed)
+                    record(digest, shard, rows, elapsed)
     else:
-        for shard in missing:
+        for digest, shard in missing:
             for attempt in range(SHARD_ATTEMPTS):
                 try:
                     rows, elapsed = _execute_shard_timed(shard, attempt)
@@ -441,9 +438,9 @@ def run_sweep(
                     if attempt + 1 < SHARD_ATTEMPTS:
                         record_retry(shard, attempt, exc)
                         continue
-                    record_failure(shard, exc)
+                    record_failure(digest, shard, exc)
                 else:
-                    record(shard, rows, elapsed)
+                    record(digest, shard, rows, elapsed)
                 break
 
     if probes.enabled() and report.shards_executed:
@@ -455,19 +452,18 @@ def run_sweep(
                 report.seconds_executed / (wall * workers),
             )
 
+    # spec.shards() lists each cell's windows in order, from lo = 0.
+    windows: List[Tuple[CellSpec, List[str]]] = []
+    for digest, shard in zip(digests, shards):
+        if shard.lo == 0:
+            windows.append((shard.cell, []))
+        windows[-1][1].append(digest)
     result = SweepResult(spec=spec, report=report)
-    for cell in spec.cells:
-        assembled: List[TrialOutcome] = []
-        complete = True
-        for lo in range(0, cell.trials, spec.shard_trials):
-            hi = min(lo + spec.shard_trials, cell.trials)
-            digest = ShardSpec(cell, lo, hi).content_hash()
-            if digest not in rows_by_hash:
-                # One of this cell's shards failed all its attempts; the
-                # cell is reported via failed_shards instead of rows.
-                complete = False
-                break
-            assembled.extend(rows_by_hash[digest])
-        if complete:
-            result.outcomes[cell] = assembled
+    for cell, cell_digests in windows:
+        # A cell with a shard that failed all its attempts is reported
+        # via failed_shards instead of rows.
+        if all(digest in rows_by_hash for digest in cell_digests):
+            result.outcomes[cell] = [
+                row for digest in cell_digests for row in rows_by_hash[digest]
+            ]
     return result

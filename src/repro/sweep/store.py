@@ -158,9 +158,11 @@ class ResultStore:
     def _path(self, digest: str) -> Path:
         return self._root / digest[:2] / f"{digest}.json"
 
-    def get(self, shard: ShardSpec) -> Optional[List[TrialOutcome]]:
-        """Stored rows for the shard, or ``None`` on any inconsistency."""
-        digest = shard.content_hash()
+    def get(
+        self, shard: ShardSpec, digest: str
+    ) -> Optional[List[TrialOutcome]]:
+        """Stored rows for the shard whose content hash is ``digest``, or
+        ``None`` on any inconsistency."""
         entry = read_checked(self._path(digest))
         rows = None
         if (
@@ -176,14 +178,16 @@ class ResultStore:
         probes.count("store.miss" if rows is None else "store.hit")
         return rows
 
-    def put(self, shard: ShardSpec, outcomes: List[TrialOutcome]) -> None:
-        """Atomically store a shard's rows as one checksummed entry."""
+    def put(
+        self, shard: ShardSpec, digest: str, outcomes: List[TrialOutcome]
+    ) -> None:
+        """Atomically store the rows of the shard whose content hash is
+        ``digest`` as one checksummed entry."""
         if len(outcomes) != shard.trials:
             raise ValueError(
                 f"shard covers {shard.trials} trials but got "
                 f"{len(outcomes)} outcomes"
             )
-        digest = shard.content_hash()
         columns = zip(*map(_row_values, outcomes))
         write_checked(
             self._path(digest),

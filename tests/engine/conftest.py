@@ -57,7 +57,6 @@ def engine_run(
     graph: Graph,
     rule_factory: Callable[[], ProbabilityRule],
     seed: int,
-    validate: bool = False,
     max_rounds: int = 100_000,
     faults: FaultModel = NO_FAULTS,
     rng_mode: str = "stream",
@@ -68,8 +67,7 @@ def engine_run(
     backend = engine_id.split("-", 1)[1]
     simulator = FleetSimulator(graph, max_rounds=max_rounds, backend=backend)
     return simulator.run_fleet(
-        rule_factory(), [seed], validate=validate, faults=faults,
-        rng_mode=rng_mode,
+        rule_factory(), [seed], faults=faults, rng_mode=rng_mode
     ).trial_run(0)
 
 

@@ -104,7 +104,7 @@ class TestReferenceExactConformance:
     def _kernel_run(self, graph, rule):
         seeds = derive_seed_block(MASTER_SEED, 9, count=self.TRIALS)
         sim = ApplicationFleetSimulator(graph, rule)
-        return seeds, sim.run_fleet(seeds, validate=True)
+        return seeds, sim.run_fleet(seeds)
 
     def test_coloring(self, application_graph):
         seeds, run = self._kernel_run(application_graph, ColoringRule())
@@ -166,7 +166,7 @@ class TestBitEquality:
                 application_graph,
                 APPLICATION_RULES[rule_name](),
                 backend=backend,
-            ).run_fleet(seeds, validate=True)
+            ).run_fleet(seeds)
             for backend in BACKENDS
         }
         assert rule.name == rule_name
@@ -177,7 +177,7 @@ class TestBitEquality:
         simulator = ApplicationFleetSimulator(
             application_graph, APPLICATION_RULES[rule_name]()
         )
-        batch = simulator.run_fleet(seeds, validate=True)
+        batch = simulator.run_fleet(seeds)
         for trial in range(self.TRIALS):
             solo = simulator.run_fleet(seeds[trial : trial + 1])
             assert np.array_equal(solo.rounds[0:1], batch.rounds[trial : trial + 1])
@@ -211,11 +211,11 @@ class TestBitEquality:
         ]
         armada_runs = ApplicationArmadaSimulator(
             graphs, rule_factory()
-        ).run_armada(seed_rows, validate=True)
+        ).run_armada(seed_rows)
         for graph, row, armada_run in zip(graphs, seed_rows, armada_runs):
             fleet_run = ApplicationFleetSimulator(
                 graph, rule_factory()
-            ).run_fleet(row, validate=True)
+            ).run_fleet(row)
             assert_runs_equal(armada_run, fleet_run)
 
     def test_disagreement_detectable(self, rule_name):
@@ -242,7 +242,6 @@ class TestBatchDispatch:
             trials=6,
             master_seed=97,
             rng_mode="counter",
-            validate=True,
         )
         simulator = ApplicationFleetSimulator(
             graph, APPLICATION_RULES[rule_name]()
@@ -344,7 +343,7 @@ class TestValidity:
         seeds = derive_seed_block(MASTER_SEED, graph_seed, count=trials)
         ApplicationFleetSimulator(
             graph, APPLICATION_RULES[name](), backend=backend
-        ).run_fleet(seeds, validate=True)
+        ).run_fleet(seeds)
 
 
 class TestLayerLoop:
@@ -355,7 +354,7 @@ class TestLayerLoop:
         seeds = derive_seed_block(MASTER_SEED, 9, count=6)
         (run,) = ApplicationArmadaSimulator(
             [graph], ColoringRule(), max_rounds
-        ).run_armada([seeds], validate=True)
+        ).run_armada([seeds])
         return run
 
     def test_round_cap_raises(self):

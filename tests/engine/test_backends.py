@@ -177,7 +177,7 @@ def test_run_batch_hands_backend_to_message_and_application_engines(
     for backend in ("dense", "sparse"):
         with capture() as collector:
             results[backend] = run_batch(
-                graph, factory, 5, 33, validate=True, rng_mode="counter",
+                graph, factory, 5, 33, rng_mode="counter",
                 backend=backend,
             )
         assert collector.counters.get(f"engine.backend.{backend}"), backend

@@ -39,7 +39,7 @@ class TestRunBatch:
 
     def test_validate_flag(self):
         batch = run_batch(
-            complete_graph(8), SweepRule, 5, master_seed=8, validate=True
+            complete_graph(8), SweepRule, 5, master_seed=8
         )
         assert batch.mean_rounds >= 1
 

@@ -18,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.beeping.faults import ChurnSchedule, CrashSchedule, FaultModel
+from repro.beeping.metrics import beep_channel_bits
 from repro.beeping.scheduler import BeepingSimulation
 from repro.core.policy import ExponentFeedbackNode
 from repro.beeping.rng import RNG_MODES
+from repro.engine.batch import run_rule_armada
 from repro.engine.fleet import ArmadaSimulator, FleetSimulator
 from repro.engine.rules import FeedbackRule
 from repro.graphs.random_graphs import gnp_random_graph
@@ -61,7 +63,6 @@ def run_pair(engine_id, rng_mode, faults, seed=7701):
         churn_graph(),
         FeedbackRule,
         seed,
-        validate=True,
         faults=faults,
         rng_mode=rng_mode,
     )
@@ -124,8 +125,8 @@ class TestChurnSemantics:
         """Hitting max_rounds mid-repair must not raise under churn:
         the run reports recovered=False instead."""
         run = engine_run(
-            engine_id, churn_graph(), FeedbackRule, 7701, validate=True,
-            max_rounds=3, faults=CHURN_FAULTS, rng_mode="counter",
+            engine_id, churn_graph(), FeedbackRule, 7701, max_rounds=3,
+            faults=CHURN_FAULTS, rng_mode="counter",
         )
         assert not run.recovered
         assert -1 in run.repair_rounds
@@ -165,11 +166,11 @@ class TestArmadaChurn:
         graphs = [churn_graph(), gnp_random_graph(20, 0.4, Random(43))]
         seed_rows = [[11, 12], [13]]
         armada = ArmadaSimulator(graphs, backend=backend).run_armada(
-            FeedbackRule(), seed_rows, validate=True, faults=faults
+            FeedbackRule(), seed_rows, faults=faults
         )
         for graph, seeds, run in zip(graphs, seed_rows, armada):
             fleet = FleetSimulator(graph, backend=backend).run_fleet(
-                FeedbackRule(), seeds, validate=True, faults=faults,
+                FeedbackRule(), seeds, faults=faults,
                 rng_mode="counter", record_beeps=True,
             )
             for t in range(len(seeds)):
@@ -179,6 +180,32 @@ class TestArmadaChurn:
                 assert a.absent == f.absent
                 assert a.repair_rounds == f.repair_rounds
                 assert np.array_equal(a.beeps_by_node, f.beeps_by_node)
+
+    def test_rule_armada_builds_each_universe_once(self, monkeypatch):
+        """The hosts ``run_rule_armada`` returns are the universe graphs
+        the armada beeped on: one build per graph per call."""
+        graphs = [churn_graph(), gnp_random_graph(20, 0.4, Random(43))]
+        built = []
+        original = ChurnSchedule.universe_graph
+
+        def spy(schedule, base):
+            built.append(base)
+            return original(schedule, base)
+
+        monkeypatch.setattr(ChurnSchedule, "universe_graph", spy)
+        runs, hosts = run_rule_armada(
+            FeedbackRule(), graphs, [[11, 12], [13]], faults=CHURN_FAULTS
+        )
+        assert [id(base) for base in built] == [id(g) for g in graphs]
+        monkeypatch.undo()
+        for graph, host, run in zip(graphs, hosts, runs):
+            universe = CHURN_FAULTS.churn_schedule.universe_graph(graph)
+            assert host.num_vertices == universe.num_vertices == 22
+            assert np.array_equal(host.indptr, universe.indptr)
+            assert np.array_equal(host.indices, universe.indices)
+            assert beep_channel_bits(host, run.beeps_by_node) == (
+                beep_channel_bits(universe, run.beeps_by_node)
+            )
 
 
 def random_churn_schedule(draw, n):
@@ -242,7 +269,7 @@ def test_every_engine_repairs_to_valid_mis(case):
         for engine_id in ENGINE_IDS:
             run = engine_run(
                 engine_id, graph, FeedbackRule, run_seed,
-                validate=True, faults=faults, rng_mode=rng_mode,
+                faults=faults, rng_mode=rng_mode,
             )
             if baseline is None:
                 baseline = run

@@ -75,7 +75,6 @@ class TestBitEquality:
                 graph,
                 lambda: make_rule(rule_name, graph),
                 seed,
-                validate=True,
                 rng_mode=rng_mode,
             )
             for engine_id in ENGINE_IDS
@@ -234,7 +233,6 @@ class TestFaultConformance:
                 graph,
                 lambda: make_rule(rule_name, graph),
                 seed,
-                validate=True,
                 faults=faults,
                 rng_mode=rng_mode,
             )
@@ -288,8 +286,7 @@ class TestFaultConformance:
         faults = FaultModel(beep_loss_probability=1.0)
         runs = {
             engine_id: engine_run(
-                engine_id, graph, FeedbackRule, 555, validate=True,
-                faults=faults,
+                engine_id, graph, FeedbackRule, 555, faults=faults,
             )
             for engine_id in ENGINE_IDS
         }
@@ -305,8 +302,7 @@ class TestFaultConformance:
             crash_schedule=CrashSchedule.from_pairs(((0, 4), (0, 11)))
         )
         run = engine_run(
-            "fleet-dense", graph, FeedbackRule, 77, validate=True,
-            faults=faults,
+            "fleet-dense", graph, FeedbackRule, 77, faults=faults,
         )
         assert run.crashed == {4, 11}
         assert not run.mis & run.crashed
@@ -390,7 +386,7 @@ def test_batch_rows_equal_seed_by_seed_runs(
     ]
     simulator = FleetSimulator(graph, max_rounds=50_000, backend=backend)
     batch = simulator.run_fleet(
-        FeedbackRule(), seeds, validate=True, faults=faults, rng_mode=mode
+        FeedbackRule(), seeds, faults=faults, rng_mode=mode
     )
     for t, seed in enumerate(seeds):
         lone = simulator.run_fleet(
@@ -430,7 +426,7 @@ def test_frontier_tail_equals_full_width_rounds(
     simulator = FleetSimulator(graph, backend=backend)
     runs = [
         simulator.run_fleet(
-            FeedbackRule(), seeds, validate=True, faults=faults,
+            FeedbackRule(), seeds, faults=faults,
             rng_mode="counter", record_beeps=record,
         )
         for record in (False, True)
@@ -470,14 +466,13 @@ class TestArmadaConformance:
         armada = ArmadaSimulator(graphs, backend=backend)
         assert armada.backend == backend
         runs = armada.run_armada(
-            make_rule(rule_name, graphs[0]), seed_rows, validate=True,
-            faults=faults,
+            make_rule(rule_name, graphs[0]), seed_rows, faults=faults,
         )
         for graph, row, run in zip(graphs, seed_rows, runs):
             # Beep recording keeps the reference full width: no frontier.
             lone = FleetSimulator(graph, backend=backend).run_fleet(
-                make_rule(rule_name, graph), row, validate=True,
-                faults=faults, rng_mode="counter", record_beeps=True,
+                make_rule(rule_name, graph), row, faults=faults,
+                rng_mode="counter", record_beeps=True,
             )
             assert np.array_equal(run.rounds, lone.rounds)
             assert np.array_equal(run.membership, lone.membership)
@@ -501,10 +496,10 @@ class TestArmadaConformance:
             derive_seed_block(77, g, 1, count=3) for g in range(3)
         ]
         dense = ArmadaSimulator(graphs, backend="dense").run_armada(
-            FeedbackRule(), seed_rows, validate=True
+            FeedbackRule(), seed_rows
         )
         sparse = ArmadaSimulator(graphs, backend="sparse").run_armada(
-            FeedbackRule(), seed_rows, validate=True
+            FeedbackRule(), seed_rows
         )
         for d, s in zip(dense, sparse):
             assert np.array_equal(d.rounds, s.rounds)
@@ -545,7 +540,7 @@ class TestArmadaConformance:
                 runs[backend] = ArmadaSimulator(
                     graphs, backend=backend
                 ).run_armada(
-                    FeedbackRule(), seed_rows, validate=True, faults=faults,
+                    FeedbackRule(), seed_rows, faults=faults,
                     rng_mode=mode,
                 )
             assert collector.counters["engine.armada.dense_rounds"] > 1
@@ -594,8 +589,8 @@ class TestArmadaConformance:
         )
         with capture() as collector:
             runs = armada._lockstep(
-                FeedbackRule(), seed_rows, False, NO_FAULTS, "counter",
-                False, initial_active=mask, lanes=lanes,
+                FeedbackRule(), seed_rows, NO_FAULTS, "counter", False,
+                initial_active=mask, lanes=lanes,
             )
         assert collector.counters["engine.armada.dense_rounds"] > 0
         if frontier_entries is None:
@@ -607,7 +602,7 @@ class TestArmadaConformance:
             kept = np.flatnonzero(mask[slot])
             sub = graphs[g].subgraph(kept.tolist())
             lone = FleetSimulator(sub, backend=backend).run_fleet(
-                FeedbackRule(), [seed], validate=True, rng_mode="counter"
+                FeedbackRule(), [seed], rng_mode="counter"
             )
             assert rounds[slot] == lone.rounds[0], slot
             assert np.array_equal(membership[slot, kept], lone.membership[0])
@@ -637,7 +632,7 @@ class TestArmadaConformance:
             for g in range(3)
         ]
         runs = ArmadaSimulator(graphs, backend=backend).run_armada(
-            FeedbackRule(), seed_rows, validate=True, faults=faults,
+            FeedbackRule(), seed_rows, faults=faults,
             rng_mode="stream",
         )
         for graph, row, run in zip(graphs, seed_rows, runs):
@@ -735,7 +730,6 @@ class TestReferenceAgreement:
                 graph,
                 lambda: make_rule(rule_name, graph),
                 derive_seed(MASTER_SEED, 7, t),
-                validate=True,
             )
             eng_rounds.append(run.rounds)
             eng_beeps.append(run.mean_beeps_per_node)

@@ -41,7 +41,7 @@ class TestExactAgreement:
         for seed in range(5):
             reference = FeedbackMIS().run(graph, Random(seed))
             vectorised = FleetSimulator(graph).run_fleet(
-                FeedbackRule(), [seed], validate=True
+                FeedbackRule(), [seed]
             ).trial_run(0)
             assert len(reference.mis) == len(vectorised.mis) == 2
 

@@ -103,7 +103,7 @@ class TestRunFleet:
     def test_validate_flag_verifies_every_trial(self):
         graph = gnp_random_graph(20, 0.4, Random(12))
         run = FleetSimulator(graph).run_fleet(
-            FeedbackRule(), [3, 4, 5], validate=True
+            FeedbackRule(), [3, 4, 5]
         )
         for t in range(run.trials):
             verify_mis(graph, run.mis_set(t))
@@ -209,7 +209,7 @@ class TestArmadaSimulator:
             for g, count in enumerate((5, 1, 3))
         ]
         runs = ArmadaSimulator(graphs).run_armada(
-            FeedbackRule(), seed_rows, validate=True
+            FeedbackRule(), seed_rows
         )
         assert [run.trials for run in runs] == [5, 1, 3]
         for run in runs:

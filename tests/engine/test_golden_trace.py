@@ -52,7 +52,7 @@ def _golden_run(backend="auto"):
     )
     seeds = derive_seed_block(MASTER_SEED, 0, count=2)
     return graph, FleetSimulator(graph, backend=backend).run_fleet(
-        FeedbackRule(), seeds, validate=True, record_beeps=True
+        FeedbackRule(), seeds, record_beeps=True
     )
 
 
@@ -87,7 +87,6 @@ def test_golden_trace_holds_seed_by_seed():
         for t in range(2):
             run = simulator.run_fleet(
                 FeedbackRule(), [derive_seed(MASTER_SEED, 0, t)],
-                validate=True,
             ).trial_run(0)
             assert run.rounds == GOLDEN_ROUNDS[t], backend
             assert sorted(run.mis) == GOLDEN_MIS[t], backend
@@ -130,7 +129,7 @@ def _golden_churn_run(backend="dense"):
     faults = FaultModel(churn_schedule=ChurnSchedule.from_events(CHURN_EVENTS))
     seeds = derive_seed_block(MASTER_SEED, 0, count=2)
     return FleetSimulator(graph, backend=backend).run_fleet(
-        FeedbackRule(), seeds, validate=True, faults=faults,
+        FeedbackRule(), seeds, faults=faults,
         rng_mode="stream", record_beeps=True,
     )
 
@@ -172,7 +171,7 @@ def test_golden_churn_trace_holds_seed_by_seed():
         for t in range(2):
             run = simulator.run_fleet(
                 FeedbackRule(), [derive_seed(MASTER_SEED, 0, t)],
-                validate=True, faults=faults, rng_mode="stream",
+                faults=faults, rng_mode="stream",
             ).trial_run(0)
             assert run.rounds == CHURN_ROUNDS[t]
             assert sorted(run.mis) == CHURN_MIS[t]

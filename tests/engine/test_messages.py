@@ -82,7 +82,7 @@ class TestBitEquality:
         runs = {
             backend: MessageFleetSimulator(
                 message_graph, backend=backend
-            ).run_fleet(MESSAGE_RULES[rule_name](), seeds, validate=True)
+            ).run_fleet(MESSAGE_RULES[rule_name](), seeds)
             for backend in BACKENDS
         }
         assert_runs_equal(runs["dense"], runs["sparse"])
@@ -94,7 +94,7 @@ class TestBitEquality:
         seeds = derive_seed_block(MASTER_SEED, 1, count=self.TRIALS)
         simulator = MessageFleetSimulator(message_graph, backend=backend)
         rule = MESSAGE_RULES[rule_name]()
-        batch = simulator.run_fleet(rule, seeds, validate=True)
+        batch = simulator.run_fleet(rule, seeds)
         for trial in range(self.TRIALS):
             lone = simulator.run_fleet(rule, seeds[trial : trial + 1])
             assert lone.rounds[0] == batch.rounds[trial]
@@ -117,11 +117,11 @@ class TestBitEquality:
         armada = MessageArmadaSimulator(graphs, backend=backend)
         assert armada.backend == backend
         runs = armada.run_armada(
-            MESSAGE_RULES[rule_name](), seed_rows, validate=True
+            MESSAGE_RULES[rule_name](), seed_rows
         )
         for graph, row, run in zip(graphs, seed_rows, runs):
             lone = MessageFleetSimulator(graph, backend=backend).run_fleet(
-                MESSAGE_RULES[rule_name](), row, validate=True
+                MESSAGE_RULES[rule_name](), row
             )
             assert_runs_equal(run, lone)
 
@@ -133,10 +133,10 @@ class TestBitEquality:
         ]
         rule = MESSAGE_RULES["metivier"]
         dense = MessageArmadaSimulator(graphs, backend="dense").run_armada(
-            rule(), seed_rows, validate=True
+            rule(), seed_rows
         )
         sparse = MessageArmadaSimulator(graphs, backend="sparse").run_armada(
-            rule(), seed_rows, validate=True
+            rule(), seed_rows
         )
         for d, s in zip(dense, sparse):
             assert_runs_equal(d, s)
@@ -227,7 +227,7 @@ class TestReferenceAgreement:
             ref_bits.append(run.bits)
         seeds = derive_seed_block(MASTER_SEED, 5, count=self.TRIALS)
         fleet = MessageFleetSimulator(graph).run_fleet(
-            MESSAGE_RULES[rule_name](), seeds, validate=True
+            MESSAGE_RULES[rule_name](), seeds
         )
         # ~4 standard errors at 60 trials of these few-round distributions.
         assert fleet.rounds.mean() == pytest.approx(

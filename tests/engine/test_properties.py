@@ -54,7 +54,7 @@ def test_feedback_rule_probability_bounds(observations):
 def test_vectorized_always_mis(n, p, graph_seed, run_seed):
     graph = gnp_random_graph(n, p, Random(graph_seed))
     simulator = FleetSimulator(graph, max_rounds=50_000)
-    simulator.run_fleet(FeedbackRule(), [run_seed], validate=True)
+    simulator.run_fleet(FeedbackRule(), [run_seed])
 
 
 @given(
@@ -66,7 +66,7 @@ def test_vectorized_always_mis(n, p, graph_seed, run_seed):
 def test_vectorized_sweep_always_mis(n, graph_seed, run_seed):
     graph = gnp_random_graph(n, 0.4, Random(graph_seed))
     simulator = FleetSimulator(graph, max_rounds=50_000)
-    simulator.run_fleet(SweepRule(), [run_seed], validate=True)
+    simulator.run_fleet(SweepRule(), [run_seed])
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -30,16 +30,15 @@ class TestBasics:
         assert run.mis == set()
 
     def test_isolated_vertices_join_first_possible(self):
-        run = one_trial(empty_graph(6), FeedbackRule, seed=2, validate=True)
+        run = one_trial(empty_graph(6), FeedbackRule, seed=2)
         assert run.mis == set(range(6))
 
     def test_complete_graph_single_winner(self):
-        run = one_trial(complete_graph(12), FeedbackRule, seed=3,
-                        validate=True)
+        run = one_trial(complete_graph(12), FeedbackRule, seed=3)
         assert len(run.mis) == 1
 
     def test_validate_flag(self, random50):
-        run = one_trial(random50, FeedbackRule, seed=4, validate=True)
+        run = one_trial(random50, FeedbackRule, seed=4)
         verify_mis(random50, run.mis)
 
     def test_deterministic_given_seed(self, random50):
@@ -71,7 +70,7 @@ class TestBasics:
         simulator = FleetSimulator(random50)
         for seed in range(5):
             run = simulator.run_fleet(
-                FeedbackRule(), [seed], validate=True
+                FeedbackRule(), [seed]
             ).trial_run(0)
             assert run.rounds >= 1
 
@@ -99,8 +98,7 @@ class TestLargeGraphOverflowRegression:
     def test_many_beeping_neighbors(self, engine_id):
         """More than 255 beeping neighbours must still register as heard
         (a uint8 count would overflow and could wrap to 0)."""
-        run = engine_run(engine_id, star_graph(300), SweepRule, 11,
-                         validate=True)
+        run = engine_run(engine_id, star_graph(300), SweepRule, 11)
         # Round 0 of the sweep has p=1: all 301 vertices beep, everyone
         # hears, nobody joins.  If overflow dropped the observation the hub
         # would wrongly join alongside a leaf and validation would fail.
@@ -111,9 +109,9 @@ class TestLargeGraphOverflowRegression:
 @pytest.mark.parametrize("seed", range(4))
 def test_output_always_mis(rule_factory, seed):
     graph = gnp_random_graph(40, 0.3, Random(seed))
-    one_trial(graph, rule_factory, seed=seed + 50, validate=True)
+    one_trial(graph, rule_factory, seed=seed + 50)
 
 
 def test_grid_graph_feedback():
-    run = one_trial(grid_graph(9, 9), FeedbackRule, seed=13, validate=True)
+    run = one_trial(grid_graph(9, 9), FeedbackRule, seed=13)
     assert run.rounds >= 1

@@ -51,12 +51,12 @@ class TestBasics:
         assert run.mis == set()
 
     def test_isolated_vertices(self):
-        run = one_trial(empty_graph(5), FeedbackRule, 2, validate=True)
+        run = one_trial(empty_graph(5), FeedbackRule, 2)
         assert run.mis == set(range(5))
 
     def test_mixed_isolated_and_connected(self):
         graph = Graph(5, [(1, 2), (2, 3)])
-        run = one_trial(graph, FeedbackRule, 3, validate=True)
+        run = one_trial(graph, FeedbackRule, 3)
         assert 0 in run.mis
         assert 4 in run.mis
 
@@ -64,7 +64,7 @@ class TestBasics:
         # Regression guard for the reduceat boundaries: isolated vertices
         # at the END of the index range have empty trailing CSR segments.
         graph = Graph(6, [(0, 1)])
-        run = one_trial(graph, FeedbackRule, 4, validate=True)
+        run = one_trial(graph, FeedbackRule, 4)
         assert {2, 3, 4, 5} <= run.mis
 
     @pytest.mark.parametrize(
@@ -85,7 +85,7 @@ class TestBasics:
         assert list(heard[0]) == [False, False, True, False]
 
     def test_star(self):
-        run = one_trial(star_graph(20), FeedbackRule, 5, validate=True)
+        run = one_trial(star_graph(20), FeedbackRule, 5)
         assert run.rounds >= 1
 
     def test_max_rounds_validation(self):
@@ -371,7 +371,7 @@ class TestScale:
     def test_large_sparse_network(self):
         """The backend's reason to exist: n = 5000 sensor network."""
         graph = random_geometric_graph(5000, 0.025, Random(13))
-        run = one_trial(graph, FeedbackRule, 14, validate=True)
+        run = one_trial(graph, FeedbackRule, 14)
         assert run.rounds < 60
         assert run.mean_beeps_per_node < 3.0
 

@@ -257,7 +257,7 @@ class TestArmadaRuns:
     def test_message_runs_agree(self):
         graph = gnp_random_graph(25, 0.2, Random(5))
         (run,) = MessageArmadaSimulator([graph]).run_armada(
-            LubyPermutationRule(), [list(range(6))], validate=True
+            LubyPermutationRule(), [list(range(6))]
         )
         assert_agrees(graph, run.membership)
 

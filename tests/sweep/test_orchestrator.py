@@ -68,6 +68,43 @@ def reference_oracle(cell):
     )
 
 
+class TestHashOnce:
+    def test_each_shard_is_hashed_once_per_sweep(self, tmp_path, monkeypatch):
+        """One ``content_hash`` per entry of ``spec.shards()`` (duplicate
+        cells included), cold or warm; the digest then keys dedup, the
+        store, the report and assembly."""
+        spec = SweepSpec(
+            (FLEET_CELL, REFERENCE_CELL, FLEET_CELL), shard_trials=4
+        )
+        shards = spec.shards()
+        digests = [shard.content_hash() for shard in shards]
+        calls = []
+        original = ShardSpec.content_hash
+
+        def spy(shard):
+            calls.append(shard)
+            return original(shard)
+
+        monkeypatch.setattr(ShardSpec, "content_hash", spy)
+        store = ResultStore(tmp_path)
+        for cached in (False, True):
+            calls.clear()
+            result = run_sweep(spec, store=store)
+            assert calls == shards
+            report = result.report
+            assert report.shards_total == len(shards)
+            assert report.shards_cached == (5 if cached else 0)
+            assert report.shards_executed == (0 if cached else 5)
+            assert [t.content_hash for t in report.timings] == list(
+                dict.fromkeys(digests)
+            )
+            assert all(t.cached is cached for t in report.timings)
+            assert result.rows(FLEET_CELL) == fleet_oracle(FLEET_CELL)
+            assert result.rows(REFERENCE_CELL) == reference_oracle(
+                REFERENCE_CELL
+            )
+
+
 class TestBitIdenticalToSequential:
     """ISSUE acceptance: orchestrator(jobs>=2) == run_trials/run_fleet_trials."""
 
@@ -169,7 +206,7 @@ class TestStoreResume:
         assert warm.outcomes == cold.outcomes
         # Verified by the store: every shard of the spec is on disk.
         for shard in spec.shards():
-            rows = store.get(shard)
+            rows = store.get(shard, shard.content_hash())
             assert rows is not None
             assert [row.trial for row in rows] == list(range(shard.lo, shard.hi))
 
@@ -198,7 +235,9 @@ class TestStoreResume:
         store = ResultStore(tmp_path)
         spec = SweepSpec((FLEET_CELL,), shard_trials=4)
         first_shard = spec.shards()[0]
-        store.put(first_shard, execute_shard(first_shard))
+        store.put(
+            first_shard, first_shard.content_hash(), execute_shard(first_shard)
+        )
         result = run_sweep(spec, store=store, jobs=2)
         assert result.report.shards_cached == 1
         assert result.report.shards_executed == 2

@@ -80,16 +80,17 @@ class TestPutGet:
         store = ResultStore(tmp_path)
         spec = shard()
         rows = rows_for(spec)
-        store.put(spec, rows)
-        assert store.get(spec) == rows
+        store.put(spec, spec.content_hash(), rows)
+        assert store.get(spec, spec.content_hash()) == rows
 
     def test_miss_on_empty_store(self, tmp_path):
-        assert ResultStore(tmp_path).get(shard()) is None
+        spec = shard()
+        assert ResultStore(tmp_path).get(spec, spec.content_hash()) is None
 
     def test_one_json_entry_under_hash_path(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = shard()
-        store.put(spec, rows_for(spec))
+        store.put(spec, spec.content_hash(), rows_for(spec))
         path = entry_path(tmp_path, spec)
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
         text = path.read_text()
@@ -109,8 +110,10 @@ class TestPutGet:
 
     def test_entry_bytes_are_deterministic(self, tmp_path):
         spec = shard()
-        ResultStore(tmp_path / "a").put(spec, rows_for(spec))
-        ResultStore(tmp_path / "b").put(spec, rows_for(spec))
+        for root in ("a", "b"):
+            ResultStore(tmp_path / root).put(
+                spec, spec.content_hash(), rows_for(spec)
+            )
         assert (
             entry_path(tmp_path / "a", spec).read_bytes()
             == entry_path(tmp_path / "b", spec).read_bytes()
@@ -119,12 +122,14 @@ class TestPutGet:
     def test_put_rejects_wrong_row_count(self, tmp_path):
         spec = shard()
         with pytest.raises(ValueError, match="4 trials"):
-            ResultStore(tmp_path).put(spec, rows_for(spec)[:-1])
+            ResultStore(tmp_path).put(
+                spec, spec.content_hash(), rows_for(spec)[:-1]
+            )
 
     def test_no_temp_files_left_behind(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = shard()
-        store.put(spec, rows_for(spec))
+        store.put(spec, spec.content_hash(), rows_for(spec))
         leftovers = [p for p in tmp_path.rglob("*") if p.name.startswith(".tmp-")]
         assert leftovers == []
 
@@ -208,8 +213,8 @@ class TestChurnRows:
         store = ResultStore(tmp_path)
         spec = shard()
         rows = self.churn_rows(spec)
-        store.put(spec, rows)
-        loaded = store.get(spec)
+        store.put(spec, spec.content_hash(), rows)
+        loaded = store.get(spec, spec.content_hash())
         assert loaded == rows
         assert loaded[0].repair_rounds == (0, 2, -1)
         assert loaded[0].recovered is False
@@ -220,8 +225,8 @@ class TestChurnRows:
         assert loaded_rows[0].recovered is True
         store = ResultStore(tmp_path)
         spec = shard()
-        store.put(spec, loaded_rows)
-        assert store.get(spec) == loaded_rows
+        store.put(spec, spec.content_hash(), loaded_rows)
+        assert store.get(spec, spec.content_hash()) == loaded_rows
         columns = json.loads(entry_path(tmp_path, spec).read_text())["rows"]
         assert columns["repair_rounds"] == [[]] * spec.trials
         assert columns["recovered"] == [True] * spec.trials
@@ -265,12 +270,12 @@ class TestEntryHeader:
     def test_header_mismatch_is_a_miss(self, tmp_path, field, value):
         store = ResultStore(tmp_path)
         spec = shard()
-        store.put(spec, rows_for(spec))
+        store.put(spec, spec.content_hash(), rows_for(spec))
         path = entry_path(tmp_path, spec)
         entry = read_checked(path)
         entry[field] = value
         write_checked(path, entry)
-        assert store.get(spec) is None
+        assert store.get(spec, spec.content_hash()) is None
 
     @pytest.mark.parametrize(
         "validate, hit", [(None, True), (True, True), (False, False)]
@@ -280,13 +285,13 @@ class TestEntryHeader:
         cell run without the MIS check is recomputed, not served."""
         store = ResultStore(tmp_path)
         spec = shard()
-        store.put(spec, rows_for(spec))
+        store.put(spec, spec.content_hash(), rows_for(spec))
         path = entry_path(tmp_path, spec)
         entry = read_checked(path)
         if validate is not None:
             entry["shard"]["cell"]["validate"] = validate
         write_checked(path, entry)
-        assert (store.get(spec) is not None) == hit
+        assert (store.get(spec, spec.content_hash()) is not None) == hit
 
     def test_sweep_recomputes_unverified_shards(self, tmp_path):
         cell = CellSpec(algorithm="feedback", n=20, trials=8, master_seed=5)
@@ -306,11 +311,11 @@ class TestEntryHeader:
         fail the trial-window check."""
         store = ResultStore(tmp_path)
         spec, other = shard(trials=8, lo=0, hi=4), shard(trials=8, lo=4, hi=8)
-        store.put(other, rows_for(other))
+        store.put(other, other.content_hash(), rows_for(other))
         entry = read_checked(entry_path(tmp_path, other))
         entry["content_hash"] = spec.content_hash()
         write_checked(entry_path(tmp_path, spec), entry)
-        assert store.get(spec) is None
+        assert store.get(spec, spec.content_hash()) is None
 
 
 class TestCorruption:
@@ -319,22 +324,22 @@ class TestCorruption:
     def test_truncated_entry(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = shard()
-        store.put(spec, rows_for(spec))
+        store.put(spec, spec.content_hash(), rows_for(spec))
         path = entry_path(tmp_path, spec)
         path.write_text(path.read_text()[:-10])
-        assert store.get(spec) is None
+        assert store.get(spec, spec.content_hash()) is None
 
     def test_garbage_entry(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = shard()
-        store.put(spec, rows_for(spec))
+        store.put(spec, spec.content_hash(), rows_for(spec))
         entry_path(tmp_path, spec).write_text("{broken")
-        assert store.get(spec) is None
+        assert store.get(spec, spec.content_hash()) is None
 
     def test_entry_is_a_directory(self, tmp_path):
         spec = shard()
         entry_path(tmp_path, spec).mkdir(parents=True)
-        assert ResultStore(tmp_path).get(spec) is None
+        assert ResultStore(tmp_path).get(spec, spec.content_hash()) is None
 
 
 def _format2_leftovers(root, spec):
@@ -373,7 +378,7 @@ class TestFormat2Leftovers:
     def test_get_misses(self, tmp_path):
         spec = shard()
         _format2_leftovers(tmp_path, spec)
-        assert ResultStore(tmp_path).get(spec) is None
+        assert ResultStore(tmp_path).get(spec, spec.content_hash()) is None
 
     def test_sweep_recomputes_and_writes_format3(self, tmp_path):
         cell = CellSpec(
@@ -386,7 +391,7 @@ class TestFormat2Leftovers:
         assert cold.report.shards_executed == 2
         assert cold.rows(cell) == run_sweep(spec).rows(cell)
         for s in spec.shards():
-            assert ResultStore(tmp_path).get(s) is not None
+            assert ResultStore(tmp_path).get(s, s.content_hash()) is not None
         warm = run_sweep(spec, store=tmp_path)
         assert warm.report.shards_executed == 0
 
@@ -396,11 +401,11 @@ class TestShardIsolation:
         store = ResultStore(tmp_path)
         first = shard(trials=8, lo=0, hi=4)
         second = shard(trials=8, lo=4, hi=8)
-        store.put(first, rows_for(first))
-        assert store.get(second) is None
-        store.put(second, rows_for(second))
-        assert store.get(first) == rows_for(first)
-        assert store.get(second) == rows_for(second)
+        store.put(first, first.content_hash(), rows_for(first))
+        assert store.get(second, second.content_hash()) is None
+        store.put(second, second.content_hash(), rows_for(second))
+        assert store.get(first, first.content_hash()) == rows_for(first)
+        assert store.get(second, second.content_hash()) == rows_for(second)
 
 
 def _set_first(name, value):
@@ -461,18 +466,18 @@ class TestDamagedRows:
     def test_get_misses(self, tmp_path, damage, resign):
         store = ResultStore(tmp_path)
         spec = shard()
-        store.put(spec, rows_for(spec))
+        store.put(spec, spec.content_hash(), rows_for(spec))
         damage_entry(entry_path(tmp_path, spec), DAMAGED_ROWS[damage], resign)
-        assert store.get(spec) is None
+        assert store.get(spec, spec.content_hash()) is None
 
     def test_value_edit_is_caught_by_the_checksum(self, tmp_path):
         """Well-typed and in trial order: only the checksum sees it."""
         store = ResultStore(tmp_path)
         spec = shard()
-        store.put(spec, rows_for(spec))
+        store.put(spec, spec.content_hash(), rows_for(spec))
         edit = _set_first("rounds", 9)
         damage_entry(entry_path(tmp_path, spec), edit, resign=False)
-        assert store.get(spec) is None
+        assert store.get(spec, spec.content_hash()) is None
 
     @pytest.mark.parametrize("resign", (False, True), ids=("as-written", "re-signed"))
     @pytest.mark.parametrize("damage", list(DAMAGED_ROWS))
@@ -522,7 +527,7 @@ class TestLineMutationFuzz:
         store = ResultStore(root)
         spec = shard(trials=8, lo=2, hi=6)
         make_rows = data.draw(st.sampled_from((rows_for, _churn_rows)))
-        store.put(spec, make_rows(spec))
+        store.put(spec, spec.content_hash(), make_rows(spec))
         path = entry_path(root, spec)
         # One value per line, so a line mutation hits one value.
         indented = json.dumps(json.loads(path.read_text()), indent=1)
@@ -534,7 +539,7 @@ class TestLineMutationFuzz:
                 write_checked(path, entry)
             except (ValueError, KeyError, AttributeError, TypeError):
                 pass  # not an object with a checksum: nothing to re-sign
-        rows = store.get(spec)
+        rows = store.get(spec, spec.content_hash())
         if rows is None:
             return
         if resign:

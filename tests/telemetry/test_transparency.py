@@ -65,14 +65,14 @@ class TestEnginesBitIdentical:
     def test_dense(self):
         graph = _graph()
         run_once = lambda: FleetSimulator(graph, backend="dense").run_fleet(
-            FeedbackRule(), [derive_seed(MASTER_SEED, 0)], validate=True
+            FeedbackRule(), [derive_seed(MASTER_SEED, 0)]
         ).trial_run(0)
         _assert_engine_runs_equal(*_paired(run_once))
 
     def test_sparse(self):
         graph = _graph()
         run_once = lambda: FleetSimulator(graph, backend="sparse").run_fleet(
-            FeedbackRule(), [derive_seed(MASTER_SEED, 1)], validate=True
+            FeedbackRule(), [derive_seed(MASTER_SEED, 1)]
         ).trial_run(0)
         _assert_engine_runs_equal(*_paired(run_once))
 
@@ -80,7 +80,7 @@ class TestEnginesBitIdentical:
         graph = _graph()
         seeds = derive_seed_block(MASTER_SEED, 2, count=6)
         run_once = lambda: FleetSimulator(graph).run_fleet(
-            FeedbackRule(), seeds, validate=True
+            FeedbackRule(), seeds
         )
         _assert_fleet_runs_equal(*_paired(run_once))
 
@@ -90,7 +90,7 @@ class TestEnginesBitIdentical:
             derive_seed_block(MASTER_SEED, 3, g, count=4) for g in range(3)
         ]
         run_once = lambda: ArmadaSimulator(graphs).run_armada(
-            FeedbackRule(), seed_rows, validate=True
+            FeedbackRule(), seed_rows
         )
         plain_runs, probed_runs = _paired(run_once)
         for plain, probed in zip(plain_runs, probed_runs):
@@ -100,7 +100,7 @@ class TestEnginesBitIdentical:
         graph = _graph()
         seeds = derive_seed_block(MASTER_SEED, 4, count=5)
         run_once = lambda: MessageFleetSimulator(graph).run_fleet(
-            LubyPermutationRule(), seeds, validate=True
+            LubyPermutationRule(), seeds
         )
         plain, probed = _paired(run_once)
         assert np.array_equal(plain.rounds, probed.rounds)
@@ -113,7 +113,7 @@ class TestEnginesBitIdentical:
         seeds = derive_seed_block(MASTER_SEED, 5, count=4)
         run_once = lambda: ApplicationFleetSimulator(
             graph, ColoringRule()
-        ).run_fleet(seeds, validate=True)
+        ).run_fleet(seeds)
         plain, probed = _paired(run_once)
         assert np.array_equal(plain.rounds, probed.rounds)
         assert np.array_equal(plain.layers, probed.layers)
